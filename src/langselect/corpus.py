@@ -13,6 +13,7 @@ import re
 import string
 import unicodedata
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -243,6 +244,13 @@ def _sample_indices(n: int, k: int, rng: random.Random) -> list[int]:
     return sorted(i for _, i in keys[:k])
 
 
+@lru_cache(maxsize=1 << 12)
+def _warn_short_language(code: str, available: int, requested: int) -> None:
+    # Memoized, so the warning is logged once per (language, rows
+    # available, cap) in a process, not once per cell and seed.
+    logger.warning("%s: only %d train rows available, requested %d; using all", code, available, requested)
+
+
 def sample_per_language(datasets: Iterable[Dataset], k: int, seed: int) -> list[Dataset]:
     """Draw up to ``k`` train examples per language, without replacement.
 
@@ -259,10 +267,7 @@ def sample_per_language(datasets: Iterable[Dataset], k: int, seed: int) -> list[
             raise CorpusError(f"sample_per_language expects train splits, got {ds.language.code}/{ds.split}")
         if len(ds) <= k:
             if len(ds) < k:
-                logger.warning(
-                    "%s: only %d train rows available, requested %d; using all",
-                    ds.language.code, len(ds), k,
-                )
+                _warn_short_language(ds.language.code, len(ds), k)
             out.append(ds)
             continue
         rng = random.Random(f"{seed}:{ds.language.code}")

@@ -11,6 +11,7 @@ import hashlib
 import json
 import logging
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -28,6 +29,7 @@ from ..errors import HarnessError
 from ..metrics import confusion, weighted_f1
 from ..selection import MULTILINGUAL, ZEROSHOT
 from ..textmodel import (
+    NUMERICS_VERSION,
     AdaptationStats,
     LearnerConfig,
     config_with_seed,
@@ -49,13 +51,16 @@ class CorpusStore:
 
     ``devstar`` splits are derived lazily from train/dev overlap removal
     and cached. Datasets are immutable, so the store is safe for
-    concurrent reads once populated.
+    concurrent reads once populated. Content digests of splits are
+    computed on first use and memoized.
     """
 
     def __init__(self, metadata: dict[str, LanguageCode] | None = None):
         self._metadata: dict[str, LanguageCode] = dict(metadata or {})
         self._splits: dict[str, dict[str, Dataset]] = {}
         self._lapt: dict[str, Dataset] = {}
+        self._digests: dict[tuple[str, str], str | None] = {}
+        self._digest_lock = threading.Lock()
 
     def add(self, dataset: Dataset) -> None:
         code = dataset.language.code
@@ -100,6 +105,26 @@ class CorpusStore:
         if ds is None:
             raise HarnessError(f"no LAPT corpus configured for language {code!r}")
         return ds
+
+    def digest(self, code: str, split: str) -> str | None:
+        """sha256 of a split's (id, text, label) rows in order, or None if
+        the split is absent. ``split`` may also be "lapt" for the
+        language's LAPT corpus."""
+        key = (code, split)
+        with self._digest_lock:
+            if key not in self._digests:
+                ds = self._lapt.get(code) if split == "lapt" else self.split(code, split)
+                if ds is None:
+                    self._digests[key] = None
+                else:
+                    # JSON-encoded a slice at a time, so a large split's
+                    # text is never held in memory twice.
+                    h = hashlib.sha256()
+                    for start in range(0, len(ds), 1024):
+                        rows = [[ex.id, ex.text, ex.label] for ex in ds.examples[start : start + 1024]]
+                        h.update(json.dumps(rows, ensure_ascii=False).encode("utf-8"))
+                    self._digests[key] = h.hexdigest()
+            return self._digests[key]
 
     def eval_dataset(self, code: str, split: str) -> Dataset:
         ds = self.split(code, split)
@@ -209,11 +234,34 @@ class ExperimentSpec:
         blob = json.dumps(self._payload(include_seed=True), sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
-    def cell_key(self) -> str:
-        """Stable hash over every field except the seed; groups the per-seed
-        runs of one experiment cell."""
-        blob = json.dumps(self._payload(include_seed=False), sort_keys=True)
+    def cell_key(self, store: CorpusStore) -> str:
+        """Score-cache key of the cell: a hash over every field except the
+        seed, the learner's NUMERICS_VERSION, and the content digests of
+        the data the cell reads from ``store`` (source train splits, the
+        target's eval split and the adaptation corpora). Groups the
+        per-seed runs of one cell; changed data or numerics give a new key."""
+        payload = self._payload(include_seed=False)
+        payload["numerics_version"] = NUMERICS_VERSION
+        payload["data"] = {
+            "train": {code: store.digest(code, "train") for code in self.sources},
+            "eval": store.digest(self.target, self.eval_split),
+            "adaptation": {
+                f"{code}/{split}": store.digest(code, split) for code, split in self._adaptation_splits()
+            },
+        }
+        blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+
+    def _adaptation_splits(self) -> list[tuple[str, str]]:
+        """(language, split) of every corpus ``adaptation_stats`` pretrains
+        on; the split "lapt" names a language's LAPT corpus."""
+        splits: list[tuple[str, str]] = []
+        if self.adaptation in ("tapt", "lapt+tapt"):
+            for code in sorted(set(self.sources) | {self.target}):
+                splits += [(code, "train"), (code, "dev")]
+        if self.adaptation in ("lapt", "lapt+tapt"):
+            splits.append((self.target, "lapt"))
+        return splits
 
     def describe(self) -> str:
         cap = f" cap={self.sample_cap}" if self.sample_cap is not None else ""
@@ -243,14 +291,14 @@ def adaptation_stats(spec: ExperimentSpec, store: CorpusStore) -> AdaptationStat
     if spec.adaptation == "none":
         return AdaptationStats.uniform()
     tapt = lapt = None
-    if spec.adaptation in ("tapt", "lapt+tapt"):
-        langs = sorted(set(spec.sources) | {spec.target})
+    tapt_splits = [(code, split) for code, split in spec._adaptation_splits() if split != "lapt"]
+    if tapt_splits:
         corpora = []
-        for code in langs:
-            for split in ("train", "dev"):
-                ds = store.split(code, split)
-                if ds is not None and len(ds):
-                    corpora.append(strip_labels(ds))
+        for code, split in tapt_splits:
+            ds = store.split(code, split)
+            if ds is not None and len(ds):
+                corpora.append(strip_labels(ds))
+        langs = sorted({code for code, _ in tapt_splits})
         tapt = pretrain(corpora, tag=f"tapt:{'+'.join(langs)}", config=spec.learner)
     if spec.adaptation in ("lapt", "lapt+tapt"):
         corpus = store.lapt_corpus(spec.target)
@@ -267,7 +315,7 @@ def score_experiment(
 
     Returns (score, evaluation support).
     """
-    cell_key = spec.cell_key()
+    cell_key = spec.cell_key(store)
     if cache is not None:
         hit = cache.get(cell_key, spec.seed)
         if hit is not None:
@@ -541,10 +589,10 @@ def run_matrix(
                 sample_cap=cell.sample_cap,
                 eval_split=eval_split,
             )
-            specs.setdefault((spec.cell_key(), seed), spec)
+            specs.setdefault((spec.cell_key(store), seed), spec)
 
     pending = [
-        spec
+        (key, spec)
         for (key, seed), spec in sorted(specs.items())
         if cache is None or cache.get(key, seed) is None
     ]
@@ -553,12 +601,12 @@ def run_matrix(
     if pending:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             futures = {
-                pool.submit(score_experiment, spec, store, cache): spec for spec in pending
+                pool.submit(score_experiment, spec, store, cache): (key, spec) for key, spec in pending
             }
             for future in as_completed(futures):
-                spec = futures[future]
+                key, spec = futures[future]
                 try:
-                    results[(spec.cell_key(), spec.seed)] = future.result()
+                    results[(key, spec.seed)] = future.result()
                 except Exception as e:
                     failures.append(f"{spec.describe()}: {e}")
     if failures:

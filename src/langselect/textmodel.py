@@ -38,6 +38,16 @@ _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 
+# Version of the learner's float results. Bump it with any change that
+# can alter a trained weight or a score in its last bits, so that cached
+# scores from other numerics are never reused. Version 1 was the dense
+# trainer with per-text featurization.
+NUMERICS_VERSION = 2
+
+# fine_tune folds its lazy L2 scale back into the weights below this,
+# far above float64 underflow and far below any scale that matters.
+_SCALE_FLOOR = 1e-100
+
 
 @lru_cache(maxsize=1 << 20)
 def hash_gram(gram: str) -> int:
@@ -141,61 +151,85 @@ class Model:
     loss_history: tuple[float, ...] = ()
 
 
-def _gram_counts(text: str, config: LearnerConfig) -> dict[int, int]:
-    """Term frequencies per hash bucket for all n-grams of a text."""
-    counts: dict[int, int] = {}
-    if not text:
-        return counts
-    padded = _BOUND_START + text + _BOUND_END
-    mask = config.hash_buckets - 1
-    length = len(padded)
-    for n in range(config.ngram_min, config.ngram_max + 1):
-        for i in range(length - n + 1):
-            bucket = hash_gram(padded[i : i + n]) & mask
-            counts[bucket] = counts.get(bucket, 0) + 1
-    return counts
+@lru_cache(maxsize=1 << 16)
+def _term_counts(
+    text: str, ngram_min: int, ngram_max: int, hash_buckets: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw term frequencies of a text's n-grams: (sorted buckets, counts).
+
+    Memoized per process, so each distinct text is hashed once however
+    many cells and seeds train on it. The returned arrays are read-only
+    because every caller shares them. Worst-case memory: 2^16 entries,
+    each two arrays of at most (ngram_max - ngram_min + 1) * (len(text) + 2)
+    32-bit integers, plus the key text and about 300 bytes of object
+    overhead: about 0.8 GB for 280-character texts at 1-5-grams. Empty
+    text has no grams.
+    """
+    grams: list[int] = []
+    if text:
+        padded = _BOUND_START + text + _BOUND_END
+        mask = hash_buckets - 1
+        length = len(padded)
+        for n in range(ngram_min, ngram_max + 1):
+            grams.extend(hash_gram(padded[i : i + n]) & mask for i in range(length - n + 1))
+    buckets, counts = np.unique(np.array(grams, dtype=np.int64), return_counts=True)
+    buckets = buckets.astype(np.int32 if hash_buckets <= 1 << 31 else np.int64)
+    counts = counts.astype(np.int32)
+    buckets.flags.writeable = False
+    counts.flags.writeable = False
+    return buckets, counts
 
 
-def _idf(stats: AdaptationStats, bucket: int) -> float:
-    df = stats.document_frequency.get(bucket, 0)
-    return math.log((1 + stats.num_documents) / (1 + df)) + 1.0
+def _idf_vector(stats: AdaptationStats, hash_buckets: int) -> np.ndarray:
+    """idf = ln((1+N)/(1+df)) + 1 for every bucket; unseen buckets use df = 0."""
+    idf = np.full(hash_buckets, math.log(1 + stats.num_documents) + 1.0)
+    df = stats.document_frequency
+    if df:
+        buckets = np.fromiter(df.keys(), dtype=np.int64, count=len(df))
+        counts = np.fromiter(df.values(), dtype=np.float64, count=len(df))
+        idf[buckets] = np.log((1 + stats.num_documents) / (1 + counts)) + 1.0
+    return idf
 
 
 def featurize(text: str, stats: AdaptationStats, config: LearnerConfig) -> SparseVector:
-    """Map a normalized text to an L2-normalized tf-idf bucket vector.
-
-    Values are (1 + ln tf) * idf with idf = ln((1+N)/(1+df)) + 1 against
-    the adaptation statistics; unseen buckets use df = 0. Empty text maps
-    to the zero vector.
-    """
-    counts = _gram_counts(text, config)
-    if not counts:
-        return SparseVector(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array(
-        [(1.0 + math.log(counts[b])) * _idf(stats, b) for b in indices], dtype=np.float64
-    )
-    norm = math.sqrt(float(values @ values))
-    if norm > 0:
-        values /= norm
-    return SparseVector(indices, values)
+    """Map a normalized text to an L2-normalized tf-idf bucket vector:
+    row 0 of ``design_matrix([text], stats, config)``."""
+    row = design_matrix([text], stats, config)
+    return SparseVector(row.indices.astype(np.int64), row.data)
 
 
 def design_matrix(
     texts: Sequence[str], stats: AdaptationStats, config: LearnerConfig
 ) -> sp.csr_matrix:
-    """Stack featurized texts into a CSR matrix (rows in input order)."""
-    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
-    index_parts: list[np.ndarray] = []
-    value_parts: list[np.ndarray] = []
-    for row, text in enumerate(texts):
-        vec = featurize(text, stats, config)
-        index_parts.append(vec.indices)
-        value_parts.append(vec.values)
-        indptr[row + 1] = indptr[row] + len(vec.indices)
-    indices = np.concatenate(index_parts) if index_parts else np.empty(0, dtype=np.int64)
-    values = np.concatenate(value_parts) if value_parts else np.empty(0, dtype=np.float64)
-    return sp.csr_matrix((values, indices, indptr), shape=(len(texts), config.hash_buckets))
+    """Stack the tf-idf vectors of texts into a CSR matrix (rows in input order).
+
+    Values are (1 + ln tf) * idf with idf = ln((1+N)/(1+df)) + 1 against
+    the adaptation statistics (unseen buckets use df = 0), then each row
+    is scaled to unit L2 norm; empty text maps to an empty row. Term
+    counts come from the per-text memo, and the weighting runs as array
+    operations over the stacked rows.
+    """
+    rows = [
+        _term_counts(text, config.ngram_min, config.ngram_max, config.hash_buckets)
+        for text in texts
+    ]
+    n = len(rows)
+    lengths = np.fromiter((len(buckets) for buckets, _ in rows), dtype=np.int64, count=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    if n:
+        indices = np.concatenate([buckets for buckets, _ in rows])
+        tf = np.concatenate([counts for _, counts in rows])
+    else:
+        indices = np.empty(0, dtype=np.int64)
+        tf = np.empty(0, dtype=np.int32)
+    values = (1.0 + np.log(tf)) * _idf_vector(stats, config.hash_buckets)[indices]
+    # Per-row sums by bincount: every row, trailing empty ones included,
+    # gets a norm; non-empty rows have positive norms since idf >= 1.
+    row_of = np.repeat(np.arange(n), lengths)
+    norms = np.sqrt(np.bincount(row_of, weights=values * values, minlength=n))
+    values /= norms[row_of]
+    return sp.csr_matrix((values, indices, indptr), shape=(n, config.hash_buckets))
 
 
 def _as_datasets(data: Dataset | Iterable[Dataset]) -> list[Dataset]:
@@ -211,23 +245,27 @@ def pretrain(
     contains, so the result does not depend on document order. Labeled
     examples are rejected: labels must never reach the adaptation phase.
     """
-    df: dict[int, int] = {}
-    num_documents = 0
+    present: list[np.ndarray] = []
     for ds in _as_datasets(corpus):
         for ex in ds:
             if ex.label is not None:
                 raise TextModelError(
                     f"adaptation corpus must be unlabeled, found labeled example {ex.id!r}; strip labels first"
                 )
-            buckets = _gram_counts(ex.text, config)
-            if not buckets:
-                continue
-            num_documents += 1
-            for bucket in buckets:
-                df[bucket] = df.get(bucket, 0) + 1
-    if num_documents == 0:
+            buckets, _ = _term_counts(ex.text, config.ngram_min, config.ngram_max, config.hash_buckets)
+            if len(buckets):
+                present.append(buckets)
+    if not present:
         raise TextModelError("adaptation corpus empty")
-    return AdaptationStats(document_frequency=df, num_documents=num_documents, source_tag=tag)
+    # Each document lists a bucket at most once, so counting bucket
+    # occurrences over all documents counts documents per bucket.
+    df = np.bincount(np.concatenate(present), minlength=config.hash_buckets)
+    seen = np.flatnonzero(df)
+    return AdaptationStats(
+        document_frequency=dict(zip(seen.tolist(), df[seen].tolist())),
+        num_documents=len(present),
+        source_tag=tag,
+    )
 
 
 def _shuffled_indices(n: int, rng: random.Random) -> list[int]:
@@ -267,6 +305,14 @@ def fine_tune(
     the ridge term is applied as a proximal (implicit) step so training
     stays stable for arbitrarily large l2_lambda. Per-epoch losses are
     recorded on the returned model.
+
+    The step is lazy and sparse: the weights are held as ``scale * V``
+    with ``V`` of shape (hash_buckets, 3). A batch's gradient is scattered
+    into only the rows of ``V`` its texts touch, and the proximal shrink
+    of every weight is one division of ``scale``, which is folded back
+    into ``V`` before it underflows. So a step costs what the batch's
+    non-zeros cost, not what ``hash_buckets`` costs. ``Model.weights``
+    is returned in the (3, hash_buckets) layout.
     """
     examples: list[Example] = []
     for ds in _as_datasets(train):
@@ -280,7 +326,10 @@ def fine_tune(
 
     X = design_matrix([ex.text for ex in examples], stats, config)
     n = X.shape[0]
-    weights = np.zeros((3, config.hash_buckets), dtype=np.float64)
+    # Buckets no example touches keep zero weight throughout.
+    used = np.unique(X.indices)
+    V = np.zeros((config.hash_buckets, 3), dtype=np.float64)
+    scale = 1.0
     bias = np.zeros(3, dtype=np.float64)
     rng = random.Random(config.seed)
     lr = config.learning_rate
@@ -288,12 +337,13 @@ def fine_tune(
 
     for _ in range(config.epochs):
         order = _shuffled_indices(n, rng)
+        shrink = 1.0 + lr * config.l2_lambda
         ce_sum = 0.0
         for start in range(0, n, config.batch_size):
             chunk = order[start : start + config.batch_size]
             xb = X[chunk]
             yb = y[chunk]
-            probs = _softmax(xb @ weights.T + bias)
+            probs = _softmax(scale * (xb @ V) + bias)
             with np.errstate(divide="ignore"):
                 batch_ce = -float(np.log(probs[np.arange(len(chunk)), yb]).sum())
             if not math.isfinite(batch_ce):
@@ -302,15 +352,25 @@ def fine_tune(
             dz = probs
             dz[np.arange(len(chunk)), yb] -= 1.0
             dz /= len(chunk)
-            grad_w = (xb.T @ dz).T
-            weights = (weights - lr * grad_w) / (1.0 + lr * config.l2_lambda)
+            # Scatter per non-zero, one class column at a time: three 1-D
+            # add.at calls are several times faster than one 2-D call.
+            row_nnz = np.diff(xb.indptr)
+            scaled = (-lr / scale) * xb.data
+            for k in range(3):
+                np.add.at(V[:, k], xb.indices, np.repeat(dz[:, k], row_nnz) * scaled)
+            scale /= shrink
+            if scale < _SCALE_FLOOR:
+                V[used] *= scale
+                scale = 1.0
             bias = bias - lr * dz.sum(axis=0)
-        epoch_loss = ce_sum / n + 0.5 * config.l2_lambda * float((weights * weights).sum())
+        w_used = scale * V[used]
+        epoch_loss = ce_sum / n + 0.5 * config.l2_lambda * float((w_used * w_used).sum())
         if not math.isfinite(epoch_loss):
             raise TextModelError("divergence: reduce learning_rate")
         history.append(epoch_loss)
         lr *= config.lr_decay
 
+    weights = np.multiply(V.T, scale, out=np.empty((3, config.hash_buckets)))
     if not np.isfinite(weights).all() or not np.isfinite(bias).all():
         raise TextModelError("divergence: reduce learning_rate")
     return Model(weights=weights, bias=bias, stats=stats, config=config, loss_history=tuple(history))

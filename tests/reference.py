@@ -2,12 +2,15 @@
 
 These deliberately avoid the library's code paths: scores are computed
 from raw label lists with plain counting, selection rules are
-re-evaluated with straight-line loops, and gradients are checked with
-central finite differences of the loss.
+re-evaluated with straight-line loops, gradients are checked with
+central finite differences of the loss, tf-idf rows are built one text
+at a time, and training is checked against a dense trainer.
 """
 from __future__ import annotations
 
 import hashlib
+import math
+import random
 
 import numpy as np
 
@@ -47,6 +50,69 @@ def finite_difference_grads(loss_fn, model, batch, h=1e-5):
         bm[i] -= h
         grad_b[i] = (loss_at(weights0, bp) - loss_at(weights0, bm)) / (2 * h)
     return grad_w, grad_b
+
+
+def _fnv1a_64(gram):
+    h = 0xCBF29CE484222325
+    for b in gram.encode("utf-8"):
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def reference_tfidf(text, document_frequency, num_documents, ngram_min, ngram_max, hash_buckets):
+    """One text's L2-normalized tf-idf row as {bucket: value}: values are
+    (1 + ln tf) * (ln((1+N)/(1+df)) + 1) over FNV-1a hashed character
+    n-grams of the text padded with \x02/\x03; empty text gives {}."""
+    if not text:
+        return {}
+    padded = "\x02" + text + "\x03"
+    counts = {}
+    for n in range(ngram_min, ngram_max + 1):
+        for i in range(len(padded) - n + 1):
+            bucket = _fnv1a_64(padded[i : i + n]) & (hash_buckets - 1)
+            counts[bucket] = counts.get(bucket, 0) + 1
+    row = {}
+    for bucket, tf in counts.items():
+        idf = math.log((1 + num_documents) / (1 + document_frequency.get(bucket, 0))) + 1.0
+        row[bucket] = (1.0 + math.log(tf)) * idf
+    norm = math.sqrt(sum(v * v for v in row.values()))
+    return {bucket: v / norm for bucket, v in row.items()}
+
+
+def reference_dense_fine_tune(X, y, config):
+    """Dense mini-batch trainer: every step updates the whole weight
+    matrix, W <- (W - lr * grad) / (1 + lr * l2_lambda), with the
+    library's shuffle (Fisher-Yates on random.Random(config.seed)) and
+    per-epoch loss. X is a dense (rows, hash_buckets) array and y holds
+    class indices. Returns (weights (3, hash_buckets), bias, loss_history)."""
+    n = X.shape[0]
+    weights = np.zeros((3, X.shape[1]))
+    bias = np.zeros(3)
+    rng = random.Random(config.seed)
+    lr = config.learning_rate
+    history = []
+    for _ in range(config.epochs):
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = min(int(rng.random() * (i + 1)), i)
+            order[i], order[j] = order[j], order[i]
+        ce_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            chunk = order[start : start + config.batch_size]
+            xb = X[chunk]
+            yb = y[chunk]
+            logits = xb @ weights.T + bias
+            exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+            probs = exp / exp.sum(axis=1, keepdims=True)
+            ce_sum -= float(np.log(probs[np.arange(len(chunk)), yb]).sum())
+            dz = probs
+            dz[np.arange(len(chunk)), yb] -= 1.0
+            dz /= len(chunk)
+            weights = (weights - lr * (dz.T @ xb)) / (1.0 + lr * config.l2_lambda)
+            bias = bias - lr * dz.sum(axis=0)
+        history.append(ce_sum / n + 0.5 * config.l2_lambda * float((weights * weights).sum()))
+        lr *= config.lr_decay
+    return weights, bias, history
 
 
 def relative_error(a, b):

@@ -1,4 +1,5 @@
 """Corpus module tests: normalization, loaders, dedup and sampling."""
+import logging
 import random
 
 import pytest
@@ -16,7 +17,13 @@ from langselect import (
     sample_per_language,
     strip_labels,
 )
-from langselect.corpus import AFRISENTI_LANGUAGES, MENTION_RE, URL_RE, save_labeled_tsv
+from langselect.corpus import (
+    AFRISENTI_LANGUAGES,
+    MENTION_RE,
+    URL_RE,
+    _warn_short_language,
+    save_labeled_tsv,
+)
 
 from conftest import make_dataset
 
@@ -245,6 +252,22 @@ class TestSamplePerLanguage:
         ds = self._train(300, lang)
         (out,) = sample_per_language([ds], 500, seed=1)
         assert out == ds
+
+    def test_shortfall_warns_once_per_language_size_and_cap(self, lang, caplog):
+        _warn_short_language.cache_clear()
+        short = self._train(3, lang)
+        other = make_dataset([("t", "positive")], LanguageCode("yy"))
+        with caplog.at_level(logging.WARNING, logger="langselect.corpus"):
+            for seed in range(4):
+                sample_per_language([short, other], 4, seed=seed)
+            sample_per_language([short], 6, seed=1)
+            sample_per_language([self._train(2, lang)], 6, seed=1)
+        assert [r.getMessage() for r in caplog.records] == [
+            "xx: only 3 train rows available, requested 4; using all",
+            "yy: only 1 train rows available, requested 4; using all",
+            "xx: only 3 train rows available, requested 6; using all",
+            "xx: only 2 train rows available, requested 6; using all",
+        ]
 
     def test_exact_size_keeps_order(self, lang):
         ds = self._train(5, lang)

@@ -75,20 +75,64 @@ class TestExperimentSpec:
         with pytest.raises(HarnessError, match="eval split"):
             ExperimentSpec(target="aa", sources=("aa",), eval_split="train")
 
-    def test_keys_stable_and_seed_scoped(self):
+    def test_keys_stable_and_seed_scoped(self, store):
         a = ExperimentSpec(target="aa", sources=("aa", "bb"), seed=1)
         b = ExperimentSpec(target="aa", sources=("bb", "aa"), seed=1)
         assert a.key() == b.key()
         c = ExperimentSpec(target="aa", sources=("aa", "bb"), seed=2)
         assert a.key() != c.key()
-        assert a.cell_key() == c.cell_key()
+        assert a.cell_key(store) == c.cell_key(store)
 
-    def test_learner_seed_does_not_split_cells(self):
+    def test_learner_seed_does_not_split_cells(self, store):
         a = ExperimentSpec(target="aa", sources=("aa",), learner=LearnerConfig(seed=1))
         b = ExperimentSpec(target="aa", sources=("aa",), learner=LearnerConfig(seed=9))
-        assert a.cell_key() == b.cell_key()
+        assert a.cell_key(store) == b.cell_key(store)
         c = ExperimentSpec(target="aa", sources=("aa",), learner=LearnerConfig(epochs=5))
-        assert a.cell_key() != c.cell_key()
+        assert a.cell_key(store) != c.cell_key(store)
+
+    def test_cell_key_covers_numerics_version(self, store, monkeypatch):
+        import langselect.harness.experiments as exp
+
+        spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, seed=1)
+        cache = ScoreCache()
+        score_experiment(spec, store, cache)
+        before = spec.cell_key(store)
+        monkeypatch.setattr(exp, "NUMERICS_VERSION", exp.NUMERICS_VERSION + 1)
+        assert spec.cell_key(store) != before
+        assert cache.get(spec.cell_key(store), 1) is None
+        score_experiment(spec, store, cache)
+        assert len(cache) == 2
+
+    def test_cell_key_covers_data(self, tmp_path):
+        # Rotating the labels of one source's train TSV must miss the
+        # cache, whether that source is the target or a helper, and
+        # whatever the adaptation reads.
+        config_path = write_universe(TINY, tmp_path)
+        cfg = load_config(config_path)
+        train_tsv = next(lf.train for lf in cfg.languages if lf.language.code == "bb")
+        cache = ScoreCache(tmp_path / "scores.journal")
+        specs = [
+            ExperimentSpec(target="aa", sources=("aa", "bb"), learner=LEARNER, seed=1),
+            ExperimentSpec(target="aa", sources=("aa", "bb"), adaptation="lapt+tapt", learner=LEARNER, seed=1),
+        ]
+        store = CorpusStore.from_config(cfg)
+        first = [score_experiment(spec, store, cache) for spec in specs]
+        lines = train_tsv.read_text(encoding="utf-8").splitlines()
+        rotate = {"negative": "neutral", "neutral": "positive", "positive": "negative"}
+        rotated = [lines[0]] + [
+            "\t".join([*row.split("\t")[:2], rotate[row.split("\t")[2]]]) for row in lines[1:]
+        ]
+        train_tsv.write_text("\n".join(rotated) + "\n", encoding="utf-8")
+        edited = CorpusStore.from_config(cfg)
+        for spec in specs:
+            assert spec.cell_key(edited) != spec.cell_key(store)
+            assert cache.get(spec.cell_key(edited), 1) is None
+        second = [score_experiment(spec, edited, cache) for spec in specs]
+        assert len(ScoreCache(tmp_path / "scores.journal")) == 4
+        assert second != first
+        # An unrelated language's data does not split the cell.
+        spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, seed=1)
+        assert spec.cell_key(edited) == spec.cell_key(store)
 
 
 class TestCorpusStore:

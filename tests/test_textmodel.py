@@ -26,7 +26,12 @@ from langselect import (
 from langselect.textmodel import Model, design_matrix, hash_gram
 
 from conftest import make_dataset
-from reference import finite_difference_grads, relative_error
+from reference import (
+    finite_difference_grads,
+    reference_dense_fine_tune,
+    reference_tfidf,
+    relative_error,
+)
 
 LABELS = ("negative", "neutral", "positive")
 SMALL = LearnerConfig(ngram_min=1, ngram_max=3, hash_buckets=64, epochs=2)
@@ -337,6 +342,61 @@ class TestAdaptationEffect:
         tapt = score_cell(task_spec, seeds, store)
         generic = score_cell(generic_spec, seeds, store)
         assert tapt.mean >= generic.mean
+
+
+class TestAgainstReferences:
+    """The vectorized tf-idf and the sparse lazy-L2 trainer agree with
+    per-text and dense references to 1e-12 relative."""
+
+    def test_design_matrix_matches_per_text_tfidf(self, lang):
+        rng = random.Random(4)
+        corpus = make_dataset([(random_example(rng, lang, i).text, None) for i in range(15)], lang)
+        cfg = LearnerConfig(ngram_min=2, ngram_max=4, hash_buckets=256, epochs=1)
+        stats = pretrain([corpus], "t", cfg)
+        words = [random_example(rng, lang, i).text for i in range(6)]
+        texts = ["", words[0], words[1], words[0], "", words[2], words[3], words[1], ""]
+        X = design_matrix(texts, stats, cfg)
+        assert X.shape == (len(texts), cfg.hash_buckets)
+        for i, text in enumerate(texts):
+            want = reference_tfidf(
+                text, stats.document_frequency, stats.num_documents,
+                cfg.ngram_min, cfg.ngram_max, cfg.hash_buckets,
+            )
+            row = X[i]
+            assert row.indices.tolist() == sorted(want), i
+            np.testing.assert_allclose(row.data, [want[b] for b in sorted(want)], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "l2_lambda, learning_rate, lr_decay",
+        [(0.0, 0.5, 0.9), (1e-4, 0.5, 0.9), (10.0, 1.0, 1.0), (1e6, 0.1, 0.9)],
+    )
+    def test_sparse_trainer_matches_dense(self, lang, l2_lambda, learning_rate, lr_decay):
+        rng = random.Random(17)
+        ds = Dataset(lang, "train", tuple(random_example(rng, lang, i) for i in range(40)))
+        cfg = LearnerConfig(
+            ngram_min=1, ngram_max=3, hash_buckets=256, epochs=20, batch_size=8,
+            l2_lambda=l2_lambda, learning_rate=learning_rate, lr_decay=lr_decay, seed=3,
+        )
+        stats = pretrain([strip_labels(ds)], "t", cfg)
+        model = fine_tune(stats, ds, cfg)
+        X = design_matrix([ex.text for ex in ds], stats, cfg).toarray()
+        y = np.array([LABELS.index(ex.label) for ex in ds])
+        weights, bias, history = reference_dense_fine_tune(X, y, cfg)
+        np.testing.assert_allclose(model.weights, weights, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(model.bias, bias, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(model.loss_history, history, rtol=1e-12, atol=0)
+        probe = [random_example(rng, lang, i).text for i in range(30)]
+        ref_logits = design_matrix(probe, stats, cfg).toarray() @ weights.T + bias
+        assert [label for label, _ in predict_texts(model, probe)] == [
+            LABELS[int(np.argmax(row))] for row in ref_logits
+        ]
+        if l2_lambda == 10.0:
+            # The proximal shrinks pass the 1e-100 fold-back floor within
+            # the last few of the 100 steps, so the folded weights still
+            # carry into the result instead of decaying away.
+            steps = math.ceil(len(ds) / cfg.batch_size) * cfg.epochs
+            fold_step = math.ceil(100 / math.log10(1 + learning_rate * l2_lambda))
+            assert steps - 5 < fold_step <= steps
 
 
 def test_design_matrix_shapes(lang):
