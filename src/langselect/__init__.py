@@ -36,13 +36,14 @@ from .selection import (
     FORWARD,
     MULTILINGUAL,
     ZEROSHOT,
+    PlanCell,
     SelectionConfig,
     SelectionResult,
     SelectionTask,
     backward_select,
     forward_select,
     group_by_family,
-    run_all_targets,
+    plan,
 )
 from .textmodel import (
     AdaptationStats,

@@ -18,17 +18,14 @@ from .errors import CorpusError, EnsembleError, HarnessError, MetricsError, Sele
 from .harness import (
     CorpusStore,
     ExperimentSpec,
-    MatrixOracle,
     PlanCell,
     ScoreCache,
     ScoreMatrix,
     adaptation_stats,
     build_training_set,
-    enumerate_plan,
     load_config,
     render_report,
     run_matrix,
-    score_cell,
     selection_results_to_jsonl,
 )
 from .harness.report import FORMATS
@@ -56,6 +53,8 @@ def _seed_list(text: str) -> tuple[int, ...]:
         raise _UsageError(f"bad seed list {text!r}, expected comma-separated integers") from None
     if not seeds:
         raise _UsageError("seed list is empty")
+    if len(set(seeds)) != len(seeds):
+        raise _UsageError(f"seed list {text!r} repeats a seed")
     return seeds
 
 
@@ -81,7 +80,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("score", help="score one spec over seeds")
+    p = sub.add_parser("score", help="score one spec over seeds (a one-cell matrix)")
     add_common(p)
     p.add_argument("--target", required=True)
     p.add_argument("--sources", required=True)
@@ -185,51 +184,77 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     cfg, store, cache, seeds = _context(args)
     spec = _spec_from_args(args, cfg, seeds[0])
-    cell = score_cell(spec, seeds, store, cache)
-    for seed in sorted(cell.per_seed):
-        print(f"seed_{seed}={cell.per_seed[seed]!r}")
-    print(f"mean={cell.mean!r}")
-    print(f"std={cell.std!r}")
-    print(f"support={cell.support}")
+    matrix = run_matrix(
+        [PlanCell(spec.target, spec.sources, spec.sample_cap)],
+        store,
+        seeds=seeds,
+        learner=spec.learner,
+        mode=spec.mode,
+        adaptation=spec.adaptation,
+        eval_split=spec.eval_split,
+        cache=cache,
+        parallelism=cfg.parallelism,
+    )
+    (entry,) = matrix.entries.values()
+    for seed in sorted(entry.per_seed):
+        print(f"seed_{seed}={entry.per_seed[seed]!r}")
+    print(f"mean={entry.mean!r}")
+    print(f"std={entry.std!r}")
+    print(f"support={entry.support}")
     return 0
 
 
-def _plan_inputs(cfg, store, mode: str):
+def _tasks(cfg, store) -> list[sel.SelectionTask]:
+    """One selection task per language with an eval split, sorted by
+    code; its candidates are every other language with train data."""
     eval_split = cfg.eval_split
-    trainable = [lf.language.code for lf in cfg.languages if store.has_train(lf.language.code)]
-    targets = [
-        lf.language.code
-        for lf in cfg.languages
-        if store.has_eval(lf.language.code, eval_split)
-    ]
+    trainable = sorted(lf.language.code for lf in cfg.languages if store.has_train(lf.language.code))
+    targets = sorted(
+        lf.language.code for lf in cfg.languages if store.has_eval(lf.language.code, eval_split)
+    )
     if not targets:
         raise HarnessError(f"no language has a {eval_split} split to evaluate on")
-    candidates = {t: tuple(sorted(c for c in trainable if c != t)) for t in sorted(targets)}
-    for t, cands in candidates.items():
+    tasks = []
+    for t in targets:
+        cands = [c for c in trainable if c != t]
         if not cands:
             raise HarnessError(f"target {t!r} has no candidate source languages with train data")
-    return sorted(targets), candidates
+        tasks.append(
+            sel.SelectionTask(target=store.language(t), candidates=tuple(store.language(c) for c in cands))
+        )
+    return tasks
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    cfg, store, cache, seeds = _context(args)
-    mode = _MODES[args.mode] if args.mode else cfg.selection.mode
-    strategy = _STRATEGIES[args.strategy]
-    targets, candidates = _plan_inputs(cfg, store, mode)
-    cells = enumerate_plan(
-        targets, candidates, strategy, mode, cfg.selection.baseline_samples_per_language
+def _selection_config(args: argparse.Namespace, cfg, seeds) -> sel.SelectionConfig:
+    top_k = getattr(args, "top_k", None)
+    return replace(
+        cfg.selection,
+        mode=_MODES[args.mode] if args.mode else cfg.selection.mode,
+        seeds=tuple(seeds),
+        top_k=cfg.selection.top_k if top_k is None else top_k,
     )
-    matrix = run_matrix(
+
+
+def _run_cells(args: argparse.Namespace, cfg, store, cache, sel_cfg, cells) -> ScoreMatrix:
+    return run_matrix(
         cells,
         store,
-        seeds=seeds,
+        seeds=sel_cfg.seeds,
         learner=cfg.learner,
-        mode=mode,
+        mode=sel_cfg.mode,
         adaptation=cfg.adaptation,
         eval_split=cfg.eval_split,
         cache=cache,
         parallelism=args.parallelism or cfg.parallelism,
     )
+
+
+def _cmd_matrix(args: argparse.Namespace) -> int:
+    cfg, store, cache, seeds = _context(args)
+    sel_cfg = _selection_config(args, cfg, seeds)
+    strategy = _STRATEGIES[args.strategy]
+    cells = [cell for task in _tasks(cfg, store) for cell in sel.plan(task, sel_cfg, strategy)]
+    matrix = _run_cells(args, cfg, store, cache, sel_cfg, cells)
     Path(args.out).write_text(matrix.to_jsonl(), encoding="utf-8")
     print(f"cells={len(matrix.entries)}\tseeds={len(seeds)}\tout={args.out}")
     return 0
@@ -237,69 +262,27 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     cfg, store, cache, seeds = _context(args)
-    mode = _MODES[args.mode] if args.mode else cfg.selection.mode
+    sel_cfg = _selection_config(args, cfg, seeds)
     strategy = _STRATEGIES[args.strategy]
-    sel_cfg = replace(
-        cfg.selection,
-        mode=mode,
-        seeds=tuple(seeds),
-        top_k=args.top_k if args.top_k is not None else cfg.selection.top_k,
-    )
-    targets, candidates = _plan_inputs(cfg, store, mode)
-
-    # Prewarm the cache with the full plan so selection itself is cheap
-    # and can run cells in parallel.
-    cells = enumerate_plan(targets, candidates, strategy, mode, sel_cfg.baseline_samples_per_language)
-    run_matrix(
-        cells,
-        store,
-        seeds=seeds,
-        learner=cfg.learner,
-        mode=mode,
-        adaptation=cfg.adaptation,
-        eval_split=cfg.eval_split,
-        cache=cache,
-        parallelism=args.parallelism or cfg.parallelism,
-    )
-
-    oracle = MatrixOracle(
-        store=store,
-        learner=cfg.learner,
-        mode=mode,
-        adaptation=cfg.adaptation,
-        eval_split=cfg.eval_split,
-        cache=cache,
-    )
-    select = sel.forward_select if strategy == sel.FORWARD else sel.backward_select
+    tasks = _tasks(cfg, store)
+    # One run over every target's plan; deciding then only reads its table.
+    cells = [cell for task in tasks for cell in sel.plan(task, sel_cfg, strategy)]
+    scores = _run_cells(args, cfg, store, cache, sel_cfg, cells).means()
+    decide = sel.forward_select if strategy == sel.FORWARD else sel.backward_select
     results: dict[str, sel.SelectionResult] = {}
-    for target in targets:
-        task = sel.SelectionTask(
-            target=store.language(target),
-            candidates=tuple(store.language(c) for c in candidates[target]),
-        )
-        results[target] = select(task, oracle, sel_cfg)
-        print(results[target].to_row())
+    for task in tasks:
+        results[task.target.code] = decide(task, scores, sel_cfg)
+        print(results[task.target.code].to_row())
 
     # Score the selected training sets so reports can show their rows.
-    selected_cells = []
-    for target, result in sorted(results.items()):
-        codes = result.positive_codes()
-        sources = tuple(sorted({target, *codes})) if mode == sel.MULTILINGUAL else tuple(sorted(codes))
-        if sources:
-            selected_cells.append((target, sources))
+    selected_cells = [
+        PlanCell(target, result.selected_sources(), None)
+        for target, result in sorted(results.items())
+        if result.selected_sources()
+    ]
     selected_entries: dict[str, object] = {}
     if selected_cells:
-        sel_matrix = run_matrix(
-            [PlanCell(t, s, None) for t, s in selected_cells],
-            store,
-            seeds=seeds,
-            learner=cfg.learner,
-            mode=mode,
-            adaptation=cfg.adaptation,
-            eval_split=cfg.eval_split,
-            cache=cache,
-            parallelism=args.parallelism or cfg.parallelism,
-        )
+        sel_matrix = _run_cells(args, cfg, store, cache, sel_cfg, selected_cells)
         selected_entries = sel_matrix.entries
         if args.matrix_out:
             Path(args.matrix_out).write_text(sel_matrix.to_jsonl(), encoding="utf-8")
@@ -341,7 +324,9 @@ def _read_selections(paths: list[str]) -> dict[str, dict[str, sel.SelectionResul
                 ),
                 ranking=tuple((LanguageCode(code), float(score)) for code, score in doc["ranking"]),
             )
-            out.setdefault(result.strategy, {})[result.target.code] = result
+            # Zero-shot results get their own column, apart from multilingual ones.
+            column = result.strategy if result.mode == sel.MULTILINGUAL else f"{result.strategy} {result.mode}"
+            out.setdefault(column, {})[result.target.code] = result
     return out
 
 

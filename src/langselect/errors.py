@@ -23,7 +23,8 @@ class TextModelError(LangselectError):
 
 
 class SelectionError(LangselectError):
-    """Source-selection failures, including oracle errors with cell context."""
+    """Source-selection failures: bad settings or tasks, and score tables
+    lacking a planned cell (named with its target and sources)."""
 
 
 class EnsembleError(LangselectError):

@@ -1,21 +1,18 @@
-"""Experiment orchestration: configs, the scoring oracle, the score
-cache, the parallel matrix runner and report generation."""
+"""Experiment orchestration: configs, scoring one job, the score cache,
+the parallel matrix runner that turns a selection plan into a score
+table, and report generation."""
+from ..selection import PlanCell
 from .cache import ScoreCache
 from .config import CACHE_DIR_ENV, HarnessConfig, LanguageFiles, load_config
 from .experiments import (
     ADAPTATIONS,
-    CellScore,
     CorpusStore,
     ExperimentSpec,
     MatrixEntry,
-    MatrixOracle,
-    PlanCell,
     ScoreMatrix,
     adaptation_stats,
     build_training_set,
-    enumerate_plan,
     run_matrix,
-    score_cell,
     score_experiment,
 )
 from .report import render_report, selection_results_to_jsonl
@@ -23,23 +20,19 @@ from .report import render_report, selection_results_to_jsonl
 __all__ = [
     "ADAPTATIONS",
     "CACHE_DIR_ENV",
-    "CellScore",
     "CorpusStore",
     "ExperimentSpec",
     "HarnessConfig",
     "LanguageFiles",
     "MatrixEntry",
-    "MatrixOracle",
     "PlanCell",
     "ScoreCache",
     "ScoreMatrix",
     "adaptation_stats",
     "build_training_set",
-    "enumerate_plan",
     "load_config",
     "render_report",
     "run_matrix",
-    "score_cell",
     "score_experiment",
     "selection_results_to_jsonl",
 ]

@@ -100,6 +100,8 @@ def load_config(path: str | Path) -> HarnessConfig:
     seeds = tuple(int(s) for s in doc.get("seeds", (1, 2, 3, 4, 5)))
     if not seeds:
         raise HarnessError(f"{path}: 'seeds' must be non-empty")
+    if len(set(seeds)) != len(seeds):
+        raise HarnessError(f"{path}: 'seeds' must be distinct, got {list(seeds)}")
 
     try:
         learner = LearnerConfig(**doc.get("learner", {}))

@@ -1,6 +1,7 @@
-"""Experiment orchestration: specs, the corpus store, the scoring oracle
-(build training set -> pretrain -> fine-tune -> evaluate), seed
-aggregation, and the parallel matrix runner.
+"""Experiment orchestration: specs, the corpus store, scoring one job
+(build training set -> pretrain -> fine-tune -> evaluate), and the
+parallel matrix runner that scores every (cell, seed) job of a plan and
+aggregates seeds into a score table.
 
 Every score is a deterministic function of (spec, seed), so results are
 identical regardless of caching, worker count or scheduling order.
@@ -13,7 +14,7 @@ import logging
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from ..corpus import (
@@ -27,7 +28,7 @@ from ..corpus import (
 )
 from ..errors import HarnessError
 from ..metrics import confusion, weighted_f1
-from ..selection import MULTILINGUAL, ZEROSHOT
+from ..selection import MULTILINGUAL, ZEROSHOT, PlanCell
 from ..textmodel import (
     NUMERICS_VERSION,
     AdaptationStats,
@@ -166,21 +167,6 @@ class CorpusStore:
         return store
 
 
-def _learner_digest_payload(config: LearnerConfig) -> dict:
-    # The experiment seed is what varies between runs; the config's own
-    # seed field is excluded so it cannot split cache cells.
-    return {
-        "ngram_min": config.ngram_min,
-        "ngram_max": config.ngram_max,
-        "hash_buckets": config.hash_buckets,
-        "l2_lambda": config.l2_lambda,
-        "learning_rate": config.learning_rate,
-        "lr_decay": config.lr_decay,
-        "batch_size": config.batch_size,
-        "epochs": config.epochs,
-    }
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One training/evaluation cell: which languages train the model, how
@@ -215,32 +201,17 @@ class ExperimentSpec:
         if self.sample_cap is not None and self.sample_cap < 1:
             raise HarnessError(f"sample_cap must be >= 1, got {self.sample_cap}")
 
-    def _payload(self, include_seed: bool) -> dict:
-        payload = {
-            "target": self.target,
-            "sources": list(self.sources),
-            "mode": self.mode,
-            "adaptation": self.adaptation,
-            "learner": _learner_digest_payload(self.learner),
-            "sample_cap": self.sample_cap,
-            "eval_split": self.eval_split,
-        }
-        if include_seed:
-            payload["seed"] = self.seed
-        return payload
-
-    def key(self) -> str:
-        """Stable hash over every field, including the seed."""
-        blob = json.dumps(self._payload(include_seed=True), sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
-
     def cell_key(self, store: CorpusStore) -> str:
         """Score-cache key of the cell: a hash over every field except the
         seed, the learner's NUMERICS_VERSION, and the content digests of
         the data the cell reads from ``store`` (source train splits, the
         target's eval split and the adaptation corpora). Groups the
         per-seed runs of one cell; changed data or numerics give a new key."""
-        payload = self._payload(include_seed=False)
+        payload = asdict(self)
+        del payload["seed"]
+        # The experiment seed is what varies between runs; the learner's
+        # own seed field must not split cells either.
+        del payload["learner"]["seed"]
         payload["numerics_version"] = NUMERICS_VERSION
         payload["data"] = {
             "train": {code: store.digest(code, "train") for code in self.sources},
@@ -339,107 +310,11 @@ def score_experiment(
     return score, support
 
 
-@dataclass(frozen=True)
-class CellScore:
-    """Per-seed scores of one cell plus their mean and population std."""
-
-    per_seed: dict[int, float]
-    mean: float
-    std: float
-    support: int
-
-
-def score_cell(
-    spec: ExperimentSpec, seeds: Sequence[int], store: CorpusStore, cache: ScoreCache | None = None
-) -> CellScore:
-    """Score a cell for every seed and aggregate."""
-    per_seed: dict[int, float] = {}
-    support = 0
-    for seed in seeds:
-        per_seed[seed], support = score_experiment(replace(spec, seed=seed), store, cache)
-    return _aggregate(per_seed, support)
-
-
-def _aggregate(per_seed: dict[int, float], support: int) -> CellScore:
+def _aggregate(per_seed: dict[int, float]) -> tuple[float, float]:
+    """Mean and population std of per-seed scores, summed in seed order."""
     values = list(per_seed.values())
     mean = sum(values) / len(values)
-    std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-    return CellScore(per_seed=per_seed, mean=mean, std=std, support=support)
-
-
-@dataclass
-class MatrixOracle:
-    """The scoring oracle used by selection: delegates each cell to
-    ``score_experiment`` with this oracle's fixed mode/adaptation."""
-
-    store: CorpusStore
-    learner: LearnerConfig
-    mode: str = MULTILINGUAL
-    adaptation: str = "none"
-    eval_split: str = "devstar"
-    cache: ScoreCache | None = None
-
-    def score(
-        self, target: str, sources: tuple[str, ...], seed: int, sample_cap: int | None
-    ) -> float:
-        if self.mode == ZEROSHOT and target in sources:
-            raise HarnessError(
-                f"zero-shot oracle asked to train on the target language {target!r}"
-            )
-        spec = ExperimentSpec(
-            target=target,
-            sources=sources,
-            mode=self.mode,
-            adaptation=self.adaptation,
-            learner=self.learner,
-            seed=seed,
-            sample_cap=sample_cap,
-            eval_split=self.eval_split,
-        )
-        return score_experiment(spec, self.store, self.cache)[0]
-
-
-@dataclass(frozen=True)
-class PlanCell:
-    """One (target, source set, cap) cell of a selection plan."""
-
-    target: str
-    sources: tuple[str, ...]
-    sample_cap: int | None
-
-
-def enumerate_plan(
-    targets: Sequence[str],
-    candidates_by_target: dict[str, tuple[str, ...]],
-    strategy: str,
-    mode: str,
-    baseline_samples_per_language: int,
-) -> list[PlanCell]:
-    """All cells one selection strategy will request, for cache prewarming.
-
-    Mirrors the cells forward_select/backward_select evaluate, so a matrix
-    run followed by selection needs no additional training.
-    """
-    cells: list[PlanCell] = []
-    for target in targets:
-        cands = candidates_by_target[target]
-        if strategy == "forward":
-            if mode == MULTILINGUAL:
-                cells.append(PlanCell(target, (target,), None))
-                cells.extend(PlanCell(target, tuple(sorted((target, c))), None) for c in cands)
-            else:
-                cells.append(PlanCell(target, tuple(sorted(cands)), None))
-                cells.extend(PlanCell(target, (c,), None) for c in cands)
-        elif strategy == "backward":
-            cap = baseline_samples_per_language
-            full = tuple(sorted((target, *cands))) if mode == MULTILINGUAL else tuple(sorted(cands))
-            cells.append(PlanCell(target, full, cap))
-            cells.extend(
-                PlanCell(target, tuple(s for s in full if s != c), cap) for c in cands
-            )
-        else:
-            raise HarnessError(f"unknown strategy {strategy!r}")
-    return cells
+    return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
 
 @dataclass(frozen=True)
@@ -466,22 +341,6 @@ class MatrixEntry:
         if abs(self.mean - sum(values) / len(values)) > 1e-12:
             raise HarnessError(f"entry mean inconsistent with per-seed scores for {self.target!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MatrixEntry):
-            return NotImplemented
-        return (
-            self.target == other.target
-            and self.sources == other.sources
-            and self.mode == other.mode
-            and self.adaptation == other.adaptation
-            and self.sample_cap == other.sample_cap
-            and self.eval_split == other.eval_split
-            and self.per_seed == other.per_seed
-            and self.mean == other.mean
-            and self.std == other.std
-            and self.support == other.support
-        )
-
 
 @dataclass
 class ScoreMatrix:
@@ -489,10 +348,11 @@ class ScoreMatrix:
 
     entries: dict[str, MatrixEntry]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScoreMatrix):
-            return NotImplemented
-        return self.entries == other.entries
+    def means(self) -> dict[PlanCell, float]:
+        """Seed mean of each cell: the score table selection decides from.
+        Cells are told apart by target, sources and cap only, so this reads
+        a matrix of one ``run_matrix`` call."""
+        return {PlanCell(e.target, e.sources, e.sample_cap): e.mean for e in self.entries.values()}
 
     def to_jsonl(self) -> str:
         lines = []
@@ -542,18 +402,6 @@ class ScoreMatrix:
                 raise HarnessError(f"bad matrix jsonl at line {lineno}: {e}") from None
         return cls(entries=entries)
 
-    def find(
-        self, target: str, sources: Sequence[str], adaptation: str | None = None
-    ) -> MatrixEntry | None:
-        """First entry matching a target and source set (and adaptation if given)."""
-        wanted = tuple(sorted(sources))
-        for key in sorted(self.entries):
-            e = self.entries[key]
-            if e.target == target and e.sources == wanted:
-                if adaptation is None or e.adaptation == adaptation:
-                    return e
-        return None
-
 
 def run_matrix(
     cells: Sequence[PlanCell],
@@ -576,6 +424,8 @@ def run_matrix(
     """
     if parallelism < 1:
         raise HarnessError(f"parallelism must be >= 1, got {parallelism}")
+    if len(set(seeds)) != len(seeds):
+        raise HarnessError(f"seeds must be distinct, got {tuple(seeds)}")
     specs: dict[tuple[str, int], ExperimentSpec] = {}
     for cell in cells:
         for seed in seeds:
@@ -627,7 +477,8 @@ def run_matrix(
         grouped[key] = spec
     for key, seed_scores in per_cell.items():
         spec = grouped[key]
-        agg = _aggregate({s: v[0] for s, v in seed_scores.items()}, next(iter(seed_scores.values()))[1])
+        per_seed = {s: v[0] for s, v in seed_scores.items()}
+        mean, std = _aggregate(per_seed)
         entries[key] = MatrixEntry(
             target=spec.target,
             sources=spec.sources,
@@ -635,9 +486,9 @@ def run_matrix(
             adaptation=spec.adaptation,
             sample_cap=spec.sample_cap,
             eval_split=spec.eval_split,
-            per_seed=agg.per_seed,
-            mean=agg.mean,
-            std=agg.std,
-            support=agg.support,
+            per_seed=per_seed,
+            mean=mean,
+            std=std,
+            support=next(iter(seed_scores.values()))[1],
         )
     return ScoreMatrix(entries=entries)

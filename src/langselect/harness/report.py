@@ -2,11 +2,12 @@
 
 Three tables are emitted:
 
-* per-language scores: one row per (training composition, adaptation),
-  one column per target language plus a support-weighted overall column;
+* per-language scores: one row per (training composition and mode,
+  sample cap, adaptation), one column per target language plus a
+  support-weighted overall column;
 * strategy comparison: the same rows, overall column only;
-* selected sources: one row per target listing the forward/backward
-  positive sources.
+* selected sources: one row per target listing the positive sources of
+  each strategy, zero-shot selections in a column of their own.
 
 Numeric cells are F1 * 100 formatted to 2 decimals. Formats: markdown,
 tsv, or json-lines.
@@ -17,35 +18,30 @@ import json
 from typing import Mapping, Sequence
 
 from ..errors import HarnessError
-from ..selection import SelectionResult
+from ..selection import MULTILINGUAL, ZEROSHOT, SelectionResult
 from .experiments import MatrixEntry, ScoreMatrix
 
 FORMATS = ("markdown", "tsv", "jsonl")
 
 
 def _composition(entry: MatrixEntry, all_codes: tuple[str, ...]) -> str | None:
-    """Human label of a training composition, or None for selection
-    plumbing cells (pairs / leave-one-out sets) that would flood the table."""
-    sources = set(entry.sources)
-    everything = set(all_codes)
+    """Name of a training composition, which also names its mode, or None
+    for selection plumbing cells (pairs / leave-one-out sets) that would
+    flood the table."""
     if entry.sources == (entry.target,):
         return "monolingual"
-    if sources == everything or sources == everything - {entry.target}:
+    if entry.mode == MULTILINGUAL and set(entry.sources) == set(all_codes):
         return "multilingual"
+    if entry.mode == ZEROSHOT and set(entry.sources) == set(all_codes) - {entry.target}:
+        return "zeroshot"
     return None
 
 
-def _row_label(composition: str, adaptation: str) -> str:
-    return composition if adaptation == "none" else f"{composition} + {adaptation}"
-
-
-def _selected_sources(
-    result: SelectionResult, mode: str
-) -> tuple[str, ...]:
-    codes = result.positive_codes()
-    if mode == "multilingual":
-        return tuple(sorted({result.target.code, *codes}))
-    return tuple(sorted(codes))
+def _row_label(composition: str, entry: MatrixEntry) -> str:
+    """A row's label: the composition, then the sample cap and the
+    adaptation when present, so cells differing in either never share a row."""
+    label = composition if entry.sample_cap is None else f"{composition}, cap {entry.sample_cap}"
+    return label if entry.adaptation == "none" else f"{label} + {entry.adaptation}"
 
 
 def collect_rows(
@@ -55,36 +51,35 @@ def collect_rows(
 ) -> tuple[list[str], list[tuple[str, dict[str, MatrixEntry]]]]:
     """Group matrix entries into report rows.
 
-    ``selections`` maps strategy name ("forward"/"backward") to per-target
-    results; the rows for selected-source models are matched by looking up
-    the entry trained on exactly the selected set.
+    ``selections`` maps a column name (the strategy, "forward"/"backward",
+    or a strategy and mode) to per-target results; the rows for
+    selected-source models are matched by looking up the uncapped entry of
+    the result's mode trained on exactly the selected set.
     """
     all_codes = tuple(sorted(languages))
-    targets = [code for code in all_codes]
+    targets = list(all_codes)
     rows: dict[str, dict[str, MatrixEntry]] = {}
+    # Uncapped cells by (target, sources, mode), where selected sets are
+    # looked up. Keys are visited sorted, and the first match wins, so
+    # both tables are deterministic.
+    uncapped: dict[tuple[str, tuple[str, ...], str], MatrixEntry] = {}
     for key in sorted(matrix.entries):
         entry = matrix.entries[key]
+        if entry.sample_cap is None:
+            uncapped.setdefault((entry.target, entry.sources, entry.mode), entry)
         composition = _composition(entry, all_codes)
-        if composition is None:
-            continue
-        label = _row_label(composition, entry.adaptation)
-        rows.setdefault(label, {})
-        # First match wins; keys are sorted so this is deterministic.
-        rows[label].setdefault(entry.target, entry)
+        if composition is not None:
+            rows.setdefault(_row_label(composition, entry), {}).setdefault(entry.target, entry)
     strategy_tags = {"forward": "fwd", "backward": "bwd"}
-    for strategy in sorted(selections):
-        per_target = selections[strategy]
-        for target in sorted(per_target):
-            result = per_target[target]
-            wanted = _selected_sources(result, result.mode)
-            if not wanted:
-                continue
-            entry = matrix.find(target, wanted)
+    for column in sorted(selections):
+        for target, result in sorted(selections[column].items()):
+            entry = uncapped.get((target, result.selected_sources(), result.mode))
             if entry is None:
                 continue
-            tag = strategy_tags.get(strategy, strategy)
-            label = _row_label(f"{tag} source transfer", entry.adaptation)
-            rows.setdefault(label, {})[target] = entry
+            tag = strategy_tags.get(result.strategy, result.strategy)
+            if result.mode == ZEROSHOT:
+                tag += " zeroshot"
+            rows.setdefault(_row_label(f"{tag} source transfer", entry), {})[target] = entry
     ordered = sorted(rows.items(), key=lambda kv: kv[0])
     return targets, ordered
 

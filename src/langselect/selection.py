@@ -1,9 +1,12 @@
 """Forward and backward source-language selection.
 
-Both strategies score candidate source languages for a target language
-through a scoring oracle (train on the union of the named languages,
-evaluate weighted F1 on the target's held-out split) and keep the
-candidates whose transfer gain clears a threshold:
+Each strategy is two pure steps. ``plan`` lists the cells a target
+needs: a baseline training set, then one set per candidate source
+language. The harness's matrix runner trains on each cell's languages
+and scores weighted F1 on the target's held-out split, once per seed.
+``forward_select`` and ``backward_select`` then read the seed-mean
+scores from that table and keep the candidates whose transfer gain
+clears a threshold:
 
 * forward, multilingual: baseline is the target-only score; a candidate
   is positive when the bilingual {target, candidate} score beats the
@@ -21,7 +24,7 @@ absolute-points reading is available via ``absolute_threshold``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import LanguageCode
 from .errors import SelectionError
@@ -30,16 +33,6 @@ FORWARD = "forward"
 BACKWARD = "backward"
 MULTILINGUAL = "multilingual"
 ZEROSHOT = "zeroshot"
-
-
-class ScoreOracle(Protocol):
-    """Scores one experiment cell: train on ``sources``, evaluate on the
-    target's evaluation split. Must be deterministic given the seed, and
-    safe to call concurrently for distinct cells."""
-
-    def score(
-        self, target: str, sources: tuple[str, ...], seed: int, sample_cap: int | None
-    ) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -58,6 +51,8 @@ class SelectionConfig:
             raise SelectionError(f"top_k must be >= 1, got {self.top_k}")
         if not self.seeds:
             raise SelectionError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise SelectionError(f"seeds must be distinct, got {self.seeds}")
         if self.mode not in (MULTILINGUAL, ZEROSHOT):
             raise SelectionError(f"unknown mode {self.mode!r}")
         if self.baseline_samples_per_language < 1:
@@ -101,6 +96,14 @@ class SelectionResult:
     def positive_codes(self) -> tuple[str, ...]:
         return tuple(lang.code for lang, _ in self.positive_sources)
 
+    def selected_sources(self) -> tuple[str, ...]:
+        """Sorted codes of the training set the selection picks: the
+        positive sources, plus the target in multilingual mode."""
+        codes = set(self.positive_codes())
+        if self.mode == MULTILINGUAL:
+            codes.add(self.target.code)
+        return tuple(sorted(codes))
+
     def to_row(self) -> str:
         """Report row: ``target<TAB>strategy<TAB>baseline<TAB>src(gain)...``."""
         cells = [self.target.code, self.strategy, f"{self.baseline_score:.4f}"]
@@ -108,25 +111,47 @@ class SelectionResult:
         return "\t".join(cells)
 
 
-def _mean_cell(
-    oracle: ScoreOracle,
-    target: LanguageCode,
-    sources: Sequence[LanguageCode],
-    cfg: SelectionConfig,
-    sample_cap: int | None,
-) -> float:
-    codes = tuple(sorted(lang.code for lang in sources))
-    total = 0.0
-    for seed in cfg.seeds:
-        try:
-            total += oracle.score(target.code, codes, seed=seed, sample_cap=sample_cap)
-        except SelectionError:
-            raise
-        except Exception as e:
-            raise SelectionError(
-                f"oracle failed for cell target={target.code} sources={codes}: {e}"
-            ) from e
-    return total / len(cfg.seeds)
+@dataclass(frozen=True)
+class PlanCell:
+    """One (target, source set, cap) cell of a selection plan; ``sources``
+    are sorted language codes."""
+
+    target: str
+    sources: tuple[str, ...]
+    sample_cap: int | None
+
+
+def plan(task: SelectionTask, cfg: SelectionConfig, strategy: str) -> list[PlanCell]:
+    """The cells one strategy reads for ``task``: the baseline cell, then
+    one cell per candidate in candidate order."""
+    target = task.target.code
+    cands = [lang.code for lang in task.candidates]
+    if strategy == FORWARD:
+        if cfg.mode == MULTILINGUAL:
+            baseline = PlanCell(target, (target,), None)
+            return [baseline, *(PlanCell(target, tuple(sorted((target, c))), None) for c in cands)]
+        baseline = PlanCell(target, tuple(sorted(cands)), None)
+        return [baseline, *(PlanCell(target, (c,), None) for c in cands)]
+    if strategy == BACKWARD:
+        cap = cfg.baseline_samples_per_language
+        full = tuple(sorted((target, *cands) if cfg.mode == MULTILINGUAL else cands))
+        baseline = PlanCell(target, full, cap)
+        return [baseline, *(PlanCell(target, tuple(s for s in full if s != c), cap) for c in cands)]
+    raise SelectionError(f"unknown strategy {strategy!r}")
+
+
+def _planned_scores(
+    task: SelectionTask, scores: Mapping[PlanCell, float], cfg: SelectionConfig, strategy: str
+) -> tuple[float, list[tuple[LanguageCode, float]]]:
+    """(baseline score, [(candidate, its cell's score)]) read from ``scores``."""
+    cells = plan(task, cfg, strategy)
+    missing = [cell.sources for cell in cells if cell not in scores]
+    if missing:
+        raise SelectionError(
+            f"score table lacks {len(missing)} planned cell(s) for target {task.target.code}: "
+            + "; ".join(",".join(sources) for sources in missing)
+        )
+    return scores[cells[0]], [(cand, scores[cell]) for cand, cell in zip(task.candidates, cells[1:])]
 
 
 def _rank(pairs: list[tuple[LanguageCode, float]], descending: bool) -> list[tuple[LanguageCode, float]]:
@@ -143,25 +168,17 @@ def _truncate(
 
 
 def forward_select(
-    task: SelectionTask, oracle: ScoreOracle, cfg: SelectionConfig
+    task: SelectionTask, scores: Mapping[PlanCell, float], cfg: SelectionConfig
 ) -> SelectionResult:
     """Forward selection: grow from the minimal set, keep candidates whose
-    addition clears the gain threshold."""
+    addition clears the gain threshold. ``scores`` maps each cell of the
+    forward plan to its seed-mean score."""
+    baseline, scored = _planned_scores(task, scores, cfg, FORWARD)
     if cfg.mode == MULTILINGUAL:
-        baseline = _mean_cell(oracle, task.target, (task.target,), cfg, None)
         cutoff = baseline + cfg.threshold if cfg.absolute_threshold else baseline * (1 + cfg.threshold)
-        scored = [
-            (cand, _mean_cell(oracle, task.target, (task.target, cand), cfg, None))
-            for cand in task.candidates
-        ]
         positives = [(cand, score - baseline) for cand, score in scored if score > cutoff]
     else:
-        baseline = _mean_cell(oracle, task.target, task.candidates, cfg, None)
         cutoff = baseline - cfg.threshold if cfg.absolute_threshold else baseline * (1 - cfg.threshold)
-        scored = [
-            (cand, _mean_cell(oracle, task.target, (cand,), cfg, None))
-            for cand in task.candidates
-        ]
         positives = [(cand, score - baseline) for cand, score in scored if score >= cutoff]
     return SelectionResult(
         target=task.target,
@@ -174,26 +191,18 @@ def forward_select(
 
 
 def backward_select(
-    task: SelectionTask, oracle: ScoreOracle, cfg: SelectionConfig
+    task: SelectionTask, scores: Mapping[PlanCell, float], cfg: SelectionConfig
 ) -> SelectionResult:
     """Backward selection: start from the full set, keep candidates whose
-    removal drops the score by more than the threshold.
+    removal drops the score by more than the threshold. ``scores`` maps
+    each cell of the backward plan to its seed-mean score.
 
     All sets (baseline and leave-one-out) are built from per-language
     subsamples capped at ``baseline_samples_per_language`` so comparisons
     are size-controlled.
     """
-    cap = cfg.baseline_samples_per_language
-    if cfg.mode == MULTILINGUAL:
-        full: tuple[LanguageCode, ...] = (task.target, *task.candidates)
-    else:
-        full = task.candidates
-    baseline = _mean_cell(oracle, task.target, full, cfg, cap)
+    baseline, scored = _planned_scores(task, scores, cfg, BACKWARD)
     cutoff = baseline - cfg.threshold if cfg.absolute_threshold else baseline * (1 - cfg.threshold)
-    scored = []
-    for cand in task.candidates:
-        rest = tuple(lang for lang in full if lang.code != cand.code)
-        scored.append((cand, _mean_cell(oracle, task.target, rest, cfg, cap)))
     positives = [(cand, baseline - score) for cand, score in scored if score < cutoff]
     return SelectionResult(
         target=task.target,
@@ -203,32 +212,6 @@ def backward_select(
         positive_sources=_truncate(_rank(positives, descending=True), cfg.top_k),
         ranking=tuple(_rank(scored, descending=False)),
     )
-
-
-def run_all_targets(
-    languages: Sequence[LanguageCode],
-    oracle: ScoreOracle,
-    cfg: SelectionConfig,
-    strategy: str = FORWARD,
-) -> dict[str, SelectionResult]:
-    """Run one selection strategy with every language as the target.
-
-    Over N languages this touches exactly N*N distinct (target, source
-    set) cells per seed: N-1 pair or leave-one-out cells plus one
-    baseline cell for each of the N targets.
-    """
-    if len(languages) < 2:
-        raise SelectionError("run_all_targets requires at least 2 languages")
-    if strategy not in (FORWARD, BACKWARD):
-        raise SelectionError(f"unknown strategy {strategy!r}")
-    select = forward_select if strategy == FORWARD else backward_select
-    out: dict[str, SelectionResult] = {}
-    for target in sorted(languages, key=lambda lang: lang.code):
-        candidates = tuple(
-            lang for lang in sorted(languages, key=lambda l: l.code) if lang.code != target.code
-        )
-        out[target.code] = select(SelectionTask(target=target, candidates=candidates), oracle, cfg)
-    return out
 
 
 def group_by_family(

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -424,17 +424,7 @@ def save_model(model: Model, path: str | Path) -> None:
     bit-identical predictions."""
     df_items = sorted(model.stats.document_frequency.items())
     meta = {
-        "config": {
-            "ngram_min": model.config.ngram_min,
-            "ngram_max": model.config.ngram_max,
-            "hash_buckets": model.config.hash_buckets,
-            "l2_lambda": model.config.l2_lambda,
-            "learning_rate": model.config.learning_rate,
-            "lr_decay": model.config.lr_decay,
-            "batch_size": model.config.batch_size,
-            "epochs": model.config.epochs,
-            "seed": model.config.seed,
-        },
+        "config": asdict(model.config),
         "stats": {"num_documents": model.stats.num_documents, "source_tag": model.stats.source_tag},
         "loss_history": list(model.loss_history),
     }

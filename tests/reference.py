@@ -154,6 +154,19 @@ def reference_macro_f1(gold, pred):
     return sum(scores) / len(scores)
 
 
+def score_plan(cells, oracle, seeds):
+    """Seed-mean score table of selection plan cells, each (cell, seed)
+    scored through a mock oracle: the input forward_select and
+    backward_select decide from."""
+    return {
+        cell: sum(
+            oracle.score(cell.target, cell.sources, seed=s, sample_cap=cell.sample_cap) for s in seeds
+        )
+        / len(seeds)
+        for cell in cells
+    }
+
+
 class DictOracle:
     """Mock scoring oracle reading from a fixed (target, sources) table;
     records every call so tests can count distinct cells."""
@@ -188,6 +201,19 @@ class HashOracle:
 
     def distinct_cells(self):
         return {key for key, _, _ in self.calls}
+
+
+class TableOracle:
+    """Oracle reading per-seed scores from parsed matrix JSONL records,
+    keyed by (target, sources, sample_cap)."""
+
+    def __init__(self, records):
+        self.table = {
+            (r["target"], tuple(r["sources"]), r["sample_cap"]): r["per_seed"] for r in records
+        }
+
+    def score(self, target, sources, seed, sample_cap):
+        return self.table[(target, tuple(sorted(sources)), sample_cap)][str(seed)]
 
 
 def brute_force_forward(target, candidates, oracle, seeds, threshold, mode, top_k=None):

@@ -25,11 +25,11 @@ from langselect import (
     loss_and_gradient,
     majority_vote,
     normalize_text,
-    run_all_targets,
+    plan,
     weighted_f1,
 )
 from langselect.cli import main as cli_main
-from langselect.harness import ExperimentSpec, ScoreCache, score_cell
+from langselect.harness import PlanCell, ScoreCache, run_matrix
 from langselect.synth import (
     build_store,
     four_language_universe,
@@ -41,9 +41,11 @@ from langselect.textmodel import AdaptationStats, Model, fine_tune, predict_text
 from conftest import make_dataset
 from reference import (
     DictOracle,
+    HashOracle,
     finite_difference_grads,
     relative_error,
     reference_weighted_f1,
+    score_plan,
 )
 
 LABELS = ("negative", "neutral", "positive")
@@ -115,7 +117,8 @@ def test_criterion_3_selection_correctness():
         target=LanguageCode("t"),
         candidates=tuple(LanguageCode(c) for c in ("a", "b", "c", "d")),
     )
-    result = forward_select(task, fwd_oracle, SelectionConfig(seeds=(1,)))
+    cfg = SelectionConfig(seeds=(1,))
+    result = forward_select(task, score_plan(plan(task, cfg, "forward"), fwd_oracle, cfg.seeds), cfg)
     assert result.baseline_score == 0.50
     assert [(l.code, round(g, 10)) for l, g in result.positive_sources] == [
         ("a", 0.10),
@@ -133,21 +136,25 @@ def test_criterion_3_selection_correctness():
             ("t", ("a", "b", "c", "t")): 0.70,
         }
     )
-    result = backward_select(task, bwd_oracle, SelectionConfig(seeds=(1,)))
+    result = backward_select(task, score_plan(plan(task, cfg, "backward"), bwd_oracle, cfg.seeds), cfg)
     assert result.baseline_score == 0.70
     assert [(l.code, round(g, 10)) for l, g in result.positive_sources] == [
         ("c", 0.20),
         ("a", 0.10),
     ]
 
-    # N x N accounting over a 4-language universe: 16 distinct cells per
-    # strategy per seed.
-    languages = tuple(LanguageCode(c) for c in ("a", "b", "c", "d"))
-    from reference import HashOracle
-
-    for strategy in ("forward", "backward"):
+    # N x N accounting over a 4-language universe: every target's plan
+    # holds 16 distinct cells per strategy, each scored once per seed.
+    codes = ("a", "b", "c", "d")
+    cfg = SelectionConfig(seeds=(1, 2))
+    for strategy, decide in (("forward", forward_select), ("backward", backward_select)):
         oracle = HashOracle(salt=strategy)
-        run_all_targets(languages, oracle, SelectionConfig(seeds=(1, 2)), strategy)
+        for target in codes:
+            task = SelectionTask(
+                target=LanguageCode(target),
+                candidates=tuple(LanguageCode(c) for c in codes if c != target),
+            )
+            decide(task, score_plan(plan(task, cfg, strategy), oracle, cfg.seeds), cfg)
         assert len(oracle.distinct_cells()) == 16
         assert len(oracle.calls) == 16 * 2
     _passed("criterion 3: selection correctness", start, 1.0)
@@ -159,16 +166,9 @@ def test_criterion_4_directional_tapt_effect():
     store = build_store(uni)
     learner = LearnerConfig(**uni.learner)
     seeds = (1, 2, 3, 4, 5)
-    with_tapt = score_cell(
-        ExperimentSpec(target="qq", sources=("qq",), adaptation="tapt", learner=learner),
-        seeds,
-        store,
-    )
-    without = score_cell(
-        ExperimentSpec(target="qq", sources=("qq",), adaptation="none", learner=learner),
-        seeds,
-        store,
-    )
+    mono = [PlanCell("qq", ("qq",), None)]
+    (with_tapt,) = run_matrix(mono, store, seeds=seeds, learner=learner, adaptation="tapt").entries.values()
+    (without,) = run_matrix(mono, store, seeds=seeds, learner=learner, adaptation="none").entries.values()
     gain_points = 100.0 * (with_tapt.mean - without.mean)
     assert gain_points >= 5.0, f"TAPT gain only {gain_points:.2f} points"
     _passed(
@@ -181,34 +181,20 @@ def test_criterion_5_directional_source_selection_effect():
     uni = six_language_universe()
     store = build_store(uni)
     learner = LearnerConfig(**uni.learner)
-    seeds = (1, 2, 3, 4, 5)
+    cfg = SelectionConfig(seeds=(1, 2, 3, 4, 5))
     cache = ScoreCache()
-    from langselect.harness import MatrixOracle
-
-    oracle = MatrixOracle(store=store, learner=learner, cache=cache)
     task = SelectionTask(
         target=store.language("tt"),
         candidates=tuple(store.language(c) for c in ("ha", "hb", "xa", "xb", "xc")),
     )
-    result = forward_select(task, oracle, SelectionConfig(seeds=seeds))
+    matrix = run_matrix(plan(task, cfg, "forward"), store, seeds=cfg.seeds, learner=learner, cache=cache)
+    result = forward_select(task, matrix.means(), cfg)
     assert result.positive_codes() == ("ha", "hb") or result.positive_codes() == ("hb", "ha")
 
-    selected_sources = tuple(sorted({"tt", *result.positive_codes()}))
-    selected = score_cell(
-        ExperimentSpec(target="tt", sources=selected_sources, learner=learner),
-        seeds,
-        store,
-        cache,
-    )
-    all_langs = score_cell(
-        ExperimentSpec(
-            target="tt", sources=("ha", "hb", "tt", "xa", "xb", "xc"), learner=learner
-        ),
-        seeds,
-        store,
-        cache,
-    )
-    gap_points = 100.0 * (selected.mean - all_langs.mean)
+    selected = PlanCell("tt", result.selected_sources(), None)
+    all_langs = PlanCell("tt", ("ha", "hb", "tt", "xa", "xb", "xc"), None)
+    means = run_matrix([selected, all_langs], store, seeds=cfg.seeds, learner=learner, cache=cache).means()
+    gap_points = 100.0 * (means[selected] - means[all_langs])
     assert gap_points >= 10.0, f"selection gap only {gap_points:.2f} points"
     _passed(
         f"criterion 5: source-selection effect (+{gap_points:.1f} F1 points)", start, 120.0

@@ -1,10 +1,21 @@
 """CLI tests: verbs, outputs and exit codes."""
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from langselect.cli import main
-from langselect.synth import IDENTITY, ROTATED, SynthLanguage, SynthUniverse, write_universe
+from langselect.synth import (
+    IDENTITY,
+    ROTATED,
+    SynthLanguage,
+    SynthUniverse,
+    four_language_universe,
+    write_universe,
+)
+
+from reference import TableOracle, brute_force_backward, brute_force_forward
 
 CLI_UNIVERSE = SynthUniverse(
     name="cli",
@@ -50,6 +61,16 @@ class TestExitCodes:
         missing = tmp_path / "missing.tsv"
         assert main(["ensemble", "--inputs", str(missing), "--out", str(tmp_path / "o.tsv")]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["score", "matrix", "select"])
+    def test_duplicate_seed_list_is_usage_error(self, tmp_path, capsys, config_path, verb):
+        argv = {
+            "score": ["--target", "aa", "--sources", "aa"],
+            "matrix": ["--strategy", "fwd", "--out", str(tmp_path / "m.jsonl")],
+            "select": ["--strategy", "fwd"],
+        }[verb]
+        assert main([verb, "--config", config_path, "--seed-list", "1,1,2", *argv]) == 1
+        assert "repeats a seed" in capsys.readouterr().err
 
     def test_experiment_error(self, tmp_path, capsys):
         assert (
@@ -154,3 +175,117 @@ class TestSelectAndReport:
         ) == 0
         rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert any(r["table"] == "selection" for r in rows)
+
+
+def _read_jsonl(path):
+    return [json.loads(line) for line in path.read_text().splitlines() if line and not line.startswith("#")]
+
+
+def _journal_records(path):
+    return [tuple(line.split("\t")[1:3]) for line in path.read_text().splitlines()]
+
+
+@pytest.fixture(scope="module")
+def four_config(tmp_path_factory):
+    """The four-language universe with seeds 1,2 and a backward cap of 30."""
+    universe = replace(
+        four_language_universe(), selection={"baseline_samples_per_language": 30}, seeds=(1, 2)
+    )
+    return write_universe(universe, tmp_path_factory.mktemp("four"))
+
+
+class TestOneScoringPath:
+    @pytest.mark.parametrize("strategy", ["fwd", "bwd"])
+    @pytest.mark.parametrize("mode", ["multilingual", "zeroshot"])
+    def test_select_decides_from_the_matrix(self, tmp_path, capsys, monkeypatch, four_config, strategy, mode):
+        # ``matrix`` writes the plan's scores; ``select`` must decide exactly
+        # what the selection rules give on those scores, and must score
+        # nothing but the selected sets on top of them.
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        journal = tmp_path / "cache" / "scores.journal"
+        common = ["--config", str(four_config), "--strategy", strategy, "--mode", mode]
+        assert main(["matrix", *common, "--out", str(tmp_path / "matrix.jsonl")]) == 0
+        planned = _journal_records(journal)
+        assert main(
+            ["select", *common, "--out", str(tmp_path / "sel.jsonl"),
+             "--matrix-out", str(tmp_path / "selcells.jsonl")]
+        ) == 0
+        capsys.readouterr()
+
+        records = _read_jsonl(tmp_path / "matrix.jsonl")
+        assert len(records) == 16 and {len(r["per_seed"]) for r in records} == {2}
+        oracle = TableOracle(records)
+        codes = ["aa", "bb", "cc", "dd"]
+        results = {r["target"]: r for r in _read_jsonl(tmp_path / "sel.jsonl")}
+        assert sorted(results) == codes
+        for target in codes:
+            candidates = [c for c in codes if c != target]
+            if strategy == "fwd":
+                baseline, positives = brute_force_forward(target, candidates, oracle, (1, 2), 0.05, mode)
+            else:
+                baseline, positives = brute_force_backward(
+                    target, candidates, oracle, (1, 2), 0.05, mode, 30
+                )
+            assert results[target]["baseline"] == baseline
+            assert [tuple(p) for p in results[target]["positives"]] == positives
+
+        after = _journal_records(journal)
+        assert after[: len(planned)] == planned
+        selected_keys = {r["key"] for r in _read_jsonl(tmp_path / "selcells.jsonl")}
+        planned_keys = {r["key"] for r in records}
+        assert {key for key, _ in after[len(planned):]} <= selected_keys - planned_keys
+
+
+class TestReportRows:
+    def test_capped_and_uncapped_cells_get_their_own_rows(self, tmp_path, monkeypatch, four_config):
+        # The forward zero-shot baseline (all other languages, uncapped) and
+        # the backward zero-shot baseline (the same languages, capped at 30)
+        # are different cells and must not share a report row.
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        paths = []
+        for strategy in ("fwd", "bwd"):
+            paths += ["--matrix", str(tmp_path / f"{strategy}-zeroshot.jsonl")]
+            assert main(
+                ["matrix", "--config", str(four_config), "--strategy", strategy,
+                 "--mode", "zeroshot", "--out", paths[-1]]
+            ) == 0
+        out = tmp_path / "report.tsv"
+        assert main(["report", "--config", str(four_config), *paths, "--format", "tsv", "--out", str(out)]) == 0
+        scores_table = out.read_text().split("\n\n")[0].splitlines()
+        assert scores_table[0] == "model\taa\tbb\tcc\tdd\toverall"
+        rows = {line.split("\t")[0]: line.split("\t")[1:5] for line in scores_table[1:]}
+        codes = ["aa", "bb", "cc", "dd"]
+        for label, path, cap in (("zeroshot", paths[1], None), ("zeroshot, cap 30", paths[3], 30)):
+            means = {
+                r["target"]: f"{100 * r['mean']:.2f}"
+                for r in _read_jsonl(Path(path))
+                if r["sample_cap"] == cap and len(r["sources"]) == 3
+            }
+            assert rows[label] == [means[c] for c in codes]
+        assert rows["zeroshot"] != rows["zeroshot, cap 30"]
+        assert "multilingual" not in rows
+
+    def test_multilingual_and_zeroshot_selections_get_their_own_rows(self, tmp_path, monkeypatch, four_config):
+        # Forward selections in both modes, reported together: neither mode's
+        # picks may replace the other's.
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        inputs = []
+        for mode in ("multilingual", "zeroshot"):
+            sel, cells = tmp_path / f"sel-{mode}.jsonl", tmp_path / f"cells-{mode}.jsonl"
+            assert main(
+                ["select", "--config", str(four_config), "--strategy", "fwd", "--mode", mode,
+                 "--out", str(sel), "--matrix-out", str(cells)]
+            ) == 0
+            inputs += ["--selections", str(sel), "--matrix", str(cells)]
+        out = tmp_path / "report.tsv"
+        assert main(["report", "--config", str(four_config), *inputs, "--format", "tsv", "--out", str(out)]) == 0
+        scores, _, picks = out.read_text().rstrip("\n").split("\n\n")
+        labels = [line.split("\t")[0] for line in scores.splitlines()[1:]]
+        assert "fwd source transfer" in labels and "fwd zeroshot source transfer" in labels
+        picks = picks.splitlines()
+        assert picks[0] == "target\tforward\tforward zeroshot"
+        # Each mode's column lists exactly what that mode's select picked.
+        for column, mode in ((1, "multilingual"), (2, "zeroshot")):
+            picked = {r["target"]: ", ".join(c for c, _ in r["positives"]) or "-"
+                      for r in _read_jsonl(tmp_path / f"sel-{mode}.jsonl")}
+            assert {row.split("\t")[0]: row.split("\t")[column] for row in picks[1:]} == picked

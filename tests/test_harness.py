@@ -1,26 +1,34 @@
-"""Harness tests: specs, corpus store, scoring oracle, cache journal,
-matrix runner and reports."""
+"""Harness tests: specs, corpus store, scoring one job, cache journal,
+selection plans, matrix runner and reports."""
 import json
 
 import pytest
 
-from langselect import HarnessError, LearnerConfig, TextModelError
+from langselect import (
+    HarnessError,
+    LanguageCode,
+    LearnerConfig,
+    SelectionConfig,
+    SelectionError,
+    SelectionTask,
+    TextModelError,
+    forward_select,
+    plan,
+)
 from langselect.harness import (
     CorpusStore,
     ExperimentSpec,
-    MatrixOracle,
+    MatrixEntry,
+    PlanCell,
     ScoreCache,
     ScoreMatrix,
     adaptation_stats,
     build_training_set,
-    enumerate_plan,
     load_config,
     render_report,
     run_matrix,
-    score_cell,
     score_experiment,
 )
-from langselect.harness.experiments import MatrixEntry, PlanCell
 from langselect.synth import IDENTITY, ROTATED, SynthLanguage, SynthUniverse, build_store, write_universe
 
 TINY_LEARNER = {
@@ -55,6 +63,19 @@ def store():
     return build_store(TINY)
 
 
+def tasks(codes):
+    """One selection task per code, the other codes as its candidates."""
+    return [
+        SelectionTask(LanguageCode(t), tuple(LanguageCode(c) for c in codes if c != t)) for t in codes
+    ]
+
+
+def full_plan(codes, strategy, mode="multilingual", cap=500):
+    """Every target's plan cells, in target order."""
+    cfg = SelectionConfig(seeds=(1,), mode=mode, baseline_samples_per_language=cap)
+    return [cell for task in tasks(codes) for cell in plan(task, cfg, strategy)]
+
+
 class TestExperimentSpec:
     def test_sources_sorted_and_deduped(self):
         spec = ExperimentSpec(target="aa", sources=("bb", "aa"))
@@ -78,10 +99,22 @@ class TestExperimentSpec:
     def test_keys_stable_and_seed_scoped(self, store):
         a = ExperimentSpec(target="aa", sources=("aa", "bb"), seed=1)
         b = ExperimentSpec(target="aa", sources=("bb", "aa"), seed=1)
-        assert a.key() == b.key()
+        assert a == b
+        assert a.cell_key(store) == b.cell_key(store)
         c = ExperimentSpec(target="aa", sources=("aa", "bb"), seed=2)
-        assert a.key() != c.key()
+        assert a != c
         assert a.cell_key(store) == c.cell_key(store)
+        d = ExperimentSpec(target="aa", sources=("aa", "bb"), seed=1, sample_cap=10)
+        assert a.cell_key(store) != d.cell_key(store)
+
+    def test_cell_key_digest_unchanged(self, store):
+        # Pinned from the release whose journals must keep hitting: the key
+        # hashes every spec field but the seeds, the numerics version and
+        # the data digests.
+        spec = ExperimentSpec(
+            target="aa", sources=("aa", "bb"), adaptation="tapt", learner=LEARNER, seed=3, sample_cap=10
+        )
+        assert spec.cell_key(store) == "e42eb9e431bb4117374c8a4b"
 
     def test_learner_seed_does_not_split_cells(self, store):
         a = ExperimentSpec(target="aa", sources=("aa",), learner=LearnerConfig(seed=1))
@@ -251,12 +284,6 @@ class TestScoreExperiment:
         with pytest.raises((HarnessError, TextModelError), match="divergence"):
             score_experiment(spec, store)
 
-    def test_score_cell_aggregates(self, store):
-        spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER)
-        cell = score_cell(spec, (1, 2, 3), store)
-        assert set(cell.per_seed) == {1, 2, 3}
-        mean = sum(cell.per_seed.values()) / 3
-        assert abs(cell.mean - mean) < 1e-12
 
 
 class TestScoreCache:
@@ -285,24 +312,15 @@ class TestScoreCache:
         assert len(cache) == 1
 
 
-class TestMatrixOracle:
-    def test_zeroshot_shim_asserts_target_exclusion(self, store):
-        oracle = MatrixOracle(store=store, learner=LEARNER, mode="zeroshot")
-        with pytest.raises(HarnessError, match="zero-shot"):
-            oracle.score("aa", ("aa", "bb"), seed=1, sample_cap=None)
-        score = oracle.score("aa", ("bb",), seed=1, sample_cap=None)
-        assert 0.0 <= score <= 1.0
-
-
 class TestEnumeratePlan:
-    def _candidates(self, codes):
-        return {t: tuple(c for c in codes if c != t) for t in codes}
+    """Enumerating every target's selection plan, as ``matrix`` and
+    ``select`` run it."""
 
     @pytest.mark.parametrize("strategy", ["forward", "backward"])
     @pytest.mark.parametrize("mode", ["multilingual", "zeroshot"])
     def test_nxn_cells(self, strategy, mode):
         codes = ("a", "b", "c", "d")
-        cells = enumerate_plan(codes, self._candidates(codes), strategy, mode, 500)
+        cells = full_plan(codes, strategy, mode)
         assert len(cells) == 16
         assert len({(c.target, c.sources) for c in cells}) == 16
         if strategy == "backward":
@@ -314,35 +332,27 @@ class TestEnumeratePlan:
 
     def test_twelve_languages_give_144_cells(self):
         codes = tuple(f"l{i:02d}" for i in range(12))
-        cells = enumerate_plan(codes, self._candidates(codes), "forward", "multilingual", 500)
-        assert len(cells) == 144
+        assert len(full_plan(codes, "forward")) == 144
 
     def test_plan_matches_selection_cells(self, store):
-        # A selection run against a cache prewarmed by the plan must not
-        # trigger any new training.
-        import langselect.harness.experiments as exp
-        from langselect import SelectionConfig, SelectionTask, forward_select
-
+        # Deciding reads exactly the plan's cells: the matrix of the plan
+        # is enough, and a table lacking any one of its cells is refused.
         codes = ("aa", "bb", "cc")
-        cells = enumerate_plan(codes, self._candidates(codes), "forward", "multilingual", 500)
-        cache = ScoreCache()
-        run_matrix(cells, store, seeds=(1,), learner=LEARNER, cache=cache)
-        before = len(cache)
-        oracle = MatrixOracle(store=store, learner=LEARNER, cache=cache)
-        for target in codes:
-            task = SelectionTask(
-                target=store.language(target),
-                candidates=tuple(store.language(c) for c in codes if c != target),
-            )
-            forward_select(task, oracle, SelectionConfig(seeds=(1,)))
-        assert len(cache) == before
+        cfg = SelectionConfig(seeds=(1,))
+        scores = run_matrix(full_plan(codes, "forward"), store, seeds=(1,), learner=LEARNER).means()
+        assert len(scores) == 9
+        by_target = {task.target.code: task for task in tasks(codes)}
+        for task in by_target.values():
+            forward_select(task, scores, cfg)
+        for cell in scores:
+            partial = {c: v for c, v in scores.items() if c != cell}
+            with pytest.raises(SelectionError, match=f"target {cell.target}: {','.join(cell.sources)}$"):
+                forward_select(by_target[cell.target], partial, cfg)
 
 
 class TestRunMatrix:
     def test_parallelism_does_not_change_results(self, store):
-        codes = ("aa", "bb", "cc")
-        candidates = {t: tuple(c for c in codes if c != t) for t in codes}
-        cells = enumerate_plan(codes, candidates, "forward", "multilingual", 500)
+        cells = full_plan(("aa", "bb", "cc"), "forward")
         serial = run_matrix(cells, store, seeds=(1, 2), learner=LEARNER, parallelism=1)
         threaded = run_matrix(cells, store, seeds=(1, 2), learner=LEARNER, parallelism=8)
         assert serial == threaded
@@ -378,6 +388,31 @@ class TestRunMatrix:
         message = str(err.value)
         assert "2 cell(s)" in message
         assert "zz" in message and "yy" in message
+
+    def test_entry_aggregates_seeds(self, store):
+        matrix = run_matrix([PlanCell("aa", ("aa",), None)], store, seeds=(3, 1, 2), learner=LEARNER)
+        (entry,) = matrix.entries.values()
+        assert list(entry.per_seed) == [3, 1, 2]
+        for seed, score in entry.per_seed.items():
+            spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, seed=seed)
+            assert score_experiment(spec, store)[0] == score
+        scores = list(entry.per_seed.values())
+        assert entry.mean == sum(scores) / 3
+        assert entry.support == len(store.devstar("aa"))
+
+    def test_duplicate_seeds_rejected(self, store):
+        with pytest.raises(HarnessError, match="distinct"):
+            run_matrix([PlanCell("aa", ("aa",), None)], store, seeds=(1, 1), learner=LEARNER)
+
+    def test_zeroshot_cell_must_exclude_target(self, store):
+        def zeroshot(sources):
+            return run_matrix([PlanCell("aa", sources, None)], store, seeds=(1,), learner=LEARNER, mode="zeroshot")
+
+        with pytest.raises(HarnessError, match="zero-shot"):
+            zeroshot(("aa", "bb"))
+        (entry,) = zeroshot(("bb",)).entries.values()
+        assert entry.mode == "zeroshot"
+        assert 0.0 <= entry.mean <= 1.0
 
     def test_jsonl_roundtrip(self, store):
         cells = [PlanCell("aa", ("aa",), None), PlanCell("aa", ("aa", "bb"), None)]
@@ -415,22 +450,14 @@ class TestRunMatrix:
 
 class TestReport:
     def _matrix_and_selections(self, store):
-        from langselect import SelectionConfig, SelectionTask, forward_select
-
         codes = ("aa", "bb", "cc")
-        candidates = {t: tuple(c for c in codes if c != t) for t in codes}
         cache = ScoreCache()
-        cells = enumerate_plan(codes, candidates, "forward", "multilingual", 500)
+        cells = full_plan(codes, "forward")
         cells.append(PlanCell("aa", ("aa", "bb", "cc"), None))
         matrix = run_matrix(cells, store, seeds=(1, 2), learner=LEARNER, cache=cache)
-        oracle = MatrixOracle(store=store, learner=LEARNER, cache=cache)
-        selections = {}
-        for target in codes:
-            task = SelectionTask(
-                target=store.language(target),
-                candidates=tuple(store.language(c) for c in codes if c != target),
-            )
-            selections[target] = forward_select(task, oracle, SelectionConfig(seeds=(1, 2)))
+        scores = matrix.means()
+        cfg = SelectionConfig(seeds=(1, 2))
+        selections = {task.target.code: forward_select(task, scores, cfg) for task in tasks(codes)}
         # score the selected sets so the report can show their row
         extra = [
             PlanCell(t, tuple(sorted({t, *r.positive_codes()})), None)
@@ -493,6 +520,15 @@ class TestConfig:
             load_config(bad)
         bad.write_text("languages:\n  - code: aa\n  - code: aa\n")
         with pytest.raises(HarnessError, match="duplicate"):
+            load_config(bad)
+
+    def test_duplicate_seeds_rejected(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("languages:\n  - code: aa\nseeds: [1, 1, 2]\n")
+        with pytest.raises(HarnessError, match="distinct"):
+            load_config(bad)
+        bad.write_text("languages:\n  - code: aa\nseeds: [1, 2]\nselection:\n  seeds: [2, 2]\n")
+        with pytest.raises(SelectionError, match="distinct"):
             load_config(bad)
 
     def test_file_store_matches_in_memory_store(self, tmp_path):

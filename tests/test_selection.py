@@ -1,6 +1,9 @@
-"""Selection tests: forward/backward rules, zero-shot variants, N x N
-accounting, family grouping, and equivalence with a brute-force
-re-evaluation of the rules."""
+"""Selection tests: plans, forward/backward rules, zero-shot variants,
+N x N accounting, family grouping, and equivalence with a brute-force
+re-evaluation of the rules.
+
+Mock oracles score each planned (cell, seed); forward_select and
+backward_select then decide from the resulting table of seed means."""
 import random
 
 import pytest
@@ -8,16 +11,17 @@ import pytest
 from langselect import (
     AFRISENTI_LANGUAGES,
     LanguageCode,
+    PlanCell,
     SelectionConfig,
     SelectionError,
     SelectionTask,
     backward_select,
     forward_select,
     group_by_family,
-    run_all_targets,
+    plan,
 )
 
-from reference import DictOracle, HashOracle, brute_force_backward, brute_force_forward
+from reference import DictOracle, HashOracle, brute_force_backward, brute_force_forward, score_plan
 
 
 def langs(*codes):
@@ -31,6 +35,24 @@ def task(target, *candidates):
 CFG1 = SelectionConfig(seeds=(1,))
 
 
+def fwd(task, oracle, cfg):
+    """Forward selection over ``task``'s plan scored through ``oracle``."""
+    return forward_select(task, score_plan(plan(task, cfg, "forward"), oracle, cfg.seeds), cfg)
+
+
+def bwd(task, oracle, cfg):
+    """Backward selection over ``task``'s plan scored through ``oracle``."""
+    return backward_select(task, score_plan(plan(task, cfg, "backward"), oracle, cfg.seeds), cfg)
+
+
+def run_all_targets(languages, oracle, cfg, strategy="forward"):
+    """Selection with every language as the target and the others as its
+    candidates, as the CLI runs it."""
+    select = fwd if strategy == "forward" else bwd
+    codes = sorted(lang.code for lang in languages)
+    return {t: select(task(t, *(c for c in codes if c != t)), oracle, cfg) for t in codes}
+
+
 class TestForwardMultilingual:
     def test_spec_example(self):
         oracle = DictOracle(
@@ -41,7 +63,7 @@ class TestForwardMultilingual:
                 ("t", ("c", "t")): 0.40,
             }
         )
-        result = forward_select(task("t", "a", "b", "c"), oracle, CFG1)
+        result = fwd(task("t", "a", "b", "c"), oracle, CFG1)
         assert result.baseline_score == 0.50
         assert result.positive_codes() == ("a",)
         assert result.positive_sources[0][1] == pytest.approx(0.10)
@@ -51,7 +73,7 @@ class TestForwardMultilingual:
         oracle = DictOracle(
             {("t", ("t",)): 0.5, ("t", ("a", "t")): 0.5, ("t", ("b", "t")): 0.5}
         )
-        result = forward_select(task("t", "a", "b"), oracle, CFG1)
+        result = fwd(task("t", "a", "b"), oracle, CFG1)
         assert result.positive_codes() == ()
 
     def test_top_k_truncates(self):
@@ -64,7 +86,7 @@ class TestForwardMultilingual:
             }
         )
         cfg = SelectionConfig(seeds=(1,), top_k=1)
-        result = forward_select(task("t", "a", "b", "c"), oracle, cfg)
+        result = fwd(task("t", "a", "b", "c"), oracle, cfg)
         assert result.positive_codes() == ("c",)
         assert len(result.ranking) == 3
 
@@ -72,7 +94,7 @@ class TestForwardMultilingual:
         oracle = DictOracle(
             {("t", ("t",)): 0.4, ("t", ("b", "t")): 0.6, ("t", ("a", "t")): 0.6}
         )
-        result = forward_select(task("t", "b", "a"), oracle, CFG1)
+        result = fwd(task("t", "b", "a"), oracle, CFG1)
         assert result.positive_codes() == ("a", "b")
 
     def test_mean_over_seeds(self):
@@ -83,14 +105,14 @@ class TestForwardMultilingual:
                 return 0.5 + 0.1 * seed
 
         cfg = SelectionConfig(seeds=(1, 2, 3))
-        result = forward_select(task("t", "a"), SeedOracle(), cfg)
+        result = fwd(task("t", "a"), SeedOracle(), cfg)
         assert result.ranking[0][1] == pytest.approx(0.7)
 
     def test_absolute_threshold_switch(self):
         oracle = DictOracle({("t", ("t",)): 0.5, ("t", ("a", "t")): 0.54})
-        relative = forward_select(task("t", "a"), oracle, SelectionConfig(seeds=(1,), threshold=0.05))
+        relative = fwd(task("t", "a"), oracle, SelectionConfig(seeds=(1,), threshold=0.05))
         assert relative.positive_codes() == ("a",)  # 0.54 > 0.5 * 1.05 = 0.525
-        absolute = forward_select(
+        absolute = fwd(
             task("t", "a"), oracle, SelectionConfig(seeds=(1,), threshold=0.05, absolute_threshold=True)
         )
         assert absolute.positive_codes() == ()  # 0.54 <= 0.55
@@ -105,7 +127,7 @@ class TestBackwardMultilingual:
                 ("t", ("a", "t")): 0.69,  # removing b
             }
         )
-        result = backward_select(task("t", "a", "b"), oracle, CFG1)
+        result = bwd(task("t", "a", "b"), oracle, CFG1)
         assert result.baseline_score == 0.70
         assert result.positive_codes() == ("a",)
         assert result.positive_sources[0][1] == pytest.approx(0.10)
@@ -118,7 +140,7 @@ class TestBackwardMultilingual:
                 ("t", ("a", "t")): 0.7,
             }
         )
-        assert backward_select(task("t", "a", "b"), oracle, CFG1).positive_codes() == ()
+        assert bwd(task("t", "a", "b"), oracle, CFG1).positive_codes() == ()
 
     def test_uses_sample_cap(self):
         oracle = DictOracle(
@@ -128,7 +150,7 @@ class TestBackwardMultilingual:
             }
         )
         cfg = SelectionConfig(seeds=(1,), baseline_samples_per_language=123)
-        backward_select(task("t", "a"), oracle, cfg)
+        bwd(task("t", "a"), oracle, cfg)
         assert all(cap == 123 for _, _, cap in oracle.calls)
 
     def test_ranking_orders_biggest_drop_first(self):
@@ -140,7 +162,7 @@ class TestBackwardMultilingual:
                 ("t", ("a", "b", "t")): 0.9,  # remove c: gain
             }
         )
-        result = backward_select(task("t", "a", "b", "c"), oracle, CFG1)
+        result = bwd(task("t", "a", "b", "c"), oracle, CFG1)
         assert [l.code for l, _ in result.ranking] == ["a", "b", "c"]
         assert result.positive_codes() == ("a", "b")
 
@@ -156,7 +178,7 @@ class TestZeroShot:
             }
         )
         cfg = SelectionConfig(seeds=(1,), mode="zeroshot")
-        result = forward_select(task("t", "a", "b", "c"), oracle, cfg)
+        result = fwd(task("t", "a", "b", "c"), oracle, cfg)
         assert result.baseline_score == 0.6
         # positive when not more than 5% below the full-set baseline
         assert result.positive_codes() == ("a", "b")
@@ -165,8 +187,8 @@ class TestZeroShot:
     def test_forward_never_trains_on_target(self):
         oracle = HashOracle()
         cfg = SelectionConfig(seeds=(1, 2), mode="zeroshot")
-        forward_select(task("t", "a", "b"), oracle, cfg)
-        backward_select(task("t", "a", "b"), oracle, cfg)
+        fwd(task("t", "a", "b"), oracle, cfg)
+        bwd(task("t", "a", "b"), oracle, cfg)
         assert all("t" not in key[1] for key, _, _ in oracle.calls)
 
     def test_backward_zeroshot_full_set_excludes_target(self):
@@ -178,7 +200,7 @@ class TestZeroShot:
             }
         )
         cfg = SelectionConfig(seeds=(1,), mode="zeroshot")
-        result = backward_select(task("t", "a", "b"), oracle, cfg)
+        result = bwd(task("t", "a", "b"), oracle, cfg)
         assert result.positive_codes() == ("a",)
 
     def test_top_k_matches_paper_usage(self):
@@ -192,7 +214,7 @@ class TestZeroShot:
             }
         )
         cfg = SelectionConfig(seeds=(1,), mode="zeroshot", top_k=3)
-        result = forward_select(task("t", "a", "b", "c", "d"), oracle, cfg)
+        result = fwd(task("t", "a", "b", "c", "d"), oracle, cfg)
         assert result.positive_codes() == ("a", "b", "c")
 
 
@@ -215,7 +237,7 @@ class TestRunAllTargets:
             assert len(oracle.distinct_cells()) == 16
 
     def test_requires_two_languages(self):
-        with pytest.raises(SelectionError, match="at least 2"):
+        with pytest.raises(SelectionError, match="no candidate"):
             run_all_targets(langs("a"), HashOracle(), CFG1)
 
     def test_deterministic(self):
@@ -223,13 +245,51 @@ class TestRunAllTargets:
         results2 = run_all_targets(langs("a", "b", "c"), HashOracle(), CFG1)
         assert results1 == results2
 
-    def test_oracle_error_names_cell(self):
-        class Exploding:
-            def score(self, target, sources, seed, sample_cap):
-                raise RuntimeError("boom")
+    def test_missing_cell_error_names_cell(self):
+        t = task("a", "b", "c")
+        scores = score_plan(plan(t, CFG1, "forward"), HashOracle(), CFG1.seeds)
+        del scores[PlanCell("a", ("a", "c"), None)]
+        with pytest.raises(SelectionError, match=r"target a: a,c$"):
+            forward_select(t, scores, CFG1)
 
-        with pytest.raises(SelectionError, match=r"target=a"):
-            run_all_targets(langs("a", "b"), Exploding(), CFG1)
+
+class TestPlan:
+    def test_baseline_first_then_candidates_in_order(self):
+        t = task("t", "b", "a")
+        assert plan(t, CFG1, "forward") == [
+            PlanCell("t", ("t",), None),
+            PlanCell("t", ("b", "t"), None),
+            PlanCell("t", ("a", "t"), None),
+        ]
+        zeroshot = SelectionConfig(seeds=(1,), mode="zeroshot")
+        assert plan(t, zeroshot, "forward") == [
+            PlanCell("t", ("a", "b"), None),
+            PlanCell("t", ("b",), None),
+            PlanCell("t", ("a",), None),
+        ]
+        capped = SelectionConfig(seeds=(1,), baseline_samples_per_language=7)
+        assert plan(t, capped, "backward") == [
+            PlanCell("t", ("a", "b", "t"), 7),
+            PlanCell("t", ("a", "t"), 7),
+            PlanCell("t", ("b", "t"), 7),
+        ]
+        capped_zeroshot = SelectionConfig(seeds=(1,), mode="zeroshot", baseline_samples_per_language=7)
+        assert plan(t, capped_zeroshot, "backward") == [
+            PlanCell("t", ("a", "b"), 7),
+            PlanCell("t", ("a",), 7),
+            PlanCell("t", ("b",), 7),
+        ]
+
+    def test_unknown_strategy(self):
+        with pytest.raises(SelectionError, match="unknown strategy"):
+            plan(task("t", "a"), CFG1, "sideways")
+
+    def test_decide_reads_only_planned_cells(self):
+        # Extra cells in the table change nothing.
+        t = task("t", "a", "b")
+        scores = score_plan(plan(t, CFG1, "forward"), HashOracle(), CFG1.seeds)
+        noisy = {**scores, PlanCell("t", ("a", "b", "t"), None): 1.0, PlanCell("t", ("t",), 5): 0.0}
+        assert forward_select(t, noisy, CFG1) == forward_select(t, scores, CFG1)
 
 
 class TestAgainstBruteForce:
@@ -242,7 +302,7 @@ class TestAgainstBruteForce:
             oracle = HashOracle(salt=str(trial))
             mode = rng.choice(["multilingual", "zeroshot"])
             cfg = SelectionConfig(seeds=(1, 2), mode=mode, threshold=rng.choice([0.02, 0.05, 0.2]))
-            result = forward_select(
+            result = fwd(
                 SelectionTask(LanguageCode(target), langs(*candidates)), oracle, cfg
             )
             baseline, expected = brute_force_forward(
@@ -262,7 +322,7 @@ class TestAgainstBruteForce:
             oracle = HashOracle(salt=f"b{trial}")
             mode = rng.choice(["multilingual", "zeroshot"])
             cfg = SelectionConfig(seeds=(1,), mode=mode, threshold=rng.choice([0.02, 0.05, 0.2]))
-            result = backward_select(
+            result = bwd(
                 SelectionTask(LanguageCode(target), langs(*candidates)), oracle, cfg
             )
             baseline, expected = brute_force_backward(
@@ -288,10 +348,10 @@ class TestThresholdMonotonicity:
             previous = None
             for threshold in (0.01, 0.05, 0.1, 0.3):
                 cfg = SelectionConfig(seeds=(1,), threshold=threshold)
-                fwd = set(forward_select(t, HashOracle(salt=oracle_salt), cfg).positive_codes())
+                positives = set(fwd(t, HashOracle(salt=oracle_salt), cfg).positive_codes())
                 if previous is not None:
-                    assert fwd <= previous
-                previous = fwd
+                    assert positives <= previous
+                previous = positives
 
     def test_backward_monotone_too(self):
         for trial in range(25):
@@ -299,12 +359,12 @@ class TestThresholdMonotonicity:
             previous = None
             for threshold in (0.01, 0.05, 0.1, 0.3):
                 cfg = SelectionConfig(seeds=(1,), threshold=threshold)
-                bwd = set(
-                    backward_select(t, HashOracle(salt=f"bm{trial}"), cfg).positive_codes()
+                positives = set(
+                    bwd(t, HashOracle(salt=f"bm{trial}"), cfg).positive_codes()
                 )
                 if previous is not None:
-                    assert bwd <= previous
-                previous = bwd
+                    assert positives <= previous
+                previous = positives
 
 
 class TestGroupByFamily:
@@ -355,7 +415,11 @@ class TestValidation:
         with pytest.raises(SelectionError):
             SelectionConfig(mode="both")
 
+    def test_duplicate_seeds_rejected(self):
+        with pytest.raises(SelectionError, match="distinct"):
+            SelectionConfig(seeds=(1, 1, 2))
+
     def test_result_row_format(self):
         oracle = DictOracle({("t", ("t",)): 0.5, ("t", ("a", "t")): 0.6})
-        result = forward_select(task("t", "a"), oracle, CFG1)
+        result = fwd(task("t", "a"), oracle, CFG1)
         assert result.to_row() == "t\tforward\t0.5000\ta(+0.1000)"

@@ -330,17 +330,16 @@ class TestAdaptationEffect:
     def test_task_stats_beat_unrelated_stats(self):
         # Constructed so the effect is forced: discriminative grams are
         # frequent in the task corpus and absent from the generic one.
-        from langselect.harness import ExperimentSpec, score_cell
+        from langselect.harness import PlanCell, run_matrix
         from langselect.synth import build_store, tapt_universe
 
         uni = tapt_universe()
         store = build_store(uni)
         learner = LearnerConfig(**uni.learner)
-        task_spec = ExperimentSpec(target="qq", sources=("qq",), adaptation="tapt", learner=learner)
-        generic_spec = ExperimentSpec(target="qq", sources=("qq",), adaptation="lapt", learner=learner)
+        mono = [PlanCell("qq", ("qq",), None)]
         seeds = (1, 2)
-        tapt = score_cell(task_spec, seeds, store)
-        generic = score_cell(generic_spec, seeds, store)
+        (tapt,) = run_matrix(mono, store, seeds=seeds, learner=learner, adaptation="tapt").entries.values()
+        (generic,) = run_matrix(mono, store, seeds=seeds, learner=learner, adaptation="lapt").entries.values()
         assert tapt.mean >= generic.mean
 
 
