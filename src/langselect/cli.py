@@ -26,10 +26,11 @@ from .harness import (
     load_config,
     render_report,
     run_matrix,
+    selection_results_from_jsonl,
     selection_results_to_jsonl,
 )
 from .harness.report import FORMATS
-from .textmodel import config_with_seed, fine_tune, load_model, predict_texts, save_model
+from .textmodel import fine_tune, load_model, predict_texts, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +59,16 @@ def _seed_list(text: str) -> tuple[int, ...]:
     return seeds
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="langselect", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -77,7 +88,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--adaptation", default=None)
     p.add_argument("--mode", choices=sorted(_MODES), default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive_int, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("score", help="score one spec over seeds (a one-cell matrix)")
@@ -86,22 +97,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--sources", required=True)
     p.add_argument("--adaptation", default=None)
     p.add_argument("--mode", choices=sorted(_MODES), default=None)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive_int, default=None)
     p.add_argument("--eval-split", choices=("devstar", "dev", "test"), default=None)
 
     p = sub.add_parser("matrix", help="run the NxN selection plan")
     add_common(p)
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), required=True)
     p.add_argument("--mode", choices=sorted(_MODES), default=None)
-    p.add_argument("--parallelism", type=int, default=None)
+    p.add_argument("--parallelism", type=_positive_int, default=None, help="no effect; accepted for existing scripts")
     p.add_argument("--out", required=True, help="matrix jsonl output")
 
     p = sub.add_parser("select", help="run source selection for every target")
     add_common(p)
     p.add_argument("--strategy", choices=sorted(_STRATEGIES), required=True)
     p.add_argument("--mode", choices=sorted(_MODES), default=None)
-    p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--parallelism", type=int, default=None)
+    p.add_argument("--top-k", type=_positive_int, default=None)
+    p.add_argument("--parallelism", type=_positive_int, default=None, help="no effect; accepted for existing scripts")
     p.add_argument("--out", default=None, help="selections jsonl output")
     p.add_argument("--matrix-out", default=None, help="jsonl of the selected-set cells")
 
@@ -175,7 +186,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args, cfg, seed)
     train_sets = build_training_set(spec, store)
     stats = adaptation_stats(spec, store)
-    model = fine_tune(stats, train_sets, config_with_seed(spec.learner, spec.seed))
+    model = fine_tune(stats, train_sets, replace(spec.learner, seed=spec.seed))
     save_model(model, args.out)
     print(f"saved\t{args.out}\tfinal_loss={model.loss_history[-1]!r}")
     return 0
@@ -193,7 +204,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
         adaptation=spec.adaptation,
         eval_split=spec.eval_split,
         cache=cache,
-        parallelism=cfg.parallelism,
     )
     (entry,) = matrix.entries.values()
     for seed in sorted(entry.per_seed):
@@ -235,7 +245,7 @@ def _selection_config(args: argparse.Namespace, cfg, seeds) -> sel.SelectionConf
     )
 
 
-def _run_cells(args: argparse.Namespace, cfg, store, cache, sel_cfg, cells) -> ScoreMatrix:
+def _run_cells(cfg, store, cache, sel_cfg, cells) -> ScoreMatrix:
     return run_matrix(
         cells,
         store,
@@ -245,7 +255,6 @@ def _run_cells(args: argparse.Namespace, cfg, store, cache, sel_cfg, cells) -> S
         adaptation=cfg.adaptation,
         eval_split=cfg.eval_split,
         cache=cache,
-        parallelism=args.parallelism or cfg.parallelism,
     )
 
 
@@ -254,7 +263,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     sel_cfg = _selection_config(args, cfg, seeds)
     strategy = _STRATEGIES[args.strategy]
     cells = [cell for task in _tasks(cfg, store) for cell in sel.plan(task, sel_cfg, strategy)]
-    matrix = _run_cells(args, cfg, store, cache, sel_cfg, cells)
+    matrix = _run_cells(cfg, store, cache, sel_cfg, cells)
     Path(args.out).write_text(matrix.to_jsonl(), encoding="utf-8")
     print(f"cells={len(matrix.entries)}\tseeds={len(seeds)}\tout={args.out}")
     return 0
@@ -267,7 +276,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     tasks = _tasks(cfg, store)
     # One run over every target's plan; deciding then only reads its table.
     cells = [cell for task in tasks for cell in sel.plan(task, sel_cfg, strategy)]
-    scores = _run_cells(args, cfg, store, cache, sel_cfg, cells).means()
+    scores = _run_cells(cfg, store, cache, sel_cfg, cells).means()
     decide = sel.forward_select if strategy == sel.FORWARD else sel.backward_select
     results: dict[str, sel.SelectionResult] = {}
     for task in tasks:
@@ -282,7 +291,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     ]
     selected_entries: dict[str, object] = {}
     if selected_cells:
-        sel_matrix = _run_cells(args, cfg, store, cache, sel_cfg, selected_cells)
+        sel_matrix = _run_cells(cfg, store, cache, sel_cfg, selected_cells)
         selected_entries = sel_matrix.entries
         if args.matrix_out:
             Path(args.matrix_out).write_text(sel_matrix.to_jsonl(), encoding="utf-8")
@@ -302,34 +311,6 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_selections(paths: list[str]) -> dict[str, dict[str, sel.SelectionResult]]:
-    import json
-
-    from .corpus import LanguageCode
-
-    out: dict[str, dict[str, sel.SelectionResult]] = {}
-    for path in paths:
-        text = Path(path).read_text(encoding="utf-8")
-        for line in text.splitlines():
-            if not line.strip() or line.startswith("#"):
-                continue
-            doc = json.loads(line)
-            result = sel.SelectionResult(
-                target=LanguageCode(doc["target"]),
-                strategy=doc["strategy"],
-                mode=doc["mode"],
-                baseline_score=float(doc["baseline"]),
-                positive_sources=tuple(
-                    (LanguageCode(code), float(gain)) for code, gain in doc["positives"]
-                ),
-                ranking=tuple((LanguageCode(code), float(score)) for code, score in doc["ranking"]),
-            )
-            # Zero-shot results get their own column, apart from multilingual ones.
-            column = result.strategy if result.mode == sel.MULTILINGUAL else f"{result.strategy} {result.mode}"
-            out.setdefault(column, {})[result.target.code] = result
-    return out
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     entries: dict = {}
@@ -337,7 +318,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         text = Path(path).read_text(encoding="utf-8")
         entries.update(ScoreMatrix.from_jsonl(text).entries)
     matrix = ScoreMatrix(entries=entries)
-    selections = _read_selections(args.selections)
+    selections: dict[str, dict[str, sel.SelectionResult]] = {}
+    for path in args.selections:
+        for result in selection_results_from_jsonl(path):
+            # Zero-shot results get their own column, apart from multilingual ones.
+            column = result.strategy if result.mode == sel.MULTILINGUAL else f"{result.strategy} {result.mode}"
+            selections.setdefault(column, {})[result.target.code] = result
     languages = [lf.language.code for lf in cfg.languages]
     document = render_report(matrix, selections, languages, fmt=args.format)
     if args.out:

@@ -1,6 +1,6 @@
 """Experiment orchestration: configs, scoring one job, the score cache,
-the parallel matrix runner that turns a selection plan into a score
-table, and report generation."""
+the matrix runner that turns a selection plan into a score table, and
+report generation."""
 from ..selection import PlanCell
 from .cache import ScoreCache
 from .config import CACHE_DIR_ENV, HarnessConfig, LanguageFiles, load_config
@@ -15,7 +15,7 @@ from .experiments import (
     run_matrix,
     score_experiment,
 )
-from .report import render_report, selection_results_to_jsonl
+from .report import render_report, selection_results_from_jsonl, selection_results_to_jsonl
 
 __all__ = [
     "ADAPTATIONS",
@@ -34,5 +34,6 @@ __all__ = [
     "render_report",
     "run_matrix",
     "score_experiment",
+    "selection_results_from_jsonl",
     "selection_results_to_jsonl",
 ]

@@ -1,5 +1,7 @@
 """Harness configuration: one YAML document declaring languages, data
-paths, learner settings, selection settings, seeds and parallelism.
+paths, learner settings, selection settings, seeds, adaptation, the
+cache directory and the evaluation split. Unknown top-level keys are
+ignored.
 
 Relative paths are resolved against the config file's directory. The
 cache directory can be overridden with the LANGSELECT_CACHE_DIR
@@ -38,7 +40,6 @@ class HarnessConfig:
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
-    parallelism: int = 1
     cache_dir: Path | None = None
     adaptation: str = "none"
     eval_split: str = "devstar"
@@ -114,9 +115,6 @@ def load_config(path: str | Path) -> HarnessConfig:
     except TypeError as e:
         raise HarnessError(f"{path}: bad learner/selection settings: {e}") from None
 
-    parallelism = int(doc.get("parallelism", 1))
-    if parallelism < 1:
-        raise HarnessError(f"{path}: parallelism must be >= 1")
     adaptation = str(doc.get("adaptation", "none")).lower()
     eval_split = str(doc.get("eval_split", "devstar"))
 
@@ -125,7 +123,6 @@ def load_config(path: str | Path) -> HarnessConfig:
         learner=learner,
         selection=selection,
         seeds=seeds,
-        parallelism=parallelism,
         cache_dir=_resolve(base, doc.get("cache_dir")),
         adaptation=adaptation,
         eval_split=eval_split,

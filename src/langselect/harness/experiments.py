@@ -1,10 +1,10 @@
 """Experiment orchestration: specs, the corpus store, scoring one job
 (build training set -> pretrain -> fine-tune -> evaluate), and the
-parallel matrix runner that scores every (cell, seed) job of a plan and
-aggregates seeds into a score table.
+matrix runner that scores every (cell, seed) job of a plan, one after
+another, and aggregates seeds into a score table.
 
 Every score is a deterministic function of (spec, seed), so results are
-identical regardless of caching, worker count or scheduling order.
+identical whether or not they come from the cache.
 """
 from __future__ import annotations
 
@@ -12,9 +12,7 @@ import hashlib
 import json
 import logging
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
 
 from ..corpus import (
@@ -33,7 +31,6 @@ from ..textmodel import (
     NUMERICS_VERSION,
     AdaptationStats,
     LearnerConfig,
-    config_with_seed,
     fine_tune,
     predict_texts,
     pretrain,
@@ -51,9 +48,8 @@ class CorpusStore:
     """Loaded datasets organized by language and split.
 
     ``devstar`` splits are derived lazily from train/dev overlap removal
-    and cached. Datasets are immutable, so the store is safe for
-    concurrent reads once populated. Content digests of splits are
-    computed on first use and memoized.
+    and cached. Content digests of splits are computed on first use and
+    memoized.
     """
 
     def __init__(self, metadata: dict[str, LanguageCode] | None = None):
@@ -61,7 +57,6 @@ class CorpusStore:
         self._splits: dict[str, dict[str, Dataset]] = {}
         self._lapt: dict[str, Dataset] = {}
         self._digests: dict[tuple[str, str], str | None] = {}
-        self._digest_lock = threading.Lock()
 
     def add(self, dataset: Dataset) -> None:
         code = dataset.language.code
@@ -112,20 +107,19 @@ class CorpusStore:
         the split is absent. ``split`` may also be "lapt" for the
         language's LAPT corpus."""
         key = (code, split)
-        with self._digest_lock:
-            if key not in self._digests:
-                ds = self._lapt.get(code) if split == "lapt" else self.split(code, split)
-                if ds is None:
-                    self._digests[key] = None
-                else:
-                    # JSON-encoded a slice at a time, so a large split's
-                    # text is never held in memory twice.
-                    h = hashlib.sha256()
-                    for start in range(0, len(ds), 1024):
-                        rows = [[ex.id, ex.text, ex.label] for ex in ds.examples[start : start + 1024]]
-                        h.update(json.dumps(rows, ensure_ascii=False).encode("utf-8"))
-                    self._digests[key] = h.hexdigest()
-            return self._digests[key]
+        if key not in self._digests:
+            ds = self._lapt.get(code) if split == "lapt" else self.split(code, split)
+            if ds is None:
+                self._digests[key] = None
+            else:
+                # JSON-encoded a slice at a time, so a large split's
+                # text is never held in memory twice.
+                h = hashlib.sha256()
+                for start in range(0, len(ds), 1024):
+                    rows = [[ex.id, ex.text, ex.label] for ex in ds.examples[start : start + 1024]]
+                    h.update(json.dumps(rows, ensure_ascii=False).encode("utf-8"))
+                self._digests[key] = h.hexdigest()
+        return self._digests[key]
 
     def eval_dataset(self, code: str, split: str) -> Dataset:
         ds = self.split(code, split)
@@ -294,7 +288,7 @@ def score_experiment(
     try:
         train_sets = build_training_set(spec, store)
         stats = adaptation_stats(spec, store)
-        config = config_with_seed(spec.learner, spec.seed)
+        config = replace(spec.learner, seed=spec.seed)
         model = fine_tune(stats, train_sets, config)
         eval_ds = store.eval_dataset(spec.target, spec.eval_split)
         predictions = predict_texts(model, eval_ds.texts())
@@ -413,17 +407,14 @@ def run_matrix(
     adaptation: str = "none",
     eval_split: str = "devstar",
     cache: ScoreCache | None = None,
-    parallelism: int = 1,
 ) -> ScoreMatrix:
-    """Execute every uncached (cell, seed) job and assemble the matrix.
+    """Score every (cell, seed) job, in (cell key, seed) order, and
+    assemble the matrix; cached jobs are read from ``cache``.
 
-    Jobs are independent; up to ``parallelism`` run concurrently. If any
-    job fails, the remaining in-flight jobs are drained and a single
-    error reporting all failed specs is raised, so a matrix is never
-    silently partial.
+    A failing job does not stop the run: once every job has been tried,
+    a single error reporting all failed specs is raised, so a matrix is
+    never silently partial.
     """
-    if parallelism < 1:
-        raise HarnessError(f"parallelism must be >= 1, got {parallelism}")
     if len(set(seeds)) != len(seeds):
         raise HarnessError(f"seeds must be distinct, got {tuple(seeds)}")
     specs: dict[tuple[str, int], ExperimentSpec] = {}
@@ -441,42 +432,25 @@ def run_matrix(
             )
             specs.setdefault((spec.cell_key(store), seed), spec)
 
-    pending = [
-        (key, spec)
-        for (key, seed), spec in sorted(specs.items())
-        if cache is None or cache.get(key, seed) is None
-    ]
     results: dict[tuple[str, int], tuple[float, int]] = {}
     failures: list[str] = []
-    if pending:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = {
-                pool.submit(score_experiment, spec, store, cache): (key, spec) for key, spec in pending
-            }
-            for future in as_completed(futures):
-                key, spec = futures[future]
-                try:
-                    results[(key, spec.seed)] = future.result()
-                except Exception as e:
-                    failures.append(f"{spec.describe()}: {e}")
+    for job in sorted(specs):
+        try:
+            results[job] = score_experiment(specs[job], store, cache)
+        except HarnessError as e:
+            failures.append(f"{specs[job].describe()}: {e}")
     if failures:
         raise HarnessError(
             "matrix run failed for %d cell(s):\n%s" % (len(failures), "\n".join(sorted(failures)))
         )
 
-    entries: dict[str, MatrixEntry] = {}
-    grouped: dict[str, ExperimentSpec] = {}
+    # Seeds are grouped in plan order, which fixes each mean's summation order.
     per_cell: dict[str, dict[int, tuple[float, int]]] = {}
-    for (key, seed), spec in specs.items():
-        value = results.get((key, seed))
-        if value is None and cache is not None:
-            value = cache.get(key, seed)
-        if value is None:
-            raise HarnessError(f"missing score for {spec.describe()}")
-        per_cell.setdefault(key, {})[seed] = value
-        grouped[key] = spec
+    for key, seed in specs:
+        per_cell.setdefault(key, {})[seed] = results[(key, seed)]
+    entries: dict[str, MatrixEntry] = {}
     for key, seed_scores in per_cell.items():
-        spec = grouped[key]
+        spec = specs[(key, next(iter(seed_scores)))]
         per_seed = {s: v[0] for s, v in seed_scores.items()}
         mean, std = _aggregate(per_seed)
         entries[key] = MatrixEntry(

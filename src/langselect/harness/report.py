@@ -15,9 +15,11 @@ tsv, or json-lines.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 from typing import Mapping, Sequence
 
-from ..errors import HarnessError
+from ..corpus import LanguageCode
+from ..errors import CorpusError, HarnessError
 from ..selection import MULTILINGUAL, ZEROSHOT, SelectionResult
 from .experiments import MatrixEntry, ScoreMatrix
 
@@ -205,3 +207,29 @@ def selection_results_to_jsonl(results: Mapping[str, SelectionResult]) -> str:
             )
         )
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def selection_results_from_jsonl(path: str | Path) -> list[SelectionResult]:
+    """Read a selections file: lines written by ``selection_results_to_jsonl``,
+    in file order. Blank lines and ``#`` comment lines are skipped."""
+    results = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        try:
+            doc = json.loads(line)
+            results.append(
+                SelectionResult(
+                    target=LanguageCode(doc["target"]),
+                    strategy=doc["strategy"],
+                    mode=doc["mode"],
+                    baseline_score=float(doc["baseline"]),
+                    positive_sources=tuple(
+                        (LanguageCode(code), float(gain)) for code, gain in doc["positives"]
+                    ),
+                    ranking=tuple((LanguageCode(code), float(score)) for code, score in doc["ranking"]),
+                )
+            )
+        except (KeyError, TypeError, ValueError, CorpusError) as e:
+            raise HarnessError(f"{path}: bad selections jsonl at line {lineno}: {e!r}") from None
+    return results

@@ -53,6 +53,7 @@ class SynthUniverse:
     learner: dict = field(default_factory=dict)
     selection: dict = field(default_factory=dict)
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
+    # Kept for callers that set it; load_config ignores the key it writes.
     parallelism: int = 1
     adaptation: str = "none"
 

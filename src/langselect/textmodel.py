@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -89,39 +89,51 @@ class LearnerConfig:
             raise TextModelError("invalid optimizer settings")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdaptationStats:
     """Output of the unsupervised adaptation phase.
 
-    ``document_frequency`` maps feature buckets to the number of corpus
-    documents containing them; treat instances as immutable.
+    ``df_buckets`` lists, in increasing order, the feature buckets that
+    occur in the corpus, and ``df_counts`` the number of corpus documents
+    containing each. Both are stored as read-only int64 copies.
     """
 
-    document_frequency: dict[int, int]
+    df_buckets: np.ndarray
+    df_counts: np.ndarray
     num_documents: int
     source_tag: str
 
     def __post_init__(self) -> None:
         if self.num_documents < 1:
             raise TextModelError("AdaptationStats requires num_documents >= 1")
-        for bucket, count in self.document_frequency.items():
-            if not 1 <= count <= self.num_documents:
-                raise TextModelError(
-                    f"document frequency {count} for bucket {bucket} outside [1, {self.num_documents}]"
-                )
+        buckets = np.array(self.df_buckets, dtype=np.int64)
+        counts = np.array(self.df_counts, dtype=np.int64)
+        if buckets.ndim != 1 or buckets.shape != counts.shape:
+            raise TextModelError("df_buckets and df_counts must be 1-D arrays of equal length")
+        if len(buckets) and (buckets[0] < 0 or (np.diff(buckets) <= 0).any()):
+            raise TextModelError("df_buckets must be non-negative and strictly increasing")
+        if ((counts < 1) | (counts > self.num_documents)).any():
+            raise TextModelError(f"a document frequency lies outside [1, {self.num_documents}]")
+        buckets.flags.writeable = False
+        counts.flags.writeable = False
+        object.__setattr__(self, "df_buckets", buckets)
+        object.__setattr__(self, "df_counts", counts)
 
     @classmethod
     def uniform(cls, tag: str = "none") -> "AdaptationStats":
         """Stats carrying no corpus information: every gram gets the same idf."""
-        return cls(document_frequency={}, num_documents=1, source_tag=tag)
+        empty = np.empty(0, dtype=np.int64)
+        return cls(df_buckets=empty, df_counts=empty, num_documents=1, source_tag=tag)
 
     def merged(self, other: "AdaptationStats", tag: str | None = None) -> "AdaptationStats":
         """Pool two adaptation corpora by summing document frequencies."""
-        df = dict(self.document_frequency)
-        for bucket, count in other.document_frequency.items():
-            df[bucket] = df.get(bucket, 0) + count
+        buckets = np.union1d(self.df_buckets, other.df_buckets)
+        counts = np.zeros(len(buckets), dtype=np.int64)
+        counts[np.searchsorted(buckets, self.df_buckets)] += self.df_counts
+        counts[np.searchsorted(buckets, other.df_buckets)] += other.df_counts
         return AdaptationStats(
-            document_frequency=df,
+            df_buckets=buckets,
+            df_counts=counts,
             num_documents=self.num_documents + other.num_documents,
             source_tag=tag or f"{self.source_tag}+{other.source_tag}",
         )
@@ -183,11 +195,7 @@ def _term_counts(
 def _idf_vector(stats: AdaptationStats, hash_buckets: int) -> np.ndarray:
     """idf = ln((1+N)/(1+df)) + 1 for every bucket; unseen buckets use df = 0."""
     idf = np.full(hash_buckets, math.log(1 + stats.num_documents) + 1.0)
-    df = stats.document_frequency
-    if df:
-        buckets = np.fromiter(df.keys(), dtype=np.int64, count=len(df))
-        counts = np.fromiter(df.values(), dtype=np.float64, count=len(df))
-        idf[buckets] = np.log((1 + stats.num_documents) / (1 + counts)) + 1.0
+    idf[stats.df_buckets] = np.log((1 + stats.num_documents) / (1 + stats.df_counts)) + 1.0
     return idf
 
 
@@ -262,7 +270,8 @@ def pretrain(
     df = np.bincount(np.concatenate(present), minlength=config.hash_buckets)
     seen = np.flatnonzero(df)
     return AdaptationStats(
-        document_frequency=dict(zip(seen.tolist(), df[seen].tolist())),
+        df_buckets=seen,
+        df_counts=df[seen],
         num_documents=len(present),
         source_tag=tag,
     )
@@ -422,7 +431,6 @@ def loss_and_gradient(
 def save_model(model: Model, path: str | Path) -> None:
     """Serialize a model to an .npz container; loading reproduces
     bit-identical predictions."""
-    df_items = sorted(model.stats.document_frequency.items())
     meta = {
         "config": asdict(model.config),
         "stats": {"num_documents": model.stats.num_documents, "source_tag": model.stats.source_tag},
@@ -432,8 +440,8 @@ def save_model(model: Model, path: str | Path) -> None:
         Path(path),
         weights=model.weights,
         bias=model.bias,
-        df_buckets=np.array([b for b, _ in df_items], dtype=np.int64),
-        df_counts=np.array([c for _, c in df_items], dtype=np.int64),
+        df_buckets=model.stats.df_buckets,
+        df_counts=model.stats.df_counts,
         meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
     )
 
@@ -447,9 +455,8 @@ def load_model(path: str | Path) -> Model:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         config = LearnerConfig(**meta["config"])
         stats = AdaptationStats(
-            document_frequency={
-                int(b): int(c) for b, c in zip(data["df_buckets"], data["df_counts"])
-            },
+            df_buckets=data["df_buckets"],
+            df_counts=data["df_counts"],
             num_documents=int(meta["stats"]["num_documents"]),
             source_tag=str(meta["stats"]["source_tag"]),
         )
@@ -461,7 +468,3 @@ def load_model(path: str | Path) -> Model:
             loss_history=tuple(meta["loss_history"]),
         )
 
-
-def config_with_seed(config: LearnerConfig, seed: int) -> LearnerConfig:
-    """Copy of a config with the training seed replaced."""
-    return replace(config, seed=seed)

@@ -59,12 +59,15 @@ def _fnv1a_64(gram):
     return h
 
 
-def reference_tfidf(text, document_frequency, num_documents, ngram_min, ngram_max, hash_buckets):
+def reference_tfidf(text, stats, ngram_min, ngram_max, hash_buckets):
     """One text's L2-normalized tf-idf row as {bucket: value}: values are
     (1 + ln tf) * (ln((1+N)/(1+df)) + 1) over FNV-1a hashed character
-    n-grams of the text padded with \x02/\x03; empty text gives {}."""
+    n-grams of the text padded with \x02/\x03, with N and df read from
+    the AdaptationStats ``stats``; empty text gives {}."""
     if not text:
         return {}
+    document_frequency = dict(zip(stats.df_buckets.tolist(), stats.df_counts.tolist()))
+    num_documents = stats.num_documents
     padded = "\x02" + text + "\x03"
     counts = {}
     for n in range(ngram_min, ngram_max + 1):

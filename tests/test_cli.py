@@ -72,6 +72,23 @@ class TestExitCodes:
         assert main([verb, "--config", config_path, "--seed-list", "1,1,2", *argv]) == 1
         assert "repeats a seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "verb, flag",
+        [("matrix", "--parallelism"), ("select", "--parallelism"), ("select", "--top-k"),
+         ("score", "--cap"), ("train", "--cap")],
+    )
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_count_is_usage_error(self, tmp_path, capsys, config_path, verb, flag, value):
+        argv = {
+            "score": ["--target", "aa", "--sources", "aa"],
+            "train": ["--target", "aa", "--sources", "aa", "--out", str(tmp_path / "m.npz")],
+            "matrix": ["--strategy", "fwd", "--out", str(tmp_path / "m.jsonl")],
+            "select": ["--strategy", "fwd"],
+        }[verb]
+        assert main([verb, "--config", config_path, *argv, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and flag in err and "positive integer" in err
+
     def test_experiment_error(self, tmp_path, capsys):
         assert (
             main(["score", "--config", str(tmp_path / "nope.yaml"), "--target", "aa", "--sources", "aa"])
@@ -175,6 +192,29 @@ class TestSelectAndReport:
         ) == 0
         rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert any(r["table"] == "selection" for r in rows)
+
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ({"target": "aa", "strategy": "forward", "baseline": 0.5, "positives": [], "ranking": []},
+             "KeyError('mode')"),
+            ({"target": "aa", "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
+              "positives": [1], "ranking": []}, "TypeError('cannot unpack"),
+            ("{not json", "JSONDecodeError('Expecting property name"),
+        ],
+    )
+    def test_malformed_selections_line_is_named(self, tmp_path, capsys, config_path, line, reason):
+        matrix = tmp_path / "matrix.jsonl"
+        matrix.write_text("")
+        good = {"target": "bb", "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
+                "positives": [["aa", 0.1]], "ranking": [["aa", 0.6], ["cc", 0.4]]}
+        sel = tmp_path / "sel.jsonl"
+        bad = line if isinstance(line, str) else json.dumps(line)
+        sel.write_text(f"# strategy=forward\n{json.dumps(good)}\n{bad}\n")
+        assert main(["report", "--config", config_path, "--matrix", str(matrix), "--selections", str(sel)]) == 3
+        err = capsys.readouterr().err
+        assert f"{sel}: bad selections jsonl at line 3" in err and reason in err
 
 
 def _read_jsonl(path):

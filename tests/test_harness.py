@@ -1,6 +1,7 @@
 """Harness tests: specs, corpus store, scoring one job, cache journal,
 selection plans, matrix runner and reports."""
 import json
+import logging
 
 import pytest
 
@@ -216,7 +217,7 @@ class TestAdaptationStats:
     def test_none_is_uniform(self, store):
         spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, adaptation="none")
         stats = adaptation_stats(spec, store)
-        assert stats.document_frequency == {}
+        assert stats.df_buckets.tolist() == [] and stats.df_counts.tolist() == []
 
     def test_tapt_counts_train_and_dev_texts(self, store):
         spec = ExperimentSpec(target="aa", sources=("aa", "bb"), learner=LEARNER, adaptation="tapt")
@@ -311,6 +312,28 @@ class TestScoreCache:
         assert cache.get("key", 1) == (0.5, 7)
         assert len(cache) == 1
 
+    @pytest.mark.parametrize("tail", ["support", "timestamp", "newline"])
+    def test_torn_last_record_misses(self, tmp_path, caplog, tail):
+        # A writer that died mid-record leaves a torn, unterminated last
+        # line; cutting one after "\t5" once read back as support 5.
+        path = tmp_path / "scores.journal"
+        cache = ScoreCache(path)
+        cache.put("k", 1, 0.25, 10)
+        cache.put("k", 2, 0.38740629685157424, 58)
+        text = path.read_text(encoding="utf-8")
+        cut = {"support": text.rindex("\t58\t") + 2, "timestamp": len(text) - 10, "newline": len(text) - 1}[tail]
+        path.write_text(text[:cut], encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="langselect.harness.cache"):
+            reloaded = ScoreCache(path)
+        assert reloaded.get("k", 1) == (0.25, 10)
+        assert reloaded.get("k", 2) is None
+        assert "skipped 1 malformed cache lines" in caplog.text
+        reloaded.put("k", 2, 0.38740629685157424, 58)
+        again = ScoreCache(path)
+        assert again.get("k", 2) == (0.38740629685157424, 58)
+        assert again.get("k", 1) == (0.25, 10)
+        assert len(again) == 2
+
 
 class TestEnumeratePlan:
     """Enumerating every target's selection plan, as ``matrix`` and
@@ -351,13 +374,6 @@ class TestEnumeratePlan:
 
 
 class TestRunMatrix:
-    def test_parallelism_does_not_change_results(self, store):
-        cells = full_plan(("aa", "bb", "cc"), "forward")
-        serial = run_matrix(cells, store, seeds=(1, 2), learner=LEARNER, parallelism=1)
-        threaded = run_matrix(cells, store, seeds=(1, 2), learner=LEARNER, parallelism=8)
-        assert serial == threaded
-        assert serial.to_jsonl() == threaded.to_jsonl()
-
     def test_warm_cache_skips_work(self, store, monkeypatch):
         calls = {"n": 0}
         import langselect.harness.experiments as exp
@@ -384,7 +400,7 @@ class TestRunMatrix:
             PlanCell("bb", ("yy",), None),
         ]
         with pytest.raises(HarnessError) as err:
-            run_matrix(cells, store, seeds=(1,), learner=LEARNER, parallelism=2)
+            run_matrix(cells, store, seeds=(1,), learner=LEARNER)
         message = str(err.value)
         assert "2 cell(s)" in message
         assert "zz" in message and "yy" in message

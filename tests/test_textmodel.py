@@ -42,6 +42,15 @@ def random_example(rng, lang, i, length=(3, 12)):
     return Example(f"r{i}", text, rng.choice(LABELS), lang)
 
 
+def df_of(stats):
+    """Document frequencies of AdaptationStats as {bucket: count}."""
+    return dict(zip(stats.df_buckets.tolist(), stats.df_counts.tolist()))
+
+
+def stats_fields(stats):
+    return df_of(stats), stats.num_documents, stats.source_tag
+
+
 def random_model(rng, config=SMALL, scale=1.0):
     weights = np.array(
         [[rng.gauss(0, scale) for _ in range(config.hash_buckets)] for _ in range(3)]
@@ -87,7 +96,7 @@ class TestFeaturize:
         assert (np.diff(vec.indices) > 0).all()
 
     def test_deterministic(self):
-        stats = AdaptationStats(document_frequency={3: 2}, num_documents=4, source_tag="t")
+        stats = AdaptationStats(df_buckets=[3], df_counts=[2], num_documents=4, source_tag="t")
         a = featurize("hello there", stats, SMALL)
         b = featurize("hello there", stats, SMALL)
         assert np.array_equal(a.indices, b.indices)
@@ -100,7 +109,7 @@ class TestFeaturize:
         cfg = LearnerConfig(ngram_min=1, ngram_max=1, hash_buckets=1 << 16, epochs=1)
         char_bucket = hash_gram("a") & (cfg.hash_buckets - 1)
         stats = AdaptationStats(
-            document_frequency={char_bucket: 3}, num_documents=9, source_tag="t"
+            df_buckets=[char_bucket], df_counts=[3], num_documents=9, source_tag="t"
         )
         vec = featurize("a", stats, cfg)
         expected_seen = math.log((1 + 9) / (1 + 3)) + 1
@@ -116,13 +125,13 @@ class TestPretrain:
         stats = pretrain([ds], "t", SMALL)
         assert stats.num_documents == 2
         bucket = hash_gram("ab") & (SMALL.hash_buckets - 1)
-        assert stats.document_frequency[bucket] == 2
+        assert df_of(stats)[bucket] == 2
 
     def test_order_insensitive(self, lang):
         rows = [("first text", None), ("second one", None), ("third", None)]
         a = pretrain([make_dataset(rows, lang)], "t", SMALL)
         b = pretrain([make_dataset(rows[::-1], lang)], "t", SMALL)
-        assert a.document_frequency == b.document_frequency
+        assert df_of(a) == df_of(b)
         assert a.num_documents == b.num_documents
 
     def test_empty_corpus_rejected(self, lang):
@@ -141,7 +150,7 @@ class TestPretrain:
             ("".join(rng.choice("abc ") for _ in range(10)).strip() or "a", None) for _ in range(20)
         ]
         stats = pretrain([make_dataset(rows, lang)], "t", SMALL)
-        assert all(1 <= c <= stats.num_documents for c in stats.document_frequency.values())
+        assert all(1 <= c <= stats.num_documents for c in df_of(stats).values())
 
     def test_merged_sums(self, lang):
         a = pretrain([make_dataset([("ab", None)], lang)], "a", SMALL)
@@ -149,7 +158,32 @@ class TestPretrain:
         merged = a.merged(b)
         assert merged.num_documents == 3
         bucket = hash_gram("ab") & (SMALL.hash_buckets - 1)
-        assert merged.document_frequency[bucket] == 2
+        assert df_of(merged)[bucket] == 2
+        want = df_of(a)
+        for key, count in df_of(b).items():
+            want[key] = want.get(key, 0) + count
+        assert df_of(merged) == want
+        assert merged.df_buckets.tolist() == sorted(want)
+
+    @pytest.mark.parametrize(
+        "buckets, counts, match",
+        [
+            ([3], [0], "outside"),
+            ([3], [5], "outside"),
+            ([4, 3], [1, 1], "increasing"),
+            ([3, 3], [1, 1], "increasing"),
+            ([-1], [1], "increasing"),
+            ([3], [1, 1], "equal length"),
+        ],
+    )
+    def test_stats_validated(self, buckets, counts, match):
+        with pytest.raises(TextModelError, match=match):
+            AdaptationStats(df_buckets=buckets, df_counts=counts, num_documents=4, source_tag="t")
+
+    def test_stats_arrays_read_only(self, lang):
+        stats = pretrain([make_dataset([("ab", None)], lang)], "t", SMALL)
+        assert not stats.df_buckets.flags.writeable
+        assert not stats.df_counts.flags.writeable
 
 
 class TestLearnerConfig:
@@ -316,7 +350,7 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.config == model.config
-        assert loaded.stats == model.stats
+        assert stats_fields(loaded.stats) == stats_fields(model.stats)
         assert loaded.loss_history == model.loss_history
         texts = ["good stuff", "zzz", "bad meh", ""]
         assert predict_texts(loaded, texts) == predict_texts(model, texts)
@@ -324,6 +358,18 @@ class TestSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TextModelError, match="not found"):
             load_model(tmp_path / "nope.npz")
+
+    def test_bad_document_frequency_rejected(self, tmp_path, lang):
+        stats = pretrain([make_dataset([("ab", None), ("cd", None)], lang)], "t", SMALL)
+        model = Model(weights=np.zeros((3, SMALL.hash_buckets)), bias=np.zeros(3), stats=stats, config=SMALL)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["df_counts"] = arrays["df_counts"] + stats.num_documents
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(TextModelError, match="outside"):
+            load_model(path)
 
 
 class TestAdaptationEffect:
@@ -357,10 +403,7 @@ class TestAgainstReferences:
         X = design_matrix(texts, stats, cfg)
         assert X.shape == (len(texts), cfg.hash_buckets)
         for i, text in enumerate(texts):
-            want = reference_tfidf(
-                text, stats.document_frequency, stats.num_documents,
-                cfg.ngram_min, cfg.ngram_max, cfg.hash_buckets,
-            )
+            want = reference_tfidf(text, stats, cfg.ngram_min, cfg.ngram_max, cfg.hash_buckets)
             row = X[i]
             assert row.indices.tolist() == sorted(want), i
             np.testing.assert_allclose(row.data, [want[b] for b in sorted(want)], rtol=1e-12, atol=0)
