@@ -49,8 +49,6 @@ from .textmodel import (
     AdaptationStats,
     LearnerConfig,
     Model,
-    SparseVector,
-    featurize,
     fine_tune,
     load_model,
     loss_and_gradient,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import ensemble as ens
 from . import selection as sel
-from .corpus import dedup_dev, save_labeled_tsv
+from .corpus import dedup_dev, read_utf8, save_labeled_tsv
 from .errors import CorpusError, EnsembleError, HarnessError, MetricsError, SelectionError, TextModelError
 from .harness import (
     CorpusStore,
@@ -315,8 +315,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     entries: dict = {}
     for path in args.matrix:
-        text = Path(path).read_text(encoding="utf-8")
-        entries.update(ScoreMatrix.from_jsonl(text).entries)
+        entries.update(ScoreMatrix.from_jsonl(read_utf8(path)).entries)
     matrix = ScoreMatrix(entries=entries)
     selections: dict[str, dict[str, sel.SelectionResult]] = {}
     for path in args.selections:

@@ -135,7 +135,10 @@ class Dataset:
         return all(ex.label is not None for ex in self.examples)
 
 
-def _decode_utf8(path: Path) -> str:
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file. A missing file or invalid UTF-8 is a
+    data error that names the path."""
+    path = Path(path)
     try:
         data = path.read_bytes()
     except FileNotFoundError:
@@ -155,7 +158,7 @@ def load_labeled_tsv(path: str | Path, language: LanguageCode, split: str = "tra
     ``CorpusError`` naming the offending line.
     """
     path = Path(path)
-    text = _decode_utf8(path)
+    text = read_utf8(path)
     lines = text.splitlines()
     if not lines:
         raise CorpusError(f"{path}: empty file, expected a header line")
@@ -197,7 +200,7 @@ def load_unlabeled_text(path: str | Path, language: LanguageCode, split: str = "
     that normalize to empty are dropped with a logged count.
     """
     path = Path(path)
-    text = _decode_utf8(path)
+    text = read_utf8(path)
     examples: list[Example] = []
     dropped = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -287,7 +290,7 @@ def strip_labels(dataset: Dataset) -> Dataset:
 def load_language_metadata(path: str | Path) -> dict[str, LanguageCode]:
     """Read language metadata: header, then ``code<TAB>family[<TAB>subgroup]`` rows."""
     path = Path(path)
-    text = _decode_utf8(path)
+    text = read_utf8(path)
     lines = text.splitlines()
     if not lines:
         raise CorpusError(f"{path}: empty metadata file")

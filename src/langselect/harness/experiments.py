@@ -392,7 +392,7 @@ class ScoreMatrix:
                     std=float(doc["std"]),
                     support=int(doc["support"]),
                 )
-            except (KeyError, ValueError, json.JSONDecodeError) as e:
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
                 raise HarnessError(f"bad matrix jsonl at line {lineno}: {e}") from None
         return cls(entries=entries)
 

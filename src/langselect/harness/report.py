@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from ..corpus import LanguageCode
+from ..corpus import LanguageCode, read_utf8
 from ..errors import CorpusError, HarnessError
 from ..selection import MULTILINGUAL, ZEROSHOT, SelectionResult
 from .experiments import MatrixEntry, ScoreMatrix
@@ -213,7 +213,7 @@ def selection_results_from_jsonl(path: str | Path) -> list[SelectionResult]:
     """Read a selections file: lines written by ``selection_results_to_jsonl``,
     in file order. Blank lines and ``#`` comment lines are skipped."""
     results = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         try:

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import LABELS, Dataset, Example
 from .errors import TextModelError
@@ -139,16 +138,55 @@ class AdaptationStats:
         )
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """L2-normalized sparse feature vector with strictly increasing indices."""
+@dataclass(frozen=True, eq=False)
+class CsrRows:
+    """A sparse matrix's rows in compressed sparse row (CSR) form.
 
+    Row ``i`` holds the values ``data[indptr[i]:indptr[i + 1]]`` at the
+    columns ``indices[indptr[i]:indptr[i + 1]]``. Both products add each
+    output element's terms in non-zero order, starting from 0.0, so they
+    give the floats of a sequential loop over the non-zeros.
+    """
+
+    indptr: np.ndarray
     indices: np.ndarray
-    values: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
 
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.values):
-            raise TextModelError("indices and values must have equal length")
+    def row_of(self) -> np.ndarray:
+        """The row of every non-zero."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def locate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gather the non-zeros of ``rows`` (an integer array of row
+        numbers; a row may repeat), row by row in that order. Returns,
+        for each of them, the index into ``rows`` of its row and its
+        position in ``indices`` and ``data``."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        which = np.repeat(np.arange(len(rows)), lengths)
+        ends = np.cumsum(lengths)
+        return which, np.arange(len(which)) + (starts - ends + lengths)[which]
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        """``X @ W`` for a dense ``W`` of shape (columns, k)."""
+        return _keyed_sums(self.row_of(), self.data, other, self.indices, self.shape[0])
+
+    def t_matmul(self, other: np.ndarray) -> np.ndarray:
+        """``X.T @ D`` for a dense ``D`` of shape (rows, k)."""
+        return _keyed_sums(self.indices, self.data, other, self.row_of(), self.shape[1])
+
+
+def _keyed_sums(
+    keys: np.ndarray, data: np.ndarray, other: np.ndarray, at: np.ndarray, n: int
+) -> np.ndarray:
+    """``out[i, k]``: the sum of ``data[j] * other[at[j], k]`` over the j
+    with ``keys[j] == i``, added in j order starting from 0.0, one
+    ``np.bincount`` per column (it adds its weights sequentially)."""
+    out = np.empty((n, other.shape[1]))
+    for k in range(other.shape[1]):
+        out[:, k] = np.bincount(keys, weights=data * other[:, k][at], minlength=n)
+    return out
 
 
 @dataclass
@@ -199,20 +237,15 @@ def _idf_vector(stats: AdaptationStats, hash_buckets: int) -> np.ndarray:
     return idf
 
 
-def featurize(text: str, stats: AdaptationStats, config: LearnerConfig) -> SparseVector:
-    """Map a normalized text to an L2-normalized tf-idf bucket vector:
-    row 0 of ``design_matrix([text], stats, config)``."""
-    row = design_matrix([text], stats, config)
-    return SparseVector(row.indices.astype(np.int64), row.data)
-
-
 def design_matrix(
     texts: Sequence[str], stats: AdaptationStats, config: LearnerConfig
-) -> sp.csr_matrix:
-    """Stack the tf-idf vectors of texts into a CSR matrix (rows in input order).
+) -> CsrRows:
+    """Stack the tf-idf vectors of texts into numpy CSR rows of width
+    ``hash_buckets``, one row per text in input order.
 
-    Values are (1 + ln tf) * idf with idf = ln((1+N)/(1+df)) + 1 against
-    the adaptation statistics (unseen buckets use df = 0), then each row
+    Each row's bucket indices increase strictly. Values are
+    (1 + ln tf) * idf with idf = ln((1+N)/(1+df)) + 1 against the
+    adaptation statistics (unseen buckets use df = 0), then each row
     is scaled to unit L2 norm; empty text maps to an empty row. Term
     counts come from the per-text memo, and the weighting runs as array
     operations over the stacked rows.
@@ -226,10 +259,10 @@ def design_matrix(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
     if n:
-        indices = np.concatenate([buckets for buckets, _ in rows])
+        indices = np.concatenate([buckets for buckets, _ in rows], dtype=np.intp)
         tf = np.concatenate([counts for _, counts in rows])
     else:
-        indices = np.empty(0, dtype=np.int64)
+        indices = np.empty(0, dtype=np.intp)
         tf = np.empty(0, dtype=np.int32)
     values = (1.0 + np.log(tf)) * _idf_vector(stats, config.hash_buckets)[indices]
     # Per-row sums by bincount: every row, trailing empty ones included,
@@ -237,7 +270,7 @@ def design_matrix(
     row_of = np.repeat(np.arange(n), lengths)
     norms = np.sqrt(np.bincount(row_of, weights=values * values, minlength=n))
     values /= norms[row_of]
-    return sp.csr_matrix((values, indices, indptr), shape=(n, config.hash_buckets))
+    return CsrRows(indptr, indices, values, (n, config.hash_buckets))
 
 
 def _as_datasets(data: Dataset | Iterable[Dataset]) -> list[Dataset]:
@@ -315,13 +348,15 @@ def fine_tune(
     stays stable for arbitrarily large l2_lambda. Per-epoch losses are
     recorded on the returned model.
 
-    The step is lazy and sparse: the weights are held as ``scale * V``
-    with ``V`` of shape (hash_buckets, 3). A batch's gradient is scattered
-    into only the rows of ``V`` its texts touch, and the proximal shrink
-    of every weight is one division of ``scale``, which is folded back
-    into ``V`` before it underflows. So a step costs what the batch's
-    non-zeros cost, not what ``hash_buckets`` costs. ``Model.weights``
-    is returned in the (3, hash_buckets) layout.
+    The step is lazy and sparse: the weights are held as ``scale * V``,
+    where ``V`` has one row of 3 class weights per bucket that some
+    training text contains (the other buckets' weights stay zero). A
+    batch's gradient is scattered into only the rows of ``V`` its texts
+    touch, and the proximal shrink of every weight is one division of
+    ``scale``, which is folded back into ``V`` before it underflows. So
+    a step costs what the batch's non-zeros cost, not what
+    ``hash_buckets`` costs, and ``V`` stays small enough to sit in
+    cache. ``Model.weights`` is returned in the (3, hash_buckets) layout.
     """
     examples: list[Example] = []
     for ds in _as_datasets(train):
@@ -335,9 +370,11 @@ def fine_tune(
 
     X = design_matrix([ex.text for ex in examples], stats, config)
     n = X.shape[0]
-    # Buckets no example touches keep zero weight throughout.
-    used = np.unique(X.indices)
-    V = np.zeros((config.hash_buckets, 3), dtype=np.float64)
+    # Buckets no example touches keep zero weight throughout, so V holds
+    # only the used ones, in increasing bucket order: slot[j] is the row
+    # of V for the bucket X.indices[j].
+    used, slot = np.unique(X.indices, return_inverse=True)
+    V = np.zeros((len(used), 3), dtype=np.float64)
     scale = 1.0
     bias = np.zeros(3, dtype=np.float64)
     rng = random.Random(config.seed)
@@ -345,41 +382,46 @@ def fine_tune(
     history: list[float] = []
 
     for _ in range(config.epochs):
-        order = _shuffled_indices(n, rng)
+        order = np.array(_shuffled_indices(n, rng))
         shrink = 1.0 + lr * config.l2_lambda
         ce_sum = 0.0
         for start in range(0, n, config.batch_size):
             chunk = order[start : start + config.batch_size]
-            xb = X[chunk]
+            nb = len(chunk)
+            # The batch's non-zeros, each with its row in the batch: that
+            # row index serves both the logits and the scatter.
+            row, pos = X.locate(chunk)
+            idx = slot[pos]
+            vals = X.data[pos]
             yb = y[chunk]
-            probs = _softmax(scale * (xb @ V) + bias)
+            probs = _softmax(scale * _keyed_sums(row, vals, V, idx, nb) + bias)
             with np.errstate(divide="ignore"):
-                batch_ce = -float(np.log(probs[np.arange(len(chunk)), yb]).sum())
+                batch_ce = -float(np.log(probs[np.arange(nb), yb]).sum())
             if not math.isfinite(batch_ce):
                 raise TextModelError("divergence: reduce learning_rate")
             ce_sum += batch_ce
             dz = probs
-            dz[np.arange(len(chunk)), yb] -= 1.0
-            dz /= len(chunk)
+            dz[np.arange(nb), yb] -= 1.0
+            dz /= nb
             # Scatter per non-zero, one class column at a time: three 1-D
             # add.at calls are several times faster than one 2-D call.
-            row_nnz = np.diff(xb.indptr)
-            scaled = (-lr / scale) * xb.data
+            scaled = (-lr / scale) * vals
             for k in range(3):
-                np.add.at(V[:, k], xb.indices, np.repeat(dz[:, k], row_nnz) * scaled)
+                np.add.at(V[:, k], idx, dz[:, k][row] * scaled)
             scale /= shrink
             if scale < _SCALE_FLOOR:
-                V[used] *= scale
+                V *= scale
                 scale = 1.0
             bias = bias - lr * dz.sum(axis=0)
-        w_used = scale * V[used]
+        w_used = scale * V
         epoch_loss = ce_sum / n + 0.5 * config.l2_lambda * float((w_used * w_used).sum())
         if not math.isfinite(epoch_loss):
             raise TextModelError("divergence: reduce learning_rate")
         history.append(epoch_loss)
         lr *= config.lr_decay
 
-    weights = np.multiply(V.T, scale, out=np.empty((3, config.hash_buckets)))
+    weights = np.zeros((3, config.hash_buckets))
+    weights[:, used] = V.T * scale
     if not np.isfinite(weights).all() or not np.isfinite(bias).all():
         raise TextModelError("divergence: reduce learning_rate")
     return Model(weights=weights, bias=bias, stats=stats, config=config, loss_history=tuple(history))
@@ -423,7 +465,7 @@ def loss_and_gradient(
     dz = probs
     dz[np.arange(n), y] -= 1.0
     dz /= n
-    grad_w = (X.T @ dz).T + model.config.l2_lambda * model.weights
+    grad_w = X.t_matmul(dz).T + model.config.l2_lambda * model.weights
     grad_b = dz.sum(axis=0)
     return loss, grad_w, grad_b
 

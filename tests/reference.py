@@ -4,7 +4,8 @@ These deliberately avoid the library's code paths: scores are computed
 from raw label lists with plain counting, selection rules are
 re-evaluated with straight-line loops, gradients are checked with
 central finite differences of the loss, tf-idf rows are built one text
-at a time, and training is checked against a dense trainer.
+at a time, training is checked against a dense trainer, and sparse
+rows are read and multiplied one non-zero at a time.
 """
 from __future__ import annotations
 
@@ -80,6 +81,116 @@ def reference_tfidf(text, stats, ngram_min, ngram_max, hash_buckets):
         row[bucket] = (1.0 + math.log(tf)) * idf
     norm = math.sqrt(sum(v * v for v in row.values()))
     return {bucket: v / norm for bucket, v in row.items()}
+
+
+def csr_row(X, i):
+    """Row i of CSR rows X as (indices, values) lists."""
+    lo, hi = int(X.indptr[i]), int(X.indptr[i + 1])
+    return X.indices[lo:hi].tolist(), X.data[lo:hi].tolist()
+
+
+def dense(X):
+    """CSR rows X as a dense (rows, columns) array."""
+    out = np.zeros(X.shape)
+    for i in range(X.shape[0]):
+        indices, values = csr_row(X, i)
+        out[i, indices] = values
+    return out
+
+
+def reference_rows(X, rows):
+    """The (indices, values) lists of the given rows of X, in order."""
+    return [csr_row(X, i) for i in rows]
+
+
+def reference_matmul(X, W):
+    """X @ W for CSR rows X and a dense W, each output element summed
+    over its row's non-zeros in order, starting from 0.0."""
+    out = np.zeros((X.shape[0], W.shape[1]))
+    for i in range(X.shape[0]):
+        indices, values = csr_row(X, i)
+        for k in range(W.shape[1]):
+            total = 0.0
+            for j, v in zip(indices, values):
+                total += v * float(W[j, k])
+            out[i, k] = total
+    return out
+
+
+def reference_t_matmul(X, D):
+    """X.T @ D for CSR rows X and a dense D, each output element summed
+    over the non-zeros of its column in row order, starting from 0.0."""
+    out = np.zeros((X.shape[1], D.shape[1]))
+    for i in range(X.shape[0]):
+        indices, values = csr_row(X, i)
+        for j, v in zip(indices, values):
+            for k in range(D.shape[1]):
+                out[j, k] += v * float(D[i, k])
+    return out
+
+
+def _fisher_yates(n, rng):
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = min(int(rng.random() * (i + 1)), i)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def _softmax(logits):
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def reference_sparse_fine_tune(X, y, config):
+    """The lazy sparse trainer, one non-zero at a time. Weights are held
+    as scale * V; a step adds each non-zero's gradient term into V in
+    batch order and divides scale by (1 + lr * l2_lambda), folding scale
+    into V below 1e-100. Each logit is summed over its row's non-zeros
+    in order from 0.0. X is CSR rows and y holds class indices. Returns
+    (weights (3, columns), bias, loss_history)."""
+    n = X.shape[0]
+    V = np.zeros((X.shape[1], 3))
+    used = sorted({j for i in range(n) for j in csr_row(X, i)[0]})
+    scale = 1.0
+    bias = np.zeros(3)
+    rng = random.Random(config.seed)
+    lr = config.learning_rate
+    history = []
+    for _ in range(config.epochs):
+        order = _fisher_yates(n, rng)
+        shrink = 1.0 + lr * config.l2_lambda
+        ce_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            chunk = order[start : start + config.batch_size]
+            rows = [csr_row(X, i) for i in chunk]
+            logits = np.zeros((len(chunk), 3))
+            for r, (indices, values) in enumerate(rows):
+                for k in range(3):
+                    total = 0.0
+                    for j, v in zip(indices, values):
+                        total += v * float(V[j, k])
+                    logits[r, k] = total
+            probs = _softmax(scale * logits + bias)
+            yb = y[chunk]
+            ce_sum -= float(np.log(probs[np.arange(len(chunk)), yb]).sum())
+            dz = probs
+            dz[np.arange(len(chunk)), yb] -= 1.0
+            dz /= len(chunk)
+            step = -lr / scale
+            for r, (indices, values) in enumerate(rows):
+                for j, v in zip(indices, values):
+                    for k in range(3):
+                        V[j, k] += float(dz[r, k]) * (step * v)
+            scale /= shrink
+            if scale < 1e-100:
+                V *= scale
+                scale = 1.0
+            bias = bias - lr * dz.sum(axis=0)
+        w = scale * V[used]
+        history.append(ce_sum / n + 0.5 * config.l2_lambda * float((w * w).sum()))
+        lr *= config.lr_decay
+    return (V * scale).T, bias, history
 
 
 def reference_dense_fine_tune(X, y, config):

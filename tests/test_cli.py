@@ -1,5 +1,8 @@
-"""CLI tests: verbs, outputs and exit codes."""
+"""CLI tests: verbs, outputs, exit codes and start-up imports."""
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -215,6 +218,38 @@ class TestSelectAndReport:
         assert main(["report", "--config", config_path, "--matrix", str(matrix), "--selections", str(sel)]) == 3
         err = capsys.readouterr().err
         assert f"{sel}: bad selections jsonl at line 3" in err and reason in err
+
+
+    @pytest.mark.parametrize("missing", ["--matrix", "--selections"])
+    def test_missing_report_input_is_data_error(self, tmp_path, capsys, config_path, missing):
+        inputs = {"--matrix": tmp_path / "matrix.jsonl", "--selections": tmp_path / "sel.jsonl"}
+        for flag, path in inputs.items():
+            if flag != missing:
+                path.write_text("")
+        argv = ["report", "--config", config_path]
+        for flag, path in inputs.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 2
+        assert f"file not found: {inputs[missing]}" in capsys.readouterr().err
+
+    def test_matrix_line_not_an_object_is_named(self, tmp_path, capsys, config_path):
+        matrix = tmp_path / "matrix.jsonl"
+        matrix.write_text('\n["x"]\n')
+        assert main(["report", "--config", config_path, "--matrix", str(matrix)]) == 3
+        assert "bad matrix jsonl at line 2" in capsys.readouterr().err
+
+
+def test_cli_import_skips_scipy_and_numpy_tooling():
+    # Each verb starts a fresh interpreter: scipy.sparse, numpy.testing and
+    # numpy.f2py would add about 0.3 s to every start.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, langselect.cli; "
+        "print(*[m for m in ('scipy', 'numpy.testing', 'numpy.f2py') if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 def _read_jsonl(path):

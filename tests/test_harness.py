@@ -435,6 +435,15 @@ class TestRunMatrix:
         matrix = run_matrix(cells, store, seeds=(1, 2), learner=LEARNER)
         assert ScoreMatrix.from_jsonl(matrix.to_jsonl()) == matrix
 
+    @pytest.mark.parametrize("line", ['["x"]', '"x"', "3", "null", "per_seed as a list"])
+    def test_jsonl_line_not_an_entry_object(self, store, line):
+        cells = [PlanCell("aa", ("aa",), None)]
+        good = run_matrix(cells, store, seeds=(1,), learner=LEARNER).to_jsonl()
+        if line == "per_seed as a list":
+            line = json.dumps(dict(json.loads(good), per_seed=[1]))
+        with pytest.raises(HarnessError, match="bad matrix jsonl at line 2"):
+            ScoreMatrix.from_jsonl(f"{good}{line}\n")
+
     def test_entry_validation(self):
         with pytest.raises(HarnessError, match="mean inconsistent"):
             MatrixEntry(

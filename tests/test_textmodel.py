@@ -13,7 +13,6 @@ from langselect import (
     Example,
     LearnerConfig,
     TextModelError,
-    featurize,
     fine_tune,
     load_model,
     loss_and_gradient,
@@ -27,8 +26,14 @@ from langselect.textmodel import Model, design_matrix, hash_gram
 
 from conftest import make_dataset
 from reference import (
+    csr_row,
+    dense,
     finite_difference_grads,
     reference_dense_fine_tune,
+    reference_matmul,
+    reference_rows,
+    reference_sparse_fine_tune,
+    reference_t_matmul,
     reference_tfidf,
     relative_error,
 )
@@ -71,13 +76,15 @@ class TestHashGram:
 
 
 class TestFeaturize:
+    """A text's features: row 0 of ``design_matrix([text], ...)``."""
+
     def test_empty_text_zero_vector(self):
-        vec = featurize("", AdaptationStats.uniform(), SMALL)
+        vec = design_matrix([""], AdaptationStats.uniform(), SMALL)
         assert len(vec.indices) == 0
 
     def test_gram_enumeration(self):
         cfg = LearnerConfig(ngram_min=1, ngram_max=2, hash_buckets=1 << 16, epochs=1)
-        vec = featurize("ab", AdaptationStats.uniform(), cfg)
+        vec = design_matrix(["ab"], AdaptationStats.uniform(), cfg)
         # padded "<ab>" yields 1-grams {pad, a, b, pad} and 2-grams
         # {pad a, ab, b pad}: 7 grams, 6 distinct (pad chars differ).
         assert 1 <= len(vec.indices) <= 7
@@ -87,20 +94,20 @@ class TestFeaturize:
         stats = AdaptationStats.uniform()
         for _ in range(50):
             text = "".join(rng.choice("abcd ") for _ in range(rng.randint(1, 30))).strip()
-            vec = featurize(text, stats, SMALL)
-            if len(vec.values):
-                assert np.linalg.norm(vec.values) == pytest.approx(1.0, abs=1e-9)
+            vec = design_matrix([text], stats, SMALL)
+            if len(vec.data):
+                assert np.linalg.norm(vec.data) == pytest.approx(1.0, abs=1e-9)
 
     def test_indices_sorted_unique(self):
-        vec = featurize("abcabcabc", AdaptationStats.uniform(), SMALL)
+        vec = design_matrix(["abcabcabc"], AdaptationStats.uniform(), SMALL)
         assert (np.diff(vec.indices) > 0).all()
 
     def test_deterministic(self):
         stats = AdaptationStats(df_buckets=[3], df_counts=[2], num_documents=4, source_tag="t")
-        a = featurize("hello there", stats, SMALL)
-        b = featurize("hello there", stats, SMALL)
+        a = design_matrix(["hello there"], stats, SMALL)
+        b = design_matrix(["hello there"], stats, SMALL)
         assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.data, b.data)
 
     def test_idf_formula(self):
         # Single-char text with 1-grams only: three grams (two boundary
@@ -111,10 +118,10 @@ class TestFeaturize:
         stats = AdaptationStats(
             df_buckets=[char_bucket], df_counts=[3], num_documents=9, source_tag="t"
         )
-        vec = featurize("a", stats, cfg)
+        vec = design_matrix(["a"], stats, cfg)
         expected_seen = math.log((1 + 9) / (1 + 3)) + 1
         expected_unseen = math.log(10) + 1
-        raw = {int(i): float(v) for i, v in zip(vec.indices, vec.values)}
+        raw = {int(i): float(v) for i, v in zip(vec.indices, vec.data)}
         norm = math.sqrt(expected_seen**2 + 2 * expected_unseen**2)
         assert raw[char_bucket] == pytest.approx(expected_seen / norm, rel=1e-12)
 
@@ -389,6 +396,87 @@ class TestAdaptationEffect:
         assert tapt.mean >= generic.mean
 
 
+def csr_case(lang, layout, config):
+    """Design-matrix rows for kernel tests. Texts are long enough for
+    each row to hold dozens of non-zeros, so a summation order other
+    than the sequential one changes the last bits."""
+    rng = random.Random(len(layout))
+    words = ["".join(rng.choice("abcdefgh ijk") for _ in range(40)).strip() for _ in range(4)]
+    corpus = make_dataset([(w, None) for w in words[:2]], lang)
+    texts = [words[int(c)] if c.isdigit() else "" for c in layout]
+    return design_matrix(texts, pretrain([corpus], "t", config), config)
+
+
+# "-" is an empty row; equal digits are duplicate texts.
+CSR_LAYOUTS = ["-012", "01-2", "012-", "0120", "--", "-", "3"]
+CSR_CONFIGS = {"256": LearnerConfig(ngram_min=1, ngram_max=3, hash_buckets=256), "2^18": LearnerConfig()}
+
+
+def wide_range(rng, shape, order="C"):
+    """Signed values spread over 16 orders of magnitude."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    return np.asarray(values, order=order)
+
+
+class TestCsrRows:
+    """The numpy CSR kernels equal sequential pure-Python references bit
+    for bit (np.array_equal, not allclose)."""
+
+    @pytest.mark.parametrize("buckets", sorted(CSR_CONFIGS))
+    @pytest.mark.parametrize("layout", CSR_LAYOUTS)
+    def test_locate_matches_reference(self, lang, layout, buckets):
+        X = csr_case(lang, layout, CSR_CONFIGS[buckets])
+        n = X.shape[0]
+        for rows in [list(range(n)), list(reversed(range(n))), [n - 1, 0, n - 1], [0], []]:
+            which, pos = X.locate(np.array(rows, dtype=np.intp))
+            assert (np.diff(which) >= 0).all()
+            got = [(X.indices[pos[which == r]].tolist(), X.data[pos[which == r]].tolist()) for r in range(len(rows))]
+            assert got == reference_rows(X, rows)
+
+    @pytest.mark.parametrize("buckets", sorted(CSR_CONFIGS))
+    @pytest.mark.parametrize("layout", CSR_LAYOUTS)
+    def test_matmul_matches_reference(self, lang, layout, buckets):
+        X = csr_case(lang, layout, CSR_CONFIGS[buckets])
+        rng = np.random.default_rng(1)
+        for order in "CF":
+            W = wide_range(rng, (X.shape[1], 3), order)
+            assert np.array_equal(X @ W, reference_matmul(X, W))
+
+    @pytest.mark.parametrize("buckets", sorted(CSR_CONFIGS))
+    @pytest.mark.parametrize("layout", CSR_LAYOUTS)
+    def test_t_matmul_matches_reference(self, lang, layout, buckets):
+        X = csr_case(lang, layout, CSR_CONFIGS[buckets])
+        D = wide_range(np.random.default_rng(2), (X.shape[0], 3))
+        assert np.array_equal(X.t_matmul(D), reference_t_matmul(X, D))
+
+    def test_order_sensitive_inputs(self, lang):
+        # The kernel tests above can tell summation orders apart: a
+        # pairwise sum of one row's terms differs from the sequential one.
+        X = csr_case(lang, "0", CSR_CONFIGS["256"])
+        W = wide_range(np.random.default_rng(1), (X.shape[1], 3))
+        pairwise = np.ascontiguousarray((X.data[:, None] * W[X.indices]).T).sum(axis=1)
+        assert len(X.data) > 16
+        assert not np.array_equal(pairwise, reference_matmul(X, W)[0])
+
+    @pytest.mark.parametrize("buckets", sorted(CSR_CONFIGS))
+    @pytest.mark.parametrize("layout", CSR_LAYOUTS)
+    def test_matches_scipy(self, lang, layout, buckets):
+        sp = pytest.importorskip("scipy.sparse")
+        X = csr_case(lang, layout, CSR_CONFIGS[buckets])
+        S = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+        rng = np.random.default_rng(3)
+        W = wide_range(rng, (X.shape[1], 3), "F")
+        D = wide_range(rng, (X.shape[0], 3))
+        assert np.array_equal(X @ W, S @ W)
+        assert np.array_equal(X.t_matmul(D), S.T @ D)
+        rows = [X.shape[0] - 1, 0, X.shape[0] - 1]
+        which, pos = X.locate(np.array(rows, dtype=np.intp))
+        Sr = S[rows]
+        assert np.array_equal(which, np.repeat(np.arange(len(rows)), np.diff(Sr.indptr)))
+        assert np.array_equal(X.indices[pos], Sr.indices)
+        assert np.array_equal(X.data[pos], Sr.data)
+
+
 class TestAgainstReferences:
     """The vectorized tf-idf and the sparse lazy-L2 trainer agree with
     per-text and dense references to 1e-12 relative."""
@@ -404,9 +492,34 @@ class TestAgainstReferences:
         assert X.shape == (len(texts), cfg.hash_buckets)
         for i, text in enumerate(texts):
             want = reference_tfidf(text, stats, cfg.ngram_min, cfg.ngram_max, cfg.hash_buckets)
-            row = X[i]
-            assert row.indices.tolist() == sorted(want), i
-            np.testing.assert_allclose(row.data, [want[b] for b in sorted(want)], rtol=1e-12, atol=0)
+            indices, values = csr_row(X, i)
+            assert indices == sorted(want), i
+            np.testing.assert_allclose(values, [want[b] for b in sorted(want)], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "l2_lambda, learning_rate, lr_decay",
+        [(1e-4, 0.5, 0.9), (10.0, 1.0, 1.0)],
+    )
+    def test_trainer_matches_sequential_reference_exactly(self, lang, l2_lambda, learning_rate, lr_decay):
+        # The same floats as a one-non-zero-at-a-time loop: a change to
+        # any summation order fails here, and would need a new
+        # NUMERICS_VERSION.
+        # 21 rows in batches of 4 end each epoch on a one-row batch, and
+        # the 120 steps pass the l2_lambda=10 fold-back floor at step 97.
+        rng = random.Random(23)
+        ds = Dataset(lang, "train", tuple(random_example(rng, lang, i, (20, 40)) for i in range(21)))
+        cfg = LearnerConfig(
+            ngram_min=1, ngram_max=3, hash_buckets=256, epochs=20, batch_size=4,
+            l2_lambda=l2_lambda, learning_rate=learning_rate, lr_decay=lr_decay, seed=5,
+        )
+        stats = pretrain([strip_labels(ds)], "t", cfg)
+        model = fine_tune(stats, ds, cfg)
+        X = design_matrix([ex.text for ex in ds], stats, cfg)
+        y = np.array([LABELS.index(ex.label) for ex in ds])
+        weights, bias, history = reference_sparse_fine_tune(X, y, cfg)
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(model.bias, bias)
+        assert model.loss_history == tuple(history)
 
     @pytest.mark.parametrize(
         "l2_lambda, learning_rate, lr_decay",
@@ -421,14 +534,14 @@ class TestAgainstReferences:
         )
         stats = pretrain([strip_labels(ds)], "t", cfg)
         model = fine_tune(stats, ds, cfg)
-        X = design_matrix([ex.text for ex in ds], stats, cfg).toarray()
+        X = dense(design_matrix([ex.text for ex in ds], stats, cfg))
         y = np.array([LABELS.index(ex.label) for ex in ds])
         weights, bias, history = reference_dense_fine_tune(X, y, cfg)
         np.testing.assert_allclose(model.weights, weights, rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.bias, bias, rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.loss_history, history, rtol=1e-12, atol=0)
         probe = [random_example(rng, lang, i).text for i in range(30)]
-        ref_logits = design_matrix(probe, stats, cfg).toarray() @ weights.T + bias
+        ref_logits = dense(design_matrix(probe, stats, cfg)) @ weights.T + bias
         assert [label for label, _ in predict_texts(model, probe)] == [
             LABELS[int(np.argmax(row))] for row in ref_logits
         ]
@@ -444,4 +557,4 @@ class TestAgainstReferences:
 def test_design_matrix_shapes(lang):
     X = design_matrix(["ab", "", "abc"], AdaptationStats.uniform(), SMALL)
     assert X.shape == (3, SMALL.hash_buckets)
-    assert X[1].nnz == 0
+    assert csr_row(X, 1) == ([], [])
