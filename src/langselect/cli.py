@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import ensemble as ens
 from . import selection as sel
-from .corpus import dedup_dev, read_utf8, save_labeled_tsv
+from .corpus import dedup_dev, normalize_text, read_utf8, save_labeled_tsv
 from .errors import CorpusError, EnsembleError, HarnessError, MetricsError, SelectionError, TextModelError
 from .harness import (
     CorpusStore,
@@ -334,11 +334,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _read_eval_rows(path: Path) -> tuple[list[str], list[str]]:
     """Read (ids, texts) from a TSV whose rows have at least id and text."""
-    from .corpus import normalize_text
-
-    if not path.exists():
-        raise CorpusError(f"file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise CorpusError(f"{path}: empty file, expected a header line")
     ids: list[str] = []

@@ -30,13 +30,21 @@ URL_RE = re.compile(r"(?:[a-z][a-z0-9+.\-]*://|www\.)\S*", re.IGNORECASE)
 # Consuming the whole "@" run keeps the replacement stable: "@@name" must
 # not leave an "@" in front of the inserted token.
 MENTION_RE = re.compile(r"@+[A-Za-z0-9_]+")
-_CHAR_RUN_RE = re.compile(r"(\S)\1{3,}")
-_PAIR_RUN_RE = re.compile(r"(\S)\1+")
-_WS_RE = re.compile(r"\s+")
+# A maximal run of one non-whitespace character that a run rule may
+# change: 2 or more of "_" or of a character \w does not match, or 4 or
+# more of any. Every punctuation character is in the first class: none
+# is whitespace, and "_" is the only one \w matches. Both alternatives
+# share the leading pair, so the scan fails fast at most positions.
+_RUN_RE = re.compile(r"(\S)\1(?:(?<=[^\w\s]|_)\1*|\1{2,})")
 
 
 def _is_punct(ch: str) -> bool:
     return ch in string.punctuation or unicodedata.category(ch).startswith("P")
+
+
+def _collapse_run(m: re.Match) -> str:
+    run = m.group(0)
+    return run[0] if _is_punct(run[0]) else run[:3]
 
 
 def normalize_text(raw: str) -> str:
@@ -47,12 +55,19 @@ def normalize_text(raw: str) -> str:
     of the same punctuation character longer than 1 collapse to 1;
     whitespace runs collapse to a single space and the ends are trimmed.
     The function is total and idempotent.
+
+    The passes below give the same string for every input: a text can hold
+    a URL only if it contains "://", "w." or "W." and a mention only if it
+    contains "@", both run rules are one pass over maximal runs, and
+    ``str.split`` splits on exactly the characters ``\\s`` matches.
     """
-    s = URL_RE.sub("HTTPURL", raw)
-    s = MENTION_RE.sub("USER", s)
-    s = _CHAR_RUN_RE.sub(r"\1\1\1", s)
-    s = _PAIR_RUN_RE.sub(lambda m: m.group(1) if _is_punct(m.group(1)) else m.group(0), s)
-    return _WS_RE.sub(" ", s).strip()
+    s = raw
+    if "://" in s or "w." in s or "W." in s:
+        s = URL_RE.sub("HTTPURL", s)
+    if "@" in s:
+        s = MENTION_RE.sub("USER", s)
+    s = _RUN_RE.sub(_collapse_run, s)
+    return " ".join(s.split())
 
 
 @dataclass(frozen=True)
@@ -136,13 +151,15 @@ class Dataset:
 
 
 def read_utf8(path: str | Path) -> str:
-    """The text of a UTF-8 file. A missing file or invalid UTF-8 is a
-    data error that names the path."""
+    """The text of a UTF-8 file. A missing or unreadable file or invalid
+    UTF-8 is a data error that names the path."""
     path = Path(path)
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         raise CorpusError(f"file not found: {path}") from None
+    except OSError as e:
+        raise CorpusError(f"{path}: cannot read: {e.strerror}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import LABELS
+from .corpus import LABELS, read_utf8
 from .errors import EnsembleError
 
 Prediction = tuple[str, tuple[float, float, float]]
@@ -89,7 +89,7 @@ def read_predictions_tsv(path: str | Path) -> tuple[list[str], list[Prediction]]
         raise EnsembleError(f"prediction file not found: {path}")
     ids: list[str] = []
     predictions: list[Prediction] = []
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise EnsembleError(f"{path}: empty prediction file")
     for lineno, line in enumerate(lines[1:], start=2):
@@ -102,7 +102,10 @@ def read_predictions_tsv(path: str | Path) -> tuple[list[str], list[Prediction]]
         if label not in _CLASS_INDEX:
             raise EnsembleError(f"{path}: unknown label {fields[1]!r} at line {lineno}")
         if len(fields) >= 5:
-            probs = (float(fields[2]), float(fields[3]), float(fields[4]))
+            try:
+                probs = (float(fields[2]), float(fields[3]), float(fields[4]))
+            except ValueError:
+                raise EnsembleError(f"{path}: non-numeric probability at line {lineno}") from None
         else:
             probs = (0.0, 0.0, 0.0)
         ids.append(fields[0])

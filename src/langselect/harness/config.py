@@ -15,8 +15,8 @@ from pathlib import Path
 
 import yaml
 
-from ..corpus import LanguageCode
-from ..errors import HarnessError
+from ..corpus import LanguageCode, read_utf8
+from ..errors import CorpusError, HarnessError
 from ..selection import SelectionConfig
 from ..textmodel import LearnerConfig
 
@@ -63,10 +63,12 @@ def _resolve(base: Path, value: str | None) -> Path | None:
 def load_config(path: str | Path) -> HarnessConfig:
     """Parse and validate a YAML harness config."""
     path = Path(path)
-    if not path.exists():
-        raise HarnessError(f"config file not found: {path}")
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        text = read_utf8(path)
+    except CorpusError as e:
+        raise HarnessError(f"config {e}") from None
+    try:
+        doc = yaml.safe_load(text)
     except yaml.YAMLError as e:
         raise HarnessError(f"{path}: invalid YAML: {e}") from None
     if not isinstance(doc, dict):

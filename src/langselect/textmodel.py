@@ -420,10 +420,12 @@ def fine_tune(
         history.append(epoch_loss)
         lr *= config.lr_decay
 
-    weights = np.zeros((3, config.hash_buckets))
-    weights[:, used] = V.T * scale
-    if not np.isfinite(weights).all() or not np.isfinite(bias).all():
+    w_used = V.T * scale
+    # The unused buckets' weights are exact zeros, so only these can fail.
+    if not np.isfinite(w_used).all() or not np.isfinite(bias).all():
         raise TextModelError("divergence: reduce learning_rate")
+    weights = np.zeros((3, config.hash_buckets))
+    weights[:, used] = w_used
     return Model(weights=weights, bias=bias, stats=stats, config=config, loss_history=tuple(history))
 
 

@@ -4,14 +4,18 @@ These deliberately avoid the library's code paths: scores are computed
 from raw label lists with plain counting, selection rules are
 re-evaluated with straight-line loops, gradients are checked with
 central finite differences of the loss, tf-idf rows are built one text
-at a time, training is checked against a dense trainer, and sparse
-rows are read and multiplied one non-zero at a time.
+at a time, training is checked against a dense trainer, sparse rows
+are read and multiplied one non-zero at a time, and tweets are
+normalized with one regex pass per rule.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import random
+import re
+import string
+import unicodedata
 
 import numpy as np
 
@@ -375,3 +379,25 @@ def brute_force_backward(target, candidates, oracle, seeds, threshold, mode, cap
     if top_k is not None:
         positives = positives[:top_k]
     return baseline, positives
+
+
+_REF_URL_RE = re.compile(r"(?:[a-z][a-z0-9+.\-]*://|www\.)\S*", re.IGNORECASE)
+_REF_MENTION_RE = re.compile(r"@+[A-Za-z0-9_]+")
+_REF_CHAR_RUN_RE = re.compile(r"(\S)\1{3,}")
+_REF_PAIR_RUN_RE = re.compile(r"(\S)\1+")
+_REF_WS_RE = re.compile(r"\s+")
+
+
+def reference_is_punct(ch):
+    return ch in string.punctuation or unicodedata.category(ch).startswith("P")
+
+
+def reference_normalize(raw):
+    """The tweet normalizer as five regex passes, one per rule, in the
+    rules' order: URLs, mentions, runs over 3, punctuation runs, then
+    whitespace."""
+    s = _REF_URL_RE.sub("HTTPURL", raw)
+    s = _REF_MENTION_RE.sub("USER", s)
+    s = _REF_CHAR_RUN_RE.sub(r"\1\1\1", s)
+    s = _REF_PAIR_RUN_RE.sub(lambda m: m.group(1) if reference_is_punct(m.group(1)) else m.group(0), s)
+    return _REF_WS_RE.sub(" ", s).strip()

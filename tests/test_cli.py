@@ -161,6 +161,52 @@ class TestTrainPredictEnsemble:
         assert main(["predict", "--model", str(model), "--input", str(bad), "--out", str(tmp_path / "o.tsv")]) == 2
 
 
+class TestUnreadableInputs:
+    """Bad bytes or values in an input file end in an exit code and a
+    message naming the file, never in a traceback."""
+
+    def test_predict_input_not_utf8_is_data_error(self, tmp_path, capsys, config_path):
+        model = tmp_path / "m.npz"
+        assert main(
+            ["train", "--config", config_path, "--target", "aa", "--sources", "aa",
+             "--seed", "1", "--out", str(model)]
+        ) == 0
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"id\ttext\na\tcaf\xe9\n")
+        assert main(["predict", "--model", str(model), "--input", str(bad), "--out", str(tmp_path / "o.tsv")]) == 2
+        assert f"{bad}: invalid UTF-8 at byte offset 13" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"id\tlabel\na\tpositive\xff\n", "invalid UTF-8 at byte offset 19"),
+            (b"id\tlabel\tp_negative\tp_neutral\tp_positive\na\tpositive\t0.1\t0.1\t0.8\n"
+             b"b\tneutral\t0.2\tx\t0.3\n", "non-numeric probability at line 3"),
+        ],
+        ids=["not-utf8", "non-numeric-probability"],
+    )
+    def test_bad_ensemble_input_is_data_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "preds.tsv"
+        path.write_bytes(content)
+        assert main(["ensemble", "--inputs", str(path), "--out", str(tmp_path / "o.tsv")]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    def test_config_not_utf8_is_experiment_error(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_bytes(b"languages:\n  - code: aa # \xe9\n")
+        assert main(["ingest", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+        assert f"config {config}: invalid UTF-8 at byte offset 26" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, code", [("ensemble", 2), ("ingest", 3)])
+    def test_directory_input_is_named(self, tmp_path, capsys, verb, code):
+        argv = {
+            "ensemble": ["--inputs", str(tmp_path), "--out", str(tmp_path / "o.tsv")],
+            "ingest": ["--config", str(tmp_path), "--out-dir", str(tmp_path / "out")],
+        }[verb]
+        assert main([verb, *argv]) == code
+        assert f"{tmp_path}: cannot read: Is a directory" in capsys.readouterr().err
+
+
 class TestSelectAndReport:
     def test_full_flow(self, tmp_path, capsys, config_path):
         matrix_path = tmp_path / "matrix.jsonl"

@@ -1,6 +1,8 @@
 """Corpus module tests: normalization, loaders, dedup and sampling."""
 import logging
 import random
+import re
+import sys
 
 import pytest
 
@@ -21,11 +23,13 @@ from langselect.corpus import (
     AFRISENTI_LANGUAGES,
     MENTION_RE,
     URL_RE,
+    _is_punct,
     _warn_short_language,
     save_labeled_tsv,
 )
 
 from conftest import make_dataset
+from reference import reference_normalize
 
 
 class TestNormalizeText:
@@ -81,6 +85,64 @@ class TestNormalizeText:
             assert normalize_text(once) == once, raw
             assert URL_RE.search(once) is None, raw
             assert MENTION_RE.search(once) is None, raw
+
+
+# Every code point, surrogates included, in one string.
+ALL_CODE_POINTS = "".join(map(chr, range(sys.maxunicode + 1)))
+WHITESPACE = [c for c in ALL_CODE_POINTS if c.isspace()]
+# Characters whose runs the rules treat differently: letters, digits,
+# ASCII punctuation, other Unicode punctuation (P*), "_", symbols that
+# string.punctuation does ($, +, ^) and does not (©, °) list, and emoji.
+RUN_CHARS = "aZé7!.-?—«¡、‿_$+^©°\U0001F602\U0001F44D"
+
+
+def _random_tweet(rng: random.Random) -> str:
+    pieces = []
+    for _ in range(rng.randint(0, 12)):
+        kind = rng.randrange(6)
+        if kind == 0:
+            pieces.append(rng.choice(RUN_CHARS) * rng.randint(1, 6))
+        elif kind == 1:
+            # Schemes in any case, with characters that case-fold onto
+            # scheme letters (İ -> i, ſ -> s, Kelvin K -> k).
+            scheme = rng.choice(["http", "HTTPS", "Ftp", "\u0130ttp", "\u017f", "\u212a", "9x", "a+b.c-d", ""])
+            pieces.append(scheme + rng.choice(["://", ":/", "//", ":"]) + rng.choice(["t.co/x", "", "@a", "!!"]))
+        elif kind == 2:
+            pieces.append(rng.choice(["www.", "WWW.", "wWw.", "ww.", "w.", "W.", "www", "\u0175ww."]) + rng.choice(["ex.com", "", "..."]))
+        elif kind == 3:
+            pieces.append("@" * rng.randint(1, 3) + rng.choice(["name", "_x9", "", "!", "@"]))
+        elif kind == 4:
+            pieces.append(rng.choice(WHITESPACE) * rng.randint(1, 3))
+        else:
+            pieces.append("".join(rng.choice("abcxyz") for _ in range(rng.randint(1, 5))))
+    return "".join(pieces)
+
+
+class TestNormalizeMatchesReference:
+    """normalize_text against the five-regex reference, and the facts
+    about Python's regex engine its faster passes rely on."""
+
+    def test_generated_tweets(self):
+        rng = random.Random(20231018)
+        for _ in range(20000):
+            raw = _random_tweet(rng)
+            assert normalize_text(raw) == reference_normalize(raw), repr(raw)
+
+    def test_every_whitespace_code_point(self):
+        for c in WHITESPACE:
+            raw = f"{c}a{c}{c}!!{c}"
+            assert normalize_text(raw) == reference_normalize(raw) == "a !", repr(c)
+
+    def test_regex_whitespace_is_str_isspace(self):
+        assert re.findall(r"\s", ALL_CODE_POINTS) == WHITESPACE
+
+    def test_only_underscore_is_punctuation_and_word_or_space(self):
+        word_or_space = re.findall(r"[\w\s]", ALL_CODE_POINTS)
+        assert [c for c in word_or_space if _is_punct(c)] == ["_"]
+
+    def test_url_literals_have_no_case_variants_but_w(self):
+        assert re.findall(r"w", ALL_CODE_POINTS, re.IGNORECASE) == ["W", "w"]
+        assert re.findall(r"[:/.]", ALL_CODE_POINTS, re.IGNORECASE) == [".", "/", ":"]
 
 
 class TestLanguageCode:
