@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import ensemble as ens
 from . import selection as sel
-from .corpus import dedup_dev, normalize_text, read_utf8, save_labeled_tsv
+from .corpus import normalize_text, read_utf8, save_labeled_tsv
 from .errors import CorpusError, EnsembleError, HarnessError, MetricsError, SelectionError, TextModelError
 from .harness import (
     CorpusStore,
@@ -22,15 +22,15 @@ from .harness import (
     ScoreCache,
     ScoreMatrix,
     adaptation_stats,
-    build_training_set,
     load_config,
     render_report,
     run_matrix,
     selection_results_from_jsonl,
     selection_results_to_jsonl,
+    train_model,
 )
 from .harness.report import FORMATS
-from .textmodel import fine_tune, load_model, predict_texts, save_model
+from .textmodel import load_model, predict_texts, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -143,7 +143,7 @@ def _context(args: argparse.Namespace):
     return cfg, store, cache, seeds
 
 
-def _spec_from_args(args: argparse.Namespace, cfg, seed: int) -> ExperimentSpec:
+def _spec_from_args(args: argparse.Namespace, cfg) -> ExperimentSpec:
     sources = tuple(s.strip() for s in args.sources.split(",") if s.strip())
     if not sources:
         raise _UsageError("--sources must name at least one language")
@@ -153,7 +153,6 @@ def _spec_from_args(args: argparse.Namespace, cfg, seed: int) -> ExperimentSpec:
         mode=_MODES[args.mode] if args.mode else cfg.selection.mode,
         adaptation=(args.adaptation or cfg.adaptation).lower(),
         learner=cfg.learner,
-        seed=seed,
         sample_cap=args.cap,
         eval_split=getattr(args, "eval_split", None) or cfg.eval_split,
     )
@@ -168,10 +167,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         code = lf.language.code
         train = store.split(code, "train")
         dev = store.split(code, "dev")
-        if train is None or dev is None:
+        devstar = store.devstar(code)
+        if devstar is None:
             print(f"{code}\ttrain={len(train) if train else 0}\tdev={len(dev) if dev else 0}\tdevstar=skipped")
             continue
-        devstar = dedup_dev(train, dev)
         save_labeled_tsv(devstar, out_dir / f"{code}_devstar.tsv")
         print(
             f"{code}\ttrain={len(train)}\tdev={len(dev)}\tdevstar={len(devstar)}"
@@ -183,10 +182,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg, store, _, seeds = _context(args)
     seed = args.seed if args.seed is not None else seeds[0]
-    spec = _spec_from_args(args, cfg, seed)
-    train_sets = build_training_set(spec, store)
-    stats = adaptation_stats(spec, store)
-    model = fine_tune(stats, train_sets, replace(spec.learner, seed=spec.seed))
+    spec = _spec_from_args(args, cfg)
+    model = train_model(spec, store, seed, adaptation_stats(spec, store))
     save_model(model, args.out)
     print(f"saved\t{args.out}\tfinal_loss={model.loss_history[-1]!r}")
     return 0
@@ -194,7 +191,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     cfg, store, cache, seeds = _context(args)
-    spec = _spec_from_args(args, cfg, seeds[0])
+    spec = _spec_from_args(args, cfg)
     matrix = run_matrix(
         [PlanCell(spec.target, spec.sources, spec.sample_cap)],
         store,
@@ -235,21 +232,20 @@ def _tasks(cfg, store) -> list[sel.SelectionTask]:
     return tasks
 
 
-def _selection_config(args: argparse.Namespace, cfg, seeds) -> sel.SelectionConfig:
+def _selection_config(args: argparse.Namespace, cfg) -> sel.SelectionConfig:
     top_k = getattr(args, "top_k", None)
     return replace(
         cfg.selection,
         mode=_MODES[args.mode] if args.mode else cfg.selection.mode,
-        seeds=tuple(seeds),
         top_k=cfg.selection.top_k if top_k is None else top_k,
     )
 
 
-def _run_cells(cfg, store, cache, sel_cfg, cells) -> ScoreMatrix:
+def _run_cells(cfg, store, cache, seeds, sel_cfg, cells) -> ScoreMatrix:
     return run_matrix(
         cells,
         store,
-        seeds=sel_cfg.seeds,
+        seeds=seeds,
         learner=cfg.learner,
         mode=sel_cfg.mode,
         adaptation=cfg.adaptation,
@@ -260,10 +256,10 @@ def _run_cells(cfg, store, cache, sel_cfg, cells) -> ScoreMatrix:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     cfg, store, cache, seeds = _context(args)
-    sel_cfg = _selection_config(args, cfg, seeds)
+    sel_cfg = _selection_config(args, cfg)
     strategy = _STRATEGIES[args.strategy]
     cells = [cell for task in _tasks(cfg, store) for cell in sel.plan(task, sel_cfg, strategy)]
-    matrix = _run_cells(cfg, store, cache, sel_cfg, cells)
+    matrix = _run_cells(cfg, store, cache, seeds, sel_cfg, cells)
     Path(args.out).write_text(matrix.to_jsonl(), encoding="utf-8")
     print(f"cells={len(matrix.entries)}\tseeds={len(seeds)}\tout={args.out}")
     return 0
@@ -271,12 +267,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     cfg, store, cache, seeds = _context(args)
-    sel_cfg = _selection_config(args, cfg, seeds)
+    sel_cfg = _selection_config(args, cfg)
     strategy = _STRATEGIES[args.strategy]
     tasks = _tasks(cfg, store)
     # One run over every target's plan; deciding then only reads its table.
     cells = [cell for task in tasks for cell in sel.plan(task, sel_cfg, strategy)]
-    scores = _run_cells(cfg, store, cache, sel_cfg, cells).means()
+    scores = _run_cells(cfg, store, cache, seeds, sel_cfg, cells).means()
     decide = sel.forward_select if strategy == sel.FORWARD else sel.backward_select
     results: dict[str, sel.SelectionResult] = {}
     for task in tasks:
@@ -291,7 +287,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     ]
     selected_entries: dict[str, object] = {}
     if selected_cells:
-        sel_matrix = _run_cells(cfg, store, cache, sel_cfg, selected_cells)
+        sel_matrix = _run_cells(cfg, store, cache, seeds, sel_cfg, selected_cells)
         selected_entries = sel_matrix.entries
         if args.matrix_out:
             Path(args.matrix_out).write_text(sel_matrix.to_jsonl(), encoding="utf-8")

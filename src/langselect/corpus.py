@@ -22,6 +22,7 @@ from .errors import CorpusError
 logger = logging.getLogger(__name__)
 
 LABELS = ("negative", "neutral", "positive")
+LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
 SPLITS = ("train", "dev", "devstar", "test")
 
 # A URL span starts at an alpha-led scheme token ("http://", "ftp://", ...)

@@ -9,11 +9,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import LABELS, read_utf8
+from .corpus import LABEL_INDEX, LABELS, read_utf8
 from .errors import EnsembleError
 
 Prediction = tuple[str, tuple[float, float, float]]
-_CLASS_INDEX = {label: i for i, label in enumerate(LABELS)}
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,7 @@ class VotePool:
                     f"seed {i} has {len(preds)} predictions, expected {length}"
                 )
             for label, _ in preds:
-                if label not in _CLASS_INDEX:
+                if label not in LABEL_INDEX:
                     raise EnsembleError(f"unknown label {label!r} in vote pool")
 
     @property
@@ -57,7 +56,7 @@ def majority_vote(pool: VotePool) -> list[str]:
         if len(tied) > 1:
             # Highest mean probability wins; max() keeps the earliest of
             # equal keys, which is the fixed class order.
-            tied = [max(tied, key=lambda label: mean_probs[_CLASS_INDEX[label]])]
+            tied = [max(tied, key=lambda label: mean_probs[LABEL_INDEX[label]])]
         out.append(tied[0])
     return out
 
@@ -99,7 +98,7 @@ def read_predictions_tsv(path: str | Path) -> tuple[list[str], list[Prediction]]
         if len(fields) < 2:
             raise EnsembleError(f"{path}: malformed row at line {lineno}")
         label = fields[1].strip().lower()
-        if label not in _CLASS_INDEX:
+        if label not in LABEL_INDEX:
             raise EnsembleError(f"{path}: unknown label {fields[1]!r} at line {lineno}")
         if len(fields) >= 5:
             try:

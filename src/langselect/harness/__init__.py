@@ -1,4 +1,4 @@
-"""Experiment orchestration: configs, scoring one job, the score cache,
+"""Experiment orchestration: configs, scoring one cell, the score cache,
 the matrix runner that turns a selection plan into a score table, and
 report generation."""
 from ..selection import PlanCell
@@ -14,6 +14,7 @@ from .experiments import (
     build_training_set,
     run_matrix,
     score_experiment,
+    train_model,
 )
 from .report import render_report, selection_results_from_jsonl, selection_results_to_jsonl
 
@@ -36,4 +37,5 @@ __all__ = [
     "score_experiment",
     "selection_results_from_jsonl",
     "selection_results_to_jsonl",
+    "train_model",
 ]

@@ -1,7 +1,9 @@
 """Harness configuration: one YAML document declaring languages, data
 paths, learner settings, selection settings, seeds, adaptation, the
 cache directory and the evaluation split. Unknown top-level keys are
-ignored.
+ignored; unknown learner and selection keys are errors. The top-level
+``seeds`` are the only seed setting: every score of a run is averaged
+over them unless ``--seed-list`` replaces them.
 
 Relative paths are resolved against the config file's directory. The
 cache directory can be overridden with the LANGSELECT_CACHE_DIR
@@ -106,13 +108,14 @@ def load_config(path: str | Path) -> HarnessConfig:
     if len(set(seeds)) != len(seeds):
         raise HarnessError(f"{path}: 'seeds' must be distinct, got {list(seeds)}")
 
+    learner_doc = doc.get("learner", {})
+    if isinstance(learner_doc, dict) and "seed" in learner_doc:
+        raise HarnessError(f"{path}: 'learner.seed' is not a setting; a run's seeds come from 'seeds'")
     try:
-        learner = LearnerConfig(**doc.get("learner", {}))
+        learner = LearnerConfig(**learner_doc)
         sel_kwargs = dict(doc.get("selection", {}))
         if "top_k" in sel_kwargs and sel_kwargs["top_k"] is not None:
             sel_kwargs["top_k"] = int(sel_kwargs["top_k"])
-        sel_kwargs.setdefault("seeds", seeds)
-        sel_kwargs["seeds"] = tuple(sel_kwargs["seeds"])
         selection = SelectionConfig(**sel_kwargs)
     except TypeError as e:
         raise HarnessError(f"{path}: bad learner/selection settings: {e}") from None

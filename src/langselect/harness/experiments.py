@@ -1,8 +1,9 @@
-"""Experiment orchestration: specs, the corpus store, scoring one job
-(build training set -> pretrain -> fine-tune -> evaluate), and the
-matrix runner that scores every (cell, seed) job of a plan, one after
-another, and aggregates seeds into a score table.
+"""Experiment orchestration: specs, the corpus store, scoring one cell
+at a list of seeds (pretrain once, then per seed: build training set ->
+fine-tune -> evaluate), and the matrix runner that scores every cell of
+a plan, one after another, and aggregates seeds into a score table.
 
+A spec is a cell; the seed is an argument of scoring, set once per run.
 Every score is a deterministic function of (spec, seed), so results are
 identical whether or not they come from the cache.
 """
@@ -31,6 +32,7 @@ from ..textmodel import (
     NUMERICS_VERSION,
     AdaptationStats,
     LearnerConfig,
+    Model,
     fine_tune,
     predict_texts,
     pretrain,
@@ -72,9 +74,6 @@ class CorpusStore:
             return self._metadata[code]
         except KeyError:
             raise HarnessError(f"unknown language {code!r}") from None
-
-    def languages(self) -> list[LanguageCode]:
-        return [self._metadata[code] for code in sorted(self._metadata)]
 
     def split(self, code: str, split: str) -> Dataset | None:
         if split == "devstar":
@@ -171,7 +170,6 @@ class ExperimentSpec:
     mode: str = MULTILINGUAL
     adaptation: str = "none"
     learner: LearnerConfig = field(default_factory=LearnerConfig)
-    seed: int = 0
     sample_cap: int | None = None
     eval_split: str = "devstar"
 
@@ -196,15 +194,15 @@ class ExperimentSpec:
             raise HarnessError(f"sample_cap must be >= 1, got {self.sample_cap}")
 
     def cell_key(self, store: CorpusStore) -> str:
-        """Score-cache key of the cell: a hash over every field except the
-        seed, the learner's NUMERICS_VERSION, and the content digests of
-        the data the cell reads from ``store`` (source train splits, the
-        target's eval split and the adaptation corpora). Groups the
-        per-seed runs of one cell; changed data or numerics give a new key."""
+        """Score-cache key of the cell: a hash over every field but the
+        learner's seed, plus the learner's NUMERICS_VERSION and the content
+        digests of the data the cell reads from ``store`` (source train
+        splits, the target's eval split and the adaptation corpora). Groups
+        the per-seed runs of one cell; changed data or numerics give a new
+        key."""
         payload = asdict(self)
-        del payload["seed"]
-        # The experiment seed is what varies between runs; the learner's
-        # own seed field must not split cells either.
+        # Scoring sets the learner's seed to the run's seed, so the
+        # field must not split cells.
         del payload["learner"]["seed"]
         payload["numerics_version"] = NUMERICS_VERSION
         payload["data"] = {
@@ -232,16 +230,17 @@ class ExperimentSpec:
         cap = f" cap={self.sample_cap}" if self.sample_cap is not None else ""
         return (
             f"target={self.target} sources={','.join(self.sources)} mode={self.mode} "
-            f"adaptation={self.adaptation} seed={self.seed} eval={self.eval_split}{cap}"
+            f"adaptation={self.adaptation} eval={self.eval_split}{cap}"
         )
 
 
-def build_training_set(spec: ExperimentSpec, store: CorpusStore) -> list[Dataset]:
-    """Training datasets for a spec: the (optionally capped) train splits
-    of its source languages, sorted by language code, rows in file order."""
+def build_training_set(spec: ExperimentSpec, store: CorpusStore, seed: int) -> list[Dataset]:
+    """Training datasets for a spec at one seed: the train splits of its
+    source languages, sorted by language code, rows in file order; a
+    capped spec subsamples each with ``seed``."""
     sets = [store.train(code) for code in spec.sources]
     if spec.sample_cap is not None:
-        sets = sample_per_language(sets, spec.sample_cap, seed=spec.seed)
+        sets = sample_per_language(sets, spec.sample_cap, seed=seed)
     return sets
 
 
@@ -273,35 +272,42 @@ def adaptation_stats(spec: ExperimentSpec, store: CorpusStore) -> AdaptationStat
     return tapt if tapt is not None else lapt  # type: ignore[return-value]
 
 
-def score_experiment(
-    spec: ExperimentSpec, store: CorpusStore, cache: ScoreCache | None = None
-) -> tuple[float, int]:
-    """Weighted F1 of one spec at one seed (cached when a cache is given).
+def train_model(spec: ExperimentSpec, store: CorpusStore, seed: int, stats: AdaptationStats) -> Model:
+    """Fine-tune a spec's model at one seed on the cell's adaptation
+    statistics ``stats``."""
+    return fine_tune(stats, build_training_set(spec, store, seed), replace(spec.learner, seed=seed))
 
-    Returns (score, evaluation support).
+
+def score_experiment(
+    spec: ExperimentSpec, store: CorpusStore, seeds: Sequence[int], cache: ScoreCache
+) -> dict[int, tuple[float, int]]:
+    """(weighted F1, evaluation support) of one cell at each seed, keyed by
+    seed.
+
+    Seeds are read from ``cache`` first. For the seeds that miss, the
+    cell's adaptation statistics and eval labels are built once, then each
+    seed is trained, scored and put in sorted order. The first failing
+    seed ends the cell and is named in the error.
     """
     cell_key = spec.cell_key(store)
-    if cache is not None:
-        hit = cache.get(cell_key, spec.seed)
-        if hit is not None:
-            return hit
+    results = {seed: hit for seed in seeds if (hit := cache.get(cell_key, seed)) is not None}
+    missing = sorted(set(seeds) - results.keys())
+    if not missing:
+        return results
+    seed = None
     try:
-        train_sets = build_training_set(spec, store)
         stats = adaptation_stats(spec, store)
-        config = replace(spec.learner, seed=spec.seed)
-        model = fine_tune(stats, train_sets, config)
         eval_ds = store.eval_dataset(spec.target, spec.eval_split)
-        predictions = predict_texts(model, eval_ds.texts())
-        gold = [ex.label for ex in eval_ds]
-        score = weighted_f1(confusion(gold, [label for label, _ in predictions]))
-    except HarnessError:
-        raise
+        texts, gold = eval_ds.texts(), [ex.label for ex in eval_ds]
+        for seed in missing:
+            predictions = predict_texts(train_model(spec, store, seed, stats), texts)
+            score = weighted_f1(confusion(gold, [label for label, _ in predictions]))
+            cache.put(cell_key, seed, score, len(eval_ds))
+            results[seed] = (score, len(eval_ds))
     except Exception as e:
-        raise HarnessError(f"experiment failed ({spec.describe()}): {e}") from e
-    support = len(eval_ds)
-    if cache is not None:
-        cache.put(cell_key, spec.seed, score, support)
-    return score, support
+        at = "" if seed is None else f" seed={seed}"
+        raise HarnessError(f"experiment failed ({spec.describe()}{at}): {e}") from e
+    return results
 
 
 def _aggregate(per_seed: dict[int, float]) -> tuple[float, float]:
@@ -408,50 +414,40 @@ def run_matrix(
     eval_split: str = "devstar",
     cache: ScoreCache | None = None,
 ) -> ScoreMatrix:
-    """Score every (cell, seed) job, in (cell key, seed) order, and
-    assemble the matrix; cached jobs are read from ``cache``.
+    """Score every cell at every seed, in cell-key order, and assemble the
+    matrix; cached scores are read from ``cache`` (in memory when None).
 
-    A failing job does not stop the run: once every job has been tried,
-    a single error reporting all failed specs is raised, so a matrix is
+    A failing cell does not stop the run: once every cell has been tried,
+    a single error reporting all failed cells is raised, so a matrix is
     never silently partial.
     """
     if len(set(seeds)) != len(seeds):
         raise HarnessError(f"seeds must be distinct, got {tuple(seeds)}")
-    specs: dict[tuple[str, int], ExperimentSpec] = {}
+    cache = ScoreCache() if cache is None else cache
+    specs: dict[str, ExperimentSpec] = {}
     for cell in cells:
-        for seed in seeds:
-            spec = ExperimentSpec(
-                target=cell.target,
-                sources=cell.sources,
-                mode=mode,
-                adaptation=adaptation,
-                learner=learner,
-                seed=seed,
-                sample_cap=cell.sample_cap,
-                eval_split=eval_split,
-            )
-            specs.setdefault((spec.cell_key(store), seed), spec)
-
-    results: dict[tuple[str, int], tuple[float, int]] = {}
-    failures: list[str] = []
-    for job in sorted(specs):
-        try:
-            results[job] = score_experiment(specs[job], store, cache)
-        except HarnessError as e:
-            failures.append(f"{specs[job].describe()}: {e}")
-    if failures:
-        raise HarnessError(
-            "matrix run failed for %d cell(s):\n%s" % (len(failures), "\n".join(sorted(failures)))
+        spec = ExperimentSpec(
+            target=cell.target,
+            sources=cell.sources,
+            mode=mode,
+            adaptation=adaptation,
+            learner=learner,
+            sample_cap=cell.sample_cap,
+            eval_split=eval_split,
         )
+        specs.setdefault(spec.cell_key(store), spec)
 
-    # Seeds are grouped in plan order, which fixes each mean's summation order.
-    per_cell: dict[str, dict[int, tuple[float, int]]] = {}
-    for key, seed in specs:
-        per_cell.setdefault(key, {})[seed] = results[(key, seed)]
     entries: dict[str, MatrixEntry] = {}
-    for key, seed_scores in per_cell.items():
-        spec = specs[(key, next(iter(seed_scores)))]
-        per_seed = {s: v[0] for s, v in seed_scores.items()}
+    failures: list[str] = []
+    for key in sorted(specs):
+        spec = specs[key]
+        try:
+            scores = score_experiment(spec, store, seeds, cache)
+        except HarnessError as e:
+            failures.append(str(e))
+            continue
+        # Seeds keep the given order, which fixes each mean's summation order.
+        per_seed = {seed: scores[seed][0] for seed in seeds}
         mean, std = _aggregate(per_seed)
         entries[key] = MatrixEntry(
             target=spec.target,
@@ -463,6 +459,10 @@ def run_matrix(
             per_seed=per_seed,
             mean=mean,
             std=std,
-            support=next(iter(seed_scores.values()))[1],
+            support=scores[seeds[0]][1],
+        )
+    if failures:
+        raise HarnessError(
+            "matrix run failed for %d cell(s):\n%s" % (len(failures), "\n".join(sorted(failures)))
         )
     return ScoreMatrix(entries=entries)

@@ -6,16 +6,13 @@ with zero gold support are excluded from weighted and macro averages.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import LABELS
+from .corpus import LABEL_INDEX, LABELS
 from .errors import MetricsError
-
-CLASS_ORDER = LABELS
-_CLASS_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
 
 
 @dataclass(frozen=True)
@@ -23,7 +20,6 @@ class ConfusionMatrix:
     """3x3 counts; rows are gold classes, columns are predicted classes."""
 
     counts: np.ndarray
-    class_order: tuple[str, str, str] = field(default=CLASS_ORDER, compare=False)
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -61,7 +57,7 @@ class ScoreReport:
             f"weighted_f1={self.weighted_f1!r}",
             f"macro_f1={self.macro_f1!r}",
         ]
-        for label, f1, sup in zip(CLASS_ORDER, self.per_class_f1, self.support):
+        for label, f1, sup in zip(LABELS, self.per_class_f1, self.support):
             lines.append(f"f1_{label}={f1!r}")
             lines.append(f"support_{label}={sup}")
         return "\n".join(lines) + "\n"
@@ -76,7 +72,7 @@ def confusion(gold: Sequence[str], pred: Sequence[str]) -> ConfusionMatrix:
     counts = np.zeros((3, 3), dtype=np.int64)
     for g, p in zip(gold, pred):
         try:
-            counts[_CLASS_INDEX[g], _CLASS_INDEX[p]] += 1
+            counts[LABEL_INDEX[g], LABEL_INDEX[p]] += 1
         except KeyError as e:
             raise MetricsError(f"unknown label {e.args[0]!r}") from None
     return ConfusionMatrix(counts)

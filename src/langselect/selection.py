@@ -3,7 +3,8 @@
 Each strategy is two pure steps. ``plan`` lists the cells a target
 needs: a baseline training set, then one set per candidate source
 language. The harness's matrix runner trains on each cell's languages
-and scores weighted F1 on the target's held-out split, once per seed.
+and scores weighted F1 on the target's held-out split, once per seed of
+the run; seeds are set per run, not here.
 ``forward_select`` and ``backward_select`` then read the seed-mean
 scores from that table and keep the candidates whose transfer gain
 clears a threshold:
@@ -40,7 +41,6 @@ class SelectionConfig:
     threshold: float = 0.05
     baseline_samples_per_language: int = 500
     top_k: int | None = None
-    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     mode: str = MULTILINGUAL
     absolute_threshold: bool = False
 
@@ -49,10 +49,6 @@ class SelectionConfig:
             raise SelectionError(f"threshold must be positive, got {self.threshold}")
         if self.top_k is not None and self.top_k < 1:
             raise SelectionError(f"top_k must be >= 1, got {self.top_k}")
-        if not self.seeds:
-            raise SelectionError("seeds must be non-empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise SelectionError(f"seeds must be distinct, got {self.seeds}")
         if self.mode not in (MULTILINGUAL, ZEROSHOT):
             raise SelectionError(f"unknown mode {self.mode!r}")
         if self.baseline_samples_per_language < 1:

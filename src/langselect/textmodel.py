@@ -21,13 +21,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import LABELS, Dataset, Example
+from .corpus import LABEL_INDEX, LABELS, Dataset, Example
 from .errors import TextModelError
 
 logger = logging.getLogger(__name__)
-
-CLASS_ORDER = LABELS
-_CLASS_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
 
 # Start/end sentinels so n-grams see token boundaries.
 _BOUND_START = "\x02"
@@ -331,7 +328,7 @@ def _labels_to_indices(examples: Sequence[Example]) -> np.ndarray:
     for i, ex in enumerate(examples):
         if ex.label is None:
             raise TextModelError(f"fine-tuning requires labeled examples, {ex.id!r} has no label")
-        out[i] = _CLASS_INDEX[ex.label]
+        out[i] = LABEL_INDEX[ex.label]
     return out
 
 
@@ -364,7 +361,7 @@ def fine_tune(
     if not examples:
         raise TextModelError("fine_tune: no training examples")
     y = _labels_to_indices(examples)
-    present = {CLASS_ORDER[i] for i in set(y.tolist())}
+    present = {LABELS[i] for i in set(y.tolist())}
     if len(present) < 3:
         logger.warning("training set covers only %s; model degenerates on absent classes", sorted(present))
 
@@ -437,7 +434,7 @@ def predict_texts(model: Model, texts: Sequence[str]) -> list[tuple[str, tuple[f
     for row in probs:
         # argmax returns the first maximum, which honors the fixed class
         # order (negative < neutral < positive) on exact ties.
-        label = CLASS_ORDER[int(np.argmax(row))]
+        label = LABELS[int(np.argmax(row))]
         out.append((label, (float(row[0]), float(row[1]), float(row[2]))))
     return out
 

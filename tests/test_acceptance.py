@@ -117,8 +117,8 @@ def test_criterion_3_selection_correctness():
         target=LanguageCode("t"),
         candidates=tuple(LanguageCode(c) for c in ("a", "b", "c", "d")),
     )
-    cfg = SelectionConfig(seeds=(1,))
-    result = forward_select(task, score_plan(plan(task, cfg, "forward"), fwd_oracle, cfg.seeds), cfg)
+    cfg = SelectionConfig()
+    result = forward_select(task, score_plan(plan(task, cfg, "forward"), fwd_oracle, (1,)), cfg)
     assert result.baseline_score == 0.50
     assert [(l.code, round(g, 10)) for l, g in result.positive_sources] == [
         ("a", 0.10),
@@ -136,7 +136,7 @@ def test_criterion_3_selection_correctness():
             ("t", ("a", "b", "c", "t")): 0.70,
         }
     )
-    result = backward_select(task, score_plan(plan(task, cfg, "backward"), bwd_oracle, cfg.seeds), cfg)
+    result = backward_select(task, score_plan(plan(task, cfg, "backward"), bwd_oracle, (1,)), cfg)
     assert result.baseline_score == 0.70
     assert [(l.code, round(g, 10)) for l, g in result.positive_sources] == [
         ("c", 0.20),
@@ -146,7 +146,7 @@ def test_criterion_3_selection_correctness():
     # N x N accounting over a 4-language universe: every target's plan
     # holds 16 distinct cells per strategy, each scored once per seed.
     codes = ("a", "b", "c", "d")
-    cfg = SelectionConfig(seeds=(1, 2))
+    seeds = (1, 2)
     for strategy, decide in (("forward", forward_select), ("backward", backward_select)):
         oracle = HashOracle(salt=strategy)
         for target in codes:
@@ -154,7 +154,7 @@ def test_criterion_3_selection_correctness():
                 target=LanguageCode(target),
                 candidates=tuple(LanguageCode(c) for c in codes if c != target),
             )
-            decide(task, score_plan(plan(task, cfg, strategy), oracle, cfg.seeds), cfg)
+            decide(task, score_plan(plan(task, cfg, strategy), oracle, seeds), cfg)
         assert len(oracle.distinct_cells()) == 16
         assert len(oracle.calls) == 16 * 2
     _passed("criterion 3: selection correctness", start, 1.0)
@@ -181,19 +181,20 @@ def test_criterion_5_directional_source_selection_effect():
     uni = six_language_universe()
     store = build_store(uni)
     learner = LearnerConfig(**uni.learner)
-    cfg = SelectionConfig(seeds=(1, 2, 3, 4, 5))
+    cfg = SelectionConfig()
+    seeds = (1, 2, 3, 4, 5)
     cache = ScoreCache()
     task = SelectionTask(
         target=store.language("tt"),
         candidates=tuple(store.language(c) for c in ("ha", "hb", "xa", "xb", "xc")),
     )
-    matrix = run_matrix(plan(task, cfg, "forward"), store, seeds=cfg.seeds, learner=learner, cache=cache)
+    matrix = run_matrix(plan(task, cfg, "forward"), store, seeds=seeds, learner=learner, cache=cache)
     result = forward_select(task, matrix.means(), cfg)
     assert result.positive_codes() == ("ha", "hb") or result.positive_codes() == ("hb", "ha")
 
     selected = PlanCell("tt", result.selected_sources(), None)
     all_langs = PlanCell("tt", ("ha", "hb", "tt", "xa", "xb", "xc"), None)
-    means = run_matrix([selected, all_langs], store, seeds=cfg.seeds, learner=learner, cache=cache).means()
+    means = run_matrix([selected, all_langs], store, seeds=seeds, learner=learner, cache=cache).means()
     gap_points = 100.0 * (means[selected] - means[all_langs])
     assert gap_points >= 10.0, f"selection gap only {gap_points:.2f} points"
     _passed(

@@ -92,6 +92,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and flag in err and "positive integer" in err
 
+    @pytest.mark.parametrize(
+        "section", ["selection:\n  seeds: [3]\n", "learner:\n  seed: 99\n"], ids=["selection", "learner"]
+    )
+    def test_seed_outside_seeds_is_experiment_error(self, tmp_path, capsys, section):
+        # Only the top-level seeds (or --seed-list) set a run's seeds; a
+        # seed key anywhere else is refused, not parsed and then ignored.
+        config = tmp_path / "config.yaml"
+        config.write_text("languages:\n  - code: aa\nseeds: [1, 2]\n" + section, encoding="utf-8")
+        assert main(["score", "--config", str(config), "--target", "aa", "--sources", "aa"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("experiment error:") and "seed" in err
+
     def test_experiment_error(self, tmp_path, capsys):
         assert (
             main(["score", "--config", str(tmp_path / "nope.yaml"), "--target", "aa", "--sources", "aa"])

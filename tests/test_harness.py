@@ -1,4 +1,4 @@
-"""Harness tests: specs, corpus store, scoring one job, cache journal,
+"""Harness tests: specs, corpus store, scoring one cell, cache journal,
 selection plans, matrix runner and reports."""
 import json
 import logging
@@ -73,7 +73,7 @@ def tasks(codes):
 
 def full_plan(codes, strategy, mode="multilingual", cap=500):
     """Every target's plan cells, in target order."""
-    cfg = SelectionConfig(seeds=(1,), mode=mode, baseline_samples_per_language=cap)
+    cfg = SelectionConfig(mode=mode, baseline_samples_per_language=cap)
     return [cell for task in tasks(codes) for cell in plan(task, cfg, strategy)]
 
 
@@ -98,14 +98,11 @@ class TestExperimentSpec:
             ExperimentSpec(target="aa", sources=("aa",), eval_split="train")
 
     def test_keys_stable_and_seed_scoped(self, store):
-        a = ExperimentSpec(target="aa", sources=("aa", "bb"), seed=1)
-        b = ExperimentSpec(target="aa", sources=("bb", "aa"), seed=1)
+        a = ExperimentSpec(target="aa", sources=("aa", "bb"))
+        b = ExperimentSpec(target="aa", sources=("bb", "aa"))
         assert a == b
         assert a.cell_key(store) == b.cell_key(store)
-        c = ExperimentSpec(target="aa", sources=("aa", "bb"), seed=2)
-        assert a != c
-        assert a.cell_key(store) == c.cell_key(store)
-        d = ExperimentSpec(target="aa", sources=("aa", "bb"), seed=1, sample_cap=10)
+        d = ExperimentSpec(target="aa", sources=("aa", "bb"), sample_cap=10)
         assert a.cell_key(store) != d.cell_key(store)
 
     def test_cell_key_digest_unchanged(self, store):
@@ -113,7 +110,7 @@ class TestExperimentSpec:
         # hashes every spec field but the seeds, the numerics version and
         # the data digests.
         spec = ExperimentSpec(
-            target="aa", sources=("aa", "bb"), adaptation="tapt", learner=LEARNER, seed=3, sample_cap=10
+            target="aa", sources=("aa", "bb"), adaptation="tapt", learner=LEARNER, sample_cap=10
         )
         assert spec.cell_key(store) == "e42eb9e431bb4117374c8a4b"
 
@@ -127,14 +124,14 @@ class TestExperimentSpec:
     def test_cell_key_covers_numerics_version(self, store, monkeypatch):
         import langselect.harness.experiments as exp
 
-        spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, seed=1)
+        spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER)
         cache = ScoreCache()
-        score_experiment(spec, store, cache)
+        score_experiment(spec, store, (1,), cache)
         before = spec.cell_key(store)
         monkeypatch.setattr(exp, "NUMERICS_VERSION", exp.NUMERICS_VERSION + 1)
         assert spec.cell_key(store) != before
         assert cache.get(spec.cell_key(store), 1) is None
-        score_experiment(spec, store, cache)
+        score_experiment(spec, store, (1,), cache)
         assert len(cache) == 2
 
     def test_cell_key_covers_data(self, tmp_path):
@@ -146,11 +143,11 @@ class TestExperimentSpec:
         train_tsv = next(lf.train for lf in cfg.languages if lf.language.code == "bb")
         cache = ScoreCache(tmp_path / "scores.journal")
         specs = [
-            ExperimentSpec(target="aa", sources=("aa", "bb"), learner=LEARNER, seed=1),
-            ExperimentSpec(target="aa", sources=("aa", "bb"), adaptation="lapt+tapt", learner=LEARNER, seed=1),
+            ExperimentSpec(target="aa", sources=("aa", "bb"), learner=LEARNER),
+            ExperimentSpec(target="aa", sources=("aa", "bb"), adaptation="lapt+tapt", learner=LEARNER),
         ]
         store = CorpusStore.from_config(cfg)
-        first = [score_experiment(spec, store, cache) for spec in specs]
+        first = [score_experiment(spec, store, (1,), cache) for spec in specs]
         lines = train_tsv.read_text(encoding="utf-8").splitlines()
         rotate = {"negative": "neutral", "neutral": "positive", "positive": "negative"}
         rotated = [lines[0]] + [
@@ -161,11 +158,11 @@ class TestExperimentSpec:
         for spec in specs:
             assert spec.cell_key(edited) != spec.cell_key(store)
             assert cache.get(spec.cell_key(edited), 1) is None
-        second = [score_experiment(spec, edited, cache) for spec in specs]
+        second = [score_experiment(spec, edited, (1,), cache) for spec in specs]
         assert len(ScoreCache(tmp_path / "scores.journal")) == 4
         assert second != first
         # An unrelated language's data does not split the cell.
-        spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, seed=1)
+        spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER)
         assert spec.cell_key(edited) == spec.cell_key(store)
 
 
@@ -190,25 +187,23 @@ class TestCorpusStore:
 class TestBuildTrainingSet:
     def test_concatenates_in_code_order(self, store):
         spec = ExperimentSpec(target="aa", sources=("bb", "aa"), learner=LEARNER)
-        sets = build_training_set(spec, store)
+        sets = build_training_set(spec, store, 1)
         assert [ds.language.code for ds in sets] == ["aa", "bb"]
         assert sum(len(ds) for ds in sets) == 72
 
     def test_cap_applies_min_rule(self, store):
         spec = ExperimentSpec(target="aa", sources=("aa", "bb"), learner=LEARNER, sample_cap=10)
-        sets = build_training_set(spec, store)
+        sets = build_training_set(spec, store, 1)
         assert [len(ds) for ds in sets] == [10, 10]
         uncapped = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, sample_cap=500)
-        assert [len(ds) for ds in build_training_set(uncapped, store)] == [36]
+        assert [len(ds) for ds in build_training_set(uncapped, store, 1)] == [36]
 
     def test_cap_subsample_depends_on_seed_not_set(self, store):
         a = build_training_set(
-            ExperimentSpec(target="aa", sources=("aa", "bb"), learner=LEARNER, sample_cap=10, seed=3),
-            store,
+            ExperimentSpec(target="aa", sources=("aa", "bb"), learner=LEARNER, sample_cap=10), store, 3
         )
         b = build_training_set(
-            ExperimentSpec(target="aa", sources=("aa", "cc"), learner=LEARNER, sample_cap=10, seed=3),
-            store,
+            ExperimentSpec(target="aa", sources=("aa", "cc"), learner=LEARNER, sample_cap=10), store, 3
         )
         assert a[0] == b[0]  # the aa subsample is identical across sets
 
@@ -248,11 +243,11 @@ class TestAdaptationStats:
 
 class TestScoreExperiment:
     def test_deterministic_and_cache_consistent(self, store):
-        spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, seed=1)
-        cold1, support1 = score_experiment(spec, store)
+        spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER)
+        cold1, support1 = score_experiment(spec, store, (1,), ScoreCache())[1]
         cache = ScoreCache()
-        warm, support = score_experiment(spec, store, cache)
-        cached, _ = score_experiment(spec, store, cache)
+        warm, support = score_experiment(spec, store, (1,), cache)[1]
+        cached, _ = score_experiment(spec, store, (1,), cache)[1]
         assert cold1 == warm == cached  # bit-for-bit across recomputation
         assert support == support1 == len(store.devstar("aa"))
         assert 0.0 <= warm <= 1.0
@@ -269,21 +264,21 @@ class TestScoreExperiment:
 
         monkeypatch.setattr(exp, "fine_tune", counting)
         cache = ScoreCache()
-        spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, seed=1)
-        score_experiment(spec, store, cache)
-        score_experiment(spec, store, cache)
+        spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER)
+        score_experiment(spec, store, (1,), cache)
+        score_experiment(spec, store, (1,), cache)
         assert calls["n"] == 1
 
     def test_error_carries_spec_context(self, store):
         spec = ExperimentSpec(target="zz", sources=("zz",), learner=LEARNER)
         with pytest.raises(HarnessError, match="zz"):
-            score_experiment(spec, store)
+            score_experiment(spec, store, (1,), ScoreCache())
 
     def test_divergence_propagates_as_experiment_error(self, store):
         hot = LearnerConfig(**{**TINY_LEARNER, "learning_rate": 1e12})
-        spec = ExperimentSpec(target="cc", sources=("aa", "cc"), learner=hot, seed=1)
+        spec = ExperimentSpec(target="cc", sources=("aa", "cc"), learner=hot)
         with pytest.raises((HarnessError, TextModelError), match="divergence"):
-            score_experiment(spec, store)
+            score_experiment(spec, store, (1,), ScoreCache())
 
 
 
@@ -361,7 +356,7 @@ class TestEnumeratePlan:
         # Deciding reads exactly the plan's cells: the matrix of the plan
         # is enough, and a table lacking any one of its cells is refused.
         codes = ("aa", "bb", "cc")
-        cfg = SelectionConfig(seeds=(1,))
+        cfg = SelectionConfig()
         scores = run_matrix(full_plan(codes, "forward"), store, seeds=(1,), learner=LEARNER).means()
         assert len(scores) == 9
         by_target = {task.target.code: task for task in tasks(codes)}
@@ -405,13 +400,46 @@ class TestRunMatrix:
         assert "2 cell(s)" in message
         assert "zz" in message and "yy" in message
 
+    def test_failed_cell_counted_once_for_all_seeds(self, store):
+        # The cell's first failing seed ends it: one cell, one line, naming
+        # that seed, however many seeds the run has.
+        with pytest.raises(HarnessError) as err:
+            run_matrix([PlanCell("aa", ("zz",), None)], store, seeds=(2, 1), learner=LEARNER)
+        header, *lines = str(err.value).splitlines()
+        assert header == "matrix run failed for 1 cell(s):"
+        assert len(lines) == 1
+        assert "sources=zz" in lines[0] and "seed=1" in lines[0]
+
+    def test_adaptation_once_per_cell_training_once_per_seed(self, store, monkeypatch):
+        import langselect.harness.experiments as exp
+
+        calls = {"adaptation_stats": 0, "fine_tune": 0}
+
+        def counting(name):
+            real = getattr(exp, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(exp, name, counting(name))
+        cache = ScoreCache()
+        cells = [PlanCell("aa", ("aa",), None), PlanCell("aa", ("aa", "bb"), None)]
+        run_matrix(cells, store, seeds=(1, 2), learner=LEARNER, adaptation="tapt", cache=cache)
+        assert calls == {"adaptation_stats": 2, "fine_tune": 4}
+        run_matrix(cells, store, seeds=(1, 2), learner=LEARNER, adaptation="tapt", cache=cache)
+        assert calls == {"adaptation_stats": 2, "fine_tune": 4}
+
     def test_entry_aggregates_seeds(self, store):
         matrix = run_matrix([PlanCell("aa", ("aa",), None)], store, seeds=(3, 1, 2), learner=LEARNER)
         (entry,) = matrix.entries.values()
         assert list(entry.per_seed) == [3, 1, 2]
         for seed, score in entry.per_seed.items():
-            spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, seed=seed)
-            assert score_experiment(spec, store)[0] == score
+            spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER)
+            assert score_experiment(spec, store, (seed,), ScoreCache())[seed][0] == score
         scores = list(entry.per_seed.values())
         assert entry.mean == sum(scores) / 3
         assert entry.support == len(store.devstar("aa"))
@@ -481,7 +509,7 @@ class TestReport:
         cells.append(PlanCell("aa", ("aa", "bb", "cc"), None))
         matrix = run_matrix(cells, store, seeds=(1, 2), learner=LEARNER, cache=cache)
         scores = matrix.means()
-        cfg = SelectionConfig(seeds=(1, 2))
+        cfg = SelectionConfig()
         selections = {task.target.code: forward_select(task, scores, cfg) for task in tasks(codes)}
         # score the selected sets so the report can show their row
         extra = [
@@ -553,7 +581,15 @@ class TestConfig:
         with pytest.raises(HarnessError, match="distinct"):
             load_config(bad)
         bad.write_text("languages:\n  - code: aa\nseeds: [1, 2]\nselection:\n  seeds: [2, 2]\n")
-        with pytest.raises(SelectionError, match="distinct"):
+        with pytest.raises(HarnessError, match="seeds"):
+            load_config(bad)
+
+    def test_learner_seed_rejected(self, tmp_path):
+        # A run's seeds are the top-level ``seeds``; a learner seed would
+        # be parsed and then overridden by every job.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("languages:\n  - code: aa\nseeds: [1, 2]\nlearner:\n  seed: 3\n")
+        with pytest.raises(HarnessError, match="seeds"):
             load_config(bad)
 
     def test_file_store_matches_in_memory_store(self, tmp_path):

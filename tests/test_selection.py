@@ -32,25 +32,25 @@ def task(target, *candidates):
     return SelectionTask(target=LanguageCode(target), candidates=langs(*candidates))
 
 
-CFG1 = SelectionConfig(seeds=(1,))
+CFG1 = SelectionConfig()
 
 
-def fwd(task, oracle, cfg):
+def fwd(task, oracle, cfg, seeds=(1,)):
     """Forward selection over ``task``'s plan scored through ``oracle``."""
-    return forward_select(task, score_plan(plan(task, cfg, "forward"), oracle, cfg.seeds), cfg)
+    return forward_select(task, score_plan(plan(task, cfg, "forward"), oracle, seeds), cfg)
 
 
-def bwd(task, oracle, cfg):
+def bwd(task, oracle, cfg, seeds=(1,)):
     """Backward selection over ``task``'s plan scored through ``oracle``."""
-    return backward_select(task, score_plan(plan(task, cfg, "backward"), oracle, cfg.seeds), cfg)
+    return backward_select(task, score_plan(plan(task, cfg, "backward"), oracle, seeds), cfg)
 
 
-def run_all_targets(languages, oracle, cfg, strategy="forward"):
+def run_all_targets(languages, oracle, cfg, strategy="forward", seeds=(1,)):
     """Selection with every language as the target and the others as its
     candidates, as the CLI runs it."""
     select = fwd if strategy == "forward" else bwd
     codes = sorted(lang.code for lang in languages)
-    return {t: select(task(t, *(c for c in codes if c != t)), oracle, cfg) for t in codes}
+    return {t: select(task(t, *(c for c in codes if c != t)), oracle, cfg, seeds) for t in codes}
 
 
 class TestForwardMultilingual:
@@ -85,7 +85,7 @@ class TestForwardMultilingual:
                 ("t", ("c", "t")): 0.8,
             }
         )
-        cfg = SelectionConfig(seeds=(1,), top_k=1)
+        cfg = SelectionConfig(top_k=1)
         result = fwd(task("t", "a", "b", "c"), oracle, cfg)
         assert result.positive_codes() == ("c",)
         assert len(result.ranking) == 3
@@ -104,16 +104,15 @@ class TestForwardMultilingual:
                     return 0.5
                 return 0.5 + 0.1 * seed
 
-        cfg = SelectionConfig(seeds=(1, 2, 3))
-        result = fwd(task("t", "a"), SeedOracle(), cfg)
+        result = fwd(task("t", "a"), SeedOracle(), CFG1, seeds=(1, 2, 3))
         assert result.ranking[0][1] == pytest.approx(0.7)
 
     def test_absolute_threshold_switch(self):
         oracle = DictOracle({("t", ("t",)): 0.5, ("t", ("a", "t")): 0.54})
-        relative = fwd(task("t", "a"), oracle, SelectionConfig(seeds=(1,), threshold=0.05))
+        relative = fwd(task("t", "a"), oracle, SelectionConfig(threshold=0.05))
         assert relative.positive_codes() == ("a",)  # 0.54 > 0.5 * 1.05 = 0.525
         absolute = fwd(
-            task("t", "a"), oracle, SelectionConfig(seeds=(1,), threshold=0.05, absolute_threshold=True)
+            task("t", "a"), oracle, SelectionConfig(threshold=0.05, absolute_threshold=True)
         )
         assert absolute.positive_codes() == ()  # 0.54 <= 0.55
 
@@ -149,7 +148,7 @@ class TestBackwardMultilingual:
                 ("t", ("t",)): 0.6,
             }
         )
-        cfg = SelectionConfig(seeds=(1,), baseline_samples_per_language=123)
+        cfg = SelectionConfig(baseline_samples_per_language=123)
         bwd(task("t", "a"), oracle, cfg)
         assert all(cap == 123 for _, _, cap in oracle.calls)
 
@@ -177,7 +176,7 @@ class TestZeroShot:
                 ("t", ("c",)): 0.3,
             }
         )
-        cfg = SelectionConfig(seeds=(1,), mode="zeroshot")
+        cfg = SelectionConfig(mode="zeroshot")
         result = fwd(task("t", "a", "b", "c"), oracle, cfg)
         assert result.baseline_score == 0.6
         # positive when not more than 5% below the full-set baseline
@@ -186,9 +185,9 @@ class TestZeroShot:
 
     def test_forward_never_trains_on_target(self):
         oracle = HashOracle()
-        cfg = SelectionConfig(seeds=(1, 2), mode="zeroshot")
-        fwd(task("t", "a", "b"), oracle, cfg)
-        bwd(task("t", "a", "b"), oracle, cfg)
+        cfg = SelectionConfig(mode="zeroshot")
+        fwd(task("t", "a", "b"), oracle, cfg, seeds=(1, 2))
+        bwd(task("t", "a", "b"), oracle, cfg, seeds=(1, 2))
         assert all("t" not in key[1] for key, _, _ in oracle.calls)
 
     def test_backward_zeroshot_full_set_excludes_target(self):
@@ -199,7 +198,7 @@ class TestZeroShot:
                 ("t", ("a",)): 0.61,
             }
         )
-        cfg = SelectionConfig(seeds=(1,), mode="zeroshot")
+        cfg = SelectionConfig(mode="zeroshot")
         result = bwd(task("t", "a", "b"), oracle, cfg)
         assert result.positive_codes() == ("a",)
 
@@ -213,7 +212,7 @@ class TestZeroShot:
                 ("t", ("d",)): 0.1,
             }
         )
-        cfg = SelectionConfig(seeds=(1,), mode="zeroshot", top_k=3)
+        cfg = SelectionConfig(mode="zeroshot", top_k=3)
         result = fwd(task("t", "a", "b", "c", "d"), oracle, cfg)
         assert result.positive_codes() == ("a", "b", "c")
 
@@ -223,14 +222,14 @@ class TestRunAllTargets:
         codes = ("a", "b", "c", "d")
         for strategy in ("forward", "backward"):
             oracle = HashOracle()
-            run_all_targets(langs(*codes), oracle, SelectionConfig(seeds=(1, 2)), strategy)
+            run_all_targets(langs(*codes), oracle, CFG1, strategy, seeds=(1, 2))
             assert len(oracle.distinct_cells()) == 16
             per_seed_calls = len(oracle.calls) / 2
             assert per_seed_calls == 16
 
     def test_nxn_accounting_in_zeroshot_mode(self):
         codes = ("a", "b", "c", "d")
-        cfg = SelectionConfig(seeds=(1,), mode="zeroshot")
+        cfg = SelectionConfig(mode="zeroshot")
         for strategy in ("forward", "backward"):
             oracle = HashOracle()
             run_all_targets(langs(*codes), oracle, cfg, strategy)
@@ -247,7 +246,7 @@ class TestRunAllTargets:
 
     def test_missing_cell_error_names_cell(self):
         t = task("a", "b", "c")
-        scores = score_plan(plan(t, CFG1, "forward"), HashOracle(), CFG1.seeds)
+        scores = score_plan(plan(t, CFG1, "forward"), HashOracle(), (1,))
         del scores[PlanCell("a", ("a", "c"), None)]
         with pytest.raises(SelectionError, match=r"target a: a,c$"):
             forward_select(t, scores, CFG1)
@@ -261,19 +260,19 @@ class TestPlan:
             PlanCell("t", ("b", "t"), None),
             PlanCell("t", ("a", "t"), None),
         ]
-        zeroshot = SelectionConfig(seeds=(1,), mode="zeroshot")
+        zeroshot = SelectionConfig(mode="zeroshot")
         assert plan(t, zeroshot, "forward") == [
             PlanCell("t", ("a", "b"), None),
             PlanCell("t", ("b",), None),
             PlanCell("t", ("a",), None),
         ]
-        capped = SelectionConfig(seeds=(1,), baseline_samples_per_language=7)
+        capped = SelectionConfig(baseline_samples_per_language=7)
         assert plan(t, capped, "backward") == [
             PlanCell("t", ("a", "b", "t"), 7),
             PlanCell("t", ("a", "t"), 7),
             PlanCell("t", ("b", "t"), 7),
         ]
-        capped_zeroshot = SelectionConfig(seeds=(1,), mode="zeroshot", baseline_samples_per_language=7)
+        capped_zeroshot = SelectionConfig(mode="zeroshot", baseline_samples_per_language=7)
         assert plan(t, capped_zeroshot, "backward") == [
             PlanCell("t", ("a", "b"), 7),
             PlanCell("t", ("a",), 7),
@@ -287,7 +286,7 @@ class TestPlan:
     def test_decide_reads_only_planned_cells(self):
         # Extra cells in the table change nothing.
         t = task("t", "a", "b")
-        scores = score_plan(plan(t, CFG1, "forward"), HashOracle(), CFG1.seeds)
+        scores = score_plan(plan(t, CFG1, "forward"), HashOracle(), (1,))
         noisy = {**scores, PlanCell("t", ("a", "b", "t"), None): 1.0, PlanCell("t", ("t",), 5): 0.0}
         assert forward_select(t, noisy, CFG1) == forward_select(t, scores, CFG1)
 
@@ -301,12 +300,12 @@ class TestAgainstBruteForce:
             target, candidates = codes[0], codes[1:]
             oracle = HashOracle(salt=str(trial))
             mode = rng.choice(["multilingual", "zeroshot"])
-            cfg = SelectionConfig(seeds=(1, 2), mode=mode, threshold=rng.choice([0.02, 0.05, 0.2]))
+            cfg = SelectionConfig(mode=mode, threshold=rng.choice([0.02, 0.05, 0.2]))
             result = fwd(
-                SelectionTask(LanguageCode(target), langs(*candidates)), oracle, cfg
+                SelectionTask(LanguageCode(target), langs(*candidates)), oracle, cfg, seeds=(1, 2)
             )
             baseline, expected = brute_force_forward(
-                target, candidates, HashOracle(salt=str(trial)), cfg.seeds, cfg.threshold, mode
+                target, candidates, HashOracle(salt=str(trial)), (1, 2), cfg.threshold, mode
             )
             assert result.baseline_score == pytest.approx(baseline, abs=1e-12)
             assert [(l.code, g) for l, g in result.positive_sources] == [
@@ -321,7 +320,7 @@ class TestAgainstBruteForce:
             target, candidates = codes[0], codes[1:]
             oracle = HashOracle(salt=f"b{trial}")
             mode = rng.choice(["multilingual", "zeroshot"])
-            cfg = SelectionConfig(seeds=(1,), mode=mode, threshold=rng.choice([0.02, 0.05, 0.2]))
+            cfg = SelectionConfig(mode=mode, threshold=rng.choice([0.02, 0.05, 0.2]))
             result = bwd(
                 SelectionTask(LanguageCode(target), langs(*candidates)), oracle, cfg
             )
@@ -329,7 +328,7 @@ class TestAgainstBruteForce:
                 target,
                 candidates,
                 HashOracle(salt=f"b{trial}"),
-                cfg.seeds,
+                (1,),
                 cfg.threshold,
                 mode,
                 cfg.baseline_samples_per_language,
@@ -347,7 +346,7 @@ class TestThresholdMonotonicity:
             t = task("t", "a", "b", "c", "d")
             previous = None
             for threshold in (0.01, 0.05, 0.1, 0.3):
-                cfg = SelectionConfig(seeds=(1,), threshold=threshold)
+                cfg = SelectionConfig(threshold=threshold)
                 positives = set(fwd(t, HashOracle(salt=oracle_salt), cfg).positive_codes())
                 if previous is not None:
                     assert positives <= previous
@@ -358,7 +357,7 @@ class TestThresholdMonotonicity:
             t = task("t", "a", "b", "c")
             previous = None
             for threshold in (0.01, 0.05, 0.1, 0.3):
-                cfg = SelectionConfig(seeds=(1,), threshold=threshold)
+                cfg = SelectionConfig(threshold=threshold)
                 positives = set(
                     bwd(t, HashOracle(salt=f"bm{trial}"), cfg).positive_codes()
                 )
@@ -411,13 +410,7 @@ class TestValidation:
         with pytest.raises(SelectionError):
             SelectionConfig(top_k=0)
         with pytest.raises(SelectionError):
-            SelectionConfig(seeds=())
-        with pytest.raises(SelectionError):
             SelectionConfig(mode="both")
-
-    def test_duplicate_seeds_rejected(self):
-        with pytest.raises(SelectionError, match="distinct"):
-            SelectionConfig(seeds=(1, 1, 2))
 
     def test_result_row_format(self):
         oracle = DictOracle({("t", ("t",)): 0.5, ("t", ("a", "t")): 0.6})
