@@ -102,22 +102,29 @@ def load_config(path: str | Path) -> HarnessConfig:
     if len(set(codes)) != len(codes):
         raise HarnessError(f"{path}: duplicate language codes in config")
 
-    seeds = tuple(int(s) for s in doc.get("seeds", (1, 2, 3, 4, 5)))
+    seeds = doc.get("seeds", [1, 2, 3, 4, 5])
+    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
+        raise HarnessError(f"{path}: 'seeds' must be a list of integers, got {seeds!r}")
+    seeds = tuple(seeds)
     if not seeds:
         raise HarnessError(f"{path}: 'seeds' must be non-empty")
     if len(set(seeds)) != len(seeds):
         raise HarnessError(f"{path}: 'seeds' must be distinct, got {list(seeds)}")
 
     learner_doc = doc.get("learner", {})
-    if isinstance(learner_doc, dict) and "seed" in learner_doc:
+    selection_doc = doc.get("selection", {})
+    for key, value in (("learner", learner_doc), ("selection", selection_doc)):
+        if not isinstance(value, dict):
+            raise HarnessError(f"{path}: '{key}' must be a mapping, got {value!r}")
+    if "seed" in learner_doc:
         raise HarnessError(f"{path}: 'learner.seed' is not a setting; a run's seeds come from 'seeds'")
     try:
         learner = LearnerConfig(**learner_doc)
-        sel_kwargs = dict(doc.get("selection", {}))
+        sel_kwargs = dict(selection_doc)
         if "top_k" in sel_kwargs and sel_kwargs["top_k"] is not None:
             sel_kwargs["top_k"] = int(sel_kwargs["top_k"])
         selection = SelectionConfig(**sel_kwargs)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise HarnessError(f"{path}: bad learner/selection settings: {e}") from None
 
     adaptation = str(doc.get("adaptation", "none")).lower()

@@ -15,7 +15,6 @@ import logging
 import math
 import random
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,6 +32,22 @@ _BOUND_END = "\x03"
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
+# The batch hasher's uint64 twins. numpy scalars, not Python ints, so that
+# numpy 1.x value-based casting and numpy 2 (NEP 50) compute the same thing.
+_FNV64_OFFSET_NP = np.uint64(_FNV64_OFFSET)
+_FNV64_PRIME_NP = np.uint64(_FNV64_PRIME)
+
+# The batch hasher hashes at most this many padded characters at a time
+# (a longer text gets a pass of its own), which bounds its temporaries.
+_CHUNK_CHARS = 1 << 17
+
+# pretrain counts document frequencies over this many documents at a time.
+_DF_BLOCK_DOCS = 1 << 12
+
+# Term counts memo: (ngram_min, ngram_max, hash_buckets) -> text ->
+# (sorted buckets, counts). It has no bound and never evicts, so each
+# distinct text is hashed once per process at any corpus size.
+_TERM_COUNTS: dict[tuple[int, int, int], dict[str, tuple[np.ndarray, np.ndarray]]] = {}
 
 # Version of the learner's float results. Bump it with any change that
 # can alter a trained weight or a score in its last bits, so that cached
@@ -45,9 +60,12 @@ NUMERICS_VERSION = 2
 _SCALE_FLOOR = 1e-100
 
 
-@lru_cache(maxsize=1 << 20)
 def hash_gram(gram: str) -> int:
-    """FNV-1a 64-bit hash of a gram's UTF-8 bytes; fixed across runs."""
+    """FNV-1a 64-bit hash of a gram's UTF-8 bytes; fixed across runs.
+
+    This is the plain reference definition; featurization hashes whole
+    batches of texts with the equivalent array code in ``_hash_batch``.
+    """
     h = _FNV64_OFFSET
     for b in gram.encode("utf-8"):
         h = ((h ^ b) * _FNV64_PRIME) & _U64
@@ -77,8 +95,8 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if not (1 <= self.ngram_min <= self.ngram_max <= 8):
             raise TextModelError(f"require 1 <= ngram_min <= ngram_max <= 8, got [{self.ngram_min}, {self.ngram_max}]")
-        if self.hash_buckets < 2 or self.hash_buckets & (self.hash_buckets - 1):
-            raise TextModelError(f"hash_buckets must be a power of two, got {self.hash_buckets}")
+        if not 2 <= self.hash_buckets <= 1 << 31 or self.hash_buckets & (self.hash_buckets - 1):
+            raise TextModelError(f"hash_buckets must be a power of two in [2, 2^31], got {self.hash_buckets}")
         if self.epochs < 1 or self.batch_size < 1:
             raise TextModelError("epochs and batch_size must be >= 1")
         if self.learning_rate <= 0 or not 0 < self.lr_decay <= 1 or self.l2_lambda < 0:
@@ -198,33 +216,94 @@ class Model:
     loss_history: tuple[float, ...] = ()
 
 
-@lru_cache(maxsize=1 << 16)
-def _term_counts(
-    text: str, ngram_min: int, ngram_max: int, hash_buckets: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw term frequencies of a text's n-grams: (sorted buckets, counts).
+def _hash_batch(
+    texts: Sequence[str], ngram_min: int, ngram_max: int, hash_buckets: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Raw term frequencies of each text's n-grams, (sorted buckets,
+    counts), in input order; empty text has no grams.
 
-    Memoized per process, so each distinct text is hashed once however
-    many cells and seeds train on it. The returned arrays are read-only
-    because every caller shares them. Worst-case memory: 2^16 entries,
-    each two arrays of at most (ngram_max - ngram_min + 1) * (len(text) + 2)
-    32-bit integers, plus the key text and about 300 bytes of object
-    overhead: about 0.8 GB for 280-character texts at 1-5-grams. Empty
-    text has no grams.
+    The texts are hashed in passes of at most ``_CHUNK_CHARS`` padded
+    characters. The arrays returned are read-only.
     """
-    grams: list[int] = []
-    if text:
-        padded = _BOUND_START + text + _BOUND_END
-        mask = hash_buckets - 1
-        length = len(padded)
-        for n in range(ngram_min, ngram_max + 1):
-            grams.extend(hash_gram(padded[i : i + n]) & mask for i in range(length - n + 1))
-    buckets, counts = np.unique(np.array(grams, dtype=np.int64), return_counts=True)
-    buckets = buckets.astype(np.int32 if hash_buckets <= 1 << 31 else np.int64)
+    shift = hash_buckets.bit_length() - 1
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    start = 0
+    while start < len(texts):
+        stop, size = start + 1, len(texts[start]) + 2
+        while stop < len(texts) and size + len(texts[stop]) + 2 <= _CHUNK_CHARS:
+            size += len(texts[stop]) + 2
+            stop += 1
+        out.extend(_hash_chunk(texts[start:stop], ngram_min, ngram_max, shift))
+        start = stop
+    return out
+
+
+def _hash_chunk(
+    texts: Sequence[str], ngram_min: int, ngram_max: int, shift: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``_hash_batch`` for one pass, with ``hash_buckets = 2**shift``.
+
+    FNV-1a is a left fold over bytes, so an n-gram's hash is its
+    (n-1)-gram's hash with the next character's UTF-8 bytes folded in;
+    uint64 arithmetic wraps mod 2^64 as the scalar definition's mask
+    does. Grams run over all texts joined into one string, and those
+    that cross a text's end are dropped. One ``np.unique`` of the
+    packed (text, bucket) keys then gives every text's counts.
+    """
+    lengths = np.array([len(t) + 2 if t else 0 for t in texts], dtype=np.int64)
+    joined = "".join(_BOUND_START + t + _BOUND_END for t in texts if t)
+    data = np.frombuffer(joined.encode("utf-8"), dtype=np.uint8)
+    # A character starts at every byte that is not a continuation byte.
+    starts = np.flatnonzero((data & 0xC0) != 0x80)
+    widths = np.diff(starts, append=len(data))
+    first = data[starts].astype(np.uint64)
+    # Characters of at least k + 1 bytes, with their byte k, k = 1, 2, 3.
+    wide = [np.flatnonzero(widths > k) for k in range(1, 4)]
+    wide_bytes = [data[starts[w] + k].astype(np.uint64) for k, w in enumerate(wide, 1)]
+    ends = np.cumsum(lengths)
+    # room[i]: characters from i to the end of its text, i included.
+    room = np.repeat(ends, lengths) - np.arange(len(starts))
+    row_key = np.repeat(np.arange(len(texts), dtype=np.uint64), lengths) << np.uint64(shift)
+    mask = np.uint64((1 << shift) - 1)
+
+    keys = []
+    h = np.full(len(starts), _FNV64_OFFSET_NP)
+    for n in range(1, ngram_max + 1):
+        # h[i] becomes the hash of the n characters from i on.
+        h = h[: max(len(starts) - n + 1, 0)]
+        h ^= first[n - 1 :]
+        h *= _FNV64_PRIME_NP
+        for w, b in zip(wide, wide_bytes):
+            at = np.searchsorted(w, n - 1)
+            pos = w[at:] - (n - 1)
+            h[pos] = (h[pos] ^ b[at:]) * _FNV64_PRIME_NP
+        if n >= ngram_min:
+            keep = room[: len(h)] >= n
+            keys.append(row_key[: len(h)][keep] | (h[keep] & mask))
+    packed, counts = np.unique(np.concatenate(keys), return_counts=True)
+    buckets = (packed & mask).astype(np.int32)
     counts = counts.astype(np.int32)
     buckets.flags.writeable = False
     counts.flags.writeable = False
-    return buckets, counts
+    bounds = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(np.bincount((packed >> np.uint64(shift)).astype(np.intp), minlength=len(texts)), out=bounds[1:])
+    return [(buckets[a:b], counts[a:b]) for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
+def _term_counts(texts: Sequence[str], config: LearnerConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each text's raw term frequencies, (sorted buckets, counts), from
+    the per-process memo; the texts it lacks are hashed in one batch.
+
+    The memo holds one entry per distinct text and n-gram config and
+    evicts nothing: per text, two arrays of at most
+    (ngram_max - ngram_min + 1) * (len(text) + 2) 32-bit integers, plus
+    the key text and about 250 bytes of object overhead.
+    """
+    memo = _TERM_COUNTS.setdefault((config.ngram_min, config.ngram_max, config.hash_buckets), {})
+    missing = [text for text in dict.fromkeys(texts) if text not in memo]
+    if missing:
+        memo.update(zip(missing, _hash_batch(missing, config.ngram_min, config.ngram_max, config.hash_buckets)))
+    return [memo[text] for text in texts]
 
 
 def _idf_vector(stats: AdaptationStats, hash_buckets: int) -> np.ndarray:
@@ -244,13 +323,12 @@ def design_matrix(
     (1 + ln tf) * idf with idf = ln((1+N)/(1+df)) + 1 against the
     adaptation statistics (unseen buckets use df = 0), then each row
     is scaled to unit L2 norm; empty text maps to an empty row. Term
-    counts come from the per-text memo, and the weighting runs as array
-    operations over the stacked rows.
+    counts come from the per-process memo, which hashes the texts it
+    has not seen in one numpy batch and keeps one entry per distinct
+    text, never evicted; the weighting runs as array operations over
+    the stacked rows.
     """
-    rows = [
-        _term_counts(text, config.ngram_min, config.ngram_max, config.hash_buckets)
-        for text in texts
-    ]
+    rows = _term_counts(texts, config)
     n = len(rows)
     lengths = np.fromiter((len(buckets) for buckets, _ in rows), dtype=np.int64, count=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -282,26 +360,37 @@ def pretrain(
     Each document contributes 1 to the frequency of every bucket it
     contains, so the result does not depend on document order. Labeled
     examples are rejected: labels must never reach the adaptation phase.
+    Term counts come from the same per-process memo as
+    ``design_matrix``'s, so a text already hashed there or by an earlier
+    call is not hashed again.
     """
-    present: list[np.ndarray] = []
+    texts: list[str] = []
     for ds in _as_datasets(corpus):
         for ex in ds:
             if ex.label is not None:
                 raise TextModelError(
                     f"adaptation corpus must be unlabeled, found labeled example {ex.id!r}; strip labels first"
                 )
-            buckets, _ = _term_counts(ex.text, config.ngram_min, config.ngram_max, config.hash_buckets)
-            if len(buckets):
-                present.append(buckets)
+            texts.append(ex.text)
+    present = [buckets for buckets, _ in _term_counts(texts, config) if len(buckets)]
     if not present:
         raise TextModelError("adaptation corpus empty")
     # Each document lists a bucket at most once, so counting bucket
-    # occurrences over all documents counts documents per bucket.
-    df = np.bincount(np.concatenate(present), minlength=config.hash_buckets)
-    seen = np.flatnonzero(df)
+    # occurrences over all documents counts documents per bucket. Sorting
+    # the occurrences costs less than a hash_buckets-long bincount when
+    # there are fewer of them than buckets.
+    if sum(map(len, present)) < config.hash_buckets:
+        seen, counts = np.unique(np.concatenate(present), return_counts=True)
+    else:
+        # Blocks of documents bound the int64 copy bincount makes of its input.
+        df = np.zeros(config.hash_buckets, dtype=np.int64)
+        for start in range(0, len(present), _DF_BLOCK_DOCS):
+            df += np.bincount(np.concatenate(present[start : start + _DF_BLOCK_DOCS]), minlength=config.hash_buckets)
+        seen = np.flatnonzero(df)
+        counts = df[seen]
     return AdaptationStats(
         df_buckets=seen,
-        df_counts=df[seen],
+        df_counts=counts,
         num_documents=len(present),
         source_tag=tag,
     )

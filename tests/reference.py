@@ -3,10 +3,10 @@
 These deliberately avoid the library's code paths: scores are computed
 from raw label lists with plain counting, selection rules are
 re-evaluated with straight-line loops, gradients are checked with
-central finite differences of the loss, tf-idf rows are built one text
-at a time, training is checked against a dense trainer, sparse rows
-are read and multiplied one non-zero at a time, and tweets are
-normalized with one regex pass per rule.
+central finite differences of the loss, term counts and tf-idf rows
+are built one text and one gram at a time, training is checked against
+a dense trainer, sparse rows are read and multiplied one non-zero at a
+time, and tweets are normalized with one regex pass per rule.
 """
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ import string
 import unicodedata
 
 import numpy as np
+
+from langselect.textmodel import hash_gram
 
 LABELS = ("negative", "neutral", "positive")
 
@@ -62,6 +64,29 @@ def _fnv1a_64(gram):
     for b in gram.encode("utf-8"):
         h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def reference_term_counts(text, ngram_min, ngram_max, hash_buckets):
+    """One text's raw term frequencies as (sorted buckets, counts) int64
+    arrays, hashing one gram at a time with the scalar ``hash_gram``
+    (checked against published FNV-1a vectors); empty text has no
+    grams."""
+    grams = []
+    if text:
+        padded = "\x02" + text + "\x03"
+        for n in range(ngram_min, ngram_max + 1):
+            grams.extend(hash_gram(padded[i : i + n]) & (hash_buckets - 1) for i in range(len(padded) - n + 1))
+    return np.unique(np.array(grams, dtype=np.int64), return_counts=True)
+
+
+def reference_document_frequencies(texts, ngram_min, ngram_max, hash_buckets):
+    """{bucket: number of texts containing it}, summed one text at a time."""
+    df = {}
+    for text in texts:
+        buckets, _ = reference_term_counts(text, ngram_min, ngram_max, hash_buckets)
+        for bucket in buckets.tolist():
+            df[bucket] = df.get(bucket, 0) + 1
+    return df
 
 
 def reference_tfidf(text, stats, ngram_min, ngram_max, hash_buckets):

@@ -104,6 +104,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("experiment error:") and "seed" in err
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("seeds: 5\n", "'seeds'"),
+            ("seeds: [x]\n", "'seeds'"),
+            ("seeds: [1.5]\n", "'seeds'"),
+            ("seeds: [true]\n", "'seeds'"),
+            ("selection: xy\n", "'selection'"),
+            ("selection:\n  top_k: x\n", "selection"),
+            ("learner: [3]\n", "'learner'"),
+        ],
+        ids=["seeds-int", "seeds-str", "seeds-float", "seeds-bool", "selection-str", "top-k-str", "learner-list"],
+    )
+    def test_malformed_config_value_is_experiment_error(self, tmp_path, capsys, section, key):
+        # A value of the wrong type is named, not turned into a traceback
+        # or quietly coerced (1.5 and true would both run as seed 1).
+        config = tmp_path / "config.yaml"
+        config.write_text("languages:\n  - code: aa\n" + section, encoding="utf-8")
+        assert main(["score", "--config", str(config), "--target", "aa", "--sources", "aa"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("experiment error:") and key in err
+
     def test_experiment_error(self, tmp_path, capsys):
         assert (
             main(["score", "--config", str(tmp_path / "nope.yaml"), "--target", "aa", "--sources", "aa"])

@@ -22,6 +22,7 @@ from langselect import (
     save_model,
     strip_labels,
 )
+from langselect import textmodel
 from langselect.textmodel import Model, design_matrix, hash_gram
 
 from conftest import make_dataset
@@ -30,10 +31,12 @@ from reference import (
     dense,
     finite_difference_grads,
     reference_dense_fine_tune,
+    reference_document_frequencies,
     reference_matmul,
     reference_rows,
     reference_sparse_fine_tune,
     reference_t_matmul,
+    reference_term_counts,
     reference_tfidf,
     relative_error,
 )
@@ -73,6 +76,75 @@ class TestHashGram:
     def test_unicode_stable(self):
         assert hash_gram("é") == hash_gram("é")
         assert hash_gram("é") != hash_gram("e")
+
+
+# One to four UTF-8 bytes per character, an emoji (4 bytes) and a
+# combining acute accent (2 bytes), empty text and texts shorter than
+# any n.
+UNICODE_TEXTS = [
+    "", "a", "ab", "é", "e\u0301", "abc def", "ħ€𐍈", "\U0001F600x\U0001F600", "日本語テキスト",
+    "naïve café \U0001F44D\U0001F3FD", "x\u0301\u0323y", "ab", "ሰላም ነው", "z" * 40,
+]
+
+
+class TestBatchHasher:
+    """``_hash_batch`` against the scalar one-gram-at-a-time reference."""
+
+    @staticmethod
+    def assert_matches_reference(texts, ngram_min, ngram_max, buckets):
+        got = textmodel._hash_batch(texts, ngram_min, ngram_max, buckets)
+        assert len(got) == len(texts)
+        for text, (b, c) in zip(texts, got):
+            want_b, want_c = reference_term_counts(text, ngram_min, ngram_max, buckets)
+            assert b.tolist() == want_b.tolist(), text
+            assert c.tolist() == want_c.tolist(), text
+            assert b.dtype == c.dtype == np.int32
+            assert not b.flags.writeable and not c.flags.writeable
+
+    @pytest.mark.parametrize("buckets", [2, 1 << 12, 1 << 18, 1 << 31])
+    @pytest.mark.parametrize(
+        "ngram_min, ngram_max", [(lo, hi) for lo in range(1, 9) for hi in range(lo, 9)]
+    )
+    def test_matches_scalar_hash_gram(self, ngram_min, ngram_max, buckets):
+        self.assert_matches_reference(UNICODE_TEXTS, ngram_min, ngram_max, buckets)
+
+    @pytest.mark.parametrize("chunk_chars", [1, 7, 16, 64])
+    def test_batches_crossing_chunk_boundaries(self, monkeypatch, chunk_chars):
+        # Chunks far smaller than the texts: every text boundary is a
+        # chunk boundary somewhere, and texts longer than a chunk get
+        # one of their own. Duplicate texts get equal counts.
+        monkeypatch.setattr(textmodel, "_CHUNK_CHARS", chunk_chars)
+        rng = random.Random(chunk_chars)
+        texts = [rng.choice(UNICODE_TEXTS) for _ in range(60)]
+        self.assert_matches_reference(texts, 1, 5, 1 << 18)
+
+    def test_lone_surrogate_raises(self):
+        with pytest.raises(UnicodeEncodeError):
+            textmodel._hash_batch(["ok", "a\ud800b"], 1, 3, 64)
+        with pytest.raises(UnicodeEncodeError):
+            hash_gram("\ud800")
+
+    def test_each_text_hashed_once_past_the_old_memo_size(self, monkeypatch, lang):
+        # More distinct texts than the 2^16-entry LRU the memo replaced,
+        # some of them twice: pretrain hashes each once, and
+        # design_matrix hashes none again.
+        monkeypatch.setattr(textmodel, "_TERM_COUNTS", {})
+        seen = []
+        batch = textmodel._hash_batch
+
+        def spy(texts, *args):
+            seen.extend(texts)
+            return batch(texts, *args)
+
+        monkeypatch.setattr(textmodel, "_hash_batch", spy)
+        texts = [f"t{i}" for i in range((1 << 16) + 50)]
+        examples = (Example(f"e{i}", t, None, lang) for i, t in enumerate(texts + texts[:50]))
+        corpus = Dataset(lang, "train", tuple(examples))
+        config = LearnerConfig(ngram_min=1, ngram_max=2, hash_buckets=1 << 12, epochs=1)
+        stats = pretrain(corpus, "t", config)
+        X = design_matrix(texts + texts[:3], stats, config)
+        assert X.shape == (len(texts) + 3, config.hash_buckets)
+        assert sorted(seen) == sorted(texts)
 
 
 class TestFeaturize:
@@ -173,6 +245,28 @@ class TestPretrain:
         assert merged.df_buckets.tolist() == sorted(want)
 
     @pytest.mark.parametrize(
+        "ngram_max, hash_buckets, side",
+        [(2, 1 << 12, "below"), (3, 64, "above"), (1, 8, "equal")],
+    )
+    def test_document_frequencies_match_dict_sums(self, monkeypatch, lang, ngram_max, hash_buckets, side):
+        # pretrain sorts the bucket occurrences when there are fewer of
+        # them than buckets, and otherwise sums bincounts over blocks of
+        # documents, here of 7 documents.
+        monkeypatch.setattr(textmodel, "_DF_BLOCK_DOCS", 7)
+        config = LearnerConfig(ngram_min=1, ngram_max=ngram_max, hash_buckets=hash_buckets, epochs=1)
+        occurrences = lambda text: len(reference_term_counts(text, 1, ngram_max, hash_buckets)[0])
+        texts, total = ["ab"], occurrences("ab")
+        for i in range(400):
+            text = chr(97 + i % 26) * (1 + i // 26)
+            if side != "equal" or total + occurrences(text) <= hash_buckets:
+                texts.append(text)
+                total += occurrences(text)
+        assert (total > hash_buckets, total == hash_buckets) == (side == "above", side == "equal")
+        stats = pretrain([make_dataset([(t, None) for t in texts], lang)], "t", config)
+        assert df_of(stats) == reference_document_frequencies(texts, 1, ngram_max, hash_buckets)
+        assert stats.num_documents == len(texts)
+
+    @pytest.mark.parametrize(
         "buckets, counts, match",
         [
             ([3], [0], "outside"),
@@ -201,6 +295,8 @@ class TestLearnerConfig:
             LearnerConfig(ngram_min=3, ngram_max=2)
         with pytest.raises(TextModelError):
             LearnerConfig(hash_buckets=100)
+        with pytest.raises(TextModelError, match=r"\[2, 2\^31\]"):
+            LearnerConfig(hash_buckets=1 << 32)
         with pytest.raises(TextModelError):
             LearnerConfig(epochs=0)
         with pytest.raises(TextModelError):
