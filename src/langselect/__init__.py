@@ -18,7 +18,6 @@ from .corpus import (
     load_unlabeled_text,
     normalize_text,
     sample_per_language,
-    strip_labels,
 )
 from .ensemble import VotePool, majority_vote
 from .errors import (

@@ -154,7 +154,7 @@ def _spec_from_args(args: argparse.Namespace, cfg) -> ExperimentSpec:
         adaptation=(args.adaptation or cfg.adaptation).lower(),
         learner=cfg.learner,
         sample_cap=args.cap,
-        eval_split=getattr(args, "eval_split", None) or cfg.eval_split,
+        eval_split=getattr(args, "eval_split", None) or "devstar",
     )
 
 
@@ -212,15 +212,12 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _tasks(cfg, store) -> list[sel.SelectionTask]:
-    """One selection task per language with an eval split, sorted by
+    """One selection task per language with a devstar split, sorted by
     code; its candidates are every other language with train data."""
-    eval_split = cfg.eval_split
     trainable = sorted(lf.language.code for lf in cfg.languages if store.has_train(lf.language.code))
-    targets = sorted(
-        lf.language.code for lf in cfg.languages if store.has_eval(lf.language.code, eval_split)
-    )
+    targets = sorted(lf.language.code for lf in cfg.languages if store.has_eval(lf.language.code, "devstar"))
     if not targets:
-        raise HarnessError(f"no language has a {eval_split} split to evaluate on")
+        raise HarnessError("no language has a devstar split to evaluate on")
     tasks = []
     for t in targets:
         cands = [c for c in trainable if c != t]
@@ -249,7 +246,6 @@ def _run_cells(cfg, store, cache, seeds, sel_cfg, cells) -> ScoreMatrix:
         learner=cfg.learner,
         mode=sel_cfg.mode,
         adaptation=cfg.adaptation,
-        eval_split=cfg.eval_split,
         cache=cache,
     )
 
@@ -279,23 +275,22 @@ def _cmd_select(args: argparse.Namespace) -> int:
         results[task.target.code] = decide(task, scores, sel_cfg)
         print(results[task.target.code].to_row())
 
-    # Score the selected training sets so reports can show their rows.
+    # Score the selected training sets so reports can show their rows. The
+    # matrix file is written even when nothing was selected, so it never
+    # holds an earlier run's cells.
     selected_cells = [
         PlanCell(target, result.selected_sources(), None)
         for target, result in sorted(results.items())
         if result.selected_sources()
     ]
-    selected_entries: dict[str, object] = {}
-    if selected_cells:
-        sel_matrix = _run_cells(cfg, store, cache, seeds, sel_cfg, selected_cells)
-        selected_entries = sel_matrix.entries
-        if args.matrix_out:
-            Path(args.matrix_out).write_text(sel_matrix.to_jsonl(), encoding="utf-8")
+    sel_matrix = _run_cells(cfg, store, cache, seeds, sel_cfg, selected_cells)
+    if args.matrix_out:
+        Path(args.matrix_out).write_text(sel_matrix.to_jsonl(), encoding="utf-8")
     if args.out:
         Path(args.out).write_text(
             f"# strategy={strategy}\n" + selection_results_to_jsonl(results), encoding="utf-8"
         )
-    logger.info("selected %d targets, %d selected-set cells", len(results), len(selected_entries))
+    logger.info("selected %d targets, %d selected-set cells", len(results), len(sel_matrix.entries))
     return 0
 
 

@@ -98,12 +98,12 @@ class LanguageCode:
 
 @dataclass(frozen=True)
 class Example:
-    """One text row; ``label`` is None for unlabeled data."""
+    """One text row of a ``Dataset``, which owns its language and split;
+    ``label`` is None for unlabeled data."""
 
     id: str
     text: str
     label: str | None
-    language: LanguageCode
 
     def __post_init__(self) -> None:
         if not self.text:
@@ -125,11 +125,6 @@ class Dataset:
             raise CorpusError(f"unknown split {self.split!r}, expected one of {SPLITS}")
         seen: set[str] = set()
         for ex in self.examples:
-            if ex.language != self.language:
-                raise CorpusError(
-                    f"dataset {self.language.code}/{self.split}: example {ex.id!r} "
-                    f"belongs to {ex.language.code!r}"
-                )
             if ex.id in seen:
                 raise CorpusError(f"dataset {self.language.code}/{self.split}: duplicate id {ex.id!r}")
             seen.add(ex.id)
@@ -142,13 +137,6 @@ class Dataset:
 
     def texts(self) -> list[str]:
         return [ex.text for ex in self.examples]
-
-    def labels(self) -> list[str | None]:
-        return [ex.label for ex in self.examples]
-
-    @property
-    def is_labeled(self) -> bool:
-        return all(ex.label is not None for ex in self.examples)
 
 
 def read_utf8(path: str | Path) -> str:
@@ -196,7 +184,7 @@ def load_labeled_tsv(path: str | Path, language: LanguageCode, split: str = "tra
         if not normalized:
             dropped += 1
             continue
-        examples.append(Example(id=row_id, text=normalized, label=label, language=language))
+        examples.append(Example(id=row_id, text=normalized, label=label))
     if dropped:
         logger.info("%s: dropped %d rows with empty text after normalization", path, dropped)
     return Dataset(language=language, split=split, examples=tuple(examples))
@@ -228,7 +216,7 @@ def load_unlabeled_text(path: str | Path, language: LanguageCode, split: str = "
         if not normalized:
             dropped += 1
             continue
-        examples.append(Example(id=f"u{lineno}", text=normalized, label=None, language=language))
+        examples.append(Example(id=f"u{lineno}", text=normalized, label=None))
     if dropped:
         logger.info("%s: dropped %d lines with empty text after normalization", path, dropped)
     if not examples:
@@ -295,14 +283,6 @@ def sample_per_language(datasets: Iterable[Dataset], k: int, seed: int) -> list[
         chosen = _sample_indices(len(ds), k, rng)
         out.append(Dataset(ds.language, "train", tuple(ds.examples[i] for i in chosen)))
     return out
-
-
-def strip_labels(dataset: Dataset) -> Dataset:
-    """Copy of a dataset with all labels removed (for adaptation corpora)."""
-    examples = tuple(
-        Example(id=ex.id, text=ex.text, label=None, language=ex.language) for ex in dataset
-    )
-    return Dataset(language=dataset.language, split=dataset.split, examples=examples)
 
 
 def load_language_metadata(path: str | Path) -> dict[str, LanguageCode]:

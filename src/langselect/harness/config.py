@@ -1,9 +1,11 @@
 """Harness configuration: one YAML document declaring languages, data
-paths, learner settings, selection settings, seeds, adaptation, the
-cache directory and the evaluation split. Unknown top-level keys are
-ignored; unknown learner and selection keys are errors. The top-level
-``seeds`` are the only seed setting: every score of a run is averaged
-over them unless ``--seed-list`` replaces them.
+paths, learner settings, selection settings, seeds, adaptation and the
+cache directory. Unknown top-level keys are ignored; unknown learner and
+selection keys are errors. The top-level ``seeds`` are the only seed
+setting: every score of a run is averaged over them unless
+``--seed-list`` replaces them. Selection always scores the devstar
+split; ``eval_split`` may only say so, and ``score --eval-split`` is the
+one way to score another split.
 
 Relative paths are resolved against the config file's directory. The
 cache directory can be overridden with the LANGSELECT_CACHE_DIR
@@ -44,7 +46,6 @@ class HarnessConfig:
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     cache_dir: Path | None = None
     adaptation: str = "none"
-    eval_split: str = "devstar"
 
     def cache_path(self) -> Path | None:
         """Journal file path, honoring the environment override."""
@@ -55,11 +56,14 @@ class HarnessConfig:
         return directory / "scores.journal"
 
 
-def _resolve(base: Path, value: str | None) -> Path | None:
+def _resolve(config_path: Path, key: str, value: object) -> Path | None:
+    """A path value of the config, relative to the config's directory."""
     if value is None:
         return None
+    if not isinstance(value, str):
+        raise HarnessError(f"{config_path}: '{key}' must be a path string, got {value!r}")
     path = Path(value)
-    return path if path.is_absolute() else base / path
+    return path if path.is_absolute() else config_path.parent / path
 
 
 def load_config(path: str | Path) -> HarnessConfig:
@@ -75,7 +79,6 @@ def load_config(path: str | Path) -> HarnessConfig:
         raise HarnessError(f"{path}: invalid YAML: {e}") from None
     if not isinstance(doc, dict):
         raise HarnessError(f"{path}: config must be a mapping")
-    base = path.parent
 
     raw_languages = doc.get("languages")
     if not raw_languages or not isinstance(raw_languages, list):
@@ -89,15 +92,11 @@ def load_config(path: str | Path) -> HarnessConfig:
             family=str(entry.get("family", "")),
             subgroup=entry.get("subgroup"),
         )
-        languages.append(
-            LanguageFiles(
-                language=lang,
-                train=_resolve(base, entry.get("train")),
-                dev=_resolve(base, entry.get("dev")),
-                test=_resolve(base, entry.get("test")),
-                lapt_corpus=_resolve(base, entry.get("lapt_corpus")),
-            )
-        )
+        files = {
+            key: _resolve(path, f"languages[{i}].{key}", entry.get(key))
+            for key in ("train", "dev", "test", "lapt_corpus")
+        }
+        languages.append(LanguageFiles(language=lang, **files))
     codes = [lf.language.code for lf in languages]
     if len(set(codes)) != len(codes):
         raise HarnessError(f"{path}: duplicate language codes in config")
@@ -128,14 +127,17 @@ def load_config(path: str | Path) -> HarnessConfig:
         raise HarnessError(f"{path}: bad learner/selection settings: {e}") from None
 
     adaptation = str(doc.get("adaptation", "none")).lower()
-    eval_split = str(doc.get("eval_split", "devstar"))
+    if doc.get("eval_split", "devstar") != "devstar":
+        raise HarnessError(
+            f"{path}: 'eval_split' must be devstar, got {doc['eval_split']!r}: selection always scores "
+            "devstar; use 'score --eval-split' to score another split"
+        )
 
     return HarnessConfig(
         languages=tuple(languages),
         learner=learner,
         selection=selection,
         seeds=seeds,
-        cache_dir=_resolve(base, doc.get("cache_dir")),
+        cache_dir=_resolve(path, "cache_dir", doc.get("cache_dir")),
         adaptation=adaptation,
-        eval_split=eval_split,
     )

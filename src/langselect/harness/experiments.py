@@ -13,7 +13,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from ..corpus import (
@@ -23,7 +23,6 @@ from ..corpus import (
     load_labeled_tsv,
     load_unlabeled_text,
     sample_per_language,
-    strip_labels,
 )
 from ..errors import HarnessError
 from ..metrics import confusion, weighted_f1
@@ -194,16 +193,12 @@ class ExperimentSpec:
             raise HarnessError(f"sample_cap must be >= 1, got {self.sample_cap}")
 
     def cell_key(self, store: CorpusStore) -> str:
-        """Score-cache key of the cell: a hash over every field but the
-        learner's seed, plus the learner's NUMERICS_VERSION and the content
-        digests of the data the cell reads from ``store`` (source train
-        splits, the target's eval split and the adaptation corpora). Groups
-        the per-seed runs of one cell; changed data or numerics give a new
-        key."""
+        """Score-cache key of the cell: a hash over every field, plus the
+        learner's NUMERICS_VERSION and the content digests of the data the
+        cell reads from ``store`` (source train splits, the target's eval
+        split and the adaptation corpora). Groups the per-seed runs of one
+        cell; changed data or numerics give a new key."""
         payload = asdict(self)
-        # Scoring sets the learner's seed to the run's seed, so the
-        # field must not split cells.
-        del payload["learner"]["seed"]
         payload["numerics_version"] = NUMERICS_VERSION
         payload["data"] = {
             "train": {code: store.digest(code, "train") for code in self.sources},
@@ -247,8 +242,8 @@ def build_training_set(spec: ExperimentSpec, store: CorpusStore, seed: int) -> l
 def adaptation_stats(spec: ExperimentSpec, store: CorpusStore) -> AdaptationStats:
     """Adaptation statistics for a spec.
 
-    TAPT pretrains on the unlabeled task texts (train and dev splits,
-    labels stripped) of the spec's languages plus the target; LAPT
+    TAPT pretrains on the task texts (train and dev splits, labels
+    ignored) of the spec's languages plus the target; LAPT
     pretrains on the target's configured external corpus; lapt+tapt
     merges the two document-frequency tables.
     """
@@ -257,11 +252,7 @@ def adaptation_stats(spec: ExperimentSpec, store: CorpusStore) -> AdaptationStat
     tapt = lapt = None
     tapt_splits = [(code, split) for code, split in spec._adaptation_splits() if split != "lapt"]
     if tapt_splits:
-        corpora = []
-        for code, split in tapt_splits:
-            ds = store.split(code, split)
-            if ds is not None and len(ds):
-                corpora.append(strip_labels(ds))
+        corpora = [ds for code, split in tapt_splits if (ds := store.split(code, split)) is not None]
         langs = sorted({code for code, _ in tapt_splits})
         tapt = pretrain(corpora, tag=f"tapt:{'+'.join(langs)}", config=spec.learner)
     if spec.adaptation in ("lapt", "lapt+tapt"):
@@ -275,7 +266,7 @@ def adaptation_stats(spec: ExperimentSpec, store: CorpusStore) -> AdaptationStat
 def train_model(spec: ExperimentSpec, store: CorpusStore, seed: int, stats: AdaptationStats) -> Model:
     """Fine-tune a spec's model at one seed on the cell's adaptation
     statistics ``stats``."""
-    return fine_tune(stats, build_training_set(spec, store, seed), replace(spec.learner, seed=seed))
+    return fine_tune(stats, build_training_set(spec, store, seed), spec.learner, seed)
 
 
 def score_experiment(

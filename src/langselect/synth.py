@@ -157,13 +157,13 @@ def build_store(universe: SynthUniverse) -> CorpusStore:
             if not split_rows:
                 continue
             examples = tuple(
-                Example(id=row_id, text=normalize_text(raw), label=label, language=language)
+                Example(id=row_id, text=normalize_text(raw), label=label)
                 for row_id, raw, label in split_rows
             )
             store.add(Dataset(language=language, split=split, examples=examples))
         if lang.code in corpora:
             examples = tuple(
-                Example(id=f"u{i+1}", text=normalize_text(line), label=None, language=language)
+                Example(id=f"u{i+1}", text=normalize_text(line), label=None)
                 for i, line in enumerate(corpora[lang.code])
             )
             store.add_lapt(Dataset(language=language, split="train", examples=examples))

@@ -90,7 +90,6 @@ class LearnerConfig:
     lr_decay: float = 0.9
     batch_size: int = 32
     epochs: int = 20
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (1 <= self.ngram_min <= self.ngram_max <= 8):
@@ -355,23 +354,17 @@ def _as_datasets(data: Dataset | Iterable[Dataset]) -> list[Dataset]:
 def pretrain(
     corpus: Dataset | Iterable[Dataset], tag: str, config: LearnerConfig
 ) -> AdaptationStats:
-    """Estimate document frequencies from an unlabeled adaptation corpus.
+    """Estimate document frequencies from an adaptation corpus.
 
     Each document contributes 1 to the frequency of every bucket it
-    contains, so the result does not depend on document order. Labeled
-    examples are rejected: labels must never reach the adaptation phase.
+    contains, so the result does not depend on document order. Only the
+    texts are read: labels are ignored, and the statistics hold nothing
+    but document frequencies, so no label reaches the adaptation phase.
     Term counts come from the same per-process memo as
     ``design_matrix``'s, so a text already hashed there or by an earlier
     call is not hashed again.
     """
-    texts: list[str] = []
-    for ds in _as_datasets(corpus):
-        for ex in ds:
-            if ex.label is not None:
-                raise TextModelError(
-                    f"adaptation corpus must be unlabeled, found labeled example {ex.id!r}; strip labels first"
-                )
-            texts.append(ex.text)
+    texts = [ex.text for ds in _as_datasets(corpus) for ex in ds]
     present = [buckets for buckets, _ in _term_counts(texts, config) if len(buckets)]
     if not present:
         raise TextModelError("adaptation corpus empty")
@@ -425,11 +418,12 @@ def fine_tune(
     stats: AdaptationStats,
     train: Dataset | Iterable[Dataset],
     config: LearnerConfig,
+    seed: int,
 ) -> Model:
     """Train the classifier by mini-batch gradient descent.
 
     Minimizes mean cross-entropy + (l2_lambda/2) * ||W||^2. Example order
-    is reshuffled every epoch by a generator seeded from ``config.seed``;
+    is reshuffled every epoch by a generator seeded from ``seed``;
     the ridge term is applied as a proximal (implicit) step so training
     stays stable for arbitrarily large l2_lambda. Per-epoch losses are
     recorded on the returned model.
@@ -463,7 +457,7 @@ def fine_tune(
     V = np.zeros((len(used), 3), dtype=np.float64)
     scale = 1.0
     bias = np.zeros(3, dtype=np.float64)
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     lr = config.learning_rate
     history: list[float] = []
 
@@ -583,6 +577,8 @@ def load_model(path: str | Path) -> Model:
         raise TextModelError(f"model file not found: {path}")
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        # Older model files also record the training seed in the config.
+        meta["config"].pop("seed", None)
         config = LearnerConfig(**meta["config"])
         stats = AdaptationStats(
             df_buckets=data["df_buckets"],

@@ -25,5 +25,5 @@ def make_dataset(rows, language=None, split="train", prefix="e"):
     for i, row in enumerate(rows):
         if len(row) == 2:
             row = (f"{prefix}{i}", *row)
-        examples.append(Example(id=row[0], text=row[1], label=row[2], language=language))
+        examples.append(Example(id=row[0], text=row[1], label=row[2]))
     return Dataset(language=language, split=split, examples=tuple(examples))

@@ -171,19 +171,20 @@ def _softmax(logits):
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def reference_sparse_fine_tune(X, y, config):
+def reference_sparse_fine_tune(X, y, config, seed):
     """The lazy sparse trainer, one non-zero at a time. Weights are held
     as scale * V; a step adds each non-zero's gradient term into V in
     batch order and divides scale by (1 + lr * l2_lambda), folding scale
     into V below 1e-100. Each logit is summed over its row's non-zeros
-    in order from 0.0. X is CSR rows and y holds class indices. Returns
-    (weights (3, columns), bias, loss_history)."""
+    in order from 0.0. X is CSR rows, y holds class indices and seed
+    drives the shuffle. Returns (weights (3, columns), bias,
+    loss_history)."""
     n = X.shape[0]
     V = np.zeros((X.shape[1], 3))
     used = sorted({j for i in range(n) for j in csr_row(X, i)[0]})
     scale = 1.0
     bias = np.zeros(3)
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     lr = config.learning_rate
     history = []
     for _ in range(config.epochs):
@@ -222,16 +223,16 @@ def reference_sparse_fine_tune(X, y, config):
     return (V * scale).T, bias, history
 
 
-def reference_dense_fine_tune(X, y, config):
+def reference_dense_fine_tune(X, y, config, seed):
     """Dense mini-batch trainer: every step updates the whole weight
     matrix, W <- (W - lr * grad) / (1 + lr * l2_lambda), with the
-    library's shuffle (Fisher-Yates on random.Random(config.seed)) and
+    library's shuffle (Fisher-Yates on random.Random(seed)) and
     per-epoch loss. X is a dense (rows, hash_buckets) array and y holds
     class indices. Returns (weights (3, hash_buckets), bias, loss_history)."""
     n = X.shape[0]
     weights = np.zeros((3, X.shape[1]))
     bias = np.zeros(3)
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     lr = config.learning_rate
     history = []
     for _ in range(config.epochs):

@@ -92,7 +92,7 @@ def test_criterion_2_gradient_correctness(lang):
         batch = []
         for i in range(rng.randint(1, 5)):
             text = "".join(rng.choice("abcde fg") for _ in range(rng.randint(2, 10))).strip() or "a"
-            batch.append(Example(f"g{i}", text, rng.choice(LABELS), lang))
+            batch.append(Example(f"g{i}", text, rng.choice(LABELS)))
         _, grad_w, grad_b = loss_and_gradient(model, batch)
         fd_w, fd_b = finite_difference_grads(loss_and_gradient, model, batch, h=1e-5)
         assert relative_error(grad_w, fd_w) < 1e-4, trial
@@ -322,8 +322,7 @@ def test_criterion_7_ensemble_behavior():
     per_seed_scores = []
     per_seed_preds = []
     for seed in (1, 2, 3, 4, 5):
-        cfg = LearnerConfig(**{**uni.learner, "seed": seed})
-        model = fine_tune(AdaptationStats.uniform(), train_sets, cfg)
+        model = fine_tune(AdaptationStats.uniform(), train_sets, LearnerConfig(**uni.learner), seed)
         preds = predict_texts(model, devstar.texts())
         per_seed_preds.append(tuple(preds))
         per_seed_scores.append(weighted_f1(confusion(gold, [l for l, _ in preds])))
@@ -387,7 +386,7 @@ def test_criterion_8_preprocessing_golden_suite(lang):
     dev = Dataset(
         language=lang,
         split="dev",
-        examples=tuple(Example(i, t, l, lang) for i, t, l in dev_rows),
+        examples=tuple(Example(i, t, l) for i, t, l in dev_rows),
     )
     devstar = dedup_dev(train, dev)
     assert [ex.id for ex in devstar] == ["d0", "d2", "d4"]

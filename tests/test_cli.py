@@ -114,8 +114,17 @@ class TestExitCodes:
             ("selection: xy\n", "'selection'"),
             ("selection:\n  top_k: x\n", "selection"),
             ("learner: [3]\n", "'learner'"),
+            ("    train: 5\n", "'languages[0].train' must be a path string"),
+            ("    dev: [x]\n", "'languages[0].dev' must be a path string"),
+            ("    test: 1.5\n", "'languages[0].test' must be a path string"),
+            ("    lapt_corpus: {a: b}\n", "'languages[0].lapt_corpus' must be a path string"),
+            ("cache_dir: [x]\n", "'cache_dir' must be a path string"),
+            # Selection scores devstar only; ``score --eval-split`` is the
+            # one way to score another split.
+            ("eval_split: test\n", "use 'score --eval-split'"),
         ],
-        ids=["seeds-int", "seeds-str", "seeds-float", "seeds-bool", "selection-str", "top-k-str", "learner-list"],
+        ids=["seeds-int", "seeds-str", "seeds-float", "seeds-bool", "selection-str", "top-k-str", "learner-list",
+             "train-int", "dev-list", "test-float", "lapt-corpus-map", "cache-dir-list", "eval-split-test"],
     )
     def test_malformed_config_value_is_experiment_error(self, tmp_path, capsys, section, key):
         # A value of the wrong type is named, not turned into a traceback
@@ -276,6 +285,34 @@ class TestSelectAndReport:
         rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert any(r["table"] == "selection" for r in rows)
 
+
+    def test_matrix_out_written_when_nothing_is_selected(self, tmp_path, capsys, monkeypatch):
+        # No source clears a threshold of 50 times the baseline. The file
+        # must still be this run's: empty, not a stale one or none.
+        universe = replace(
+            four_language_universe(), selection={"threshold": 50, "baseline_samples_per_language": 30}
+        )
+        config = str(write_universe(universe, tmp_path / "four"))
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        sel_path, cells_path = tmp_path / "sel.jsonl", tmp_path / "cells.jsonl"
+        cells_path.write_text('{"stale": true}\n')
+        assert main(
+            ["select", "--config", config, "--strategy", "bwd", "--mode", "zeroshot",
+             "--out", str(sel_path), "--matrix-out", str(cells_path)]
+        ) == 0
+        assert all(not r["positives"] for r in _read_jsonl(sel_path))
+        assert cells_path.read_text() == ""
+        cells_path.unlink()
+        assert main(
+            ["select", "--config", config, "--strategy", "bwd", "--mode", "zeroshot",
+             "--matrix-out", str(cells_path)]
+        ) == 0
+        assert cells_path.read_text() == ""
+        capsys.readouterr()
+        assert main(
+            ["report", "--config", config, "--matrix", str(cells_path), "--selections", str(sel_path)]
+        ) == 0
+        assert "# Scores by target language" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "line, reason",

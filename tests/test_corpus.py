@@ -17,7 +17,6 @@ from langselect import (
     load_unlabeled_text,
     normalize_text,
     sample_per_language,
-    strip_labels,
 )
 from langselect.corpus import (
     AFRISENTI_LANGUAGES,
@@ -167,15 +166,9 @@ class TestLanguageCode:
 
 class TestDatasetInvariants:
     def test_duplicate_ids_rejected(self, lang):
-        ex = Example("a", "text", "positive", lang)
+        ex = Example("a", "text", "positive")
         with pytest.raises(CorpusError, match="duplicate id"):
             Dataset(lang, "train", (ex, ex))
-
-    def test_language_mismatch_rejected(self, lang):
-        other = LanguageCode("yy")
-        ex = Example("a", "text", "positive", other)
-        with pytest.raises(CorpusError, match="belongs to"):
-            Dataset(lang, "train", (ex,))
 
     def test_unknown_split(self, lang):
         with pytest.raises(CorpusError, match="unknown split"):
@@ -183,11 +176,11 @@ class TestDatasetInvariants:
 
     def test_empty_text_rejected(self, lang):
         with pytest.raises(CorpusError, match="empty text"):
-            Example("a", "", "positive", lang)
+            Example("a", "", "positive")
 
     def test_unknown_label_rejected(self, lang):
         with pytest.raises(CorpusError, match="unknown label"):
-            Example("a", "text", "happy", lang)
+            Example("a", "text", "happy")
 
 
 class TestLoadLabeledTsv:
@@ -196,7 +189,7 @@ class TestLoadLabeledTsv:
         path.write_text("id\ttext\tlabel\nt1\tgreat day\tpositive\n")
         ds = load_labeled_tsv(path, lang)
         assert len(ds) == 1
-        assert ds.examples[0] == Example("t1", "great day", "positive", lang)
+        assert ds.examples[0] == Example("t1", "great day", "positive")
 
     def test_unknown_label_names_line_and_value(self, tmp_path, lang):
         path = tmp_path / "d.tsv"
@@ -389,9 +382,3 @@ class TestMetadata:
         families = {lc.top_family for lc in AFRISENTI_LANGUAGES.values()}
         assert families == {"Afro-Asiatic", "Niger-Congo", "English-Creole", "Indo-European"}
 
-
-def test_strip_labels(lang):
-    ds = make_dataset([("a", "positive"), ("b", "negative")], lang)
-    stripped = strip_labels(ds)
-    assert [ex.label for ex in stripped] == [None, None]
-    assert [ex.text for ex in stripped] == ["a", "b"]

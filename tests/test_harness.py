@@ -114,13 +114,6 @@ class TestExperimentSpec:
         )
         assert spec.cell_key(store) == "e42eb9e431bb4117374c8a4b"
 
-    def test_learner_seed_does_not_split_cells(self, store):
-        a = ExperimentSpec(target="aa", sources=("aa",), learner=LearnerConfig(seed=1))
-        b = ExperimentSpec(target="aa", sources=("aa",), learner=LearnerConfig(seed=9))
-        assert a.cell_key(store) == b.cell_key(store)
-        c = ExperimentSpec(target="aa", sources=("aa",), learner=LearnerConfig(epochs=5))
-        assert a.cell_key(store) != c.cell_key(store)
-
     def test_cell_key_covers_numerics_version(self, store, monkeypatch):
         import langselect.harness.experiments as exp
 
@@ -556,7 +549,7 @@ class TestConfig:
         assert cfg.cache_path() is not None
         store = CorpusStore.from_config(cfg)
         assert len(store.train("aa")) == 36
-        assert store.lapt_corpus("aa").is_labeled is False
+        assert all(ex.label is None for ex in store.lapt_corpus("aa"))
 
     def test_env_override_for_cache(self, tmp_path, monkeypatch):
         config_path = write_universe(TINY, tmp_path)
@@ -583,6 +576,15 @@ class TestConfig:
         bad.write_text("languages:\n  - code: aa\nseeds: [1, 2]\nselection:\n  seeds: [2, 2]\n")
         with pytest.raises(HarnessError, match="seeds"):
             load_config(bad)
+
+    def test_eval_split_must_be_devstar(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        for section in ("", "eval_split: devstar\n"):
+            config.write_text("languages:\n  - code: aa\n" + section)
+            load_config(config)
+        config.write_text("languages:\n  - code: aa\neval_split: test\n")
+        with pytest.raises(HarnessError, match="score --eval-split"):
+            load_config(config)
 
     def test_learner_seed_rejected(self, tmp_path):
         # A run's seeds are the top-level ``seeds``; a learner seed would

@@ -1,5 +1,6 @@
 """Learner tests: hashing, featurization, the two adaptation/training
 phases, gradients, prediction and serialization."""
+import json
 import logging
 import math
 import random
@@ -20,7 +21,6 @@ from langselect import (
     predict_texts,
     pretrain,
     save_model,
-    strip_labels,
 )
 from langselect import textmodel
 from langselect.textmodel import Model, design_matrix, hash_gram
@@ -47,7 +47,7 @@ SMALL = LearnerConfig(ngram_min=1, ngram_max=3, hash_buckets=64, epochs=2)
 
 def random_example(rng, lang, i, length=(3, 12)):
     text = "".join(rng.choice("abcdef gh") for _ in range(rng.randint(*length))).strip() or "a"
-    return Example(f"r{i}", text, rng.choice(LABELS), lang)
+    return Example(f"r{i}", text, rng.choice(LABELS))
 
 
 def df_of(stats):
@@ -138,7 +138,7 @@ class TestBatchHasher:
 
         monkeypatch.setattr(textmodel, "_hash_batch", spy)
         texts = [f"t{i}" for i in range((1 << 16) + 50)]
-        examples = (Example(f"e{i}", t, None, lang) for i, t in enumerate(texts + texts[:50]))
+        examples = (Example(f"e{i}", t, None) for i, t in enumerate(texts + texts[:50]))
         corpus = Dataset(lang, "train", tuple(examples))
         config = LearnerConfig(ngram_min=1, ngram_max=2, hash_buckets=1 << 12, epochs=1)
         stats = pretrain(corpus, "t", config)
@@ -217,11 +217,13 @@ class TestPretrain:
         with pytest.raises(TextModelError, match="adaptation corpus empty"):
             pretrain([Dataset(lang, "train", ())], "t", SMALL)
 
-    def test_labeled_corpus_rejected(self, lang):
-        ds = make_dataset([("a", "positive")], lang)
-        with pytest.raises(TextModelError, match="unlabeled"):
-            pretrain([ds], "t", SMALL)
-        pretrain([strip_labels(ds)], "t", SMALL)
+    def test_labels_ignored(self, lang):
+        rows = [("good day", "positive"), ("bad day", "negative"), ("a day", "neutral")]
+        labeled = pretrain([make_dataset(rows, lang)], "t", SMALL)
+        unlabeled = pretrain([make_dataset([(text, None) for text, _ in rows], lang)], "t", SMALL)
+        assert np.array_equal(labeled.df_buckets, unlabeled.df_buckets)
+        assert np.array_equal(labeled.df_counts, unlabeled.df_counts)
+        assert labeled.num_documents == unlabeled.num_documents == 3
 
     def test_counts_bounded(self, lang):
         rng = random.Random(1)
@@ -308,16 +310,16 @@ class TestFineTune:
         return make_dataset([("good", "positive")] * 10 + [("bad", "negative")] * 10, lang)
 
     def test_separable_toy_reaches_perfect_train_accuracy(self, lang):
-        cfg = LearnerConfig(hash_buckets=4096, ngram_max=4, seed=1)
-        model = fine_tune(AdaptationStats.uniform(), self._toy(lang), cfg)
+        cfg = LearnerConfig(hash_buckets=4096, ngram_max=4)
+        model = fine_tune(AdaptationStats.uniform(), self._toy(lang), cfg, 1)
         preds = [predict(model, ex.text)[0] for ex in self._toy(lang)]
         gold = [ex.label for ex in self._toy(lang)]
         assert preds == gold
 
     def test_bitwise_deterministic(self, lang):
-        cfg = LearnerConfig(hash_buckets=1024, ngram_max=3, epochs=5, seed=7)
-        a = fine_tune(AdaptationStats.uniform(), self._toy(lang), cfg)
-        b = fine_tune(AdaptationStats.uniform(), self._toy(lang), cfg)
+        cfg = LearnerConfig(hash_buckets=1024, ngram_max=3, epochs=5)
+        a = fine_tune(AdaptationStats.uniform(), self._toy(lang), cfg, 7)
+        b = fine_tune(AdaptationStats.uniform(), self._toy(lang), cfg, 7)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
         assert a.loss_history == b.loss_history
@@ -326,9 +328,9 @@ class TestFineTune:
         rng = random.Random(11)
         rows = [random_example(rng, lang, i) for i in range(64)]
         ds = Dataset(lang, "train", tuple(rows))
-        cfg = LearnerConfig(hash_buckets=1024, ngram_max=3, epochs=5, seed=1)
-        a = fine_tune(AdaptationStats.uniform(), ds, cfg)
-        b = fine_tune(AdaptationStats.uniform(), ds, LearnerConfig(**{**cfg.__dict__, "seed": 2}))
+        cfg = LearnerConfig(hash_buckets=1024, ngram_max=3, epochs=5)
+        a = fine_tune(AdaptationStats.uniform(), ds, cfg, 1)
+        b = fine_tune(AdaptationStats.uniform(), ds, cfg, 2)
         assert not np.array_equal(a.weights, b.weights)
 
     def test_ridge_limit_uniform_predictions(self, lang):
@@ -337,9 +339,9 @@ class TestFineTune:
         rows = [(f"tok{i} blah", LABELS[i % 3]) for i in range(24)]
         ds = make_dataset(rows, lang)
         cfg = LearnerConfig(
-            hash_buckets=1024, ngram_max=3, epochs=10, batch_size=24, l2_lambda=1e6, seed=3
+            hash_buckets=1024, ngram_max=3, epochs=10, batch_size=24, l2_lambda=1e6
         )
-        model = fine_tune(AdaptationStats.uniform(), ds, cfg)
+        model = fine_tune(AdaptationStats.uniform(), ds, cfg, 3)
         assert float(np.abs(model.weights).max()) < 1e-3
         _, probs = predict(model, "anything here")
         assert all(abs(p - 1 / 3) < 0.01 for p in probs)
@@ -347,34 +349,34 @@ class TestFineTune:
     def test_single_class_warns(self, lang, caplog):
         ds = make_dataset([("fine", "neutral")] * 4, lang)
         with caplog.at_level(logging.WARNING, logger="langselect.textmodel"):
-            model = fine_tune(AdaptationStats.uniform(), ds, SMALL)
+            model = fine_tune(AdaptationStats.uniform(), ds, SMALL, 0)
         assert any("covers only" in r.message for r in caplog.records)
         assert predict(model, "fine")[0] == "neutral"
 
     def test_no_examples_rejected(self, lang):
         with pytest.raises(TextModelError, match="no training examples"):
-            fine_tune(AdaptationStats.uniform(), Dataset(lang, "train", ()), SMALL)
+            fine_tune(AdaptationStats.uniform(), Dataset(lang, "train", ()), SMALL, 0)
 
     def test_divergence_detected(self, lang):
         # Contradictory labels plus an absurd learning rate saturate the
         # softmax, sending the cross-entropy to infinity.
         ds = make_dataset([("same text", "positive"), ("same text", "negative")] * 8, lang)
-        cfg = LearnerConfig(hash_buckets=256, ngram_max=3, epochs=4, learning_rate=1e12, seed=1)
+        cfg = LearnerConfig(hash_buckets=256, ngram_max=3, epochs=4, learning_rate=1e12)
         with pytest.raises(TextModelError, match="divergence: reduce learning_rate"):
-            fine_tune(AdaptationStats.uniform(), ds, cfg)
+            fine_tune(AdaptationStats.uniform(), ds, cfg, 1)
 
     def test_loss_history_decreases(self, lang):
         rng = random.Random(23)
         rows = [random_example(rng, lang, i) for i in range(90)]
         ds = Dataset(lang, "train", tuple(rows))
-        model = fine_tune(AdaptationStats.uniform(), ds, LearnerConfig(hash_buckets=2048, seed=5))
+        model = fine_tune(AdaptationStats.uniform(), ds, LearnerConfig(hash_buckets=2048), 5)
         assert len(model.loss_history) == 20
         assert model.loss_history[-1] <= model.loss_history[0]
 
     def test_unlabeled_example_rejected(self, lang):
-        ds = Dataset(lang, "train", (Example("u", "text", None, lang),))
+        ds = Dataset(lang, "train", (Example("u", "text", None),))
         with pytest.raises(TextModelError, match="labeled"):
-            fine_tune(AdaptationStats.uniform(), ds, SMALL)
+            fine_tune(AdaptationStats.uniform(), ds, SMALL, 0)
 
 
 class TestLossAndGradient:
@@ -397,7 +399,7 @@ class TestLossAndGradient:
 
     def test_uniform_model_balanced_batch_loss_is_ln3(self, lang):
         model = random_model(random.Random(0), SMALL, scale=0.0)
-        batch = [Example(f"b{i}", f"text {i}", LABELS[i % 3], lang) for i in range(6)]
+        batch = [Example(f"b{i}", f"text {i}", LABELS[i % 3]) for i in range(6)]
         loss, _, _ = loss_and_gradient(model, batch)
         assert loss == pytest.approx(math.log(3), abs=1e-12)
 
@@ -446,14 +448,34 @@ class TestSerialization:
         ds = make_dataset(
             [("good stuff", "positive"), ("bad stuff", "negative"), ("meh", "neutral")] * 5, lang
         )
-        stats = pretrain([strip_labels(ds)], "tapt:test", SMALL)
-        cfg = LearnerConfig(hash_buckets=512, ngram_max=3, epochs=4, seed=2)
-        model = fine_tune(stats, ds, cfg)
+        stats = pretrain([ds], "tapt:test", SMALL)
+        cfg = LearnerConfig(hash_buckets=512, ngram_max=3, epochs=4)
+        model = fine_tune(stats, ds, cfg, 2)
         path = tmp_path / "model.npz"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.config == model.config
         assert stats_fields(loaded.stats) == stats_fields(model.stats)
+        assert loaded.loss_history == model.loss_history
+        texts = ["good stuff", "zzz", "bad meh", ""]
+        assert predict_texts(loaded, texts) == predict_texts(model, texts)
+
+    def test_model_file_with_config_seed_loads(self, tmp_path, lang):
+        # Model files written while LearnerConfig had a seed field carry
+        # "seed" in their meta config.
+        ds = make_dataset([("good stuff", "positive"), ("bad stuff", "negative"), ("meh", "neutral")] * 5, lang)
+        model = fine_tune(pretrain([ds], "t", SMALL), ds, SMALL, 4)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["config"]["seed"] = 4
+        arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        assert np.array_equal(loaded.weights, model.weights)
         assert loaded.loss_history == model.loss_history
         texts = ["good stuff", "zzz", "bad meh", ""]
         assert predict_texts(loaded, texts) == predict_texts(model, texts)
@@ -606,13 +628,13 @@ class TestAgainstReferences:
         ds = Dataset(lang, "train", tuple(random_example(rng, lang, i, (20, 40)) for i in range(21)))
         cfg = LearnerConfig(
             ngram_min=1, ngram_max=3, hash_buckets=256, epochs=20, batch_size=4,
-            l2_lambda=l2_lambda, learning_rate=learning_rate, lr_decay=lr_decay, seed=5,
+            l2_lambda=l2_lambda, learning_rate=learning_rate, lr_decay=lr_decay,
         )
-        stats = pretrain([strip_labels(ds)], "t", cfg)
-        model = fine_tune(stats, ds, cfg)
+        stats = pretrain([ds], "t", cfg)
+        model = fine_tune(stats, ds, cfg, 5)
         X = design_matrix([ex.text for ex in ds], stats, cfg)
         y = np.array([LABELS.index(ex.label) for ex in ds])
-        weights, bias, history = reference_sparse_fine_tune(X, y, cfg)
+        weights, bias, history = reference_sparse_fine_tune(X, y, cfg, 5)
         assert np.array_equal(model.weights, weights)
         assert np.array_equal(model.bias, bias)
         assert model.loss_history == tuple(history)
@@ -626,13 +648,13 @@ class TestAgainstReferences:
         ds = Dataset(lang, "train", tuple(random_example(rng, lang, i) for i in range(40)))
         cfg = LearnerConfig(
             ngram_min=1, ngram_max=3, hash_buckets=256, epochs=20, batch_size=8,
-            l2_lambda=l2_lambda, learning_rate=learning_rate, lr_decay=lr_decay, seed=3,
+            l2_lambda=l2_lambda, learning_rate=learning_rate, lr_decay=lr_decay,
         )
-        stats = pretrain([strip_labels(ds)], "t", cfg)
-        model = fine_tune(stats, ds, cfg)
+        stats = pretrain([ds], "t", cfg)
+        model = fine_tune(stats, ds, cfg, 3)
         X = dense(design_matrix([ex.text for ex in ds], stats, cfg))
         y = np.array([LABELS.index(ex.label) for ex in ds])
-        weights, bias, history = reference_dense_fine_tune(X, y, cfg)
+        weights, bias, history = reference_dense_fine_tune(X, y, cfg, 3)
         np.testing.assert_allclose(model.weights, weights, rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.bias, bias, rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.loss_history, history, rtol=1e-12, atol=0)
