@@ -5,6 +5,8 @@ n-gram classifier with a two-phase adaptation contract, evaluates with
 weighted F1, and runs forward/backward source-language selection with
 caching, seed averaging, majority-vote ensembling and report generation.
 """
+import importlib
+
 from .corpus import (
     AFRISENTI_LANGUAGES,
     LABELS,
@@ -29,7 +31,7 @@ from .errors import (
     SelectionError,
     TextModelError,
 )
-from .metrics import ConfusionMatrix, ScoreReport, confusion, macro_f1, score_report, weighted_f1
+from .learner_config import LearnerConfig
 from .selection import (
     BACKWARD,
     FORWARD,
@@ -44,17 +46,37 @@ from .selection import (
     group_by_family,
     plan,
 )
-from .textmodel import (
-    AdaptationStats,
-    LearnerConfig,
-    Model,
-    fine_tune,
-    load_model,
-    loss_and_gradient,
-    predict,
-    predict_texts,
-    pretrain,
-    save_model,
+
+# Names of the numpy-backed learner, by home module. They are imported on
+# first access (PEP 562), so importing langselect does not import numpy.
+_LAZY = dict.fromkeys(
+    ("ConfusionMatrix", "ScoreReport", "confusion", "macro_f1", "score_report", "weighted_f1"), "metrics"
+) | dict.fromkeys(
+    (
+        "AdaptationStats",
+        "Model",
+        "fine_tune",
+        "load_model",
+        "loss_and_gradient",
+        "predict",
+        "predict_texts",
+        "pretrain",
+        "save_model",
+    ),
+    "textmodel",
 )
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"

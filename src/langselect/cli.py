@@ -30,7 +30,6 @@ from .harness import (
     train_model,
 )
 from .harness.report import FORMATS
-from .textmodel import load_model, predict_texts, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -147,6 +146,10 @@ def _spec_from_args(args: argparse.Namespace, cfg) -> ExperimentSpec:
     sources = tuple(s.strip() for s in args.sources.split(",") if s.strip())
     if not sources:
         raise _UsageError("--sources must name at least one language")
+    declared = {lf.language.code for lf in cfg.languages}
+    for code in (args.target, *sources):
+        if code not in declared:
+            raise HarnessError(f"language {code!r} is not declared in {args.config}")
     return ExperimentSpec(
         target=args.target,
         sources=sources,
@@ -180,6 +183,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from .textmodel import save_model
+
     cfg, store, _, seeds = _context(args)
     seed = args.seed if args.seed is not None else seeds[0]
     spec = _spec_from_args(args, cfg)
@@ -342,6 +347,8 @@ def _read_eval_rows(path: Path) -> tuple[list[str], list[str]]:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from .textmodel import load_model, predict_texts
+
     model = load_model(args.model)
     ids, texts = _read_eval_rows(Path(args.input))
     predictions = predict_texts(model, texts)

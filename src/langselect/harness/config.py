@@ -22,9 +22,13 @@ import yaml
 from ..corpus import LanguageCode, read_utf8
 from ..errors import CorpusError, HarnessError
 from ..selection import SelectionConfig
-from ..textmodel import LearnerConfig
+from ..learner_config import LearnerConfig
 
 CACHE_DIR_ENV = "LANGSELECT_CACHE_DIR"
+
+# libyaml's loader when PyYAML was built with it: it parses the same
+# documents several times faster than the pure-Python one.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ def load_config(path: str | Path) -> HarnessConfig:
     except CorpusError as e:
         raise HarnessError(f"config {e}") from None
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as e:
         raise HarnessError(f"{path}: invalid YAML: {e}") from None
     if not isinstance(doc, dict):

@@ -6,15 +6,24 @@ a plan, one after another, and aggregates seeds into a score table.
 A spec is a cell; the seed is an argument of scoring, set once per run.
 Every score is a deterministic function of (spec, seed), so results are
 identical whether or not they come from the cache.
+
+The numpy-backed learner (``textmodel`` and ``metrics``) is imported on
+first use: when a cell misses the cache, or ``adaptation_stats`` or
+``train_model`` is called. Its names (``fine_tune``, ``predict_texts``,
+``pretrain``, ``AdaptationStats``, ``confusion``, ``weighted_f1``) are
+then bound as globals of this module, and reading one of them as an
+attribute binds them too, so they can be replaced here like any other
+module global.
 """
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..corpus import (
     Dataset,
@@ -25,21 +34,43 @@ from ..corpus import (
     sample_per_language,
 )
 from ..errors import HarnessError
-from ..metrics import confusion, weighted_f1
+from ..learner_config import NUMERICS_VERSION, LearnerConfig
 from ..selection import MULTILINGUAL, ZEROSHOT, PlanCell
-from ..textmodel import (
-    NUMERICS_VERSION,
-    AdaptationStats,
-    LearnerConfig,
-    Model,
-    fine_tune,
-    predict_texts,
-    pretrain,
-)
 from .cache import ScoreCache
 from .config import HarnessConfig
 
+if TYPE_CHECKING:
+    from ..textmodel import AdaptationStats, Model
+
 logger = logging.getLogger(__name__)
+
+# The numpy-backed learner names this module calls, by home module. They
+# are bound into this module's globals on first use, so a run whose
+# scores all come from the cache never imports numpy.
+_LEARNER_NAMES = {
+    "AdaptationStats": "textmodel",
+    "fine_tune": "textmodel",
+    "predict_texts": "textmodel",
+    "pretrain": "textmodel",
+    "confusion": "metrics",
+    "weighted_f1": "metrics",
+}
+
+
+def _bind_learner() -> None:
+    """Import the learner and bind its names here. A name already bound,
+    such as a test spy or a tracing wrapper, is kept."""
+    namespace = globals()
+    for name, home in _LEARNER_NAMES.items():
+        if name not in namespace:
+            namespace[name] = getattr(importlib.import_module(f"..{home}", __package__), name)
+
+
+def __getattr__(name: str):
+    if name in _LEARNER_NAMES:
+        _bind_learner()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 ADAPTATIONS = ("none", "tapt", "lapt", "lapt+tapt")
 EVAL_SPLITS = ("devstar", "dev", "test")
@@ -247,6 +278,7 @@ def adaptation_stats(spec: ExperimentSpec, store: CorpusStore) -> AdaptationStat
     pretrains on the target's configured external corpus; lapt+tapt
     merges the two document-frequency tables.
     """
+    _bind_learner()
     if spec.adaptation == "none":
         return AdaptationStats.uniform()
     tapt = lapt = None
@@ -266,6 +298,7 @@ def adaptation_stats(spec: ExperimentSpec, store: CorpusStore) -> AdaptationStat
 def train_model(spec: ExperimentSpec, store: CorpusStore, seed: int, stats: AdaptationStats) -> Model:
     """Fine-tune a spec's model at one seed on the cell's adaptation
     statistics ``stats``."""
+    _bind_learner()
     return fine_tune(stats, build_training_set(spec, store, seed), spec.learner, seed)
 
 
@@ -285,6 +318,7 @@ def score_experiment(
     missing = sorted(set(seeds) - results.keys())
     if not missing:
         return results
+    _bind_learner()
     seed = None
     try:
         stats = adaptation_stats(spec, store)

@@ -7,6 +7,10 @@ language-/task-adaptive pretraining; no masked-LM objective, no
 transformer), followed by supervised ``fine_tune`` of a multinomial
 logistic regression over hashed character n-gram features weighted by
 those statistics. Everything is deterministic given (data, config, seed).
+
+``LearnerConfig`` and ``NUMERICS_VERSION`` are defined in the numpy-free
+``learner_config`` module and imported back here, so both names keep
+working from this module.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import json
 import logging
 import math
 import random
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,6 +27,7 @@ import numpy as np
 
 from .corpus import LABEL_INDEX, LABELS, Dataset, Example
 from .errors import TextModelError
+from .learner_config import NUMERICS_VERSION, LearnerConfig  # noqa: F401 (NUMERICS_VERSION re-exported)
 
 logger = logging.getLogger(__name__)
 
@@ -49,12 +55,6 @@ _DF_BLOCK_DOCS = 1 << 12
 # distinct text is hashed once per process at any corpus size.
 _TERM_COUNTS: dict[tuple[int, int, int], dict[str, tuple[np.ndarray, np.ndarray]]] = {}
 
-# Version of the learner's float results. Bump it with any change that
-# can alter a trained weight or a score in its last bits, so that cached
-# scores from other numerics are never reused. Version 1 was the dense
-# trainer with per-text featurization.
-NUMERICS_VERSION = 2
-
 # fine_tune folds its lazy L2 scale back into the weights below this,
 # far above float64 underflow and far below any scale that matters.
 _SCALE_FLOOR = 1e-100
@@ -70,36 +70,6 @@ def hash_gram(gram: str) -> int:
     for b in gram.encode("utf-8"):
         h = ((h ^ b) * _FNV64_PRIME) & _U64
     return h
-
-
-@dataclass(frozen=True)
-class LearnerConfig:
-    """Hyperparameters of the hashed n-gram learner.
-
-    ``hash_buckets`` must be a power of two so hashing reduces with a
-    mask. ``batch_size`` 32 matches the usual fine-tuning setup; the
-    learning rate is scaled for this desk-scale model and decays by
-    ``lr_decay`` per epoch.
-    """
-
-    ngram_min: int = 1
-    ngram_max: int = 5
-    hash_buckets: int = 1 << 18
-    l2_lambda: float = 1e-4
-    learning_rate: float = 0.1
-    lr_decay: float = 0.9
-    batch_size: int = 32
-    epochs: int = 20
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.ngram_min <= self.ngram_max <= 8):
-            raise TextModelError(f"require 1 <= ngram_min <= ngram_max <= 8, got [{self.ngram_min}, {self.ngram_max}]")
-        if not 2 <= self.hash_buckets <= 1 << 31 or self.hash_buckets & (self.hash_buckets - 1):
-            raise TextModelError(f"hash_buckets must be a power of two in [2, 2^31], got {self.hash_buckets}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise TextModelError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0 or not 0 < self.lr_decay <= 1 or self.l2_lambda < 0:
-            raise TextModelError("invalid optimizer settings")
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,26 +541,35 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Model:
-    """Load a model saved by ``save_model``."""
+    """Load a model saved by ``save_model``. A file that is missing or is
+    not such a model (unreadable, corrupt, lacking a key) is a
+    ``TextModelError`` naming the path."""
     path = Path(path)
     if not path.exists():
         raise TextModelError(f"model file not found: {path}")
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+    try:
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in ("weights", "bias", "df_buckets", "df_counts", "meta")}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
         # Older model files also record the training seed in the config.
-        meta["config"].pop("seed", None)
-        config = LearnerConfig(**meta["config"])
-        stats = AdaptationStats(
-            df_buckets=data["df_buckets"],
-            df_counts=data["df_counts"],
-            num_documents=int(meta["stats"]["num_documents"]),
-            source_tag=str(meta["stats"]["source_tag"]),
-        )
-        return Model(
-            weights=data["weights"].copy(),
-            bias=data["bias"].copy(),
-            stats=stats,
-            config=config,
-            loss_history=tuple(meta["loss_history"]),
-        )
-
+        config_doc = dict(meta["config"])
+        config_doc.pop("seed", None)
+        config = LearnerConfig(**config_doc)
+        num_documents = int(meta["stats"]["num_documents"])
+        source_tag = str(meta["stats"]["source_tag"])
+        loss_history = tuple(meta["loss_history"])
+    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as e:
+        raise TextModelError(f"cannot load model file {path}: {e}") from None
+    stats = AdaptationStats(
+        df_buckets=arrays["df_buckets"],
+        df_counts=arrays["df_counts"],
+        num_documents=num_documents,
+        source_tag=source_tag,
+    )
+    return Model(
+        weights=arrays["weights"].copy(),
+        bias=arrays["bias"].copy(),
+        stats=stats,
+        config=config,
+        loss_history=loss_history,
+    )

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -142,6 +143,13 @@ class TestExitCodes:
         )
         assert "experiment error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["languages: [aa\n", "languages:\n\t- code: aa\n", "a: b: c\n"])
+    def test_invalid_yaml_is_experiment_error(self, tmp_path, capsys, text):
+        config = tmp_path / "config.yaml"
+        config.write_text(text, encoding="utf-8")
+        assert main(["ingest", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith(f"experiment error: {config}: invalid YAML: ")
+
 
 class TestIngest:
     def test_writes_devstar_and_summary(self, tmp_path, capsys, config_path):
@@ -192,6 +200,44 @@ class TestTrainPredictEnsemble:
         ok.write_text("id\ttext\na\thello\n")
         missing = tmp_path / "m.npz"
         assert main(["predict", "--model", str(missing), "--input", str(ok), "--out", str(tmp_path / "o.tsv")]) == 3
+
+    @pytest.mark.parametrize("damage", ["corrupt", "no-meta", "directory"])
+    def test_predict_unloadable_model_is_experiment_error(self, tmp_path, capsys, config_path, damage):
+        # Like a missing model file: exit 3 naming the file, not a traceback.
+        model = tmp_path / "m.npz"
+        assert main(
+            ["train", "--config", config_path, "--target", "aa", "--sources", "aa",
+             "--seed", "1", "--out", str(model)]
+        ) == 0
+        if damage == "corrupt":
+            model.write_bytes(model.read_bytes()[:100])
+        elif damage == "no-meta":
+            with zipfile.ZipFile(model) as src:
+                members = {name: src.read(name) for name in src.namelist() if name != "meta.npy"}
+            with zipfile.ZipFile(model, "w") as dst:
+                for name, data in members.items():
+                    dst.writestr(name, data)
+        else:
+            model.unlink()
+            model.mkdir()
+        ok = tmp_path / "in.tsv"
+        ok.write_text("id\ttext\na\thello\n")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--input", str(ok), "--out", str(tmp_path / "o.tsv")]) == 3
+        assert f"experiment error: cannot load model file {model}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "target, sources, undeclared", [("zz", "aa", "zz"), ("aa", "aa,yy", "yy")], ids=["target", "source"]
+    )
+    def test_train_rejects_undeclared_language(self, tmp_path, capsys, config_path, target, sources, undeclared):
+        # TAPT skips splits a declared language lacks; a language the config
+        # does not declare at all is an error, not a model trained without it.
+        model = tmp_path / "m.npz"
+        argv = ["train", "--config", config_path, "--target", target, "--sources", sources,
+                "--adaptation", "tapt", "--out", str(model)]
+        assert main(argv) == 3
+        assert f"language {undeclared!r} is not declared in {config_path}" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_predict_rejects_malformed_input(self, tmp_path, config_path):
         model = tmp_path / "m.npz"
@@ -481,3 +527,91 @@ class TestReportRows:
             picked = {r["target"]: ", ".join(c for c, _ in r["positives"]) or "-"
                       for r in _read_jsonl(tmp_path / f"sel-{mode}.jsonl")}
             assert {row.split("\t")[0]: row.split("\t")[column] for row in picks[1:]} == picked
+
+
+# Every name ``langselect`` exported before its learner names became lazy,
+# by home module.
+_EXPORTS = {
+    "corpus": ["AFRISENTI_LANGUAGES", "LABELS", "SPLITS", "Dataset", "Example", "LanguageCode", "dedup_dev",
+               "load_labeled_tsv", "load_language_metadata", "load_unlabeled_text", "normalize_text",
+               "sample_per_language"],
+    "ensemble": ["VotePool", "majority_vote"],
+    "errors": ["CorpusError", "EnsembleError", "HarnessError", "LangselectError", "MetricsError",
+               "SelectionError", "TextModelError"],
+    "metrics": ["ConfusionMatrix", "ScoreReport", "confusion", "macro_f1", "score_report", "weighted_f1"],
+    "selection": ["BACKWARD", "FORWARD", "MULTILINGUAL", "ZEROSHOT", "PlanCell", "SelectionConfig",
+                  "SelectionResult", "SelectionTask", "backward_select", "forward_select", "group_by_family",
+                  "plan"],
+    "textmodel": ["AdaptationStats", "LearnerConfig", "Model", "fine_tune", "load_model", "loss_and_gradient",
+                  "predict", "predict_texts", "pretrain", "save_model"],
+}
+
+# Runs one CLI verb; its last stdout line is [exit code, numpy imported].
+_VERB_PROBE = (
+    "import json, sys; from langselect.cli import main; "
+    "rc = main(sys.argv[1:]); print(json.dumps([rc, 'numpy' in sys.modules]))"
+)
+
+# Imports langselect, then resolves every export; prints [numpy imported
+# by the import, names missing from dir(), names not their home's object].
+_EXPORT_PROBE = """
+import importlib, json, sys
+import langselect
+numpy_on_import = 'numpy' in sys.modules
+exports = json.loads(sys.argv[1])
+listed = set(dir(langselect))
+missing = [name for names in exports.values() for name in names if name not in listed]
+different = [
+    name
+    for home, names in exports.items()
+    for name in names
+    if getattr(langselect, name) is not getattr(importlib.import_module('langselect.' + home), name)
+]
+print(json.dumps([numpy_on_import, missing, different]))
+"""
+
+
+class TestNumpyFreeVerbs:
+    def test_only_training_verbs_import_numpy(self, tmp_path, four_config):
+        # A verb that trains nothing, or finds every score in the cache,
+        # must not pay for importing numpy in its fresh interpreter.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            LANGSELECT_CACHE_DIR=str(tmp_path / "cache"),
+        )
+
+        def run(*argv):
+            done = subprocess.run(
+                [sys.executable, "-c", _VERB_PROBE, *argv], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert done.returncode == 0, done.stderr
+            rc, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+            assert rc == 0, done.stderr
+            return numpy_loaded
+
+        config = ["--config", str(four_config)]
+        select = ["select", *config, "--strategy", "fwd", "--out", str(tmp_path / "sel.jsonl"),
+                  "--matrix-out", str(tmp_path / "cells.jsonl")]
+        data = four_config.parent / "data"
+        assert not run("ingest", *config, "--out-dir", str(tmp_path / "ingested"))
+        assert run(*select)  # cold: trains
+        assert not run(*select)
+        assert not run("matrix", *config, "--strategy", "fwd", "--out", str(tmp_path / "matrix.jsonl"))
+        assert not run("score", *config, "--target", "aa", "--sources", "aa,bb")
+        assert not run("report", *config, "--matrix", str(tmp_path / "matrix.jsonl"),
+                       "--selections", str(tmp_path / "sel.jsonl"), "--out", str(tmp_path / "report.md"))
+        preds = []
+        for seed in ("1", "2"):
+            model, pred = tmp_path / f"model{seed}.npz", tmp_path / f"pred{seed}.tsv"
+            assert run("train", *config, "--target", "aa", "--sources", "aa,bb", "--seed", seed, "--out", str(model))
+            assert run("predict", "--model", str(model), "--input", str(data / "aa_test.tsv"), "--out", str(pred))
+            preds.append(str(pred))
+        assert not run("ensemble", "--inputs", *preds, "--out", str(tmp_path / "ensemble.tsv"))
+
+        done = subprocess.run(
+            [sys.executable, "-c", _EXPORT_PROBE, json.dumps(_EXPORTS)],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert json.loads(done.stdout) == [False, [], []]

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -483,6 +484,32 @@ class TestSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TextModelError, match="not found"):
             load_model(tmp_path / "nope.npz")
+
+    @pytest.mark.parametrize(
+        "damage", ["not-a-zip", "truncated", "empty", "no-meta", "no-weights", "meta-not-json", "directory"]
+    )
+    def test_unloadable_file_names_the_path(self, tmp_path, lang, damage):
+        ds = make_dataset([("good stuff", "positive"), ("bad stuff", "negative"), ("meh", "neutral")] * 5, lang)
+        path = tmp_path / "model.npz"
+        save_model(fine_tune(AdaptationStats.uniform(), ds, SMALL, 1), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        if damage == "not-a-zip":
+            path.write_bytes(b"not a model\n" * 8)
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "meta-not-json":
+            np.savez_compressed(path, **{**arrays, "meta": np.frombuffer(b"{oops", dtype=np.uint8)})
+        elif damage == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            del arrays[damage.removeprefix("no-")]
+            np.savez_compressed(path, **arrays)
+        with pytest.raises(TextModelError, match=f"cannot load model file {re.escape(str(path))}"):
+            load_model(path)
 
     def test_bad_document_frequency_rejected(self, tmp_path, lang):
         stats = pretrain([make_dataset([("ab", None), ("cd", None)], lang)], "t", SMALL)
