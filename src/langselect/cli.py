@@ -18,6 +18,7 @@ from .errors import CorpusError, EnsembleError, HarnessError, MetricsError, Sele
 from .harness import (
     CorpusStore,
     ExperimentSpec,
+    FactsMemo,
     PlanCell,
     ScoreCache,
     ScoreMatrix,
@@ -136,7 +137,8 @@ def _build_parser() -> _Parser:
 
 def _context(args: argparse.Namespace):
     cfg = load_config(args.config)
-    store = CorpusStore.from_config(cfg)
+    facts = cfg.facts_path()
+    store = CorpusStore.from_config(cfg, None if facts is None else FactsMemo(facts))
     cache = ScoreCache(cfg.cache_path())
     seeds = args.seed_list if getattr(args, "seed_list", None) else cfg.seeds
     return cfg, store, cache, seeds

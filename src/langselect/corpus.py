@@ -139,16 +139,23 @@ class Dataset:
         return [ex.text for ex in self.examples]
 
 
-def read_utf8(path: str | Path) -> str:
-    """The text of a UTF-8 file. A missing or unreadable file or invalid
-    UTF-8 is a data error that names the path."""
+def read_file_bytes(path: str | Path) -> bytes:
+    """The bytes of a file. A missing or unreadable file is a data error
+    that names the path."""
     path = Path(path)
     try:
-        data = path.read_bytes()
+        return path.read_bytes()
     except FileNotFoundError:
         raise CorpusError(f"file not found: {path}") from None
     except OSError as e:
         raise CorpusError(f"{path}: cannot read: {e.strerror}") from None
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file. A missing or unreadable file or invalid
+    UTF-8 is a data error that names the path."""
+    path = Path(path)
+    data = read_file_bytes(path)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -220,8 +227,12 @@ def load_unlabeled_text(path: str | Path, language: LanguageCode, split: str = "
     if dropped:
         logger.info("%s: dropped %d lines with empty text after normalization", path, dropped)
     if not examples:
-        logger.warning("%s: unlabeled corpus is empty", path)
+        warn_empty_corpus(path)
     return Dataset(language=language, split=split, examples=tuple(examples))
+
+
+def warn_empty_corpus(path: str | Path) -> None:
+    logger.warning("%s: unlabeled corpus is empty", path)
 
 
 def dedup_dev(train: Dataset, dev: Dataset) -> Dataset:
@@ -240,8 +251,12 @@ def dedup_dev(train: Dataset, dev: Dataset) -> Dataset:
     if removed:
         logger.info("%s: removed %d dev examples overlapping train", dev.language.code, removed)
     if not kept:
-        logger.warning("%s: devstar is empty, dev was fully contained in train", dev.language.code)
+        warn_empty_devstar(dev.language.code)
     return Dataset(language=dev.language, split="devstar", examples=kept)
+
+
+def warn_empty_devstar(code: str) -> None:
+    logger.warning("%s: devstar is empty, dev was fully contained in train", code)
 
 
 def _sample_indices(n: int, k: int, rng: random.Random) -> list[int]:

@@ -2,7 +2,7 @@
 the matrix runner that turns a selection plan into a score table, and
 report generation."""
 from ..selection import PlanCell
-from .cache import ScoreCache
+from .cache import FactsMemo, ScoreCache
 from .config import CACHE_DIR_ENV, HarnessConfig, LanguageFiles, load_config
 from .experiments import (
     ADAPTATIONS,
@@ -23,6 +23,7 @@ __all__ = [
     "CACHE_DIR_ENV",
     "CorpusStore",
     "ExperimentSpec",
+    "FactsMemo",
     "HarnessConfig",
     "LanguageFiles",
     "MatrixEntry",

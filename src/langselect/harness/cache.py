@@ -1,27 +1,80 @@
-"""Append-only score cache.
+"""Append-only journals in the cache directory: the score cache and the
+split facts memo.
 
-The journal is a line-oriented text file, one record per scored
-experiment cell and seed:
+Both are line-oriented files of tab-separated records, each led by a
+format tag. The score journal holds one record per scored experiment
+cell and seed:
 
     v1<TAB>cell_key<TAB>seed<TAB>score<TAB>support<TAB>timestamp
+
+The facts journal holds one record per loaded split file (see
+``FactsMemo``):
+
+    v1<TAB>numerics_version<TAB>loader<TAB>raw_sha256<TAB>digest<TAB>rows
 
 Scores are written with ``repr`` so they round-trip bit-for-bit. Each
 record is appended as one whole line, so processes sharing a journal do
 not interleave records; readers tolerate duplicates (the last record
-for a (cell_key, seed) pair wins, and records are deterministic
-anyway). Only newline-terminated records with all six fields load: a
-record torn by a crash mid-write is skipped, not read as a shorter one.
+for a key wins, and records are deterministic anyway). Only
+newline-terminated UTF-8 records with all their fields load: a record
+torn by a crash mid-write, or holding bytes that are not UTF-8, is
+skipped, not read as a shorter one.
 """
 from __future__ import annotations
 
 import logging
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 logger = logging.getLogger(__name__)
 
 _FORMAT_TAG = "v1"
-_FIELDS = 6
+
+
+class Journal:
+    """One append-only journal file of ``width`` tab-separated fields per
+    line, the first of them the format tag."""
+
+    def __init__(self, path: Path, width: int):
+        self.path = path
+        self.width = width
+        # Set while the file ends in a torn record, so that the next
+        # append starts on a line of its own instead of extending it.
+        self._torn_tail = False
+
+    def load(self, parse: Callable[[list[str]], None]) -> None:
+        """Call ``parse`` with the fields after the tag of every complete
+        record, in file order. Torn, undecodable and foreign lines, and
+        lines ``parse`` rejects with ``ValueError``, are skipped and
+        counted in one warning."""
+        if not self.path.exists():
+            return
+        # Every complete record ends in a newline, so the last piece of
+        # the split is empty unless the final record is torn.
+        *records, tail = self.path.read_bytes().split(b"\n")
+        self._torn_tail = bool(tail)
+        skipped = 1 if tail.strip() else 0
+        for raw in records:
+            if not raw.strip():
+                continue
+            try:
+                fields = raw.decode("utf-8").split("\t")
+                if len(fields) != self.width or fields[0] != _FORMAT_TAG:
+                    raise ValueError(raw)
+                parse(fields[1:])
+            except ValueError:  # UnicodeDecodeError is one
+                skipped += 1
+        if skipped:
+            logger.warning("%s: skipped %d malformed cache lines", self.path, skipped)
+
+    def append(self, *fields: object) -> None:
+        line = "\t".join([_FORMAT_TAG, *map(str, fields)]) + "\n"
+        if self._torn_tail:
+            line, self._torn_tail = "\n" + line, False
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self.path.open("a", encoding="utf-8") as fh:
+            fh.write(line)
 
 
 class ScoreCache:
@@ -30,35 +83,13 @@ class ScoreCache:
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._entries: dict[tuple[str, int], tuple[float, int]] = {}
-        # Set while the journal ends in a torn record, so that the next
-        # append starts on a line of its own instead of extending it.
-        self._torn_tail = False
-        if self.path is not None and self.path.exists():
-            self._load()
+        self._journal = Journal(self.path, 6) if self.path is not None else None
+        if self._journal is not None:
+            self._journal.load(self._parse)
 
-    def _load(self) -> None:
-        assert self.path is not None
-        # Every complete record ends in a newline, so the last piece of
-        # the split is empty unless the final record is torn.
-        *records, tail = self.path.read_text(encoding="utf-8").split("\n")
-        self._torn_tail = bool(tail)
-        skipped = 1 if tail.strip() else 0
-        for line in records:
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != _FIELDS or fields[0] != _FORMAT_TAG:
-                skipped += 1
-                continue
-            try:
-                key, seed = fields[1], int(fields[2])
-                score, support = float(fields[3]), int(fields[4])
-            except ValueError:
-                skipped += 1
-                continue
-            self._entries[(key, seed)] = (score, support)
-        if skipped:
-            logger.warning("%s: skipped %d malformed cache lines", self.path, skipped)
+    def _parse(self, fields: list[str]) -> None:
+        key, seed, score, support, _ = fields
+        self._entries[(key, int(seed))] = (float(score), int(support))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -69,11 +100,32 @@ class ScoreCache:
 
     def put(self, cell_key: str, seed: int, score: float, support: int) -> None:
         self._entries[(cell_key, seed)] = (score, support)
-        if self.path is not None:
+        if self._journal is not None:
             stamp = datetime.now(timezone.utc).isoformat()
-            line = f"{_FORMAT_TAG}\t{cell_key}\t{seed}\t{score!r}\t{support}\t{stamp}\n"
-            if self._torn_tail:
-                line, self._torn_tail = "\n" + line, False
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line)
+            self._journal.append(cell_key, seed, repr(score), support, stamp)
+
+
+class FactsMemo:
+    """Facts of split files, remembered across runs: (content digest, row
+    count) by (numerics version, loader, sha256 of the raw file bytes).
+
+    The loaders are deterministic, so the same bytes always load the same
+    rows for one numerics version; a store that finds a file's facts here
+    need not parse the file until a cell reads its rows.
+    """
+
+    def __init__(self, path: str | Path):
+        self._facts: dict[tuple[str, str, str], tuple[str, int]] = {}
+        self._journal = Journal(Path(path), 6)
+        self._journal.load(self._parse)
+
+    def _parse(self, fields: list[str]) -> None:
+        numerics, loader, raw, digest, rows = fields
+        self._facts[(numerics, loader, raw)] = (digest, int(rows))
+
+    def get(self, numerics: int, loader: str, raw: str) -> tuple[str, int] | None:
+        return self._facts.get((str(numerics), loader, raw))
+
+    def put(self, numerics: int, loader: str, raw: str, facts: tuple[str, int]) -> None:
+        self._facts[(str(numerics), loader, raw)] = facts
+        self._journal.append(numerics, loader, raw, *facts)

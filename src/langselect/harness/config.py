@@ -52,12 +52,17 @@ class HarnessConfig:
     adaptation: str = "none"
 
     def cache_path(self) -> Path | None:
-        """Journal file path, honoring the environment override."""
+        """Score journal path, honoring the environment override."""
+        return self._in_cache_dir("scores.journal")
+
+    def facts_path(self) -> Path | None:
+        """Split facts journal path, next to the score journal."""
+        return self._in_cache_dir("facts.journal")
+
+    def _in_cache_dir(self, name: str) -> Path | None:
         env = os.environ.get(CACHE_DIR_ENV)
         directory = Path(env) if env else self.cache_dir
-        if directory is None:
-            return None
-        return directory / "scores.journal"
+        return None if directory is None else directory / name
 
 
 def _resolve(config_path: Path, key: str, value: object) -> Path | None:
@@ -91,11 +96,11 @@ def load_config(path: str | Path) -> HarnessConfig:
     for i, entry in enumerate(raw_languages):
         if not isinstance(entry, dict) or "code" not in entry:
             raise HarnessError(f"{path}: languages[{i}] must be a mapping with a 'code'")
-        lang = LanguageCode(
-            code=str(entry["code"]),
-            family=str(entry.get("family", "")),
-            subgroup=entry.get("subgroup"),
-        )
+        metadata = {"code": entry["code"], "family": entry.get("family", ""), "subgroup": entry.get("subgroup")}
+        for key, value in metadata.items():
+            if not isinstance(value, str) and not (key == "subgroup" and value is None):
+                raise HarnessError(f"{path}: 'languages[{i}].{key}' must be a string, got {value!r}")
+        lang = LanguageCode(**metadata)
         files = {
             key: _resolve(path, f"languages[{i}].{key}", entry.get(key))
             for key in ("train", "dev", "test", "lapt_corpus")

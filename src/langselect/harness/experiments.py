@@ -23,7 +23,9 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import partial
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..corpus import (
     Dataset,
@@ -31,12 +33,15 @@ from ..corpus import (
     dedup_dev,
     load_labeled_tsv,
     load_unlabeled_text,
+    read_file_bytes,
     sample_per_language,
+    warn_empty_corpus,
+    warn_empty_devstar,
 )
-from ..errors import HarnessError
+from ..errors import CorpusError, HarnessError
 from ..learner_config import NUMERICS_VERSION, LearnerConfig
 from ..selection import MULTILINGUAL, ZEROSHOT, PlanCell
-from .cache import ScoreCache
+from .cache import FactsMemo, ScoreCache
 from .config import HarnessConfig
 
 if TYPE_CHECKING:
@@ -76,28 +81,135 @@ ADAPTATIONS = ("none", "tapt", "lapt", "lapt+tapt")
 EVAL_SPLITS = ("devstar", "dev", "test")
 
 
-class CorpusStore:
-    """Loaded datasets organized by language and split.
+# The facts memo's loader name of each store split but train, dev and
+# test, which ``load_labeled_tsv`` loads.
+_LOADERS = {"lapt": "unlabeled", "devstar": "devstar"}
 
-    ``devstar`` splits are derived lazily from train/dev overlap removal
-    and cached. Content digests of splits are computed on first use and
-    memoized.
+
+def _rows_digest(ds: Dataset) -> str:
+    """sha256 of a dataset's (id, text, label) rows in order."""
+    # JSON-encoded a slice at a time, so a large split's text is never
+    # held in memory twice.
+    h = hashlib.sha256()
+    for start in range(0, len(ds), 1024):
+        rows = [[ex.id, ex.text, ex.label] for ex in ds.examples[start : start + 1024]]
+        h.update(json.dumps(rows, ensure_ascii=False).encode("utf-8"))
+    return h.hexdigest()
+
+
+class _Split:
+    """One split of a store: its dataset, built on first use, and its
+    facts, the (content digest, row count) pair. Facts recalled from a
+    ``FactsMemo`` are known before the dataset, which must match them
+    once it is built."""
+
+    def __init__(self, name: str, build: Callable[[], Dataset], facts: tuple[str, int] | None = None):
+        self.name = name
+        self._build = build
+        self._dataset: Dataset | None = None
+        self._facts = facts
+
+    def dataset(self) -> Dataset:
+        if self._dataset is None:
+            ds = self._build()
+            if self._facts is not None and _rows_digest(ds) != self._facts[0]:
+                raise CorpusError(f"{self.name}: rows differ from those remembered for its bytes")
+            self._dataset = ds
+        return self._dataset
+
+    def facts(self) -> tuple[str, int]:
+        if self._facts is None:
+            ds = self.dataset()
+            self._facts = (_rows_digest(ds), len(ds))
+        return self._facts
+
+
+class CorpusStore:
+    """Datasets organized by language and split; the split "lapt" names a
+    language's LAPT corpus.
+
+    A split's facts are its content digest and row count. ``digest``,
+    ``has_train`` and ``has_eval`` answer from them; ``train``, ``split``,
+    ``devstar`` and ``lapt_corpus`` return datasets. ``devstar`` splits
+    are derived from train/dev overlap removal on first use.
+
+    A store built by ``from_config`` with a ``FactsMemo`` hashes every
+    configured file's bytes. A file whose facts the memo holds is parsed
+    only when a dataset of it is first returned, so a run whose scores
+    all come from the cache parses no corpus. Any other file is loaded
+    and validated at once, and its facts remembered. Without a memo,
+    every file is loaded at once.
     """
 
-    def __init__(self, metadata: dict[str, LanguageCode] | None = None):
+    def __init__(self, metadata: dict[str, LanguageCode] | None = None, memo: FactsMemo | None = None):
         self._metadata: dict[str, LanguageCode] = dict(metadata or {})
-        self._splits: dict[str, dict[str, Dataset]] = {}
-        self._lapt: dict[str, Dataset] = {}
-        self._digests: dict[tuple[str, str], str | None] = {}
+        self._splits: dict[tuple[str, str], _Split] = {}
+        # sha256 of the bytes of each split read from a file, by
+        # (language, split); only kept with a memo.
+        self._raw: dict[tuple[str, str], str] = {}
+        self._memo = memo
 
     def add(self, dataset: Dataset) -> None:
-        code = dataset.language.code
-        self._metadata.setdefault(code, dataset.language)
-        self._splits.setdefault(code, {})[dataset.split] = dataset
+        self._add_loaded(dataset.split, dataset)
 
     def add_lapt(self, dataset: Dataset) -> None:
-        self._metadata.setdefault(dataset.language.code, dataset.language)
-        self._lapt[dataset.language.code] = dataset
+        self._add_loaded("lapt", dataset)
+
+    def _add_loaded(self, split: str, dataset: Dataset) -> None:
+        code = dataset.language.code
+        self._metadata.setdefault(code, dataset.language)
+        self._splits[(code, split)] = _Split(f"{code}/{split}", lambda: dataset)
+
+    def _add(
+        self,
+        code: str,
+        split: str,
+        name: str,
+        raw: str | None,
+        build: Callable[[], Dataset],
+        warn_empty: Callable[[], None] | None = None,
+    ) -> None:
+        """Add the split ``build`` makes, named ``name`` in errors. When
+        the memo holds its facts under the key ``raw``, it is built on
+        first use; otherwise it is built now and, with a ``raw`` key, its
+        facts remembered. ``warn_empty`` logs, for recalled facts, what
+        the loader logs for an empty result."""
+        loader = _LOADERS.get(split, "labeled")
+        facts = None if raw is None else self._memo.get(NUMERICS_VERSION, loader, raw)
+        if facts is not None and not facts[1]:
+            # Nothing to parse: the split is empty, as the loader would
+            # build it, and the recall logs the loader's warning.
+            empty = Dataset(self._metadata[code], "train" if split == "lapt" else split, ())
+            build = lambda: empty  # noqa: E731
+            if warn_empty is not None:
+                warn_empty()
+        entry = self._splits[(code, split)] = _Split(name, build, facts)
+        if facts is None:
+            entry.dataset()
+            if raw is not None:
+                self._memo.put(NUMERICS_VERSION, loader, raw, entry.facts())
+
+    def _add_file(self, code: str, split: str, path: Path, build: Callable[[], Dataset], warn_empty=None) -> None:
+        raw = None
+        if self._memo is not None:
+            raw = self._raw[(code, split)] = hashlib.sha256(read_file_bytes(path)).hexdigest()
+        self._add(code, split, str(path), raw, build, warn_empty)
+
+    def _entry(self, code: str, split: str) -> _Split | None:
+        if split == "devstar" and (code, split) not in self._splits:
+            train, dev = self._splits.get((code, "train")), self._splits.get((code, "dev"))
+            if train is None or dev is None:
+                return None
+            raws = [self._raw.get((code, "train")), self._raw.get((code, "dev"))]
+            self._add(
+                code,
+                "devstar",
+                f"{code}/devstar",
+                None if None in raws else "+".join(raws),
+                lambda: dedup_dev(train.dataset(), dev.dataset()),
+                partial(warn_empty_devstar, code),
+            )
+        return self._splits.get((code, split))
 
     def language(self, code: str) -> LanguageCode:
         try:
@@ -106,27 +218,20 @@ class CorpusStore:
             raise HarnessError(f"unknown language {code!r}") from None
 
     def split(self, code: str, split: str) -> Dataset | None:
-        if split == "devstar":
-            return self.devstar(code)
-        return self._splits.get(code, {}).get(split)
+        entry = self._entry(code, split)
+        return None if entry is None else entry.dataset()
 
     def train(self, code: str) -> Dataset:
-        ds = self._splits.get(code, {}).get("train")
+        ds = self.split(code, "train")
         if ds is None:
             raise HarnessError(f"no train split loaded for language {code!r}")
         return ds
 
     def devstar(self, code: str) -> Dataset | None:
-        splits = self._splits.get(code, {})
-        if "devstar" not in splits:
-            train, dev = splits.get("train"), splits.get("dev")
-            if train is None or dev is None:
-                return None
-            splits["devstar"] = dedup_dev(train, dev)
-        return splits["devstar"]
+        return self.split(code, "devstar")
 
     def lapt_corpus(self, code: str) -> Dataset:
-        ds = self._lapt.get(code)
+        ds = self.split(code, "lapt")
         if ds is None:
             raise HarnessError(f"no LAPT corpus configured for language {code!r}")
         return ds
@@ -135,20 +240,8 @@ class CorpusStore:
         """sha256 of a split's (id, text, label) rows in order, or None if
         the split is absent. ``split`` may also be "lapt" for the
         language's LAPT corpus."""
-        key = (code, split)
-        if key not in self._digests:
-            ds = self._lapt.get(code) if split == "lapt" else self.split(code, split)
-            if ds is None:
-                self._digests[key] = None
-            else:
-                # JSON-encoded a slice at a time, so a large split's
-                # text is never held in memory twice.
-                h = hashlib.sha256()
-                for start in range(0, len(ds), 1024):
-                    rows = [[ex.id, ex.text, ex.label] for ex in ds.examples[start : start + 1024]]
-                    h.update(json.dumps(rows, ensure_ascii=False).encode("utf-8"))
-                self._digests[key] = h.hexdigest()
-        return self._digests[key]
+        entry = self._entry(code, split)
+        return None if entry is None else entry.facts()[0]
 
     def eval_dataset(self, code: str, split: str) -> Dataset:
         ds = self.split(code, split)
@@ -157,25 +250,30 @@ class CorpusStore:
         return ds
 
     def has_train(self, code: str) -> bool:
-        return "train" in self._splits.get(code, {})
+        return (code, "train") in self._splits
 
     def has_eval(self, code: str, split: str) -> bool:
-        try:
-            self.eval_dataset(code, split)
-            return True
-        except HarnessError:
-            return False
+        entry = self._entry(code, split)
+        return entry is not None and entry.facts()[1] > 0
 
     @classmethod
-    def from_config(cls, cfg: HarnessConfig) -> "CorpusStore":
-        store = cls({lf.language.code: lf.language for lf in cfg.languages})
+    def from_config(cls, cfg: HarnessConfig, memo: FactsMemo | None = None) -> "CorpusStore":
+        """The store of every file ``cfg`` declares; with ``memo``, files
+        whose facts it holds are parsed on first use."""
+        store = cls({lf.language.code: lf.language for lf in cfg.languages}, memo)
         for lf in cfg.languages:
             code = lf.language.code
             for split, path in (("train", lf.train), ("dev", lf.dev), ("test", lf.test)):
                 if path is not None:
-                    store.add(load_labeled_tsv(path, lf.language, split))
+                    store._add_file(code, split, path, partial(load_labeled_tsv, path, lf.language, split))
             if lf.lapt_corpus is not None:
-                store.add_lapt(load_unlabeled_text(lf.lapt_corpus, lf.language))
+                store._add_file(
+                    code,
+                    "lapt",
+                    lf.lapt_corpus,
+                    partial(load_unlabeled_text, lf.lapt_corpus, lf.language),
+                    partial(warn_empty_corpus, lf.lapt_corpus),
+                )
         return store
 
     @classmethod

@@ -1,6 +1,8 @@
 """CLI tests: verbs, outputs, exit codes and start-up imports."""
 import json
+import logging
 import os
+import shutil
 import subprocess
 import sys
 import zipfile
@@ -119,13 +121,17 @@ class TestExitCodes:
             ("    dev: [x]\n", "'languages[0].dev' must be a path string"),
             ("    test: 1.5\n", "'languages[0].test' must be a path string"),
             ("    lapt_corpus: {a: b}\n", "'languages[0].lapt_corpus' must be a path string"),
+            # YAML null is not the family "None".
+            ("    family: null\n", "'languages[0].family' must be a string"),
+            ("    subgroup: 3\n", "'languages[0].subgroup' must be a string"),
             ("cache_dir: [x]\n", "'cache_dir' must be a path string"),
             # Selection scores devstar only; ``score --eval-split`` is the
             # one way to score another split.
             ("eval_split: test\n", "use 'score --eval-split'"),
         ],
         ids=["seeds-int", "seeds-str", "seeds-float", "seeds-bool", "selection-str", "top-k-str", "learner-list",
-             "train-int", "dev-list", "test-float", "lapt-corpus-map", "cache-dir-list", "eval-split-test"],
+             "train-int", "dev-list", "test-float", "lapt-corpus-map", "family-null", "subgroup-int", "cache-dir-list",
+             "eval-split-test"],
     )
     def test_malformed_config_value_is_experiment_error(self, tmp_path, capsys, section, key):
         # A value of the wrong type is named, not turned into a traceback
@@ -135,6 +141,13 @@ class TestExitCodes:
         assert main(["score", "--config", str(config), "--target", "aa", "--sources", "aa"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("experiment error:") and key in err
+
+    def test_null_language_code_is_experiment_error(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("languages:\n  - code: null\n", encoding="utf-8")
+        assert main(["score", "--config", str(config), "--target", "aa", "--sources", "aa"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("experiment error:") and "'languages[0].code' must be a string, got None" in err
 
     def test_experiment_error(self, tmp_path, capsys):
         assert (
@@ -615,3 +628,177 @@ class TestNumpyFreeVerbs:
             env=env, capture_output=True, text=True, check=True, timeout=60,
         )
         assert json.loads(done.stdout) == [False, [], []]
+
+
+def _warm_verbs(config, out):
+    """A select, a matrix and a score run of one config, writing into out."""
+    config = ["--config", str(config)]
+    return [
+        ["select", *config, "--strategy", "fwd", "--out", str(out / "sel.jsonl"),
+         "--matrix-out", str(out / "cells.jsonl")],
+        ["matrix", *config, "--strategy", "bwd", "--out", str(out / "matrix.jsonl")],
+        ["score", *config, "--target", "aa", "--sources", "aa,bb", "--cap", "30"],
+    ]
+
+
+def _warm_universe(adaptation):
+    universe = replace(four_language_universe(), selection={"baseline_samples_per_language": 30}, seeds=(1,))
+    if adaptation == "none":
+        return universe
+    return replace(universe, adaptation=adaptation, generic_corpus_lines=20)
+
+
+@pytest.fixture(scope="module")
+def warm_dirs(tmp_path_factory):
+    """Per adaptation, a four-language universe whose cache the verbs of
+    ``_warm_verbs`` have filled, with their outputs under ``cold/``."""
+    dirs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("LANGSELECT_CACHE_DIR", raising=False)
+        for adaptation in ("none", "lapt+tapt"):
+            root = tmp_path_factory.mktemp("warm")
+            config = write_universe(_warm_universe(adaptation), root)
+            (root / "cold").mkdir()
+            for argv in _warm_verbs(config, root / "cold"):
+                assert main(argv) == 0
+            dirs[adaptation] = root
+    return dirs
+
+
+class TestWarmRuns:
+    """A run whose scores all come from the cache parses no corpus: each
+    split's facts are remembered by its file's raw bytes."""
+
+    @pytest.fixture
+    def universe(self, warm_dirs, tmp_path, monkeypatch, request):
+        monkeypatch.delenv("LANGSELECT_CACHE_DIR", raising=False)
+        root = tmp_path / "universe"
+        shutil.copytree(warm_dirs[getattr(request, "param", "none")], root)
+        return root
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Names of the files each loader parses, and fine_tune's call count."""
+        import langselect.harness.experiments as exp
+
+        calls = {"load_labeled_tsv": [], "load_unlabeled_text": [], "fine_tune": []}
+        for name in ("load_labeled_tsv", "load_unlabeled_text"):
+            real = getattr(exp, name)
+
+            def spy(path, *args, real=real, name=name, **kwargs):
+                calls[name].append(path.name)
+                return real(path, *args, **kwargs)
+
+            monkeypatch.setattr(exp, name, spy)
+        real_fine_tune = exp.fine_tune
+
+        def fine_tune(*args, **kwargs):
+            calls["fine_tune"].append(1)
+            return real_fine_tune(*args, **kwargs)
+
+        monkeypatch.setattr(exp, "fine_tune", fine_tune)
+        return calls
+
+    def _run(self, universe, capsys):
+        """Run the warm verbs; return their stdout and the journal's bytes."""
+        (universe / "warm").mkdir(exist_ok=True)
+        for argv in _warm_verbs(universe / "config.yaml", universe / "warm"):
+            assert main(argv) == 0
+        return capsys.readouterr().out, (universe / "cache" / "scores.journal").read_bytes()
+
+    @pytest.mark.parametrize("universe", ["none", "lapt+tapt"], indirect=True)
+    def test_warm_verbs_parse_nothing(self, universe, calls, capsys):
+        journal = (universe / "cache" / "scores.journal").read_bytes()
+        assert self._run(universe, capsys)[1] == journal
+        assert calls == {"load_labeled_tsv": [], "load_unlabeled_text": [], "fine_tune": []}
+        for name in ("sel.jsonl", "cells.jsonl", "matrix.jsonl"):
+            assert (universe / "warm" / name).read_bytes() == (universe / "cold" / name).read_bytes()
+
+    def test_rotated_labels_miss_the_cache(self, universe, calls, capsys):
+        train = universe / "data" / "bb_train.tsv"
+        header, *rows = train.read_text(encoding="utf-8").splitlines()
+        rotate = {"negative": "neutral", "neutral": "positive", "positive": "negative"}
+        rows = ["\t".join([*row.split("\t")[:2], rotate[row.split("\t")[2]]]) for row in rows]
+        train.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        self._run(universe, capsys)
+        assert calls["fine_tune"]
+        assert calls["load_labeled_tsv"].count("bb_train.tsv") == 3  # once per verb
+
+    def test_whitespace_edit_still_hits(self, universe, calls, capsys):
+        # New bytes, the same rows after normalization: the file is parsed
+        # again, and every score still comes from the journal.
+        train = universe / "data" / "bb_train.tsv"
+        text = train.read_text(encoding="utf-8")
+        train.write_bytes(text.replace(" ", "  ").replace("\n", "\r\n").encode("utf-8") + b"\r\n")
+        journal = (universe / "cache" / "scores.journal").read_bytes()
+        assert self._run(universe, capsys)[1] == journal
+        assert calls["fine_tune"] == []
+        assert set(calls["load_labeled_tsv"]) == {"bb_train.tsv", "bb_dev.tsv"}  # bb's devstar rebuilt
+        self._run(universe, capsys)
+        assert set(calls["load_labeled_tsv"]) == {"bb_train.tsv", "bb_dev.tsv"}
+        assert len(calls["load_labeled_tsv"]) == 2  # remembered from the first run on
+
+    def test_torn_facts_line_is_skipped_and_repaired(self, universe, calls, capsys, caplog):
+        facts = universe / "cache" / "facts.journal"
+        records = facts.read_bytes().splitlines(keepends=True)
+        facts.write_bytes(b"".join(records[:-1]) + records[-1][:40])
+        with caplog.at_level(logging.WARNING, logger="langselect.harness.cache"):
+            self._run(universe, capsys)
+        assert f"{facts}: skipped 1 malformed cache lines" in caplog.text
+        assert calls["fine_tune"] == []
+        parsed = len(calls["load_labeled_tsv"]) + len(calls["load_unlabeled_text"])
+        assert 0 < parsed <= 3  # the torn record's split, once per verb until one remembers it
+        assert facts.read_bytes().startswith(b"".join(records[:-1]) + records[-1][:40] + b"\n")
+        self._run(universe, capsys)
+        assert len(calls["load_labeled_tsv"]) + len(calls["load_unlabeled_text"]) == parsed
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            ("aa_test.tsv", None, "file not found"),
+            ("aa_test.tsv", "id\ttext\tlabel\na1\tsome text\tmaybe\n", "unknown label 'maybe' at line 2"),
+            ("aa_test.tsv", b"id\ttext\tlabel\na1\t\xff\tpositive\n", "invalid UTF-8"),
+            ("cc_dev.tsv", "id\ttext\tlabel\nc1 no tabs\n", "malformed row at line 2"),
+            ("dd_train.tsv", None, "file not found"),
+        ],
+        ids=["test-missing", "test-bad-label", "test-not-utf8", "dev-short-row", "train-missing"],
+    )
+    def test_bad_file_fails_warm_runs_too(self, universe, capsys, name, content, message):
+        # Every configured file is read on every run, used by a cell or not.
+        path = universe / "data" / name
+        if content is None:
+            path.unlink()
+        else:
+            path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        for argv in _warm_verbs(universe / "config.yaml", universe):
+            for _ in range(2):
+                assert main(argv) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("data error:") and message in err and name in err
+
+
+def test_warm_runs_log_empty_split_warnings(tmp_path, monkeypatch, caplog):
+    # A devstar that overlap removal empties and an empty LAPT corpus warn
+    # on every run, also when their facts come from the memo.
+    monkeypatch.delenv("LANGSELECT_CACHE_DIR", raising=False)
+    universe = replace(
+        CLI_UNIVERSE,
+        languages=CLI_UNIVERSE.languages[:2] + (SynthLanguage("ee", "Fam-2", IDENTITY, n_train=12, n_dev=4,
+                                                              n_test=0, n_overlap=4),),
+        generic_corpus_lines=3,
+        seeds=(1,),
+    )
+    config = write_universe(universe, tmp_path)
+    (tmp_path / "data" / "ee_corpus.txt").write_text("", encoding="utf-8")
+    corpus = tmp_path / "data" / "ee_corpus.txt"
+    argv = ["select", "--config", str(config), "--strategy", "fwd"]
+    logged = []
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="langselect"):
+            assert main(argv) == 0
+        logged.append([(r.name, r.getMessage()) for r in caplog.records])
+    assert logged[0] == logged[1] == [
+        ("langselect.corpus", f"{corpus}: unlabeled corpus is empty"),
+        ("langselect.corpus", "ee: devstar is empty, dev was fully contained in train"),
+    ]

@@ -6,6 +6,7 @@ import logging
 import pytest
 
 from langselect import (
+    CorpusError,
     HarnessError,
     LanguageCode,
     LearnerConfig,
@@ -19,6 +20,7 @@ from langselect import (
 from langselect.harness import (
     CorpusStore,
     ExperimentSpec,
+    FactsMemo,
     MatrixEntry,
     PlanCell,
     ScoreCache,
@@ -176,6 +178,107 @@ class TestCorpusStore:
         with pytest.raises(HarnessError, match="no train split"):
             store.train("zz")
 
+    def test_digests_pinned(self, tmp_path):
+        # The facts memo maps a file's raw bytes to its split digest for one
+        # NUMERICS_VERSION, so that mapping must not move under it: URLs,
+        # mentions, character and punctuation runs, CRLF, whitespace, and
+        # rows that normalize to empty and are dropped.
+        data = tmp_path / "data"
+        data.mkdir()
+        files = {
+            "train.tsv": "id\ttext\tlabel\r\n"
+            "t1\tSee https://t.co/Ab1 and www.Example.com now\tPositive\r\n"
+            "t2\t@@user_1 says sooooo goood!!!! ??\tnegative\r\n"
+            "t3\t \u00a0 \tneutral\r\n"
+            "t4\t\u00e9\u00e9\u00e9\u00e9\u00e9 ___ \u3002\u3002 mixed\tpositive \r\n"
+            "\r\n"
+            "t5\tshared dev text\tneutral\r\n",
+            "dev.tsv": "id\ttext\tlabel\n"
+            "d1\tshared   dev text\tneutral\n"
+            "d2\tWWW.site.org/x?y=1 @bob...\tNEGATIVE\n"
+            "d3\t   \tpositive\n"
+            "d4\tkept row :)))) hahaha\tpositive\n",
+            "corpus.txt": "first line http://x.y/z\r\n\r\n   \n@someone wrote ----> this\nlast  line \t no newline",
+        }
+        for name, text in files.items():
+            (data / name).write_bytes(text.encode("utf-8"))
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            "languages:\n  - code: aa\n    train: data/train.tsv\n    dev: data/dev.tsv\n"
+            "    lapt_corpus: data/corpus.txt\n",
+            encoding="utf-8",
+        )
+        store = CorpusStore.from_config(load_config(config))
+        digests = {split: store.digest("aa", split) for split in ("train", "dev", "devstar", "lapt")}
+        assert [len(store.split("aa", s)) for s in ("train", "dev", "devstar")] == [4, 3, 2]
+        pinned = {
+            "train": "a9b2499bbb07a3497ac61bde87bb29dd5cae2d97a95ca4beef89f272fe6bdc32",
+            "dev": "c7ec798eb4a5f86f1f8e951cbd856682bf36f9f83a103f90a1cbaa4bb6dd11f5",
+            "devstar": "95b1b31c996e597875611124d3221bc73a09d821cfe9997e7de5635546648bda",
+            "lapt": "4c79fb660a8b8eefadf97e653932d1f936aeec0cb52f546487f48b83be16420e",
+        }
+        assert digests == pinned, (
+            "the rows loaded from these bytes changed; bump NUMERICS_VERSION in "
+            "langselect/learner_config.py, or remembered split facts will name the wrong rows"
+        )
+
+
+class TestFactsMemo:
+    """A store with a facts memo remembers each split's facts by its
+    file's raw bytes, and parses a remembered file only on first use."""
+
+    def _store(self, cfg, monkeypatch):
+        import langselect.harness.experiments as exp
+
+        monkeypatch.delenv("LANGSELECT_CACHE_DIR", raising=False)
+        loads: list[str] = []
+        for name in ("load_labeled_tsv", "load_unlabeled_text"):
+            real = getattr(exp, name)
+
+            def spy(path, *args, real=real, **kwargs):
+                loads.append(path.name)
+                return real(path, *args, **kwargs)
+
+            monkeypatch.setattr(exp, name, spy)
+        memo = None if cfg.facts_path() is None else FactsMemo(cfg.facts_path())
+        return CorpusStore.from_config(cfg, memo), loads
+
+    def test_remembered_files_load_on_first_use(self, tmp_path, monkeypatch):
+        cfg = load_config(write_universe(TINY, tmp_path))
+        cold, loads = self._store(cfg, monkeypatch)
+        assert len(loads) == 3 * 2 + 1 + 3  # train and dev, one test split, three corpora
+        keys = {(code, split): cold.digest(code, split) for code in ("aa", "bb", "cc")
+                for split in ("train", "dev", "devstar", "test", "lapt")}
+        warm, loads = self._store(cfg, monkeypatch)
+        assert {key: warm.digest(*key) for key in keys} == keys
+        assert warm.has_train("aa") and warm.has_eval("aa", "devstar") and not warm.has_eval("bb", "test")
+        assert loads == []
+        assert warm.train("bb") == cold.train("bb")
+        assert warm.devstar("aa") == cold.devstar("aa")
+        assert loads == ["bb_train.tsv", "aa_train.tsv", "aa_dev.tsv"]
+
+    def test_no_cache_dir_loads_every_file(self, tmp_path, monkeypatch):
+        config = write_universe(TINY, tmp_path)
+        config.write_text(config.read_text().replace("cache_dir: cache\n", ""))
+        cfg = load_config(config)
+        assert cfg.facts_path() is None
+        for _ in range(2):
+            _, loads = self._store(cfg, monkeypatch)
+            assert len(loads) == 10
+        assert not (tmp_path / "cache").exists()
+
+    def test_file_changed_after_hashing_is_refused(self, tmp_path, monkeypatch):
+        # Rows parsed after the store hashed the bytes must be the rows its
+        # digests name, or a score would be cached under the wrong key.
+        monkeypatch.delenv("LANGSELECT_CACHE_DIR", raising=False)
+        cfg = load_config(write_universe(TINY, tmp_path))
+        CorpusStore.from_config(cfg, FactsMemo(cfg.facts_path()))
+        warm = CorpusStore.from_config(cfg, FactsMemo(cfg.facts_path()))
+        train = tmp_path / "data" / "bb_train.tsv"
+        train.write_text(train.read_text().replace("positive", "negative"))
+        with pytest.raises(CorpusError, match="bb_train.tsv: rows differ"):
+            warm.train("bb")
+
 
 class TestBuildTrainingSet:
     def test_concatenates_in_code_order(self, store):
@@ -293,10 +396,15 @@ class TestScoreCache:
         cache.put("c", 1, 0.75, 10)
         assert ScoreCache(path).get("c", 1) == (0.75, 10)
 
-    def test_malformed_lines_tolerated(self, tmp_path):
+    def test_malformed_lines_tolerated(self, tmp_path, caplog):
         path = tmp_path / "scores.journal"
-        path.write_text("garbage line\nv1\tkey\t1\t0.5\t7\t2024-01-01T00:00:00\nv1\tbad\tx\ty\tz\tw\n")
-        cache = ScoreCache(path)
+        path.write_bytes(
+            b"garbage line\nv1\tkey\t1\t0.5\t7\t2024-01-01T00:00:00\nv1\tbad\tx\ty\tz\tw\n"
+            b"v1\tk\xff\xfe\t2\t0.5\t7\t2024-01-01T00:00:00\n"  # not UTF-8
+        )
+        with caplog.at_level(logging.WARNING, logger="langselect.harness.cache"):
+            cache = ScoreCache(path)
+        assert "skipped 3 malformed cache lines" in caplog.text
         assert cache.get("key", 1) == (0.5, 7)
         assert len(cache) == 1
 
