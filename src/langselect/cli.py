@@ -137,8 +137,7 @@ def _build_parser() -> _Parser:
 
 def _context(args: argparse.Namespace):
     cfg = load_config(args.config)
-    facts = cfg.facts_path()
-    store = CorpusStore.from_config(cfg, None if facts is None else FactsMemo(facts))
+    store = CorpusStore.from_config(cfg, FactsMemo(cfg.facts_path()))
     cache = ScoreCache(cfg.cache_path())
     seeds = args.seed_list if getattr(args, "seed_list", None) else cfg.seeds
     return cfg, store, cache, seeds

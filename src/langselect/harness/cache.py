@@ -34,10 +34,11 @@ _FORMAT_TAG = "v1"
 
 class Journal:
     """One append-only journal file of ``width`` tab-separated fields per
-    line, the first of them the format tag."""
+    line, the first of them the format tag. Without a path it keeps
+    nothing: it loads no records and drops every append."""
 
-    def __init__(self, path: Path, width: int):
-        self.path = path
+    def __init__(self, path: str | Path | None, width: int):
+        self.path = None if path is None else Path(path)
         self.width = width
         # Set while the file ends in a torn record, so that the next
         # append starts on a line of its own instead of extending it.
@@ -48,7 +49,7 @@ class Journal:
         record, in file order. Torn, undecodable and foreign lines, and
         lines ``parse`` rejects with ``ValueError``, are skipped and
         counted in one warning."""
-        if not self.path.exists():
+        if self.path is None or not self.path.exists():
             return
         # Every complete record ends in a newline, so the last piece of
         # the split is empty unless the final record is torn.
@@ -69,6 +70,8 @@ class Journal:
             logger.warning("%s: skipped %d malformed cache lines", self.path, skipped)
 
     def append(self, *fields: object) -> None:
+        if self.path is None:
+            return
         line = "\t".join([_FORMAT_TAG, *map(str, fields)]) + "\n"
         if self._torn_tail:
             line, self._torn_tail = "\n" + line, False
@@ -81,11 +84,9 @@ class ScoreCache:
     """In-memory score map backed by an optional on-disk journal."""
 
     def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
         self._entries: dict[tuple[str, int], tuple[float, int]] = {}
-        self._journal = Journal(self.path, 6) if self.path is not None else None
-        if self._journal is not None:
-            self._journal.load(self._parse)
+        self._journal = Journal(path, 6)
+        self._journal.load(self._parse)
 
     def _parse(self, fields: list[str]) -> None:
         key, seed, score, support, _ = fields
@@ -100,9 +101,8 @@ class ScoreCache:
 
     def put(self, cell_key: str, seed: int, score: float, support: int) -> None:
         self._entries[(cell_key, seed)] = (score, support)
-        if self._journal is not None:
-            stamp = datetime.now(timezone.utc).isoformat()
-            self._journal.append(cell_key, seed, repr(score), support, stamp)
+        stamp = datetime.now(timezone.utc).isoformat()
+        self._journal.append(cell_key, seed, repr(score), support, stamp)
 
 
 class FactsMemo:
@@ -111,12 +111,13 @@ class FactsMemo:
 
     The loaders are deterministic, so the same bytes always load the same
     rows for one numerics version; a store that finds a file's facts here
-    need not parse the file until a cell reads its rows.
+    need not parse the file until a cell reads its rows. Without a path
+    the memo lives in memory only: it starts empty and writes no file.
     """
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path | None = None):
         self._facts: dict[tuple[str, str, str], tuple[str, int]] = {}
-        self._journal = Journal(Path(path), 6)
+        self._journal = Journal(path, 6)
         self._journal.load(self._parse)
 
     def _parse(self, fields: list[str]) -> None:

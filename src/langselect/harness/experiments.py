@@ -22,10 +22,10 @@ import importlib
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..corpus import (
     Dataset,
@@ -126,56 +126,45 @@ class _Split:
 
 class CorpusStore:
     """Datasets organized by language and split; the split "lapt" names a
-    language's LAPT corpus.
+    language's LAPT corpus. Built by ``from_config``.
 
     A split's facts are its content digest and row count. ``digest``,
     ``has_train`` and ``has_eval`` answer from them; ``train``, ``split``,
     ``devstar`` and ``lapt_corpus`` return datasets. ``devstar`` splits
     are derived from train/dev overlap removal on first use.
 
-    A store built by ``from_config`` with a ``FactsMemo`` hashes every
-    configured file's bytes. A file whose facts the memo holds is parsed
+    The store hashes every configured file's bytes and looks their facts
+    up in its ``FactsMemo``. A file whose facts the memo holds is parsed
     only when a dataset of it is first returned, so a run whose scores
     all come from the cache parses no corpus. Any other file is loaded
-    and validated at once, and its facts remembered. Without a memo,
+    and validated at once, and its facts remembered; with an empty memo,
     every file is loaded at once.
     """
 
-    def __init__(self, metadata: dict[str, LanguageCode] | None = None, memo: FactsMemo | None = None):
-        self._metadata: dict[str, LanguageCode] = dict(metadata or {})
+    def __init__(self, metadata: dict[str, LanguageCode], memo: FactsMemo):
+        self._metadata = metadata
         self._splits: dict[tuple[str, str], _Split] = {}
         # sha256 of the bytes of each split read from a file, by
-        # (language, split); only kept with a memo.
+        # (language, split).
         self._raw: dict[tuple[str, str], str] = {}
         self._memo = memo
-
-    def add(self, dataset: Dataset) -> None:
-        self._add_loaded(dataset.split, dataset)
-
-    def add_lapt(self, dataset: Dataset) -> None:
-        self._add_loaded("lapt", dataset)
-
-    def _add_loaded(self, split: str, dataset: Dataset) -> None:
-        code = dataset.language.code
-        self._metadata.setdefault(code, dataset.language)
-        self._splits[(code, split)] = _Split(f"{code}/{split}", lambda: dataset)
 
     def _add(
         self,
         code: str,
         split: str,
         name: str,
-        raw: str | None,
+        raw: str,
         build: Callable[[], Dataset],
         warn_empty: Callable[[], None] | None = None,
     ) -> None:
         """Add the split ``build`` makes, named ``name`` in errors. When
         the memo holds its facts under the key ``raw``, it is built on
-        first use; otherwise it is built now and, with a ``raw`` key, its
-        facts remembered. ``warn_empty`` logs, for recalled facts, what
-        the loader logs for an empty result."""
+        first use; otherwise it is built now and its facts remembered.
+        ``warn_empty`` logs, for recalled facts, what the loader logs for
+        an empty result."""
         loader = _LOADERS.get(split, "labeled")
-        facts = None if raw is None else self._memo.get(NUMERICS_VERSION, loader, raw)
+        facts = self._memo.get(NUMERICS_VERSION, loader, raw)
         if facts is not None and not facts[1]:
             # Nothing to parse: the split is empty, as the loader would
             # build it, and the recall logs the loader's warning.
@@ -186,13 +175,10 @@ class CorpusStore:
         entry = self._splits[(code, split)] = _Split(name, build, facts)
         if facts is None:
             entry.dataset()
-            if raw is not None:
-                self._memo.put(NUMERICS_VERSION, loader, raw, entry.facts())
+            self._memo.put(NUMERICS_VERSION, loader, raw, entry.facts())
 
     def _add_file(self, code: str, split: str, path: Path, build: Callable[[], Dataset], warn_empty=None) -> None:
-        raw = None
-        if self._memo is not None:
-            raw = self._raw[(code, split)] = hashlib.sha256(read_file_bytes(path)).hexdigest()
+        raw = self._raw[(code, split)] = hashlib.sha256(read_file_bytes(path)).hexdigest()
         self._add(code, split, str(path), raw, build, warn_empty)
 
     def _entry(self, code: str, split: str) -> _Split | None:
@@ -200,12 +186,11 @@ class CorpusStore:
             train, dev = self._splits.get((code, "train")), self._splits.get((code, "dev"))
             if train is None or dev is None:
                 return None
-            raws = [self._raw.get((code, "train")), self._raw.get((code, "dev"))]
             self._add(
                 code,
                 "devstar",
                 f"{code}/devstar",
-                None if None in raws else "+".join(raws),
+                f"{self._raw[(code, 'train')]}+{self._raw[(code, 'dev')]}",
                 lambda: dedup_dev(train.dataset(), dev.dataset()),
                 partial(warn_empty_devstar, code),
             )
@@ -258,8 +243,10 @@ class CorpusStore:
 
     @classmethod
     def from_config(cls, cfg: HarnessConfig, memo: FactsMemo | None = None) -> "CorpusStore":
-        """The store of every file ``cfg`` declares; with ``memo``, files
-        whose facts it holds are parsed on first use."""
+        """The store of every file ``cfg`` declares. Files whose facts
+        ``memo`` holds are parsed on first use; without a memo, an empty
+        in-memory one loads every file at once."""
+        memo = FactsMemo() if memo is None else memo
         store = cls({lf.language.code: lf.language for lf in cfg.languages}, memo)
         for lf in cfg.languages:
             code = lf.language.code
@@ -274,17 +261,6 @@ class CorpusStore:
                     partial(load_unlabeled_text, lf.lapt_corpus, lf.language),
                     partial(warn_empty_corpus, lf.lapt_corpus),
                 )
-        return store
-
-    @classmethod
-    def from_datasets(
-        cls, datasets: Iterable[Dataset], lapt: Iterable[Dataset] = ()
-    ) -> "CorpusStore":
-        store = cls()
-        for ds in datasets:
-            store.add(ds)
-        for ds in lapt:
-            store.add_lapt(ds)
         return store
 
 
@@ -327,7 +303,7 @@ class ExperimentSpec:
         cell reads from ``store`` (source train splits, the target's eval
         split and the adaptation corpora). Groups the per-seed runs of one
         cell; changed data or numerics give a new key."""
-        payload = asdict(self)
+        payload = {**vars(self), "learner": vars(self.learner)}
         payload["numerics_version"] = NUMERICS_VERSION
         payload["data"] = {
             "train": {code: store.digest(code, "train") for code in self.sources},

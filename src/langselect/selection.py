@@ -155,14 +155,6 @@ def _rank(pairs: list[tuple[LanguageCode, float]], descending: bool) -> list[tup
     return sorted(pairs, key=lambda p: (sign * p[1], p[0].code))
 
 
-def _truncate(
-    positives: list[tuple[LanguageCode, float]], top_k: int | None
-) -> tuple[tuple[LanguageCode, float], ...]:
-    if top_k is not None:
-        positives = positives[:top_k]
-    return tuple(positives)
-
-
 def forward_select(
     task: SelectionTask, scores: Mapping[PlanCell, float], cfg: SelectionConfig
 ) -> SelectionResult:
@@ -181,7 +173,7 @@ def forward_select(
         strategy=FORWARD,
         mode=cfg.mode,
         baseline_score=baseline,
-        positive_sources=_truncate(_rank(positives, descending=True), cfg.top_k),
+        positive_sources=tuple(_rank(positives, descending=True)[: cfg.top_k]),
         ranking=tuple(_rank(scored, descending=True)),
     )
 
@@ -205,7 +197,7 @@ def backward_select(
         strategy=BACKWARD,
         mode=cfg.mode,
         baseline_score=baseline,
-        positive_sources=_truncate(_rank(positives, descending=True), cfg.top_k),
+        positive_sources=tuple(_rank(positives, descending=True)[: cfg.top_k]),
         ranking=tuple(_rank(scored, descending=False)),
     )
 

@@ -12,13 +12,14 @@ from one seed, so fixtures are byte-reproducible.
 from __future__ import annotations
 
 import random
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
-from .corpus import LABELS, Dataset, Example, LanguageCode, normalize_text
-from .harness import CorpusStore
+from .corpus import LABELS
+from .harness import CorpusStore, load_config
 
 IDENTITY = (0, 1, 2)
 ROTATED = (1, 2, 0)
@@ -148,26 +149,14 @@ def generate_rows(universe: SynthUniverse) -> tuple[dict[str, dict[str, list[Row
 
 
 def build_store(universe: SynthUniverse) -> CorpusStore:
-    """In-memory corpus store with normalized texts (no files involved)."""
-    rows, corpora = generate_rows(universe)
-    store = CorpusStore()
-    for lang in universe.languages:
-        language = LanguageCode(lang.code, lang.family)
-        for split, split_rows in rows[lang.code].items():
-            if not split_rows:
-                continue
-            examples = tuple(
-                Example(id=row_id, text=normalize_text(raw), label=label)
-                for row_id, raw, label in split_rows
-            )
-            store.add(Dataset(language=language, split=split, examples=examples))
-        if lang.code in corpora:
-            examples = tuple(
-                Example(id=f"u{i+1}", text=normalize_text(line), label=None)
-                for i, line in enumerate(corpora[lang.code])
-            )
-            store.add_lapt(Dataset(language=language, split="train", examples=examples))
-    return store
+    """The store ``CorpusStore.from_config`` builds from the universe's
+    files, written by ``write_universe`` to a temporary directory that is
+    gone on return. Given no memo, ``from_config`` loads every file at
+    once through an empty in-memory one, and devstar derives from the
+    loaded train and dev splits, so the store never reads the directory
+    again."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return CorpusStore.from_config(load_config(write_universe(universe, tmp)))
 
 
 def write_universe(universe: SynthUniverse, out_dir: str | Path) -> Path:

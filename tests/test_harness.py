@@ -2,6 +2,8 @@
 selection plans, matrix runner and reports."""
 import json
 import logging
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +180,25 @@ class TestCorpusStore:
         with pytest.raises(HarnessError, match="no train split"):
             store.train("zz")
 
+    def test_build_store_outlives_its_directory(self, monkeypatch):
+        # build_store's files are gone when it returns: every split, the
+        # devstar derived later among them, must come from what was loaded.
+        import langselect.synth as synth
+
+        written = []
+
+        def spy(universe, out_dir):
+            written.append(Path(out_dir))
+            return write_universe(universe, out_dir)
+
+        monkeypatch.setattr(synth, "write_universe", spy)
+        fresh = synth.build_store(TINY)
+        assert len(written) == 1 and not written[0].exists()
+        for code in ("aa", "bb", "cc"):
+            assert len(fresh.devstar(code)) == (22 if code == "aa" else 24)
+            assert len(fresh.lapt_corpus(code)) == 20
+            assert all(fresh.digest(code, split) for split in ("train", "dev", "devstar", "lapt"))
+
     def test_digests_pinned(self, tmp_path):
         # The facts memo maps a file's raw bytes to its split digest for one
         # NUMERICS_VERSION, so that mapping must not move under it: URLs,
@@ -240,8 +261,7 @@ class TestFactsMemo:
                 return real(path, *args, **kwargs)
 
             monkeypatch.setattr(exp, name, spy)
-        memo = None if cfg.facts_path() is None else FactsMemo(cfg.facts_path())
-        return CorpusStore.from_config(cfg, memo), loads
+        return CorpusStore.from_config(cfg, FactsMemo(cfg.facts_path())), loads
 
     def test_remembered_files_load_on_first_use(self, tmp_path, monkeypatch):
         cfg = load_config(write_universe(TINY, tmp_path))
@@ -266,6 +286,14 @@ class TestFactsMemo:
             _, loads = self._store(cfg, monkeypatch)
             assert len(loads) == 10
         assert not (tmp_path / "cache").exists()
+
+    def test_memo_without_path_lives_in_memory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        memo = FactsMemo()
+        assert memo.get(2, "labeled", "ab") is None
+        memo.put(2, "labeled", "ab", ("digest", 3))
+        assert memo.get(2, "labeled", "ab") == ("digest", 3)
+        assert list(tmp_path.iterdir()) == []
 
     def test_file_changed_after_hashing_is_refused(self, tmp_path, monkeypatch):
         # Rows parsed after the store hashed the bytes must be the rows its
@@ -327,7 +355,7 @@ class TestAdaptationStats:
         spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, adaptation="lapt")
         stats = adaptation_stats(spec, store)
         assert stats.num_documents == 20
-        empty = CorpusStore.from_datasets([store.train("aa"), store.split("aa", "dev")])
+        empty = build_store(replace(TINY, generic_corpus_lines=0))
         with pytest.raises(HarnessError, match="no LAPT corpus"):
             adaptation_stats(spec, empty)
 
@@ -701,11 +729,3 @@ class TestConfig:
         bad.write_text("languages:\n  - code: aa\nseeds: [1, 2]\nlearner:\n  seed: 3\n")
         with pytest.raises(HarnessError, match="seeds"):
             load_config(bad)
-
-    def test_file_store_matches_in_memory_store(self, tmp_path):
-        config_path = write_universe(TINY, tmp_path)
-        from_files = CorpusStore.from_config(load_config(config_path))
-        in_memory = build_store(TINY)
-        for code in ("aa", "bb", "cc"):
-            assert from_files.train(code) == in_memory.train(code)
-            assert from_files.devstar(code) == in_memory.devstar(code)
