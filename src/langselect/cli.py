@@ -30,6 +30,7 @@ from .harness import (
     selection_results_to_jsonl,
     train_model,
 )
+from .harness.experiments import EVAL_SPLITS
 from .harness.report import FORMATS
 
 logger = logging.getLogger(__name__)
@@ -82,12 +83,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("train", help="train one spec and save the model")
-    add_common(p)
+    p.add_argument("--config", required=True, help="harness config YAML")
     p.add_argument("--target", required=True)
     p.add_argument("--sources", required=True, help="comma-separated language codes")
     p.add_argument("--adaptation", default=None)
-    p.add_argument("--mode", choices=sorted(_MODES), default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="default: the config's first seed")
     p.add_argument("--cap", type=_positive_int, default=None)
     p.add_argument("--out", required=True)
 
@@ -96,9 +96,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--target", required=True)
     p.add_argument("--sources", required=True)
     p.add_argument("--adaptation", default=None)
-    p.add_argument("--mode", choices=sorted(_MODES), default=None)
     p.add_argument("--cap", type=_positive_int, default=None)
-    p.add_argument("--eval-split", choices=("devstar", "dev", "test"), default=None)
+    p.add_argument("--eval-split", choices=EVAL_SPLITS, default=None)
 
     p = sub.add_parser("matrix", help="run the NxN selection plan")
     add_common(p)
@@ -154,7 +153,6 @@ def _spec_from_args(args: argparse.Namespace, cfg) -> ExperimentSpec:
     return ExperimentSpec(
         target=args.target,
         sources=sources,
-        mode=_MODES[args.mode] if args.mode else cfg.selection.mode,
         adaptation=(args.adaptation or cfg.adaptation).lower(),
         learner=cfg.learner,
         sample_cap=args.cap,
@@ -186,8 +184,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     from .textmodel import save_model
 
-    cfg, store, _, seeds = _context(args)
-    seed = args.seed if args.seed is not None else seeds[0]
+    cfg, store, _, _ = _context(args)
+    seed = args.seed if args.seed is not None else cfg.seeds[0]
     spec = _spec_from_args(args, cfg)
     model = train_model(spec, store, seed, adaptation_stats(spec, store))
     save_model(model, args.out)
@@ -203,7 +201,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
         store,
         seeds=seeds,
         learner=spec.learner,
-        mode=spec.mode,
         adaptation=spec.adaptation,
         eval_split=spec.eval_split,
         cache=cache,
@@ -244,16 +241,8 @@ def _selection_config(args: argparse.Namespace, cfg) -> sel.SelectionConfig:
     )
 
 
-def _run_cells(cfg, store, cache, seeds, sel_cfg, cells) -> ScoreMatrix:
-    return run_matrix(
-        cells,
-        store,
-        seeds=seeds,
-        learner=cfg.learner,
-        mode=sel_cfg.mode,
-        adaptation=cfg.adaptation,
-        cache=cache,
-    )
+def _run_cells(cfg, store, cache, seeds, cells) -> ScoreMatrix:
+    return run_matrix(cells, store, seeds=seeds, learner=cfg.learner, adaptation=cfg.adaptation, cache=cache)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
@@ -261,7 +250,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     sel_cfg = _selection_config(args, cfg)
     strategy = _STRATEGIES[args.strategy]
     cells = [cell for task in _tasks(cfg, store) for cell in sel.plan(task, sel_cfg, strategy)]
-    matrix = _run_cells(cfg, store, cache, seeds, sel_cfg, cells)
+    matrix = _run_cells(cfg, store, cache, seeds, cells)
     Path(args.out).write_text(matrix.to_jsonl(), encoding="utf-8")
     print(f"cells={len(matrix.entries)}\tseeds={len(seeds)}\tout={args.out}")
     return 0
@@ -274,7 +263,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     tasks = _tasks(cfg, store)
     # One run over every target's plan; deciding then only reads its table.
     cells = [cell for task in tasks for cell in sel.plan(task, sel_cfg, strategy)]
-    scores = _run_cells(cfg, store, cache, seeds, sel_cfg, cells).means()
+    scores = _run_cells(cfg, store, cache, seeds, cells).means()
     decide = sel.forward_select if strategy == sel.FORWARD else sel.backward_select
     results: dict[str, sel.SelectionResult] = {}
     for task in tasks:
@@ -289,7 +278,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         for target, result in sorted(results.items())
         if result.selected_sources()
     ]
-    sel_matrix = _run_cells(cfg, store, cache, seeds, sel_cfg, selected_cells)
+    sel_matrix = _run_cells(cfg, store, cache, seeds, selected_cells)
     if args.matrix_out:
         Path(args.matrix_out).write_text(sel_matrix.to_jsonl(), encoding="utf-8")
     if args.out:

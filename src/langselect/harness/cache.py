@@ -18,7 +18,9 @@ not interleave records; readers tolerate duplicates (the last record
 for a key wins, and records are deterministic anyway). Only
 newline-terminated UTF-8 records with all their fields load: a record
 torn by a crash mid-write, or holding bytes that are not UTF-8, is
-skipped, not read as a shorter one.
+skipped, not read as a shorter one. The next append ends a torn record's
+line and follows it with a marker line, so later loads skip that record
+without warning again.
 """
 from __future__ import annotations
 
@@ -30,6 +32,8 @@ from typing import Callable
 logger = logging.getLogger(__name__)
 
 _FORMAT_TAG = "v1"
+# The line after a torn record, written by the append that ends it.
+_TORN_MARK = b"# torn record above"
 
 
 class Journal:
@@ -48,7 +52,8 @@ class Journal:
         """Call ``parse`` with the fields after the tag of every complete
         record, in file order. Torn, undecodable and foreign lines, and
         lines ``parse`` rejects with ``ValueError``, are skipped and
-        counted in one warning."""
+        counted in one warning; a torn record that an append has since
+        marked is skipped silently, even if it holds every field."""
         if self.path is None or not self.path.exists():
             return
         # Every complete record ends in a newline, so the last piece of
@@ -56,8 +61,9 @@ class Journal:
         *records, tail = self.path.read_bytes().split(b"\n")
         self._torn_tail = bool(tail)
         skipped = 1 if tail.strip() else 0
-        for raw in records:
-            if not raw.strip():
+        for raw, after in zip(records, [*records[1:], tail]):
+            # A marked tear was counted by the load that found it.
+            if not raw.strip() or raw == _TORN_MARK or after == _TORN_MARK:
                 continue
             try:
                 fields = raw.decode("utf-8").split("\t")
@@ -74,7 +80,7 @@ class Journal:
             return
         line = "\t".join([_FORMAT_TAG, *map(str, fields)]) + "\n"
         if self._torn_tail:
-            line, self._torn_tail = "\n" + line, False
+            line, self._torn_tail = f"\n{_TORN_MARK.decode()}\n{line}", False
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as fh:
             fh.write(line)

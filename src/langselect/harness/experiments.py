@@ -40,7 +40,7 @@ from ..corpus import (
 )
 from ..errors import CorpusError, HarnessError
 from ..learner_config import NUMERICS_VERSION, LearnerConfig
-from ..selection import MULTILINGUAL, ZEROSHOT, PlanCell
+from ..selection import PlanCell, cell_mode
 from .cache import FactsMemo, ScoreCache
 from .config import HarnessConfig
 
@@ -235,9 +235,10 @@ class CorpusStore:
         return ds
 
     def has_train(self, code: str) -> bool:
-        return (code, "train") in self._splits
+        return self.has_eval(code, "train")
 
     def has_eval(self, code: str, split: str) -> bool:
+        """Whether the split is present and holds at least one row."""
         entry = self._entry(code, split)
         return entry is not None and entry.facts()[1] > 0
 
@@ -267,11 +268,11 @@ class CorpusStore:
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One training/evaluation cell: which languages train the model, how
-    it adapts, and which target split is scored."""
+    it adapts, and which target split is scored. Its ``mode`` is read off
+    its sources by ``cell_mode``."""
 
     target: str
     sources: tuple[str, ...]
-    mode: str = MULTILINGUAL
     adaptation: str = "none"
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     sample_cap: int | None = None
@@ -284,26 +285,24 @@ class ExperimentSpec:
         if len(set(ordered)) != len(ordered):
             raise HarnessError(f"duplicate sources in spec: {self.sources}")
         object.__setattr__(self, "sources", ordered)
-        if self.mode not in (MULTILINGUAL, ZEROSHOT):
-            raise HarnessError(f"unknown mode {self.mode!r}")
         if self.adaptation not in ADAPTATIONS:
             raise HarnessError(f"unknown adaptation {self.adaptation!r}, expected one of {ADAPTATIONS}")
         if self.eval_split not in EVAL_SPLITS:
             raise HarnessError(f"unknown eval split {self.eval_split!r}")
-        if self.mode == ZEROSHOT and self.target in ordered:
-            raise HarnessError(
-                f"zero-shot spec must not train on the target language {self.target!r}"
-            )
         if self.sample_cap is not None and self.sample_cap < 1:
             raise HarnessError(f"sample_cap must be >= 1, got {self.sample_cap}")
 
+    @property
+    def mode(self) -> str:
+        return cell_mode(self.target, self.sources)
+
     def cell_key(self, store: CorpusStore) -> str:
-        """Score-cache key of the cell: a hash over every field, plus the
-        learner's NUMERICS_VERSION and the content digests of the data the
-        cell reads from ``store`` (source train splits, the target's eval
-        split and the adaptation corpora). Groups the per-seed runs of one
-        cell; changed data or numerics give a new key."""
-        payload = {**vars(self), "learner": vars(self.learner)}
+        """Score-cache key of the cell: a hash over every field and the
+        mode, plus the learner's NUMERICS_VERSION and the content digests
+        of the data the cell reads from ``store`` (source train splits,
+        the target's eval split and the adaptation corpora). Groups the
+        per-seed runs of one cell; changed data or numerics give a new key."""
+        payload = {**vars(self), "mode": self.mode, "learner": vars(self.learner)}
         payload["numerics_version"] = NUMERICS_VERSION
         payload["data"] = {
             "train": {code: store.digest(code, "train") for code in self.sources},
@@ -418,11 +417,11 @@ def _aggregate(per_seed: dict[int, float]) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MatrixEntry:
-    """Aggregated scores of one cell, as stored in a ScoreMatrix."""
+    """Aggregated scores of one cell, as stored in a ScoreMatrix. Its
+    ``mode`` is read off its sources, as a spec's is."""
 
     target: str
     sources: tuple[str, ...]
-    mode: str
     adaptation: str
     sample_cap: int | None
     eval_split: str
@@ -439,6 +438,10 @@ class MatrixEntry:
             raise HarnessError(f"score outside [0, 1] in entry for target {self.target!r}")
         if abs(self.mean - sum(values) / len(values)) > 1e-12:
             raise HarnessError(f"entry mean inconsistent with per-seed scores for {self.target!r}")
+
+    @property
+    def mode(self) -> str:
+        return cell_mode(self.target, self.sources)
 
 
 @dataclass
@@ -485,10 +488,9 @@ class ScoreMatrix:
                 continue
             try:
                 doc = json.loads(line)
-                entries[doc["key"]] = MatrixEntry(
+                entry = entries[doc["key"]] = MatrixEntry(
                     target=doc["target"],
                     sources=tuple(doc["sources"]),
-                    mode=doc["mode"],
                     adaptation=doc["adaptation"],
                     sample_cap=doc["sample_cap"],
                     eval_split=doc["eval_split"],
@@ -497,6 +499,8 @@ class ScoreMatrix:
                     std=float(doc["std"]),
                     support=int(doc["support"]),
                 )
+                if doc["mode"] != entry.mode:
+                    raise ValueError(f"mode {doc['mode']!r} contradicts sources {list(entry.sources)}")
             except (AttributeError, KeyError, TypeError, ValueError) as e:
                 raise HarnessError(f"bad matrix jsonl at line {lineno}: {e}") from None
         return cls(entries=entries)
@@ -508,13 +512,14 @@ def run_matrix(
     *,
     seeds: Sequence[int],
     learner: LearnerConfig,
-    mode: str = MULTILINGUAL,
     adaptation: str = "none",
     eval_split: str = "devstar",
     cache: ScoreCache | None = None,
 ) -> ScoreMatrix:
     """Score every cell at every seed, in cell-key order, and assemble the
     matrix; cached scores are read from ``cache`` (in memory when None).
+    A cell trains multilingual or zero-shot as its sources hold its
+    target or not.
 
     A failing cell does not stop the run: once every cell has been tried,
     a single error reporting all failed cells is raised, so a matrix is
@@ -528,7 +533,6 @@ def run_matrix(
         spec = ExperimentSpec(
             target=cell.target,
             sources=cell.sources,
-            mode=mode,
             adaptation=adaptation,
             learner=learner,
             sample_cap=cell.sample_cap,
@@ -551,7 +555,6 @@ def run_matrix(
         entries[key] = MatrixEntry(
             target=spec.target,
             sources=spec.sources,
-            mode=spec.mode,
             adaptation=spec.adaptation,
             sample_cap=spec.sample_cap,
             eval_split=spec.eval_split,

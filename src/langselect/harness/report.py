@@ -20,21 +20,21 @@ from typing import Mapping, Sequence
 
 from ..corpus import LanguageCode, read_utf8
 from ..errors import CorpusError, HarnessError
-from ..selection import MULTILINGUAL, ZEROSHOT, SelectionResult
+from ..selection import ZEROSHOT, SelectionResult
 from .experiments import MatrixEntry, ScoreMatrix
 
 FORMATS = ("markdown", "tsv", "jsonl")
 
 
 def _composition(entry: MatrixEntry, all_codes: tuple[str, ...]) -> str | None:
-    """Name of a training composition, which also names its mode, or None
-    for selection plumbing cells (pairs / leave-one-out sets) that would
-    flood the table."""
+    """Name of a training composition, read off its target and sources
+    alone, or None for selection plumbing cells (pairs / leave-one-out
+    sets) that would flood the table."""
     if entry.sources == (entry.target,):
         return "monolingual"
-    if entry.mode == MULTILINGUAL and set(entry.sources) == set(all_codes):
+    if set(entry.sources) == set(all_codes):
         return "multilingual"
-    if entry.mode == ZEROSHOT and set(entry.sources) == set(all_codes) - {entry.target}:
+    if set(entry.sources) == set(all_codes) - {entry.target}:
         return "zeroshot"
     return None
 
@@ -55,27 +55,28 @@ def collect_rows(
 
     ``selections`` maps a column name (the strategy, "forward"/"backward",
     or a strategy and mode) to per-target results; the rows for
-    selected-source models are matched by looking up the uncapped entry of
-    the result's mode trained on exactly the selected set.
+    selected-source models are matched by looking up the uncapped entry
+    trained on exactly the selected set, whose sources imply the result's
+    mode.
     """
     all_codes = tuple(sorted(languages))
     targets = list(all_codes)
     rows: dict[str, dict[str, MatrixEntry]] = {}
-    # Uncapped cells by (target, sources, mode), where selected sets are
+    # Uncapped cells by (target, sources), where selected sets are
     # looked up. Keys are visited sorted, and the first match wins, so
     # both tables are deterministic.
-    uncapped: dict[tuple[str, tuple[str, ...], str], MatrixEntry] = {}
+    uncapped: dict[tuple[str, tuple[str, ...]], MatrixEntry] = {}
     for key in sorted(matrix.entries):
         entry = matrix.entries[key]
         if entry.sample_cap is None:
-            uncapped.setdefault((entry.target, entry.sources, entry.mode), entry)
+            uncapped.setdefault((entry.target, entry.sources), entry)
         composition = _composition(entry, all_codes)
         if composition is not None:
             rows.setdefault(_row_label(composition, entry), {}).setdefault(entry.target, entry)
     strategy_tags = {"forward": "fwd", "backward": "bwd"}
     for column in sorted(selections):
         for target, result in sorted(selections[column].items()):
-            entry = uncapped.get((target, result.selected_sources(), result.mode))
+            entry = uncapped.get((target, result.selected_sources()))
             if entry is None:
                 continue
             tag = strategy_tags.get(result.strategy, result.strategy)

@@ -36,6 +36,12 @@ MULTILINGUAL = "multilingual"
 ZEROSHOT = "zeroshot"
 
 
+def cell_mode(target: str, sources: Sequence[str]) -> str:
+    """The setting a cell trains in: multilingual when the target's own
+    data is among its sources, zero-shot when it is not."""
+    return MULTILINGUAL if target in sources else ZEROSHOT
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     threshold: float = 0.05

@@ -174,6 +174,14 @@ class TestIngest:
         assert devstar[0] == "id\ttext\tlabel"
         assert len(devstar) == 1 + 21
 
+    def test_language_without_dev_skips_devstar(self, tmp_path, capsys):
+        languages = (CLI_UNIVERSE.languages[0], replace(CLI_UNIVERSE.languages[1], n_dev=0))
+        config = write_universe(replace(CLI_UNIVERSE, languages=languages), tmp_path / "u")
+        out_dir = tmp_path / "ingested"
+        assert main(["ingest", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "bb\ttrain=36\tdev=0\tdevstar=skipped"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["aa_devstar.tsv"]
+
 
 class TestScore:
     def test_prints_per_seed_and_mean(self, capsys, config_path):
@@ -185,6 +193,33 @@ class TestScore:
         out = capsys.readouterr().out
         assert "seed_1=" in out and "seed_2=" in out
         assert "mean=" in out and "support=21" in out
+
+
+class TestCellMode:
+    """A cell is multilingual or zero-shot as its sources hold its target
+    or not; the config's selection mode shapes plans only."""
+
+    @pytest.fixture
+    def zeroshot_config(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        return str(write_universe(replace(CLI_UNIVERSE, selection={"mode": "zeroshot"}), tmp_path / "zs"))
+
+    def test_zeroshot_config_takes_cells_with_their_target(self, tmp_path, capsys, zeroshot_config):
+        model = tmp_path / "m.npz"
+        assert main(["train", "--config", zeroshot_config, "--target", "aa", "--sources", "aa",
+                     "--out", str(model)]) == 0
+        assert model.exists()
+        assert main(["score", "--config", zeroshot_config, "--target", "aa", "--sources", "aa,bb"]) == 0
+        assert "mean=" in capsys.readouterr().out
+
+    def test_score_shares_one_cell_across_config_modes(self, tmp_path, capsys, config_path, zeroshot_config):
+        outs = []
+        for config in (config_path, zeroshot_config):
+            assert main(["score", "--config", config, "--target", "aa", "--sources", "bb"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        records = _journal_records(tmp_path / "cache" / "scores.journal")
+        assert len(records) == 2 and len({key for key, _ in records}) == 1
 
 
 class TestTrainPredictEnsemble:
@@ -207,6 +242,26 @@ class TestTrainPredictEnsemble:
         rows = out_path.read_text().splitlines()
         assert rows[0] == "id\tlabel"
         assert len(rows) == 1 + 12
+
+    def test_predict_header_only_input_writes_header_only(self, tmp_path, capsys, config_path):
+        model = tmp_path / "m.npz"
+        assert main(["train", "--config", config_path, "--target", "aa", "--sources", "aa",
+                     "--out", str(model)]) == 0
+        empty = tmp_path / "in.tsv"
+        empty.write_text("id\ttext\n")
+        out = tmp_path / "o.tsv"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--input", str(empty), "--out", str(out)]) == 0
+        assert out.read_text() == "id\tlabel\n"
+        assert capsys.readouterr().out == f"examples=0\tout={out}\n"
+
+    def test_train_takes_no_seed_list(self, tmp_path, capsys, config_path):
+        # ``--seed`` is train's one seed flag; a seed list would train one
+        # of its seeds only.
+        argv = ["train", "--config", config_path, "--target", "aa", "--sources", "aa",
+                "--seed-list", "3,4", "--out", str(tmp_path / "m.npz")]
+        assert main(argv) == 1
+        assert "--seed-list" in capsys.readouterr().err
 
     def test_predict_missing_model_is_experiment_error(self, tmp_path):
         ok = tmp_path / "in.tsv"
@@ -372,6 +427,38 @@ class TestSelectAndReport:
             ["report", "--config", config, "--matrix", str(cells_path), "--selections", str(sel_path)]
         ) == 0
         assert "# Scores by target language" in capsys.readouterr().out
+
+    def test_header_only_train_is_no_candidate(self, tmp_path, monkeypatch):
+        # A train file without rows leaves its language out of every
+        # target's candidates, as a missing train file does.
+        config = write_universe(
+            replace(four_language_universe(), selection={"baseline_samples_per_language": 30}), tmp_path / "four"
+        )
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        train = tmp_path / "four" / "data" / "dd_train.tsv"
+        train.write_text(train.read_text().splitlines()[0] + "\n")
+        sel_path = tmp_path / "sel.jsonl"
+        assert main(["select", "--config", str(config), "--strategy", "fwd", "--mode", "zeroshot",
+                     "--out", str(sel_path)]) == 0
+        results = {r["target"]: sorted(code for code, _ in r["ranking"]) for r in _read_jsonl(sel_path)}
+        assert results == {"aa": ["bb", "cc"], "bb": ["aa", "cc"], "cc": ["aa", "bb"], "dd": ["aa", "bb", "cc"]}
+
+    @pytest.mark.parametrize(
+        "drop, message",
+        [("dev", "no language has a devstar split to evaluate on"),
+         ("train", "target 'aa' has no candidate source languages with train data")],
+    )
+    def test_select_without_tasks_is_experiment_error(self, tmp_path, capsys, drop, message):
+        # No dev files leave no target; a lone trainable language leaves
+        # its target no candidate.
+        if drop == "dev":
+            languages = tuple(replace(lang, n_dev=0) for lang in CLI_UNIVERSE.languages)
+        else:
+            aa, *others = CLI_UNIVERSE.languages
+            languages = (aa, *(replace(lang, n_train=0) for lang in others))
+        config = write_universe(replace(CLI_UNIVERSE, languages=languages), tmp_path / "u")
+        assert main(["select", "--config", str(config), "--strategy", "fwd"]) == 3
+        assert capsys.readouterr().err == f"experiment error: {message}\n"
 
     @pytest.mark.parametrize(
         "line, reason",

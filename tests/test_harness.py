@@ -88,16 +88,9 @@ class TestExperimentSpec:
         with pytest.raises(HarnessError, match="duplicate"):
             ExperimentSpec(target="aa", sources=("bb", "bb"))
 
-    def test_zeroshot_excludes_target(self):
-        with pytest.raises(HarnessError, match="zero-shot"):
-            ExperimentSpec(target="aa", sources=("aa", "bb"), mode="zeroshot")
-        ExperimentSpec(target="aa", sources=("bb",), mode="zeroshot")
-
     def test_bad_enum_values(self):
         with pytest.raises(HarnessError, match="adaptation"):
             ExperimentSpec(target="aa", sources=("aa",), adaptation="dapt")
-        with pytest.raises(HarnessError, match="mode"):
-            ExperimentSpec(target="aa", sources=("aa",), mode="monolingual")
         with pytest.raises(HarnessError, match="eval split"):
             ExperimentSpec(target="aa", sources=("aa",), eval_split="train")
 
@@ -117,6 +110,13 @@ class TestExperimentSpec:
             target="aa", sources=("aa", "bb"), adaptation="tapt", learner=LEARNER, sample_cap=10
         )
         assert spec.cell_key(store) == "e42eb9e431bb4117374c8a4b"
+
+    def test_zeroshot_cell_key_digest_unchanged(self, store):
+        # Pinned from the release where a spec set its mode itself: a cell
+        # without its target keys as the zero-shot cell it was.
+        spec = ExperimentSpec(target="aa", sources=("bb",), adaptation="tapt", learner=LEARNER)
+        assert spec.cell_key(store) == "f68469db66d0c6e57b3f3ec9"
+        assert replace(spec, sample_cap=10).cell_key(store) == "98c2ccc30290fccd72f44454"
 
     def test_cell_key_covers_numerics_version(self, store, monkeypatch):
         import langselect.harness.experiments as exp
@@ -179,6 +179,14 @@ class TestCorpusStore:
             store.language("zz")
         with pytest.raises(HarnessError, match="no train split"):
             store.train("zz")
+
+    def test_header_only_train_is_not_trainable(self, tmp_path):
+        config = write_universe(TINY, tmp_path)
+        train = tmp_path / "data" / "bb_train.tsv"
+        train.write_text(train.read_text().splitlines()[0] + "\n")
+        store = CorpusStore.from_config(load_config(config))
+        assert [store.has_train(code) for code in ("aa", "bb", "cc", "zz")] == [True, False, True, False]
+        assert store.has_eval("bb", "devstar") and len(store.train("bb")) == 0
 
     def test_build_store_outlives_its_directory(self, monkeypatch):
         # build_store's files are gone when it returns: every split, the
@@ -345,9 +353,7 @@ class TestAdaptationStats:
         assert stats.source_tag == "tapt:aa+bb"
 
     def test_tapt_includes_target_texts_in_zeroshot(self, store):
-        spec = ExperimentSpec(
-            target="aa", sources=("bb",), mode="zeroshot", learner=LEARNER, adaptation="tapt"
-        )
+        spec = ExperimentSpec(target="aa", sources=("bb",), learner=LEARNER, adaptation="tapt")
         stats = adaptation_stats(spec, store)
         assert stats.num_documents == 36 + 24 + 36 + 24
 
@@ -457,6 +463,45 @@ class TestScoreCache:
         assert again.get("k", 2) == (0.38740629685157424, 58)
         assert again.get("k", 1) == (0.25, 10)
         assert len(again) == 2
+
+    @pytest.mark.parametrize("kind", ["scores", "facts"])
+    def test_repaired_tear_warns_once(self, tmp_path, caplog, kind):
+        # Only the load that finds a torn record warns; once an append has
+        # ended its line, later loads skip it silently and read the rest.
+        path = tmp_path / f"{kind}.journal"
+        if kind == "scores":
+            cls, key, value = ScoreCache, ("k", 1), (0.25, 58)
+        else:
+            cls, key, value = FactsMemo, (2, "labeled", "ab"), ("digest", 58)
+        put = (*key, *value) if kind == "scores" else (*key, value)
+        cls(path).put(*put)
+        text = path.read_text(encoding="utf-8")
+        # Cut inside the fifth field: the support, or the digest.
+        torn = text + text[: text.rindex("\t", 0, text.rindex("\t")) + 2]
+        path.write_text(torn, encoding="utf-8")
+        warnings = []
+        for _ in range(3):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="langselect.harness.cache"):
+                journal = cls(path)
+            warnings.append(caplog.text.count("skipped 1 malformed cache lines"))
+            assert journal.get(*key) == value
+            journal.put(*put)
+        assert warnings == [1, 0, 0]
+        assert path.read_text(encoding="utf-8").startswith(torn)
+
+    def test_marked_tear_is_never_read(self, tmp_path):
+        # A facts record cut inside its last field still has every field;
+        # once an append has ended its line it must not load as 5 rows.
+        path = tmp_path / "facts.journal"
+        FactsMemo(path).put(2, "labeled", "aa", ("digest", 58))
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text + text.replace("aa", "bb")[:-2], encoding="utf-8")
+        FactsMemo(path).put(2, "labeled", "cc", ("digest", 7))
+        memo = FactsMemo(path)
+        assert memo.get(2, "labeled", "bb") is None
+        assert memo.get(2, "labeled", "aa") == ("digest", 58)
+        assert memo.get(2, "labeled", "cc") == ("digest", 7)
 
 
 class TestEnumeratePlan:
@@ -577,27 +622,37 @@ class TestRunMatrix:
         with pytest.raises(HarnessError, match="distinct"):
             run_matrix([PlanCell("aa", ("aa",), None)], store, seeds=(1, 1), learner=LEARNER)
 
-    def test_zeroshot_cell_must_exclude_target(self, store):
-        def zeroshot(sources):
-            return run_matrix([PlanCell("aa", sources, None)], store, seeds=(1,), learner=LEARNER, mode="zeroshot")
-
-        with pytest.raises(HarnessError, match="zero-shot"):
-            zeroshot(("aa", "bb"))
-        (entry,) = zeroshot(("bb",)).entries.values()
-        assert entry.mode == "zeroshot"
-        assert 0.0 <= entry.mean <= 1.0
+    def test_cell_mode_read_off_sources(self, store):
+        # A cell without its target trains zero-shot, one with it
+        # multilingual; the spec, the matrix entry and its JSONL agree.
+        cells = [PlanCell("aa", ("bb",), None), PlanCell("aa", ("aa", "bb"), None)]
+        matrix = run_matrix(cells, store, seeds=(1,), learner=LEARNER)
+        modes = {e.sources: e.mode for e in matrix.entries.values()}
+        assert modes == {("bb",): "zeroshot", ("aa", "bb"): "multilingual"}
+        for sources, mode in modes.items():
+            assert ExperimentSpec(target="aa", sources=sources).mode == mode
+        written = [json.loads(line) for line in matrix.to_jsonl().splitlines()]
+        assert {tuple(doc["sources"]): doc["mode"] for doc in written} == modes
 
     def test_jsonl_roundtrip(self, store):
         cells = [PlanCell("aa", ("aa",), None), PlanCell("aa", ("aa", "bb"), None)]
         matrix = run_matrix(cells, store, seeds=(1, 2), learner=LEARNER)
         assert ScoreMatrix.from_jsonl(matrix.to_jsonl()) == matrix
 
-    @pytest.mark.parametrize("line", ['["x"]', '"x"', "3", "null", "per_seed as a list"])
+    @pytest.mark.parametrize(
+        "line", ['["x"]', '"x"', "3", "null", "per_seed as a list", "mode contradicting sources", "no mode"]
+    )
     def test_jsonl_line_not_an_entry_object(self, store, line):
         cells = [PlanCell("aa", ("aa",), None)]
         good = run_matrix(cells, store, seeds=(1,), learner=LEARNER).to_jsonl()
-        if line == "per_seed as a list":
-            line = json.dumps(dict(json.loads(good), per_seed=[1]))
+        doc = json.loads(good)
+        edited = {
+            "per_seed as a list": dict(doc, per_seed=[1]),
+            "mode contradicting sources": dict(doc, mode="zeroshot"),
+            "no mode": {k: v for k, v in doc.items() if k != "mode"},
+        }
+        if line in edited:
+            line = json.dumps(edited[line])
         with pytest.raises(HarnessError, match="bad matrix jsonl at line 2"):
             ScoreMatrix.from_jsonl(f"{good}{line}\n")
 
@@ -606,7 +661,6 @@ class TestRunMatrix:
             MatrixEntry(
                 target="aa",
                 sources=("aa",),
-                mode="multilingual",
                 adaptation="none",
                 sample_cap=None,
                 eval_split="devstar",
@@ -619,7 +673,6 @@ class TestRunMatrix:
             MatrixEntry(
                 target="aa",
                 sources=("aa",),
-                mode="multilingual",
                 adaptation="none",
                 sample_cap=None,
                 eval_split="devstar",
