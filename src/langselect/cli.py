@@ -214,11 +214,18 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tasks(cfg, store) -> list[sel.SelectionTask]:
+def _tasks(cfg, store, mode: str) -> list[sel.SelectionTask]:
     """One selection task per language with a devstar split, sorted by
-    code; its candidates are every other language with train data."""
+    code; its candidates are every other language with train data. A
+    multilingual plan trains on its target's own rows, so there a
+    language without train rows is no target: it is skipped with a
+    warning."""
     trainable = sorted(lf.language.code for lf in cfg.languages if store.has_train(lf.language.code))
     targets = sorted(lf.language.code for lf in cfg.languages if store.has_eval(lf.language.code, "devstar"))
+    if mode == sel.MULTILINGUAL:
+        for t in sorted(set(targets) - set(trainable)):
+            logger.warning("%s: no train rows, so it is not a target of a multilingual plan", t)
+        targets = [t for t in targets if t in trainable]
     if not targets:
         raise HarnessError("no language has a devstar split to evaluate on")
     tasks = []
@@ -249,7 +256,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     cfg, store, cache, seeds = _context(args)
     sel_cfg = _selection_config(args, cfg)
     strategy = _STRATEGIES[args.strategy]
-    cells = [cell for task in _tasks(cfg, store) for cell in sel.plan(task, sel_cfg, strategy)]
+    cells = [cell for task in _tasks(cfg, store, sel_cfg.mode) for cell in sel.plan(task, sel_cfg, strategy)]
     matrix = _run_cells(cfg, store, cache, seeds, cells)
     Path(args.out).write_text(matrix.to_jsonl(), encoding="utf-8")
     print(f"cells={len(matrix.entries)}\tseeds={len(seeds)}\tout={args.out}")
@@ -260,7 +267,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     cfg, store, cache, seeds = _context(args)
     sel_cfg = _selection_config(args, cfg)
     strategy = _STRATEGIES[args.strategy]
-    tasks = _tasks(cfg, store)
+    tasks = _tasks(cfg, store, sel_cfg.mode)
     # One run over every target's plan; deciding then only reads its table.
     cells = [cell for task in tasks for cell in sel.plan(task, sel_cfg, strategy)]
     scores = _run_cells(cfg, store, cache, seeds, cells).means()

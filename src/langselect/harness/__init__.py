@@ -1,6 +1,6 @@
-"""Experiment orchestration: configs, scoring one cell, the score cache,
-the matrix runner that turns a selection plan into a score table, and
-report generation."""
+"""Experiment orchestration: configs, scoring groups of cells that share
+one model, the score cache, the matrix runner that turns a selection
+plan into a score table, and report generation."""
 from ..selection import PlanCell
 from .cache import FactsMemo, ScoreCache
 from .config import CACHE_DIR_ENV, HarnessConfig, LanguageFiles, load_config

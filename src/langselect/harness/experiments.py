@@ -1,7 +1,8 @@
-"""Experiment orchestration: specs, the corpus store, scoring one cell
-at a list of seeds (pretrain once, then per seed: build training set ->
-fine-tune -> evaluate), and the matrix runner that scores every cell of
-a plan, one after another, and aggregates seeds into a score table.
+"""Experiment orchestration: specs, the corpus store, scoring a group of
+cells that share one model at a list of seeds (pretrain once, then per
+seed: build training set -> fine-tune -> evaluate every cell), and the
+matrix runner that groups the cells of a plan by model, scores each
+group, and aggregates seeds into a score table.
 
 A spec is a cell; the seed is an argument of scoring, set once per run.
 Every score is a deterministic function of (spec, seed), so results are
@@ -22,6 +23,7 @@ import importlib
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -131,7 +133,8 @@ class CorpusStore:
     A split's facts are its content digest and row count. ``digest``,
     ``has_train`` and ``has_eval`` answer from them; ``train``, ``split``,
     ``devstar`` and ``lapt_corpus`` return datasets. ``devstar`` splits
-    are derived from train/dev overlap removal on first use.
+    are derived from train/dev overlap removal on first use. ``sample``
+    returns capped train splits, each drawn once.
 
     The store hashes every configured file's bytes and looks their facts
     up in its ``FactsMemo``. A file whose facts the memo holds is parsed
@@ -148,6 +151,7 @@ class CorpusStore:
         # (language, split).
         self._raw: dict[tuple[str, str], str] = {}
         self._memo = memo
+        self._samples: dict[tuple[str, int, int], Dataset] = {}
 
     def _add(
         self,
@@ -211,6 +215,16 @@ class CorpusStore:
         if ds is None:
             raise HarnessError(f"no train split loaded for language {code!r}")
         return ds
+
+    def sample(self, code: str, cap: int, seed: int) -> Dataset:
+        """The train split of ``code`` capped at ``cap`` rows by
+        ``sample_per_language`` with ``seed``. A draw depends on nothing
+        else, so it is made on first use and kept: at most ``cap``
+        references to the split's examples."""
+        key = (code, cap, seed)
+        if key not in self._samples:
+            (self._samples[key],) = sample_per_language([self.train(code)], cap, seed=seed)
+        return self._samples[key]
 
     def devstar(self, code: str) -> Dataset | None:
         return self.split(code, "devstar")
@@ -325,6 +339,13 @@ class ExperimentSpec:
             splits.append((self.target, "lapt"))
         return splits
 
+    def model_key(self) -> tuple:
+        """The fields a trained model depends on, besides the seed and the
+        store's data: specs with equal keys train identical weights. The
+        adaptation splits name the target exactly when adaptation reads
+        its data. Held in memory only, never stored."""
+        return (self.sources, self.sample_cap, self.adaptation, self.learner, tuple(self._adaptation_splits()))
+
     def describe(self) -> str:
         cap = f" cap={self.sample_cap}" if self.sample_cap is not None else ""
         return (
@@ -336,11 +357,11 @@ class ExperimentSpec:
 def build_training_set(spec: ExperimentSpec, store: CorpusStore, seed: int) -> list[Dataset]:
     """Training datasets for a spec at one seed: the train splits of its
     source languages, sorted by language code, rows in file order; a
-    capped spec subsamples each with ``seed``."""
-    sets = [store.train(code) for code in spec.sources]
-    if spec.sample_cap is not None:
-        sets = sample_per_language(sets, spec.sample_cap, seed=seed)
-    return sets
+    capped spec reads each language's subsample at ``seed`` from
+    ``store.sample``, so cells share each draw."""
+    if spec.sample_cap is None:
+        return [store.train(code) for code in spec.sources]
+    return [store.sample(code, spec.sample_cap, seed) for code in spec.sources]
 
 
 def adaptation_stats(spec: ExperimentSpec, store: CorpusStore) -> AdaptationStats:
@@ -376,36 +397,78 @@ def train_model(spec: ExperimentSpec, store: CorpusStore, seed: int, stats: Adap
 
 
 def score_experiment(
-    spec: ExperimentSpec, store: CorpusStore, seeds: Sequence[int], cache: ScoreCache
-) -> dict[int, tuple[float, int]]:
-    """(weighted F1, evaluation support) of one cell at each seed, keyed by
-    seed.
+    group: dict[str, ExperimentSpec],
+    store: CorpusStore,
+    seeds: Sequence[int],
+    cache: ScoreCache,
+    tally: Counter,
+) -> tuple[dict[str, dict[int, tuple[float, int]]], list[str]]:
+    """Score a model group: cells, keyed by cell key, whose specs share one
+    ``model_key``. Returns each scored cell's (weighted F1, evaluation
+    support) by cell key and seed, and one error line per failed cell.
 
-    Seeds are read from ``cache`` first. For the seeds that miss, the
-    cell's adaptation statistics and eval labels are built once, then each
-    seed is trained, scored and put in sorted order. The first failing
-    seed ends the cell and is named in the error.
+    Seeds are read from ``cache`` first. If any miss, the group's
+    adaptation statistics and each missing cell's eval labels are built
+    once. Then each seed that some cell misses, in sorted order, trains
+    one model, which scores and puts every cell missing that seed; one
+    model is held at a time. A failing step fails each cell that needed
+    it, named with its own spec and the seed, and a failed cell is tried
+    no further. ``tally`` counts "cached" cells and "trained" models.
     """
-    cell_key = spec.cell_key(store)
-    results = {seed: hit for seed in seeds if (hit := cache.get(cell_key, seed)) is not None}
-    missing = sorted(set(seeds) - results.keys())
-    if not missing:
-        return results
-    _bind_learner()
-    seed = None
-    try:
-        stats = adaptation_stats(spec, store)
-        eval_ds = store.eval_dataset(spec.target, spec.eval_split)
-        texts, gold = eval_ds.texts(), [ex.label for ex in eval_ds]
-        for seed in missing:
-            predictions = predict_texts(train_model(spec, store, seed, stats), texts)
-            score = weighted_f1(confusion(gold, [label for label, _ in predictions]))
-            cache.put(cell_key, seed, score, len(eval_ds))
-            results[seed] = (score, len(eval_ds))
-    except Exception as e:
+    results: dict[str, dict[int, tuple[float, int]]] = {key: {} for key in group}
+    todo: dict[int, list[str]] = {}
+    for key in group:
+        for seed in seeds:
+            if (hit := cache.get(key, seed)) is None:
+                todo.setdefault(seed, []).append(key)
+            else:
+                results[key][seed] = hit
+    missing = [key for key in group if len(results[key]) < len(seeds)]
+    tally["cached"] += len(group) - len(missing)
+    failed: dict[str, str] = {}
+
+    def fail(keys: Sequence[str], e: Exception, seed: int | None = None) -> None:
         at = "" if seed is None else f" seed={seed}"
-        raise HarnessError(f"experiment failed ({spec.describe()}{at}): {e}") from e
-    return results
+        for key in keys:
+            failed[key] = f"experiment failed ({group[key].describe()}{at}): {e}"
+
+    if missing:
+        _bind_learner()
+        spec = group[missing[0]]
+        try:
+            stats = adaptation_stats(spec, store)
+        except Exception as e:
+            fail(missing, e)
+            missing = []
+        evals: dict[str, tuple[list[str], list[str]]] = {}
+        for key in missing:
+            try:
+                eval_ds = store.eval_dataset(group[key].target, group[key].eval_split)
+                evals[key] = (eval_ds.texts(), [ex.label for ex in eval_ds])
+            except Exception as e:
+                fail([key], e)
+        for seed in sorted(todo):
+            keys = [key for key in todo[seed] if key in evals and key not in failed]
+            if not keys:
+                continue
+            try:
+                model = train_model(spec, store, seed, stats)
+            except Exception as e:
+                fail(keys, e, seed)
+                continue
+            tally["trained"] += 1
+            for key in keys:
+                texts, gold = evals[key]
+                try:
+                    predictions = predict_texts(model, texts)
+                    score = weighted_f1(confusion(gold, [label for label, _ in predictions]))
+                    cache.put(key, seed, score, len(gold))
+                except Exception as e:
+                    fail([key], e, seed)
+                    continue
+                results[key][seed] = (score, len(gold))
+            del model
+    return {key: r for key, r in results.items() if key not in failed}, list(failed.values())
 
 
 def _aggregate(per_seed: dict[int, float]) -> tuple[float, float]:
@@ -516,10 +579,14 @@ def run_matrix(
     eval_split: str = "devstar",
     cache: ScoreCache | None = None,
 ) -> ScoreMatrix:
-    """Score every cell at every seed, in cell-key order, and assemble the
-    matrix; cached scores are read from ``cache`` (in memory when None).
-    A cell trains multilingual or zero-shot as its sources hold its
-    target or not.
+    """Score every cell at every seed and assemble the matrix; cached
+    scores are read from ``cache`` (in memory when None). A cell trains
+    multilingual or zero-shot as its sources hold its target or not.
+
+    Cells whose specs share a ``model_key`` form a group, and groups are
+    scored by ``score_experiment`` in order of each group's first cell
+    key, so each distinct model trains once per seed. Logs one INFO line:
+    cells, cells fully cached, models trained and failed cells.
 
     A failing cell does not stop the run: once every cell has been tried,
     a single error reporting all failed cells is raised, so a matrix is
@@ -539,18 +606,30 @@ def run_matrix(
             eval_split=eval_split,
         )
         specs.setdefault(spec.cell_key(store), spec)
-
-    entries: dict[str, MatrixEntry] = {}
-    failures: list[str] = []
+    groups: dict[tuple, dict[str, ExperimentSpec]] = {}
     for key in sorted(specs):
+        groups.setdefault(specs[key].model_key(), {})[key] = specs[key]
+
+    scores: dict[str, dict[int, tuple[float, int]]] = {}
+    failures: list[str] = []
+    tally: Counter = Counter()
+    for group in groups.values():
+        done, errors = score_experiment(group, store, seeds, cache, tally)
+        scores.update(done)
+        failures += errors
+    logger.info(
+        "run_matrix: %d cells, %d fully cached, %d models trained, %d failed",
+        len(specs), tally["cached"], tally["trained"], len(failures),
+    )
+    if failures:
+        raise HarnessError(
+            "matrix run failed for %d cell(s):\n%s" % (len(failures), "\n".join(sorted(failures)))
+        )
+    entries: dict[str, MatrixEntry] = {}
+    for key in sorted(scores):
         spec = specs[key]
-        try:
-            scores = score_experiment(spec, store, seeds, cache)
-        except HarnessError as e:
-            failures.append(str(e))
-            continue
         # Seeds keep the given order, which fixes each mean's summation order.
-        per_seed = {seed: scores[seed][0] for seed in seeds}
+        per_seed = {seed: scores[key][seed][0] for seed in seeds}
         mean, std = _aggregate(per_seed)
         entries[key] = MatrixEntry(
             target=spec.target,
@@ -561,10 +640,6 @@ def run_matrix(
             per_seed=per_seed,
             mean=mean,
             std=std,
-            support=scores[seeds[0]][1],
-        )
-    if failures:
-        raise HarnessError(
-            "matrix run failed for %d cell(s):\n%s" % (len(failures), "\n".join(sorted(failures)))
+            support=scores[key][seeds[0]][1],
         )
     return ScoreMatrix(entries=entries)

@@ -443,6 +443,26 @@ class TestSelectAndReport:
         results = {r["target"]: sorted(code for code, _ in r["ranking"]) for r in _read_jsonl(sel_path)}
         assert results == {"aa": ["bb", "cc"], "bb": ["aa", "cc"], "cc": ["aa", "bb"], "dd": ["aa", "bb", "cc"]}
 
+    @pytest.mark.parametrize("verb", ["select", "matrix"])
+    def test_header_only_train_is_no_multilingual_target(self, tmp_path, monkeypatch, caplog, verb):
+        # A multilingual cell trains on its target's own rows, so a
+        # language without any is no target there: it is skipped with one
+        # warning naming it, and the other targets' plans still run.
+        config = write_universe(
+            replace(four_language_universe(), selection={"baseline_samples_per_language": 30}), tmp_path / "four"
+        )
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        train = tmp_path / "four" / "data" / "dd_train.tsv"
+        train.write_text(train.read_text().splitlines()[0] + "\n")
+        caplog.set_level(logging.WARNING, logger="langselect.cli")
+        out = tmp_path / "out.jsonl"
+        assert main([verb, "--config", str(config), "--strategy", "fwd", "--mode", "multilingual",
+                     "--out", str(out)]) == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "langselect.cli"] == [
+            "dd: no train rows, so it is not a target of a multilingual plan"
+        ]
+        assert {r["target"] for r in _read_jsonl(out)} == {"aa", "bb", "cc"}
+
     @pytest.mark.parametrize(
         "drop, message",
         [("dev", "no language has a devstar split to evaluate on"),
@@ -572,6 +592,32 @@ class TestOneScoringPath:
         selected_keys = {r["key"] for r in _read_jsonl(tmp_path / "selcells.jsonl")}
         planned_keys = {r["key"] for r in records}
         assert {key for key, _ in after[len(planned):]} <= selected_keys - planned_keys
+
+
+class TestCappedTrain:
+    def test_capped_train_reproduces_matrix_scores(self, tmp_path, capsys, monkeypatch, four_config):
+        # ``train --cap`` reads the same per-language samples as ``matrix``:
+        # the backward baseline, retrained and predicted, scores the F1
+        # the matrix stored at each seed, bit for bit.
+        from langselect.metrics import confusion, weighted_f1
+
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        config = str(four_config)
+        matrix = tmp_path / "matrix.jsonl"
+        assert main(["matrix", "--config", config, "--strategy", "bwd", "--out", str(matrix)]) == 0
+        assert main(["ingest", "--config", config, "--out-dir", str(tmp_path / "ingested")]) == 0
+        (baseline,) = [r for r in _read_jsonl(matrix) if r["target"] == "aa" and len(r["sources"]) == 4]
+        assert baseline["sample_cap"] == 30
+        gold_tsv = tmp_path / "ingested" / "aa_devstar.tsv"
+        gold = dict(line.split("\t")[::2] for line in gold_tsv.read_text().splitlines()[1:])
+        for seed in (1, 2):
+            model, pred = tmp_path / f"model{seed}.npz", tmp_path / f"pred{seed}.tsv"
+            assert main(["train", "--config", config, "--target", "aa", "--sources", "aa,bb,cc,dd",
+                         "--cap", "30", "--seed", str(seed), "--out", str(model)]) == 0
+            assert main(["predict", "--model", str(model), "--input", str(gold_tsv), "--out", str(pred)]) == 0
+            predicted = dict(line.split("\t")[:2] for line in pred.read_text().splitlines()[1:])
+            score = weighted_f1(confusion(list(gold.values()), [predicted[i] for i in gold]))
+            assert score == baseline["per_seed"][str(seed)]
 
 
 class TestReportRows:

@@ -2,6 +2,7 @@
 selection plans, matrix runner and reports."""
 import json
 import logging
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,7 +35,15 @@ from langselect.harness import (
     run_matrix,
     score_experiment,
 )
-from langselect.synth import IDENTITY, ROTATED, SynthLanguage, SynthUniverse, build_store, write_universe
+from langselect.synth import (
+    IDENTITY,
+    ROTATED,
+    SynthLanguage,
+    SynthUniverse,
+    build_store,
+    four_language_universe,
+    write_universe,
+)
 
 TINY_LEARNER = {
     "ngram_min": 1,
@@ -73,6 +82,16 @@ def tasks(codes):
     return [
         SelectionTask(LanguageCode(t), tuple(LanguageCode(c) for c in codes if c != t)) for t in codes
     ]
+
+
+def score_cell(spec, store, seeds, cache):
+    """Per-seed (score, support) of one cell, scored as a one-cell model
+    group; a failed cell raises its error line."""
+    key = spec.cell_key(store)
+    scores, errors = score_experiment({key: spec}, store, seeds, cache, Counter())
+    if errors:
+        raise HarnessError(errors[0])
+    return scores[key]
 
 
 def full_plan(codes, strategy, mode="multilingual", cap=500):
@@ -123,12 +142,12 @@ class TestExperimentSpec:
 
         spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER)
         cache = ScoreCache()
-        score_experiment(spec, store, (1,), cache)
+        score_cell(spec, store, (1,), cache)
         before = spec.cell_key(store)
         monkeypatch.setattr(exp, "NUMERICS_VERSION", exp.NUMERICS_VERSION + 1)
         assert spec.cell_key(store) != before
         assert cache.get(spec.cell_key(store), 1) is None
-        score_experiment(spec, store, (1,), cache)
+        score_cell(spec, store, (1,), cache)
         assert len(cache) == 2
 
     def test_cell_key_covers_data(self, tmp_path):
@@ -144,7 +163,7 @@ class TestExperimentSpec:
             ExperimentSpec(target="aa", sources=("aa", "bb"), adaptation="lapt+tapt", learner=LEARNER),
         ]
         store = CorpusStore.from_config(cfg)
-        first = [score_experiment(spec, store, (1,), cache) for spec in specs]
+        first = [score_cell(spec, store, (1,), cache) for spec in specs]
         lines = train_tsv.read_text(encoding="utf-8").splitlines()
         rotate = {"negative": "neutral", "neutral": "positive", "positive": "negative"}
         rotated = [lines[0]] + [
@@ -155,7 +174,7 @@ class TestExperimentSpec:
         for spec in specs:
             assert spec.cell_key(edited) != spec.cell_key(store)
             assert cache.get(spec.cell_key(edited), 1) is None
-        second = [score_experiment(spec, edited, (1,), cache) for spec in specs]
+        second = [score_cell(spec, edited, (1,), cache) for spec in specs]
         assert len(ScoreCache(tmp_path / "scores.journal")) == 4
         assert second != first
         # An unrelated language's data does not split the cell.
@@ -374,10 +393,10 @@ class TestAdaptationStats:
 class TestScoreExperiment:
     def test_deterministic_and_cache_consistent(self, store):
         spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER)
-        cold1, support1 = score_experiment(spec, store, (1,), ScoreCache())[1]
+        cold1, support1 = score_cell(spec, store, (1,), ScoreCache())[1]
         cache = ScoreCache()
-        warm, support = score_experiment(spec, store, (1,), cache)[1]
-        cached, _ = score_experiment(spec, store, (1,), cache)[1]
+        warm, support = score_cell(spec, store, (1,), cache)[1]
+        cached, _ = score_cell(spec, store, (1,), cache)[1]
         assert cold1 == warm == cached  # bit-for-bit across recomputation
         assert support == support1 == len(store.devstar("aa"))
         assert 0.0 <= warm <= 1.0
@@ -395,20 +414,20 @@ class TestScoreExperiment:
         monkeypatch.setattr(exp, "fine_tune", counting)
         cache = ScoreCache()
         spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER)
-        score_experiment(spec, store, (1,), cache)
-        score_experiment(spec, store, (1,), cache)
+        score_cell(spec, store, (1,), cache)
+        score_cell(spec, store, (1,), cache)
         assert calls["n"] == 1
 
     def test_error_carries_spec_context(self, store):
         spec = ExperimentSpec(target="zz", sources=("zz",), learner=LEARNER)
         with pytest.raises(HarnessError, match="zz"):
-            score_experiment(spec, store, (1,), ScoreCache())
+            score_cell(spec, store, (1,), ScoreCache())
 
     def test_divergence_propagates_as_experiment_error(self, store):
         hot = LearnerConfig(**{**TINY_LEARNER, "learning_rate": 1e12})
         spec = ExperimentSpec(target="cc", sources=("aa", "cc"), learner=hot)
         with pytest.raises((HarnessError, TextModelError), match="divergence"):
-            score_experiment(spec, store, (1,), ScoreCache())
+            score_cell(spec, store, (1,), ScoreCache())
 
 
 
@@ -613,7 +632,7 @@ class TestRunMatrix:
         assert list(entry.per_seed) == [3, 1, 2]
         for seed, score in entry.per_seed.items():
             spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER)
-            assert score_experiment(spec, store, (seed,), ScoreCache())[seed][0] == score
+            assert score_cell(spec, store, (seed,), ScoreCache())[seed][0] == score
         scores = list(entry.per_seed.values())
         assert entry.mean == sum(scores) / 3
         assert entry.support == len(store.devstar("aa"))
@@ -681,6 +700,129 @@ class TestRunMatrix:
                 std=0.0,
                 support=10,
             )
+
+
+FOUR_CODES = ("aa", "bb", "cc", "dd")
+
+
+@pytest.fixture(scope="module")
+def four_store():
+    return build_store(four_language_universe())
+
+
+@pytest.fixture
+def fine_tunes(monkeypatch):
+    """The seed of every ``fine_tune`` call the harness makes."""
+    import langselect.harness.experiments as exp
+
+    seeds = []
+    real = exp.fine_tune
+
+    def spy(stats, train, config, seed):
+        seeds.append(seed)
+        return real(stats, train, config, seed)
+
+    monkeypatch.setattr(exp, "fine_tune", spy)
+    return seeds
+
+
+class TestModelGroups:
+    """Cells that train identical weights share one model per seed."""
+
+    @pytest.mark.parametrize(
+        "strategy, mode, adaptation, models",
+        [
+            # Every full set and every leave-one-out set, once.
+            ("backward", "multilingual", "none", 4 + 1),
+            # Each target alone, then each unordered pair.
+            ("forward", "multilingual", "none", 4 + 4 * 3 // 2),
+            # TAPT reads the target's texts, so no two cells share a model.
+            ("forward", "zeroshot", "tapt", 16),
+            ("backward", "zeroshot", "tapt", 16),
+        ],
+    )
+    def test_models_trained_per_plan(self, four_store, fine_tunes, strategy, mode, adaptation, models):
+        cells = full_plan(FOUR_CODES, strategy, mode, cap=30)
+        matrix = run_matrix(cells, four_store, seeds=(1,), learner=LEARNER, adaptation=adaptation)
+        assert len(matrix.entries) == 16
+        assert len(fine_tunes) == models
+
+    def test_shared_model_scores_match_cells_scored_alone(self, four_store):
+        # Backward multilingual cells of different targets share models;
+        # each must score what it scores as a group of its own.
+        cells = full_plan(FOUR_CODES, "backward", cap=30)
+        matrix = run_matrix(cells, four_store, seeds=(1, 2), learner=LEARNER, adaptation="tapt")
+        for entry in matrix.entries.values():
+            spec = ExperimentSpec(entry.target, entry.sources, "tapt", LEARNER, entry.sample_cap)
+            alone = score_cell(spec, four_store, (1, 2), ScoreCache())
+            assert {seed: score for seed, (score, _) in alone.items()} == entry.per_seed
+
+    def test_one_draw_per_language_cap_and_seed(self, monkeypatch):
+        import langselect.harness.experiments as exp
+
+        draws = []
+        real = exp.sample_per_language
+
+        def spy(datasets, k, seed):
+            datasets = list(datasets)
+            draws.extend((ds.language.code, k, seed) for ds in datasets)
+            return real(datasets, k, seed=seed)
+
+        monkeypatch.setattr(exp, "sample_per_language", spy)
+        store = build_store(four_language_universe())
+        run_matrix(full_plan(FOUR_CODES, "backward", cap=30), store, seeds=(1, 2), learner=LEARNER)
+        assert sorted(draws) == sorted({(code, 30, seed) for code in FOUR_CODES for seed in (1, 2)})
+
+    def test_failed_training_fails_every_member_cell(self, four_store, monkeypatch):
+        import langselect.harness.experiments as exp
+
+        real = exp.fine_tune
+        calls = []
+
+        def failing(stats, train, config, seed):
+            calls.append(seed)
+            if seed == 2:
+                raise TextModelError("boom")
+            return real(stats, train, config, seed)
+
+        monkeypatch.setattr(exp, "fine_tune", failing)
+        # Every target's backward baseline trains the one full-set model.
+        cells = [PlanCell(t, FOUR_CODES, 30) for t in FOUR_CODES]
+        with pytest.raises(HarnessError) as err:
+            run_matrix(cells, four_store, seeds=(1, 2), learner=LEARNER)
+        header, *lines = str(err.value).splitlines()
+        assert header == "matrix run failed for 4 cell(s):"
+        assert [line.split()[2] for line in lines] == [f"(target={t}" for t in FOUR_CODES]
+        assert all("seed=2): boom" in line for line in lines)
+        assert calls == [1, 2]
+
+    def test_missing_eval_split_fails_only_its_cell(self, four_store):
+        # An undeclared target shares the full-set model of ``aa``'s
+        # baseline but has nothing to evaluate on.
+        cache = ScoreCache()
+        cells = [PlanCell("aa", FOUR_CODES, 30), PlanCell("zz", FOUR_CODES, 30)]
+        with pytest.raises(HarnessError) as err:
+            run_matrix(cells, four_store, seeds=(1,), learner=LEARNER, cache=cache)
+        header, line = str(err.value).splitlines()
+        assert header == "matrix run failed for 1 cell(s):"
+        assert "target=zz" in line and "no devstar split" in line
+        spec = ExperimentSpec("aa", FOUR_CODES, learner=LEARNER, sample_cap=30)
+        assert cache.get(spec.cell_key(four_store), 1) is not None
+
+    def test_logs_one_summary_line_per_run(self, store, caplog):
+        caplog.set_level(logging.INFO, logger="langselect.harness.experiments")
+        cache = ScoreCache()
+        cells = [PlanCell(t, ("aa", "bb", "cc"), 10) for t in ("aa", "bb", "cc")]
+        cells.append(PlanCell("aa", ("bb",), None))
+        for _ in range(2):
+            run_matrix(cells, store, seeds=(1, 2), learner=LEARNER, cache=cache)
+        with pytest.raises(HarnessError):
+            run_matrix([PlanCell("aa", ("zz",), None)], store, seeds=(1,), learner=LEARNER, cache=cache)
+        assert [r.getMessage() for r in caplog.records if r.name == "langselect.harness.experiments"] == [
+            "run_matrix: 4 cells, 0 fully cached, 4 models trained, 0 failed",
+            "run_matrix: 4 cells, 4 fully cached, 0 models trained, 0 failed",
+            "run_matrix: 1 cells, 0 fully cached, 0 models trained, 1 failed",
+        ]
 
 
 class TestReport:
