@@ -160,6 +160,21 @@ class CsrRows:
         """``X.T @ D`` for a dense ``D`` of shape (rows, k)."""
         return _keyed_sums(self.indices, self.data, other, self.row_of(), self.shape[1])
 
+    def in_columns(self, columns: np.ndarray) -> "CsrRows":
+        """These rows over only ``columns`` (strictly increasing), each
+        renumbered by its position there. The non-zeros in other columns
+        are dropped and the rest keep their order, so a product with the
+        weights of ``columns`` alone gives the floats of the full product
+        with zero weights elsewhere: the dropped terms are ±0.0, and a
+        sum that starts at +0.0 is never −0.0, so adding ±0.0 to it
+        changes nothing."""
+        at = np.searchsorted(columns, self.indices)
+        keep = at < len(columns)
+        keep[keep] = columns[at[keep]] == self.indices[keep]
+        kept = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        return CsrRows(kept[self.indptr], at[keep], self.data[keep], (self.shape[0], len(columns)))
+
 
 def _keyed_sums(
     keys: np.ndarray, data: np.ndarray, other: np.ndarray, at: np.ndarray, n: int
@@ -175,14 +190,38 @@ def _keyed_sums(
 
 @dataclass
 class Model:
-    """A trained classifier: weight matrix (3 x hash_buckets), bias, and
-    the adaptation stats / config needed to featurize new text."""
+    """A trained classifier, with the adaptation stats and config needed
+    to featurize new text.
+
+    ``buckets`` lists, strictly increasing, the feature buckets that
+    carry a weight, stored as int64; ``weights`` (3 x len(buckets)) holds
+    their class weights, column ``i`` for bucket ``buckets[i]``, and
+    every other bucket's weight is zero. ``bias`` holds the 3 class
+    biases. Arrays of any other shape are a ``TextModelError``.
+    """
 
     weights: np.ndarray
+    buckets: np.ndarray
     bias: np.ndarray
     stats: AdaptationStats
     config: LearnerConfig
     loss_history: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        buckets = np.asarray(self.buckets)
+        if buckets.ndim != 1 or not np.issubdtype(buckets.dtype, np.integer):
+            raise TextModelError(f"buckets must be a 1-D integer array, got {buckets.dtype} of shape {buckets.shape}")
+        if len(buckets) and (buckets.min() < 0 or buckets.max() >= self.config.hash_buckets):
+            raise TextModelError(f"buckets must lie in [0, {self.config.hash_buckets})")
+        # In range, so int64 holds them, and their differences, exactly.
+        buckets = buckets.astype(np.int64, copy=False)
+        if (np.diff(buckets) <= 0).any():
+            raise TextModelError("buckets must increase strictly")
+        if np.shape(self.weights) != (3, len(buckets)):
+            raise TextModelError(f"weights have shape {np.shape(self.weights)}, not (3, {len(buckets)})")
+        if np.shape(self.bias) != (3,):
+            raise TextModelError(f"bias has shape {np.shape(self.bias)}, not (3,)")
+        self.buckets = buckets
 
 
 def _hash_batch(
@@ -406,7 +445,8 @@ def fine_tune(
     ``scale``, which is folded back into ``V`` before it underflows. So
     a step costs what the batch's non-zeros cost, not what
     ``hash_buckets`` costs, and ``V`` stays small enough to sit in
-    cache. ``Model.weights`` is returned in the (3, hash_buckets) layout.
+    cache. The model returned keeps these buckets as ``Model.buckets``
+    and their weights as ``Model.weights`` (3 x len(buckets)).
     """
     examples: list[Example] = []
     for ds in _as_datasets(train):
@@ -470,26 +510,21 @@ def fine_tune(
         history.append(epoch_loss)
         lr *= config.lr_decay
 
-    w_used = V.T * scale
-    # The unused buckets' weights are exact zeros, so only these can fail.
-    if not np.isfinite(w_used).all() or not np.isfinite(bias).all():
+    weights = V.T * scale
+    if not np.isfinite(weights).all() or not np.isfinite(bias).all():
         raise TextModelError("divergence: reduce learning_rate")
-    weights = np.zeros((3, config.hash_buckets))
-    weights[:, used] = w_used
-    return Model(weights=weights, bias=bias, stats=stats, config=config, loss_history=tuple(history))
+    return Model(
+        weights=weights, buckets=used, bias=bias, stats=stats, config=config, loss_history=tuple(history)
+    )
 
 
 def predict_texts(model: Model, texts: Sequence[str]) -> list[tuple[str, tuple[float, float, float]]]:
     """Predict labels and class probabilities for a batch of texts."""
-    X = design_matrix(texts, model.stats, model.config)
+    X = design_matrix(texts, model.stats, model.config).in_columns(model.buckets)
     probs = _softmax(X @ model.weights.T + model.bias)
-    out = []
-    for row in probs:
-        # argmax returns the first maximum, which honors the fixed class
-        # order (negative < neutral < positive) on exact ties.
-        label = LABELS[int(np.argmax(row))]
-        out.append((label, (float(row[0]), float(row[1]), float(row[2]))))
-    return out
+    # argmax returns the first maximum, which honors the fixed class
+    # order (negative < neutral < positive) on exact ties.
+    return [(LABELS[i], tuple(row)) for i, row in zip(probs.argmax(axis=1).tolist(), probs.tolist())]
 
 
 def predict(model: Model, text: str) -> tuple[str, tuple[float, float, float]]:
@@ -503,12 +538,14 @@ def loss_and_gradient(
     """Exact objective value and gradient on a batch.
 
     Returns (loss, grad_weights, grad_bias) for mean cross-entropy plus
-    (l2_lambda/2) * ||W||^2; the bias is unregularized.
+    (l2_lambda/2) * ||W||^2; the bias is unregularized. ``grad_weights``
+    has the shape of ``model.weights``: the gradient with respect to the
+    weights of ``model.buckets``.
     """
     if not batch:
         raise TextModelError("loss_and_gradient: empty batch")
     y = _labels_to_indices(batch)
-    X = design_matrix([ex.text for ex in batch], model.stats, model.config)
+    X = design_matrix([ex.text for ex in batch], model.stats, model.config).in_columns(model.buckets)
     n = len(batch)
     probs = _softmax(X @ model.weights.T + model.bias)
     with np.errstate(divide="ignore"):
@@ -523,8 +560,11 @@ def loss_and_gradient(
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    """Serialize a model to an .npz container; loading reproduces
-    bit-identical predictions."""
+    """Serialize a model to an .npz container of ``weights``
+    (3 x len(buckets)), ``buckets``, ``bias``, the adaptation stats'
+    ``df_buckets`` and ``df_counts``, and a JSON ``meta`` (config, stats
+    fields and loss history); loading reproduces bit-identical
+    predictions."""
     meta = {
         "config": asdict(model.config),
         "stats": {"num_documents": model.stats.num_documents, "source_tag": model.stats.source_tag},
@@ -533,6 +573,7 @@ def save_model(model: Model, path: str | Path) -> None:
     np.savez_compressed(
         Path(path),
         weights=model.weights,
+        buckets=model.buckets,
         bias=model.bias,
         df_buckets=model.stats.df_buckets,
         df_counts=model.stats.df_counts,
@@ -541,8 +582,11 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Model:
-    """Load a model saved by ``save_model``. A file that is missing or is
-    not such a model (unreadable, corrupt, lacking a key) is a
+    """Load a model saved by ``save_model``. A file without ``buckets``,
+    written before models kept only their buckets' weights, holds dense
+    (3 x hash_buckets) weights and loads as a model over all buckets. A
+    file that is missing or is not such a model (unreadable, corrupt,
+    lacking a key, or holding arrays of the wrong shape) is a
     ``TextModelError`` naming the path."""
     path = Path(path)
     if not path.exists():
@@ -550,26 +594,32 @@ def load_model(path: str | Path) -> Model:
     try:
         with np.load(path) as data:
             arrays = {key: data[key] for key in ("weights", "bias", "df_buckets", "df_counts", "meta")}
+            buckets = data["buckets"] if "buckets" in data else None
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
         # Older model files also record the training seed in the config.
         config_doc = dict(meta["config"])
         config_doc.pop("seed", None)
         config = LearnerConfig(**config_doc)
-        num_documents = int(meta["stats"]["num_documents"])
-        source_tag = str(meta["stats"]["source_tag"])
-        loss_history = tuple(meta["loss_history"])
-    except (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as e:
+        stats = AdaptationStats(
+            df_buckets=arrays["df_buckets"],
+            df_counts=arrays["df_counts"],
+            num_documents=int(meta["stats"]["num_documents"]),
+            source_tag=str(meta["stats"]["source_tag"]),
+        )
+        if buckets is None:
+            # The dense layout: checked before its buckets are listed, so
+            # a file cannot make that list as long as it likes.
+            shape = arrays["weights"].shape
+            if shape != (3, config.hash_buckets):
+                raise TextModelError(f"dense weights have shape {shape}, not (3, {config.hash_buckets})")
+            buckets = np.arange(config.hash_buckets)
+        return Model(
+            weights=arrays["weights"],
+            buckets=buckets,
+            bias=arrays["bias"],
+            stats=stats,
+            config=config,
+            loss_history=tuple(meta["loss_history"]),
+        )
+    except (OSError, EOFError, ValueError, KeyError, TypeError, TextModelError, zipfile.BadZipFile) as e:
         raise TextModelError(f"cannot load model file {path}: {e}") from None
-    stats = AdaptationStats(
-        df_buckets=arrays["df_buckets"],
-        df_counts=arrays["df_counts"],
-        num_documents=num_documents,
-        source_tag=source_tag,
-    )
-    return Model(
-        weights=arrays["weights"].copy(),
-        bias=arrays["bias"].copy(),
-        stats=stats,
-        config=config,
-        loss_history=loss_history,
-    )

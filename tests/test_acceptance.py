@@ -88,7 +88,9 @@ def test_criterion_2_gradient_correctness(lang):
             [[rng.gauss(0, 1.0) for _ in range(32)] for _ in range(3)]
         )
         bias = np.array([rng.gauss(0, 1.0) for _ in range(3)])
-        model = Model(weights=weights, bias=bias, stats=AdaptationStats.uniform(), config=config)
+        model = Model(
+            weights=weights, buckets=np.arange(32), bias=bias, stats=AdaptationStats.uniform(), config=config
+        )
         batch = []
         for i in range(rng.randint(1, 5)):
             text = "".join(rng.choice("abcde fg") for _ in range(rng.randint(2, 10))).strip() or "a"

@@ -9,6 +9,7 @@ import zipfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from langselect.cli import main
@@ -255,6 +256,26 @@ class TestTrainPredictEnsemble:
         assert out.read_text() == "id\tlabel\n"
         assert capsys.readouterr().out == f"examples=0\tout={out}\n"
 
+    def test_dense_layout_model_file_predicts_the_same(self, tmp_path, config_path, universe_dir):
+        # Model files once held dense (3, hash_buckets) weights and no buckets.
+        model = tmp_path / "m.npz"
+        assert main(["train", "--config", config_path, "--target", "aa", "--sources", "aa,bb",
+                     "--out", str(model)]) == 0
+        with np.load(model) as data:
+            arrays = dict(data)
+        hash_buckets = json.loads(bytes(arrays["meta"]))["config"]["hash_buckets"]
+        weights = np.zeros((3, hash_buckets))
+        weights[:, arrays.pop("buckets")] = arrays["weights"]
+        dense = tmp_path / "dense.npz"
+        np.savez_compressed(dense, **{**arrays, "weights": weights})
+        outs = []
+        for path in (model, dense):
+            out = tmp_path / f"{path.stem}.tsv"
+            assert main(["predict", "--model", str(path), "--input", str(universe_dir / "data" / "aa_test.tsv"),
+                         "--out", str(out), "--probs"]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_train_takes_no_seed_list(self, tmp_path, capsys, config_path):
         # ``--seed`` is train's one seed flag; a seed list would train one
         # of its seeds only.
@@ -269,7 +290,7 @@ class TestTrainPredictEnsemble:
         missing = tmp_path / "m.npz"
         assert main(["predict", "--model", str(missing), "--input", str(ok), "--out", str(tmp_path / "o.tsv")]) == 3
 
-    @pytest.mark.parametrize("damage", ["corrupt", "no-meta", "directory"])
+    @pytest.mark.parametrize("damage", ["corrupt", "no-meta", "directory", "weights-cut", "bias-cut"])
     def test_predict_unloadable_model_is_experiment_error(self, tmp_path, capsys, config_path, damage):
         # Like a missing model file: exit 3 naming the file, not a traceback.
         model = tmp_path / "m.npz"
@@ -285,9 +306,17 @@ class TestTrainPredictEnsemble:
             with zipfile.ZipFile(model, "w") as dst:
                 for name, data in members.items():
                     dst.writestr(name, data)
-        else:
+        elif damage == "directory":
             model.unlink()
             model.mkdir()
+        else:
+            with np.load(model) as data:
+                arrays = dict(data)
+            if damage == "weights-cut":
+                arrays["weights"] = arrays["weights"][:, :10]
+            else:
+                arrays["bias"] = arrays["bias"][:2]
+            np.savez_compressed(model, **arrays)
         ok = tmp_path / "in.tsv"
         ok.write_text("id\ttext\na\thello\n")
         capsys.readouterr()

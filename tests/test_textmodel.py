@@ -65,7 +65,20 @@ def random_model(rng, config=SMALL, scale=1.0):
         [[rng.gauss(0, scale) for _ in range(config.hash_buckets)] for _ in range(3)]
     )
     bias = np.array([rng.gauss(0, scale) for _ in range(3)])
-    return Model(weights=weights, bias=bias, stats=AdaptationStats.uniform(), config=config)
+    return Model(
+        weights=weights,
+        buckets=np.arange(config.hash_buckets),
+        bias=bias,
+        stats=AdaptationStats.uniform(),
+        config=config,
+    )
+
+
+def dense_weights(model):
+    """A model's weights over all hash_buckets, zero outside its buckets."""
+    out = np.zeros((3, model.config.hash_buckets))
+    out[:, model.buckets] = model.weights
+    return out
 
 
 class TestHashGram:
@@ -347,6 +360,18 @@ class TestFineTune:
         _, probs = predict(model, "anything here")
         assert all(abs(p - 1 / 3) < 0.01 for p in probs)
 
+    @pytest.mark.parametrize("hash_buckets", [1 << 12, 1 << 20])
+    def test_weights_only_for_training_buckets(self, lang, hash_buckets):
+        rng = random.Random(5)
+        ds = Dataset(lang, "train", tuple(random_example(rng, lang, i) for i in range(40)))
+        cfg = LearnerConfig(ngram_min=1, ngram_max=3, hash_buckets=hash_buckets, epochs=2)
+        stats = pretrain([ds], "t", cfg)
+        model = fine_tune(stats, ds, cfg, 1)
+        X = design_matrix([ex.text for ex in ds], stats, cfg)
+        assert model.buckets.dtype == np.int64
+        assert np.array_equal(model.buckets, np.unique(X.indices))
+        assert model.weights.shape == (3, len(model.buckets))
+
     def test_single_class_warns(self, lang, caplog):
         ds = make_dataset([("fine", "neutral")] * 4, lang)
         with caplog.at_level(logging.WARNING, logger="langselect.textmodel"):
@@ -443,6 +468,25 @@ class TestPredict:
         singles = [predict(model, t) for t in texts]
         assert batch == singles
 
+    @pytest.mark.parametrize("hash_buckets", [1 << 12, 1 << 18])
+    def test_compact_model_matches_dense_product(self, lang, hash_buckets):
+        # The probe texts draw on letters the training texts lack, so
+        # their rows have non-zeros in buckets the model has no weight for.
+        rng = random.Random(hash_buckets)
+        cfg = LearnerConfig(ngram_min=1, ngram_max=3, hash_buckets=hash_buckets, epochs=3)
+        ds = Dataset(lang, "train", tuple(random_example(rng, lang, i, (20, 40)) for i in range(30)))
+        stats = pretrain([ds], "t", cfg)
+        model = fine_tune(stats, ds, cfg, 1)
+        probe = ["".join(rng.choice("abcdxyz ") for _ in range(30)).strip() for _ in range(20)] + [""]
+        X = design_matrix(probe, stats, cfg)
+        assert not np.isin(X.indices, model.buckets).all()
+        # The sequential product over the dense weights: BLAS's summation
+        # order would differ in the last bits from any row-order sum.
+        probs = textmodel._softmax(reference_matmul(X, dense_weights(model).T) + model.bias)
+        got = predict_texts(model, probe)
+        assert [p for _, p in got] == [tuple(row) for row in probs.tolist()]
+        assert [label for label, _ in got] == [LABELS[i] for i in probs.argmax(axis=1)]
+
 
 class TestSerialization:
     def test_roundtrip_identical_predictions(self, tmp_path, lang):
@@ -458,8 +502,79 @@ class TestSerialization:
         assert loaded.config == model.config
         assert stats_fields(loaded.stats) == stats_fields(model.stats)
         assert loaded.loss_history == model.loss_history
+        assert np.array_equal(loaded.buckets, model.buckets)
+        assert np.array_equal(loaded.weights, model.weights)
         texts = ["good stuff", "zzz", "bad meh", ""]
         assert predict_texts(loaded, texts) == predict_texts(model, texts)
+
+    def test_dense_layout_file_loads(self, tmp_path, lang):
+        # Model files once held dense (3, hash_buckets) weights and no
+        # buckets; they load as a model over all buckets.
+        ds = make_dataset([("good stuff", "positive"), ("bad stuff", "negative"), ("meh", "neutral")] * 5, lang)
+        model = fine_tune(pretrain([ds], "t", SMALL), ds, SMALL, 4)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        del arrays["buckets"]
+        arrays["weights"] = dense_weights(model)
+        np.savez_compressed(path, **arrays)
+        loaded = load_model(path)
+        assert np.array_equal(loaded.buckets, np.arange(SMALL.hash_buckets))
+        assert np.array_equal(loaded.weights, dense_weights(model))
+        texts = ["good stuff", "zzz", "bad meh", ""]
+        assert predict_texts(loaded, texts) == predict_texts(model, texts)
+
+    MISSHAPEN = {
+        "bias-cut": r"bias has shape \(2,\), not \(3,\)",
+        "weights-cut": r"weights have shape \(3, 10\), not \(3, \d+\)",
+        "dense-weights-cut": r"dense weights have shape \(3, 10\), not \(3, 64\)",
+        "buckets-reversed": "buckets must increase strictly",
+        "buckets-repeated": "buckets must increase strictly",
+        "buckets-negative": r"buckets must lie in \[0, 64\)",
+        "buckets-too-high": r"buckets must lie in \[0, 64\)",
+        "buckets-float": "buckets must be a 1-D integer array, got float64",
+        "buckets-2d": r"buckets must be a 1-D integer array, got int64 of shape \(1, ",
+    }
+
+    @pytest.mark.parametrize("damage", sorted(MISSHAPEN))
+    def test_misshapen_arrays_name_the_path(self, tmp_path, lang, damage):
+        ds = make_dataset([("good stuff", "positive"), ("bad stuff", "negative"), ("meh", "neutral")] * 5, lang)
+        path = tmp_path / "model.npz"
+        save_model(fine_tune(AdaptationStats.uniform(), ds, SMALL, 1), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        buckets = arrays["buckets"].copy()
+        assert len(buckets) > 10
+        if damage == "bias-cut":
+            arrays["bias"] = arrays["bias"][:2]
+        elif damage == "weights-cut":
+            arrays["weights"] = arrays["weights"][:, :10]
+        elif damage == "dense-weights-cut":
+            dense_cut = np.zeros((3, 10))
+            kept = buckets < 10
+            dense_cut[:, buckets[kept]] = arrays["weights"][:, kept]
+            arrays["weights"] = dense_cut
+            del arrays["buckets"]
+        elif damage == "buckets-reversed":
+            arrays["buckets"] = buckets[::-1]
+        elif damage == "buckets-repeated":
+            buckets[1] = buckets[0]
+            arrays["buckets"] = buckets
+        elif damage == "buckets-negative":
+            buckets[0] = -1
+            arrays["buckets"] = buckets
+        elif damage == "buckets-too-high":
+            buckets[-1] = SMALL.hash_buckets
+            arrays["buckets"] = buckets
+        elif damage == "buckets-float":
+            arrays["buckets"] = buckets.astype(np.float64)
+        else:
+            arrays["buckets"] = buckets.reshape(1, -1)
+        np.savez_compressed(path, **arrays)
+        reason = self.MISSHAPEN[damage]
+        with pytest.raises(TextModelError, match=f"cannot load model file {re.escape(str(path))}: {reason}"):
+            load_model(path)
 
     def test_model_file_with_config_seed_loads(self, tmp_path, lang):
         # Model files written while LearnerConfig had a seed field carry
@@ -513,7 +628,13 @@ class TestSerialization:
 
     def test_bad_document_frequency_rejected(self, tmp_path, lang):
         stats = pretrain([make_dataset([("ab", None), ("cd", None)], lang)], "t", SMALL)
-        model = Model(weights=np.zeros((3, SMALL.hash_buckets)), bias=np.zeros(3), stats=stats, config=SMALL)
+        model = Model(
+            weights=np.zeros((3, SMALL.hash_buckets)),
+            buckets=np.arange(SMALL.hash_buckets),
+            bias=np.zeros(3),
+            stats=stats,
+            config=SMALL,
+        )
         path = tmp_path / "model.npz"
         save_model(model, path)
         with np.load(path) as data:
@@ -662,7 +783,7 @@ class TestAgainstReferences:
         X = design_matrix([ex.text for ex in ds], stats, cfg)
         y = np.array([LABELS.index(ex.label) for ex in ds])
         weights, bias, history = reference_sparse_fine_tune(X, y, cfg, 5)
-        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(dense_weights(model), weights)
         assert np.array_equal(model.bias, bias)
         assert model.loss_history == tuple(history)
 
@@ -682,7 +803,7 @@ class TestAgainstReferences:
         X = dense(design_matrix([ex.text for ex in ds], stats, cfg))
         y = np.array([LABELS.index(ex.label) for ex in ds])
         weights, bias, history = reference_dense_fine_tune(X, y, cfg, 3)
-        np.testing.assert_allclose(model.weights, weights, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dense_weights(model), weights, rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.bias, bias, rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.loss_history, history, rtol=1e-12, atol=0)
         probe = [random_example(rng, lang, i).text for i in range(30)]
