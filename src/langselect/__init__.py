@@ -16,7 +16,6 @@ from .corpus import (
     LanguageCode,
     dedup_dev,
     load_labeled_tsv,
-    load_language_metadata,
     load_unlabeled_text,
     normalize_text,
     sample_per_language,
@@ -43,22 +42,18 @@ from .selection import (
     SelectionTask,
     backward_select,
     forward_select,
-    group_by_family,
     plan,
 )
 
 # Names of the numpy-backed learner, by home module. They are imported on
 # first access (PEP 562), so importing langselect does not import numpy.
-_LAZY = dict.fromkeys(
-    ("ConfusionMatrix", "ScoreReport", "confusion", "macro_f1", "score_report", "weighted_f1"), "metrics"
-) | dict.fromkeys(
+_LAZY = dict.fromkeys(("ConfusionMatrix", "confusion", "weighted_f1"), "metrics") | dict.fromkeys(
     (
         "AdaptationStats",
         "Model",
         "fine_tune",
         "load_model",
         "loss_and_gradient",
-        "predict",
         "predict_texts",
         "pretrain",
         "save_model",

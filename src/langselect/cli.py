@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Verbs: ingest, train, score, matrix, select, ensemble, report, predict.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 experiment failure.
+Exit codes: 0 success, 1 usage error, 2 data error (including an OSError
+on any path it reads or writes), 3 experiment failure.
 """
 from __future__ import annotations
 
@@ -308,7 +309,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     entries: dict = {}
     for path in args.matrix:
-        entries.update(ScoreMatrix.from_jsonl(read_utf8(path)).entries)
+        try:
+            entries.update(ScoreMatrix.from_jsonl(read_utf8(path)).entries)
+        except HarnessError as e:
+            raise HarnessError(f"{path}: {e}") from None
     matrix = ScoreMatrix(entries=entries)
     selections: dict[str, dict[str, sel.SelectionResult]] = {}
     for path in args.selections:
@@ -377,6 +381,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (CorpusError, MetricsError, EnsembleError) as e:
         print(f"data error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        # A path the run cannot read or write: the cache directory, a
+        # journal, an output file or directory.
+        print(f"data error: {e.filename}: {e.strerror}" if e.filename else f"data error: {e}", file=sys.stderr)
         return 2
     except (TextModelError, SelectionError, HarnessError) as e:
         print(f"experiment error: {e}", file=sys.stderr)

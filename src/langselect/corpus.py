@@ -1,9 +1,8 @@
 """Data ingestion and tweet normalization.
 
 Handles labeled TSV files (``id<TAB>text<TAB>label``), unlabeled
-one-sentence-per-line corpora, language/family metadata, train/dev
-overlap removal (the ``devstar`` split) and deterministic per-language
-subsampling.
+one-sentence-per-line corpora, train/dev overlap removal (the
+``devstar`` split) and deterministic per-language subsampling.
 """
 from __future__ import annotations
 
@@ -86,11 +85,6 @@ class LanguageCode:
     def __post_init__(self) -> None:
         if not self.code or self.code != self.code.lower() or any(c.isspace() for c in self.code):
             raise CorpusError(f"invalid language code {self.code!r}: must be non-empty lowercase without whitespace")
-
-    @property
-    def top_family(self) -> str:
-        """Top-level family label, e.g. "Afro-Asiatic" from "Afro-Asiatic/Semitic"."""
-        return self.family.split("/")[0].strip()
 
     def __str__(self) -> str:
         return self.code
@@ -297,27 +291,6 @@ def sample_per_language(datasets: Iterable[Dataset], k: int, seed: int) -> list[
         rng = random.Random(f"{seed}:{ds.language.code}")
         chosen = _sample_indices(len(ds), k, rng)
         out.append(Dataset(ds.language, "train", tuple(ds.examples[i] for i in chosen)))
-    return out
-
-
-def load_language_metadata(path: str | Path) -> dict[str, LanguageCode]:
-    """Read language metadata: header, then ``code<TAB>family[<TAB>subgroup]`` rows."""
-    path = Path(path)
-    text = read_utf8(path)
-    lines = text.splitlines()
-    if not lines:
-        raise CorpusError(f"{path}: empty metadata file")
-    out: dict[str, LanguageCode] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < 2:
-            raise CorpusError(f"{path}: malformed metadata row at line {lineno}")
-        code = fields[0].strip()
-        family = fields[1].strip()
-        subgroup = fields[2].strip() if len(fields) > 2 and fields[2].strip() else None
-        out[code] = LanguageCode(code=code, family=family, subgroup=subgroup)
     return out
 
 

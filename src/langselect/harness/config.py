@@ -20,7 +20,7 @@ from pathlib import Path
 import yaml
 
 from ..corpus import LanguageCode, read_utf8
-from ..errors import CorpusError, HarnessError
+from ..errors import CorpusError, HarnessError, SelectionError, TextModelError
 from ..selection import SelectionConfig
 from ..learner_config import LearnerConfig
 
@@ -128,11 +128,8 @@ def load_config(path: str | Path) -> HarnessConfig:
         raise HarnessError(f"{path}: 'learner.seed' is not a setting; a run's seeds come from 'seeds'")
     try:
         learner = LearnerConfig(**learner_doc)
-        sel_kwargs = dict(selection_doc)
-        if "top_k" in sel_kwargs and sel_kwargs["top_k"] is not None:
-            sel_kwargs["top_k"] = int(sel_kwargs["top_k"])
-        selection = SelectionConfig(**sel_kwargs)
-    except (TypeError, ValueError) as e:
+        selection = SelectionConfig(**selection_doc)
+    except (TypeError, TextModelError, SelectionError) as e:
         raise HarnessError(f"{path}: bad learner/selection settings: {e}") from None
 
     adaptation = str(doc.get("adaptation", "none")).lower()

@@ -564,7 +564,7 @@ class ScoreMatrix:
                 )
                 if doc["mode"] != entry.mode:
                     raise ValueError(f"mode {doc['mode']!r} contradicts sources {list(entry.sources)}")
-            except (AttributeError, KeyError, TypeError, ValueError) as e:
+            except (AttributeError, KeyError, TypeError, ValueError, HarnessError) as e:
                 raise HarnessError(f"bad matrix jsonl at line {lineno}: {e}") from None
         return cls(entries=entries)
 

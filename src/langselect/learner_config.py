@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TextModelError
+from .errors import TextModelError, check_setting_types
 
 # Version of the learner's float results and of the rows a data file
 # loads to. Bump it with any change that can alter a trained weight or a
@@ -41,6 +41,7 @@ class LearnerConfig:
     epochs: int = 20
 
     def __post_init__(self) -> None:
+        check_setting_types(self, TextModelError)
         if not (1 <= self.ngram_min <= self.ngram_max <= 8):
             raise TextModelError(f"require 1 <= ngram_min <= ngram_max <= 8, got [{self.ngram_min}, {self.ngram_max}]")
         if not 2 <= self.hash_buckets <= 1 << 31 or self.hash_buckets & (self.hash_buckets - 1):

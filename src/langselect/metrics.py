@@ -1,8 +1,8 @@
-"""Confusion matrices and the F1-family scores used for evaluation.
+"""Confusion matrices and the weighted F1 score used for evaluation.
 
-All scores are computed over the fixed class order (negative, neutral,
+Scores are computed over the fixed class order (negative, neutral,
 positive). Zero denominators yield precision/recall of 0, and classes
-with zero gold support are excluded from weighted and macro averages.
+with zero gold support are excluded from the weighted average.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import LABEL_INDEX, LABELS
+from .corpus import LABEL_INDEX
 from .errors import MetricsError
 
 
@@ -34,33 +34,9 @@ class ConfusionMatrix:
             return NotImplemented
         return bool((self.counts == other.counts).all())
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def support(self) -> np.ndarray:
         """Gold-class counts (row sums)."""
         return self.counts.sum(axis=1)
-
-
-@dataclass(frozen=True)
-class ScoreReport:
-    """Per-class F1 plus the weighted and macro aggregates."""
-
-    per_class_f1: tuple[float, float, float]
-    weighted_f1: float
-    macro_f1: float
-    support: tuple[int, int, int]
-
-    def to_kv(self) -> str:
-        """Flat key=value text record, one field per line."""
-        lines = [
-            f"weighted_f1={self.weighted_f1!r}",
-            f"macro_f1={self.macro_f1!r}",
-        ]
-        for label, f1, sup in zip(LABELS, self.per_class_f1, self.support):
-            lines.append(f"f1_{label}={f1!r}")
-            lines.append(f"support_{label}={sup}")
-        return "\n".join(lines) + "\n"
 
 
 def confusion(gold: Sequence[str], pred: Sequence[str]) -> ConfusionMatrix:
@@ -97,20 +73,3 @@ def weighted_f1(cm: ConfusionMatrix) -> float:
     f1, support = _per_class_f1(cm)
     present = support > 0
     return float((f1[present] * support[present]).sum() / support[present].sum())
-
-
-def macro_f1(cm: ConfusionMatrix) -> float:
-    """Unweighted mean of per-class F1 over classes with support > 0."""
-    f1, support = _per_class_f1(cm)
-    present = support > 0
-    return float(f1[present].mean())
-
-
-def score_report(cm: ConfusionMatrix) -> ScoreReport:
-    f1, support = _per_class_f1(cm)
-    return ScoreReport(
-        per_class_f1=(float(f1[0]), float(f1[1]), float(f1[2])),
-        weighted_f1=weighted_f1(cm),
-        macro_f1=macro_f1(cm),
-        support=(int(support[0]), int(support[1]), int(support[2])),
-    )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import LanguageCode
-from .errors import SelectionError
+from .errors import SelectionError, check_setting_types
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -51,6 +51,7 @@ class SelectionConfig:
     absolute_threshold: bool = False
 
     def __post_init__(self) -> None:
+        check_setting_types(self, SelectionError)
         if self.threshold <= 0:
             raise SelectionError(f"threshold must be positive, got {self.threshold}")
         if self.top_k is not None and self.top_k < 1:
@@ -206,28 +207,3 @@ def backward_select(
         positive_sources=tuple(_rank(positives, descending=True)[: cfg.top_k]),
         ranking=tuple(_rank(scored, descending=False)),
     )
-
-
-def group_by_family(
-    languages: Sequence[LanguageCode],
-    metadata: Mapping[str, LanguageCode] | None = None,
-    mode: str = MULTILINGUAL,
-) -> dict[str, tuple[LanguageCode, ...]]:
-    """Family-grouping baseline: each target's source set is every language
-    sharing its top-level family (itself included in multilingual mode)."""
-    resolved = []
-    for lang in languages:
-        meta = metadata.get(lang.code, lang) if metadata else lang
-        if not meta.top_family:
-            raise SelectionError(f"language {lang.code!r} has no family metadata")
-        resolved.append(meta)
-    out: dict[str, tuple[LanguageCode, ...]] = {}
-    for target in resolved:
-        group = [
-            lang
-            for lang in resolved
-            if lang.top_family == target.top_family
-            and (mode == MULTILINGUAL or lang.code != target.code)
-        ]
-        out[target.code] = tuple(sorted(group, key=lambda lang: lang.code))
-    return out

@@ -527,11 +527,6 @@ def predict_texts(model: Model, texts: Sequence[str]) -> list[tuple[str, tuple[f
     return [(LABELS[i], tuple(row)) for i, row in zip(probs.argmax(axis=1).tolist(), probs.tolist())]
 
 
-def predict(model: Model, text: str) -> tuple[str, tuple[float, float, float]]:
-    """Predict a single text; see ``predict_texts``."""
-    return predict_texts(model, [text])[0]
-
-
 def loss_and_gradient(
     model: Model, batch: Sequence[Example]
 ) -> tuple[float, np.ndarray, np.ndarray]:

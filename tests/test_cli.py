@@ -69,6 +69,32 @@ class TestExitCodes:
         assert main(["ensemble", "--inputs", str(missing), "--out", str(tmp_path / "o.tsv")]) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["cache-dir-is-file", "journal-is-dir", "matrix-out-dir-missing",
+                                      "ingest-out-dir-is-file"])
+    def test_os_error_is_data_error(self, tmp_path, capsys, monkeypatch, config_path, case):
+        # A path the run cannot read or write ends in one line naming it,
+        # not in a traceback.
+        score = ["score", "--config", config_path, "--target", "aa", "--sources", "aa"]
+        if case == "cache-dir-is-file":
+            path = tmp_path / "cache"
+            path.write_text("")
+            argv = score
+        elif case == "journal-is-dir":
+            path = tmp_path / "cache" / "scores.journal"
+            path.mkdir(parents=True)
+            argv = score
+        elif case == "matrix-out-dir-missing":
+            path = tmp_path / "missing" / "m.jsonl"
+            argv = ["matrix", "--config", config_path, "--strategy", "bwd", "--out", str(path)]
+        else:
+            path = tmp_path / "out"
+            path.write_text("")
+            argv = ["ingest", "--config", config_path, "--out-dir", str(path)]
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(path) in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("verb", ["score", "matrix", "select"])
     def test_duplicate_seed_list_is_usage_error(self, tmp_path, capsys, config_path, verb):
         argv = {
@@ -117,6 +143,15 @@ class TestExitCodes:
             ("seeds: [true]\n", "'seeds'"),
             ("selection: xy\n", "'selection'"),
             ("selection:\n  top_k: x\n", "selection"),
+            # Settings are type-checked, not coerced: "false" is a truthy
+            # string, true would train 1 epoch, 2.7 would become 2, and 2.5
+            # used to fail only once a cell trained.
+            ("selection:\n  absolute_threshold: \"false\"\n", "absolute_threshold must be bool"),
+            ("selection:\n  top_k: 2.7\n", "top_k must be int | None"),
+            ("selection:\n  threshold: true\n", "threshold must be float"),
+            ("learner:\n  epochs: true\n", "epochs must be int"),
+            ("learner:\n  epochs: 2.5\n", "epochs must be int"),
+            ("learner:\n  learning_rate: x\n", "learning_rate must be float"),
             ("learner: [3]\n", "'learner'"),
             ("    train: 5\n", "'languages[0].train' must be a path string"),
             ("    dev: [x]\n", "'languages[0].dev' must be a path string"),
@@ -130,7 +165,9 @@ class TestExitCodes:
             # one way to score another split.
             ("eval_split: test\n", "use 'score --eval-split'"),
         ],
-        ids=["seeds-int", "seeds-str", "seeds-float", "seeds-bool", "selection-str", "top-k-str", "learner-list",
+        ids=["seeds-int", "seeds-str", "seeds-float", "seeds-bool", "selection-str", "top-k-str",
+             "absolute-threshold-str", "top-k-float", "threshold-bool", "epochs-bool", "epochs-float",
+             "learning-rate-str", "learner-list",
              "train-int", "dev-list", "test-float", "lapt-corpus-map", "family-null", "subgroup-int", "cache-dir-list",
              "eval-split-test"],
     )
@@ -548,7 +585,7 @@ class TestSelectAndReport:
         matrix = tmp_path / "matrix.jsonl"
         matrix.write_text('\n["x"]\n')
         assert main(["report", "--config", config_path, "--matrix", str(matrix)]) == 3
-        assert "bad matrix jsonl at line 2" in capsys.readouterr().err
+        assert f"{matrix}: bad matrix jsonl at line 2" in capsys.readouterr().err
 
 
 def test_cli_import_skips_scipy_and_numpy_tooling():
@@ -708,17 +745,15 @@ class TestReportRows:
 # by home module.
 _EXPORTS = {
     "corpus": ["AFRISENTI_LANGUAGES", "LABELS", "SPLITS", "Dataset", "Example", "LanguageCode", "dedup_dev",
-               "load_labeled_tsv", "load_language_metadata", "load_unlabeled_text", "normalize_text",
-               "sample_per_language"],
+               "load_labeled_tsv", "load_unlabeled_text", "normalize_text", "sample_per_language"],
     "ensemble": ["VotePool", "majority_vote"],
     "errors": ["CorpusError", "EnsembleError", "HarnessError", "LangselectError", "MetricsError",
                "SelectionError", "TextModelError"],
-    "metrics": ["ConfusionMatrix", "ScoreReport", "confusion", "macro_f1", "score_report", "weighted_f1"],
+    "metrics": ["ConfusionMatrix", "confusion", "weighted_f1"],
     "selection": ["BACKWARD", "FORWARD", "MULTILINGUAL", "ZEROSHOT", "PlanCell", "SelectionConfig",
-                  "SelectionResult", "SelectionTask", "backward_select", "forward_select", "group_by_family",
-                  "plan"],
+                  "SelectionResult", "SelectionTask", "backward_select", "forward_select", "plan"],
     "textmodel": ["AdaptationStats", "LearnerConfig", "Model", "fine_tune", "load_model", "loss_and_gradient",
-                  "predict", "predict_texts", "pretrain", "save_model"],
+                  "predict_texts", "pretrain", "save_model"],
 }
 
 # Runs one CLI verb; its last stdout line is [exit code, numpy imported].

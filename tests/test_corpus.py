@@ -13,7 +13,6 @@ from langselect import (
     LanguageCode,
     dedup_dev,
     load_labeled_tsv,
-    load_language_metadata,
     load_unlabeled_text,
     normalize_text,
     sample_per_language,
@@ -158,10 +157,6 @@ class TestLanguageCode:
             LanguageCode("HA")
         with pytest.raises(CorpusError):
             LanguageCode("h a")
-
-    def test_top_family(self):
-        assert LanguageCode("ha", "Afro-Asiatic/Chadic").top_family == "Afro-Asiatic"
-        assert LanguageCode("pt", "Indo-European").top_family == "Indo-European"
 
 
 class TestDatasetInvariants:
@@ -367,18 +362,10 @@ class TestSamplePerLanguage:
 
 
 class TestMetadata:
-    def test_load_metadata_file(self, tmp_path):
-        path = tmp_path / "langs.tsv"
-        path.write_text("code\tfamily\tsubgroup\nha\tAfro-Asiatic/Chadic\tChadic\npt\tIndo-European\n")
-        meta = load_language_metadata(path)
-        assert meta["ha"].family == "Afro-Asiatic/Chadic"
-        assert meta["ha"].subgroup == "Chadic"
-        assert meta["pt"].subgroup is None
-
     def test_builtin_roster(self):
         assert len(AFRISENTI_LANGUAGES) == 14
-        assert AFRISENTI_LANGUAGES["ha"].top_family == "Afro-Asiatic"
-        assert AFRISENTI_LANGUAGES["pcm"].top_family == "English-Creole"
-        families = {lc.top_family for lc in AFRISENTI_LANGUAGES.values()}
+        assert AFRISENTI_LANGUAGES["ha"].family == "Afro-Asiatic/Chadic"
+        assert AFRISENTI_LANGUAGES["pcm"].family == "English-Creole"
+        families = {lc.family.split("/")[0] for lc in AFRISENTI_LANGUAGES.values()}
         assert families == {"Afro-Asiatic", "Niger-Congo", "English-Creole", "Indo-European"}
 

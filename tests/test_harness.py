@@ -3,10 +3,11 @@ selection plans, matrix runner and reports."""
 import json
 import logging
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+import yaml
 
 from langselect import (
     CorpusError,
@@ -659,7 +660,9 @@ class TestRunMatrix:
         assert ScoreMatrix.from_jsonl(matrix.to_jsonl()) == matrix
 
     @pytest.mark.parametrize(
-        "line", ['["x"]', '"x"', "3", "null", "per_seed as a list", "mode contradicting sources", "no mode"]
+        "line",
+        ['["x"]', '"x"', "3", "null", "per_seed as a list", "mode contradicting sources", "no mode",
+         "empty per_seed", "score outside [0, 1]", "mean disagreeing"],
     )
     def test_jsonl_line_not_an_entry_object(self, store, line):
         cells = [PlanCell("aa", ("aa",), None)]
@@ -669,6 +672,10 @@ class TestRunMatrix:
             "per_seed as a list": dict(doc, per_seed=[1]),
             "mode contradicting sources": dict(doc, mode="zeroshot"),
             "no mode": {k: v for k, v in doc.items() if k != "mode"},
+            # MatrixEntry's own checks are named with the line too.
+            "empty per_seed": dict(doc, per_seed={}),
+            "score outside [0, 1]": dict(doc, per_seed={"1": 1.5}, mean=1.5),
+            "mean disagreeing": dict(doc, per_seed={"1": 0.2}, mean=0.4),
         }
         if line in edited:
             line = json.dumps(edited[line])
@@ -916,6 +923,22 @@ class TestConfig:
         config.write_text("languages:\n  - code: aa\neval_split: test\n")
         with pytest.raises(HarnessError, match="score --eval-split"):
             load_config(config)
+
+    def test_readme_config_block_loads_with_defaults(self, tmp_path):
+        # README's config example claims its learner and selection values
+        # are the defaults; it must also load, so a documented key that is
+        # renamed or deleted fails here. Only data paths are resolved, so
+        # the files it names need not exist.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config file", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        config = tmp_path / "config.yaml"
+        config.write_text(block, encoding="utf-8")
+        cfg = load_config(config)
+        assert cfg.learner == LearnerConfig()
+        assert cfg.selection == SelectionConfig()
+        doc = yaml.safe_load(block)
+        for key, settings in (("learner", LearnerConfig()), ("selection", SelectionConfig())):
+            assert doc[key] == {f.name: getattr(settings, f.name) for f in fields(settings)}
 
     def test_learner_seed_rejected(self, tmp_path):
         # A run's seeds are the top-level ``seeds``; a learner seed would

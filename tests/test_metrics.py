@@ -1,4 +1,4 @@
-"""Metrics tests: confusion counting and the F1 family, cross-checked
+"""Metrics tests: confusion counting and weighted F1, cross-checked
 against an independent counting implementation."""
 import random
 
@@ -9,10 +9,9 @@ from langselect import (
     ConfusionMatrix,
     MetricsError,
     confusion,
-    macro_f1,
-    score_report,
     weighted_f1,
 )
+from langselect.metrics import _per_class_f1
 
 from reference import reference_macro_f1, reference_weighted_f1
 
@@ -23,7 +22,7 @@ class TestConfusion:
     def test_single_correct(self):
         cm = confusion(["positive"], ["positive"])
         assert cm.counts[2, 2] == 1
-        assert cm.total() == 1
+        assert cm.counts.sum() == 1
 
     def test_off_diagonal(self):
         cm = confusion(["positive", "negative"], ["negative", "negative"])
@@ -62,12 +61,10 @@ class TestWeightedF1:
             ["positive", "negative", "negative", "neutral"],
         )
         assert weighted_f1(cm) == pytest.approx(0.75, abs=1e-12)
-        assert macro_f1(cm) == pytest.approx(7 / 9, abs=1e-12)
 
     def test_perfect(self):
         cm = confusion(list(LABELS) * 3, list(LABELS) * 3)
         assert weighted_f1(cm) == 1.0
-        assert macro_f1(cm) == 1.0
 
     def test_single_class_gold(self):
         cm = confusion(["positive"] * 4, ["positive"] * 4)
@@ -76,8 +73,6 @@ class TestWeightedF1:
     def test_all_zero_matrix_rejected(self):
         with pytest.raises(MetricsError, match="all-zero"):
             weighted_f1(ConfusionMatrix(np.zeros((3, 3), dtype=np.int64)))
-        with pytest.raises(MetricsError, match="all-zero"):
-            macro_f1(ConfusionMatrix(np.zeros((3, 3), dtype=np.int64)))
 
     def test_matches_reference_on_random_predictions(self):
         rng = random.Random(99)
@@ -87,23 +82,12 @@ class TestWeightedF1:
             pred = [rng.choice(LABELS) for _ in range(n)]
             cm = confusion(gold, pred)
             assert weighted_f1(cm) == pytest.approx(reference_weighted_f1(gold, pred), abs=1e-9)
-            assert macro_f1(cm) == pytest.approx(reference_macro_f1(gold, pred), abs=1e-9)
 
     def test_balanced_supports_weighted_equals_macro(self):
         rng = random.Random(4)
         gold = [LABELS[i % 3] for i in range(30)]
         pred = [rng.choice(LABELS) for _ in range(30)]
-        cm = confusion(gold, pred)
-        assert weighted_f1(cm) == pytest.approx(macro_f1(cm), abs=1e-12)
-
-    def test_macro_invariant_under_relabeling(self):
-        rng = random.Random(17)
-        gold = [rng.choice(LABELS) for _ in range(50)]
-        pred = [rng.choice(LABELS) for _ in range(50)]
-        perm = {"negative": "positive", "neutral": "negative", "positive": "neutral"}
-        base = macro_f1(confusion(gold, pred))
-        swapped = macro_f1(confusion([perm[g] for g in gold], [perm[p] for p in pred]))
-        assert swapped == pytest.approx(base, abs=1e-12)
+        assert weighted_f1(confusion(gold, pred)) == pytest.approx(reference_macro_f1(gold, pred), abs=1e-12)
 
     def test_correct_example_never_hurts_class_contribution(self):
         rng = random.Random(3)
@@ -112,11 +96,11 @@ class TestWeightedF1:
             gold = [rng.choice(LABELS) for _ in range(n)]
             pred = [rng.choice(LABELS) for _ in range(n)]
             target = rng.choice(LABELS)
-            rep = score_report(confusion(gold, pred))
             idx = LABELS.index(target)
-            before = rep.per_class_f1[idx] * rep.support[idx]
-            rep2 = score_report(confusion(gold + [target], pred + [target]))
-            after = rep2.per_class_f1[idx] * rep2.support[idx]
+            f1, support = _per_class_f1(confusion(gold, pred))
+            before = f1[idx] * support[idx]
+            f1, support = _per_class_f1(confusion(gold + [target], pred + [target]))
+            after = f1[idx] * support[idx]
             assert after >= before - 1e-12
 
 
@@ -127,20 +111,13 @@ class TestScoreReport:
             n = rng.randint(1, 30)
             gold = [rng.choice(LABELS) for _ in range(n)]
             pred = [rng.choice(LABELS) for _ in range(n)]
-            rep = score_report(confusion(gold, pred))
-            present = [f for f, s in zip(rep.per_class_f1, rep.support) if s > 0]
-            assert min(present) - 1e-12 <= rep.weighted_f1 <= max(present) + 1e-12
-            recomputed = sum(
-                f * s for f, s in zip(rep.per_class_f1, rep.support)
-            ) / sum(rep.support)
-            assert rep.weighted_f1 == pytest.approx(recomputed, abs=1e-12)
-
-    def test_kv_serialization(self):
-        rep = score_report(confusion(["positive", "negative"], ["positive", "negative"]))
-        text = rep.to_kv()
-        assert "weighted_f1=1.0" in text
-        assert "support_negative=1" in text
-        assert text.endswith("\n")
+            cm = confusion(gold, pred)
+            f1, support = _per_class_f1(cm)
+            weighted = weighted_f1(cm)
+            present = [f for f, s in zip(f1, support) if s > 0]
+            assert min(present) - 1e-12 <= weighted <= max(present) + 1e-12
+            recomputed = sum(f * s for f, s in zip(f1, support)) / sum(support)
+            assert weighted == pytest.approx(recomputed, abs=1e-12)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(MetricsError):

@@ -1,5 +1,5 @@
 """Selection tests: plans, forward/backward rules, zero-shot variants,
-N x N accounting, family grouping, and equivalence with a brute-force
+N x N accounting, and equivalence with a brute-force
 re-evaluation of the rules.
 
 Mock oracles score each planned (cell, seed); forward_select and
@@ -17,7 +17,6 @@ from langselect import (
     SelectionTask,
     backward_select,
     forward_select,
-    group_by_family,
     plan,
 )
 
@@ -364,35 +363,6 @@ class TestThresholdMonotonicity:
                 if previous is not None:
                     assert positives <= previous
                 previous = positives
-
-
-class TestGroupByFamily:
-    def test_afrisenti_groups(self):
-        roster = [AFRISENTI_LANGUAGES[c] for c in sorted(AFRISENTI_LANGUAGES)]
-        groups = group_by_family(roster)
-        assert {"am", "dz", "ha", "ma"} <= set(l.code for l in groups["ha"])
-        assert groups["pcm"] == (AFRISENTI_LANGUAGES["pcm"],)
-        assert groups["pt"] == (AFRISENTI_LANGUAGES["pt"],)
-        niger_congo = {l.code for l in groups["yo"]}
-        assert niger_congo == {"ig", "kr", "sw", "ts", "twi", "yo"}
-
-    def test_zeroshot_excludes_target(self):
-        roster = [AFRISENTI_LANGUAGES[c] for c in ("ha", "am", "dz")]
-        groups = group_by_family(roster, mode="zeroshot")
-        assert "ha" not in {l.code for l in groups["ha"]}
-
-    def test_metadata_mapping_used(self):
-        bare = langs("aa", "bb")
-        meta = {
-            "aa": LanguageCode("aa", "Fam-1"),
-            "bb": LanguageCode("bb", "Fam-1/Sub"),
-        }
-        groups = group_by_family(bare, metadata=meta)
-        assert {l.code for l in groups["aa"]} == {"aa", "bb"}
-
-    def test_missing_family_rejected(self):
-        with pytest.raises(SelectionError, match="bb"):
-            group_by_family([LanguageCode("aa", "Fam"), LanguageCode("bb")])
 
 
 class TestValidation:

@@ -18,7 +18,6 @@ from langselect import (
     fine_tune,
     load_model,
     loss_and_gradient,
-    predict,
     predict_texts,
     pretrain,
     save_model,
@@ -326,7 +325,7 @@ class TestFineTune:
     def test_separable_toy_reaches_perfect_train_accuracy(self, lang):
         cfg = LearnerConfig(hash_buckets=4096, ngram_max=4)
         model = fine_tune(AdaptationStats.uniform(), self._toy(lang), cfg, 1)
-        preds = [predict(model, ex.text)[0] for ex in self._toy(lang)]
+        preds = [predict_texts(model, [ex.text])[0][0] for ex in self._toy(lang)]
         gold = [ex.label for ex in self._toy(lang)]
         assert preds == gold
 
@@ -357,7 +356,7 @@ class TestFineTune:
         )
         model = fine_tune(AdaptationStats.uniform(), ds, cfg, 3)
         assert float(np.abs(model.weights).max()) < 1e-3
-        _, probs = predict(model, "anything here")
+        _, probs = predict_texts(model, ["anything here"])[0]
         assert all(abs(p - 1 / 3) < 0.01 for p in probs)
 
     @pytest.mark.parametrize("hash_buckets", [1 << 12, 1 << 20])
@@ -377,7 +376,7 @@ class TestFineTune:
         with caplog.at_level(logging.WARNING, logger="langselect.textmodel"):
             model = fine_tune(AdaptationStats.uniform(), ds, SMALL, 0)
         assert any("covers only" in r.message for r in caplog.records)
-        assert predict(model, "fine")[0] == "neutral"
+        assert predict_texts(model, ["fine"])[0][0] == "neutral"
 
     def test_no_examples_rejected(self, lang):
         with pytest.raises(TextModelError, match="no training examples"):
@@ -447,7 +446,7 @@ class TestLossAndGradient:
 class TestPredict:
     def test_zero_model_ties_break_to_negative(self):
         model = random_model(random.Random(0), scale=0.0)
-        label, probs = predict(model, "whatever")
+        label, probs = predict_texts(model, ["whatever"])[0]
         assert label == "negative"
         assert probs == (pytest.approx(1 / 3), pytest.approx(1 / 3), pytest.approx(1 / 3))
 
@@ -456,7 +455,7 @@ class TestPredict:
         for _ in range(50):
             model = random_model(rng, scale=rng.uniform(0, 3))
             text = "".join(rng.choice("abcdef ") for _ in range(rng.randint(1, 20)))
-            _, probs = predict(model, text)
+            _, probs = predict_texts(model, [text])[0]
             assert sum(probs) == pytest.approx(1.0, abs=1e-9)
             assert all(p >= 0 for p in probs)
 
@@ -465,7 +464,7 @@ class TestPredict:
         model = random_model(rng)
         texts = ["abc", "def fed", "aaa bbb"]
         batch = predict_texts(model, texts)
-        singles = [predict(model, t) for t in texts]
+        singles = [predict_texts(model, [t])[0] for t in texts]
         assert batch == singles
 
     @pytest.mark.parametrize("hash_buckets", [1 << 12, 1 << 18])
