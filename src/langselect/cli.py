@@ -7,7 +7,9 @@ on any path it reads or writes), 3 experiment failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -249,6 +251,17 @@ def _selection_config(args: argparse.Namespace, cfg) -> sel.SelectionConfig:
     )
 
 
+def _check_out_dirs(*paths: str | None) -> None:
+    """Raise the error that writing an output into a missing directory
+    raises (``OSError`` picks its subclass by errno), before any cell
+    trains rather than after every one."""
+    for path in filter(None, paths):
+        parent = Path(path).parent
+        if not parent.is_dir():
+            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+
+
 def _run_cells(cfg, store, cache, seeds, cells) -> ScoreMatrix:
     return run_matrix(cells, store, seeds=seeds, learner=cfg.learner, adaptation=cfg.adaptation, cache=cache)
 
@@ -258,6 +271,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     sel_cfg = _selection_config(args, cfg)
     strategy = _STRATEGIES[args.strategy]
     cells = [cell for task in _tasks(cfg, store, sel_cfg.mode) for cell in sel.plan(task, sel_cfg, strategy)]
+    _check_out_dirs(args.out)
     matrix = _run_cells(cfg, store, cache, seeds, cells)
     Path(args.out).write_text(matrix.to_jsonl(), encoding="utf-8")
     print(f"cells={len(matrix.entries)}\tseeds={len(seeds)}\tout={args.out}")
@@ -271,6 +285,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     tasks = _tasks(cfg, store, sel_cfg.mode)
     # One run over every target's plan; deciding then only reads its table.
     cells = [cell for task in tasks for cell in sel.plan(task, sel_cfg, strategy)]
+    _check_out_dirs(args.out, args.matrix_out)
     scores = _run_cells(cfg, store, cache, seeds, cells).means()
     decide = sel.forward_select if strategy == sel.FORWARD else sel.backward_select
     results: dict[str, sel.SelectionResult] = {}
@@ -372,6 +387,9 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+    # The learner makes no BLAS call, so numpy, imported on the first
+    # cache miss, need not start OpenBLAS worker threads that spin.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,8 +1,8 @@
 """Experiment orchestration: specs, the corpus store, scoring a group of
-cells that share one model at a list of seeds (pretrain once, then per
-seed: build training set -> fine-tune -> evaluate every cell), and the
-matrix runner that groups the cells of a plan by model, scores each
-group, and aggregates seeds into a score table.
+cells that share one model at the seeds they miss (pretrain once, then
+per seed: build training set -> fine-tune -> evaluate every cell), and
+the matrix runner, the score cache's one reader and writer, which groups
+a plan's cells by model and aggregates seeds into a score table.
 
 A spec is a cell; the seed is an argument of scoring, set once per run.
 Every score is a deterministic function of (spec, seed), so results are
@@ -23,7 +23,6 @@ import importlib
 import json
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -399,39 +398,30 @@ def train_model(spec: ExperimentSpec, store: CorpusStore, seed: int, stats: Adap
 def score_experiment(
     group: dict[str, ExperimentSpec],
     store: CorpusStore,
-    seeds: Sequence[int],
-    cache: ScoreCache,
-    tally: Counter,
-) -> tuple[dict[str, dict[int, tuple[float, int]]], list[str]]:
-    """Score a model group: cells, keyed by cell key, whose specs share one
-    ``model_key``. Returns each scored cell's (weighted F1, evaluation
-    support) by cell key and seed, and one error line per failed cell.
+    todo: dict[int, list[str]],
+) -> tuple[list[tuple[str, int, float, int]], list[str], int]:
+    """Score a model group, cells keyed by cell key whose specs share one
+    ``model_key``, at the seeds ``todo`` lists (seed -> cell keys, in
+    group order). Returns the scored (cell key, seed, weighted F1,
+    support) tuples in seed, then cell order; one error line per failed
+    cell; and the number of models trained. Reads and writes no cache.
 
-    Seeds are read from ``cache`` first. If any miss, the group's
-    adaptation statistics and each missing cell's eval labels are built
-    once. Then each seed that some cell misses, in sorted order, trains
-    one model, which scores and puts every cell missing that seed; one
-    model is held at a time. A failing step fails each cell that needed
-    it, named with its own spec and the seed, and a failed cell is tried
-    no further. ``tally`` counts "cached" cells and "trained" models.
+    The adaptation statistics and each listed cell's eval labels are
+    built once. Each seed, in sorted order, then trains one model, held
+    alone, that scores every cell listed at it. A failing step fails each
+    cell that needed it, named with its spec and the seed; a failed cell
+    is tried no further.
     """
-    results: dict[str, dict[int, tuple[float, int]]] = {key: {} for key in group}
-    todo: dict[int, list[str]] = {}
-    for key in group:
-        for seed in seeds:
-            if (hit := cache.get(key, seed)) is None:
-                todo.setdefault(seed, []).append(key)
-            else:
-                results[key][seed] = hit
-    missing = [key for key in group if len(results[key]) < len(seeds)]
-    tally["cached"] += len(group) - len(missing)
+    scored: list[tuple[str, int, float, int]] = []
     failed: dict[str, str] = {}
+    trained = 0
 
     def fail(keys: Sequence[str], e: Exception, seed: int | None = None) -> None:
         at = "" if seed is None else f" seed={seed}"
         for key in keys:
             failed[key] = f"experiment failed ({group[key].describe()}{at}): {e}"
 
+    missing = [key for key in group if any(key in keys for keys in todo.values())]
     if missing:
         _bind_learner()
         spec = group[missing[0]]
@@ -456,19 +446,18 @@ def score_experiment(
             except Exception as e:
                 fail(keys, e, seed)
                 continue
-            tally["trained"] += 1
+            trained += 1
             for key in keys:
                 texts, gold = evals[key]
                 try:
                     predictions = predict_texts(model, texts)
                     score = weighted_f1(confusion(gold, [label for label, _ in predictions]))
-                    cache.put(key, seed, score, len(gold))
                 except Exception as e:
                     fail([key], e, seed)
                     continue
-                results[key][seed] = (score, len(gold))
+                scored.append((key, seed, score, len(gold)))
             del model
-    return {key: r for key, r in results.items() if key not in failed}, list(failed.values())
+    return scored, list(failed.values()), trained
 
 
 def _aggregate(per_seed: dict[int, float]) -> tuple[float, float]:
@@ -584,13 +573,16 @@ def run_matrix(
     multilingual or zero-shot as its sources hold its target or not.
 
     Cells whose specs share a ``model_key`` form a group, and groups are
-    scored by ``score_experiment`` in order of each group's first cell
-    key, so each distinct model trains once per seed. Logs one INFO line:
+    scored in order of each group's first cell key, so each distinct
+    model trains once per seed. A group's (cell, seed) pairs are looked
+    up in ``cache``; ``score_experiment`` scores those that miss, and
+    their scores are put in the order it returns. Logs one INFO line:
     cells, cells fully cached, models trained and failed cells.
 
     A failing cell does not stop the run: once every cell has been tried,
     a single error reporting all failed cells is raised, so a matrix is
-    never silently partial.
+    never silently partial. An ``OSError`` from a journal append is no
+    cell's failure: it ends the run at once.
     """
     if len(set(seeds)) != len(seeds):
         raise HarnessError(f"seeds must be distinct, got {tuple(seeds)}")
@@ -612,14 +604,21 @@ def run_matrix(
 
     scores: dict[str, dict[int, tuple[float, int]]] = {}
     failures: list[str] = []
-    tally: Counter = Counter()
+    cached = trained = 0
     for group in groups.values():
-        done, errors = score_experiment(group, store, seeds, cache, tally)
-        scores.update(done)
+        for key in group:
+            scores[key] = {seed: hit for seed in seeds if (hit := cache.get(key, seed)) is not None}
+        cached += sum(len(scores[key]) == len(seeds) for key in group)
+        todo = {seed: [key for key in group if seed not in scores[key]] for seed in seeds}
+        done, errors, models = score_experiment(group, store, todo)
+        for key, seed, score, support in done:
+            cache.put(key, seed, score, support)
+            scores[key][seed] = (score, support)
         failures += errors
+        trained += models
     logger.info(
         "run_matrix: %d cells, %d fully cached, %d models trained, %d failed",
-        len(specs), tally["cached"], tally["trained"], len(failures),
+        len(specs), cached, trained, len(failures),
     )
     if failures:
         raise HarnessError(

@@ -587,7 +587,8 @@ def load_model(path: str | Path) -> Model:
     if not path.exists():
         raise TextModelError(f"model file not found: {path}")
     try:
-        with np.load(path) as data:
+        # np.load leaves a file it cannot read as a zip archive open.
+        with open(path, "rb") as fh, np.load(fh) as data:
             arrays = {key: data[key] for key in ("weights", "bias", "df_buckets", "df_counts", "meta")}
             buckets = data["buckets"] if "buckets" in data else None
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))

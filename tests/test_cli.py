@@ -70,10 +70,22 @@ class TestExitCodes:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["cache-dir-is-file", "journal-is-dir", "matrix-out-dir-missing",
+                                      "select-out-dir-missing", "select-matrix-out-dir-missing",
                                       "ingest-out-dir-is-file"])
     def test_os_error_is_data_error(self, tmp_path, capsys, monkeypatch, config_path, case):
         # A path the run cannot read or write ends in one line naming it,
-        # not in a traceback.
+        # not in a traceback; an output directory that is missing fails
+        # the run before any model trains.
+        import langselect.harness.experiments as exp
+
+        trained = []
+        real = exp.fine_tune
+
+        def fine_tune(stats, train, config, seed):
+            trained.append(seed)
+            return real(stats, train, config, seed)
+
+        monkeypatch.setattr(exp, "fine_tune", fine_tune)
         score = ["score", "--config", config_path, "--target", "aa", "--sources", "aa"]
         if case == "cache-dir-is-file":
             path = tmp_path / "cache"
@@ -83,9 +95,11 @@ class TestExitCodes:
             path = tmp_path / "cache" / "scores.journal"
             path.mkdir(parents=True)
             argv = score
-        elif case == "matrix-out-dir-missing":
-            path = tmp_path / "missing" / "m.jsonl"
-            argv = ["matrix", "--config", config_path, "--strategy", "bwd", "--out", str(path)]
+        elif case.endswith("out-dir-missing"):
+            path = tmp_path / "missing" / "out.jsonl"
+            verb, flag = {"matrix-out-dir-missing": ("matrix", "--out"), "select-out-dir-missing": ("select", "--out"),
+                          "select-matrix-out-dir-missing": ("select", "--matrix-out")}[case]
+            argv = [verb, "--config", config_path, "--strategy", "bwd", flag, str(path)]
         else:
             path = tmp_path / "out"
             path.write_text("")
@@ -94,6 +108,40 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(path) in err and len(err.splitlines()) == 1
+        assert trained == []
+
+    def test_journal_append_error_ends_the_run(self, tmp_path, capsys, monkeypatch, four_config):
+        # A score the journal cannot take is no cell's failure: the run
+        # ends after the group that scored it, exit 2 naming the journal.
+        import errno
+
+        import langselect.harness.experiments as exp
+        from langselect.harness import ScoreCache
+
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        journal = tmp_path / "cache" / "scores.journal"
+        trained = []
+        real_fine_tune, real_put = exp.fine_tune, ScoreCache.put
+
+        def fine_tune(stats, train, config, seed):
+            trained.append(seed)
+            return real_fine_tune(stats, train, config, seed)
+
+        def put(self, *record):
+            # The first record lands; the disk is full for the rest.
+            if journal.exists():
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(journal))
+            real_put(self, *record)
+
+        monkeypatch.setattr(exp, "fine_tune", fine_tune)
+        monkeypatch.setattr(ScoreCache, "put", put)
+        argv = ["select", "--config", str(four_config), "--strategy", "fwd", "--out", str(tmp_path / "sel.jsonl")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"data error: {journal}: {os.strerror(errno.ENOSPC)}\n"
+        # The first group's model at each seed, and no later group's.
+        assert trained == [1, 2]
+        assert len(_journal_records(journal)) == 1
+        assert not (tmp_path / "sel.jsonl").exists()
 
     @pytest.mark.parametrize("verb", ["score", "matrix", "select"])
     def test_duplicate_seed_list_is_usage_error(self, tmp_path, capsys, config_path, verb):
@@ -599,6 +647,29 @@ def test_cli_import_skips_scipy_and_numpy_tooling():
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == []
+
+
+def test_openblas_pin_leaves_scores_and_a_preset_value_alone(tmp_path, monkeypatch, capsys, config_path):
+    # ``main`` pins OpenBLAS to one thread unless the caller set a count.
+    # The learner makes no BLAS call, so no count changes a score.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "langselect.cli", "score", "--config", config_path, "--target", "aa",
+            "--sources", "aa,bb"]
+    outputs = []
+    for threads in (None, "4"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   LANGSELECT_CACHE_DIR=str(tmp_path / f"cache-{threads}"))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        outputs.append(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("seed_1=")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert main(["score", "--no-such-flag"]) == 1
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert main(["score", "--no-such-flag"]) == 1
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 def _read_jsonl(path):

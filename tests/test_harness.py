@@ -2,7 +2,6 @@
 selection plans, matrix runner and reports."""
 import json
 import logging
-from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -87,12 +86,16 @@ def tasks(codes):
 
 def score_cell(spec, store, seeds, cache):
     """Per-seed (score, support) of one cell, scored as a one-cell model
-    group; a failed cell raises its error line."""
+    group at the seeds ``cache`` misses, whose scores it then holds; a
+    failed cell raises its error line."""
     key = spec.cell_key(store)
-    scores, errors = score_experiment({key: spec}, store, seeds, cache, Counter())
+    todo = {seed: [key] for seed in seeds if cache.get(key, seed) is None}
+    scored, errors, _ = score_experiment({key: spec}, store, todo)
     if errors:
         raise HarnessError(errors[0])
-    return scores[key]
+    for _, seed, score, support in scored:
+        cache.put(key, seed, score, support)
+    return {seed: cache.get(key, seed) for seed in seeds}
 
 
 def full_plan(codes, strategy, mode="multilingual", cap=500):
@@ -423,6 +426,25 @@ class TestScoreExperiment:
         spec = ExperimentSpec(target="zz", sources=("zz",), learner=LEARNER)
         with pytest.raises(HarnessError, match="zz"):
             score_cell(spec, store, (1,), ScoreCache())
+
+    def test_scores_the_listed_pairs_without_a_cache(self, four_store, fine_tunes):
+        # The group scorer trains one model per listed seed, in sorted
+        # order, and returns its scores in seed, then listed cell order.
+        cells = [PlanCell(t, FOUR_CODES, 30) for t in ("aa", "bb")]
+        group = {}
+        for cell in cells:
+            spec = ExperimentSpec(cell.target, cell.sources, learner=LEARNER, sample_cap=cell.sample_cap)
+            group[spec.cell_key(four_store)] = spec
+        a, b = group
+        scored, errors, trained = score_experiment(group, four_store, {2: [a, b], 1: [b]})
+        assert errors == [] and trained == 2 and fine_tunes == [1, 2]
+        assert [(key, seed) for key, seed, _, _ in scored] == [(b, 1), (a, 2), (b, 2)]
+        matrix = run_matrix(cells, four_store, seeds=(1, 2), learner=LEARNER)
+        for key, seed, score, support in scored:
+            assert (score, support) == (matrix.entries[key].per_seed[seed], matrix.entries[key].support)
+        fine_tunes.clear()
+        assert score_experiment(group, four_store, {1: [], 2: []}) == ([], [], 0)
+        assert fine_tunes == []
 
     def test_divergence_propagates_as_experiment_error(self, store):
         hot = LearnerConfig(**{**TINY_LEARNER, "learning_rate": 1e12})
@@ -815,6 +837,35 @@ class TestModelGroups:
         assert "target=zz" in line and "no devstar split" in line
         spec = ExperimentSpec("aa", FOUR_CODES, learner=LEARNER, sample_cap=30)
         assert cache.get(spec.cell_key(four_store), 1) is not None
+
+    def test_journal_order_is_group_then_seed_then_cell(self, store, tmp_path):
+        # Groups in order of their first cell key; within one, seeds in
+        # sorted order, and at each seed the group's cells in key order.
+        journal = tmp_path / "scores.journal"
+        cells = [PlanCell(t, ("aa", "bb", "cc"), 10) for t in ("aa", "bb", "cc")]
+        cells += [PlanCell("aa", ("bb",), None), PlanCell("bb", ("cc",), None)]
+        run_matrix(cells, store, seeds=(2, 1), learner=LEARNER, cache=ScoreCache(journal))
+        records = [line.split("\t")[1:3] for line in journal.read_text().splitlines()]
+        assert [(key[:6], int(seed)) for key, seed in records] == [
+            ("292750", 1), ("292750", 2),
+            ("2dd3e9", 1), ("2dd3e9", 2),
+            ("42dd60", 1), ("5c4c01", 1), ("a304f3", 1), ("42dd60", 2), ("5c4c01", 2), ("a304f3", 2),
+        ]
+
+    def test_summary_counts_only_cells_cached_at_every_seed(self, store, caplog):
+        # A cell cached at one seed of two is not fully cached, and its
+        # group trains one model, at the seed it misses.
+        caplog.set_level(logging.INFO, logger="langselect.harness.experiments")
+        cache = ScoreCache()
+        cells = [PlanCell(t, ("aa", "bb", "cc"), 10) for t in ("aa", "bb", "cc")]
+        cells.append(PlanCell("aa", ("bb",), None))
+        for seeds in ((1,), (1, 2), (2,)):
+            run_matrix(cells, store, seeds=seeds, learner=LEARNER, cache=cache)
+        assert [r.getMessage() for r in caplog.records if r.name == "langselect.harness.experiments"] == [
+            "run_matrix: 4 cells, 0 fully cached, 2 models trained, 0 failed",
+            "run_matrix: 4 cells, 0 fully cached, 2 models trained, 0 failed",
+            "run_matrix: 4 cells, 4 fully cached, 0 models trained, 0 failed",
+        ]
 
     def test_logs_one_summary_line_per_run(self, store, caplog):
         caplog.set_level(logging.INFO, logger="langselect.harness.experiments")
