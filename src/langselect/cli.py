@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import ensemble as ens
 from . import selection as sel
-from .corpus import normalize_text, read_utf8, save_labeled_tsv
+from .corpus import load_texts_tsv, read_utf8, save_labeled_tsv
 from .errors import CorpusError, EnsembleError, HarnessError, MetricsError, SelectionError, TextModelError
 from .harness import (
     CorpusStore,
@@ -344,29 +344,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_eval_rows(path: Path) -> tuple[list[str], list[str]]:
-    """Read (ids, texts) from a TSV whose rows have at least id and text."""
-    lines = read_utf8(path).splitlines()
-    if not lines:
-        raise CorpusError(f"{path}: empty file, expected a header line")
-    ids: list[str] = []
-    texts: list[str] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < 2:
-            raise CorpusError(f"{path}: malformed row at line {lineno}: expected id<TAB>text")
-        ids.append(fields[0])
-        texts.append(normalize_text(fields[1]))
-    return ids, texts
-
-
 def _cmd_predict(args: argparse.Namespace) -> int:
     from .textmodel import load_model, predict_texts
 
     model = load_model(args.model)
-    ids, texts = _read_eval_rows(Path(args.input))
+    ids, texts = load_texts_tsv(args.input)
     predictions = predict_texts(model, texts)
     ens.write_predictions_tsv(args.out, ids, predictions, include_probs=args.probs)
     print(f"examples={len(ids)}\tout={args.out}")

@@ -1,6 +1,7 @@
 """Data ingestion and tweet normalization.
 
-Handles labeled TSV files (``id<TAB>text<TAB>label``), unlabeled
+Owns the program's one TSV format (``tsv_rows``, ``write_tsv``) and
+handles labeled TSV files (``id<TAB>text<TAB>label``), unlabeled
 one-sentence-per-line corpora, train/dev overlap removal (the
 ``devstar`` split) and deterministic per-language subsampling.
 """
@@ -14,7 +15,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CorpusError
 
@@ -80,7 +81,6 @@ class LanguageCode:
 
     code: str
     family: str = field(default="", compare=False)
-    subgroup: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.code or self.code != self.code.lower() or any(c.isspace() for c in self.code):
@@ -156,6 +156,39 @@ def read_utf8(path: str | Path) -> str:
         raise CorpusError(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
 
 
+def tsv_rows(path: str | Path, min_fields: int, row_form: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, fields)`` for each row after a TSV's header.
+
+    The file is UTF-8 with LF or CRLF line ends; blank lines are skipped
+    and fields are split on tabs. A missing header line, or a row of
+    fewer than ``min_fields`` fields, is a ``CorpusError`` naming the
+    path and the line; ``row_form`` says what a row should hold.
+    """
+    path = Path(path)
+    lines = read_utf8(path).splitlines()
+    if not lines:
+        raise CorpusError(f"{path}: empty file, expected a header line")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) < min_fields:
+            raise CorpusError(f"{path}: malformed row at line {lineno}: expected {row_form}")
+        yield lineno, fields
+
+
+def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write a header line, then one tab-joined line per row, as UTF-8
+    with LF line ends. Each row has the header's number of fields, each
+    written as its ``str``; a float's ``str`` is its ``repr``, so
+    probabilities read back bit for bit."""
+    line = "\t".join(["%s"] * len(header)) + "\n"
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\t".join(header) + "\n")
+        for row in rows:
+            fh.write(line % tuple(row))
+
+
 def load_labeled_tsv(path: str | Path, language: LanguageCode, split: str = "train") -> Dataset:
     """Load a labeled TSV (header, then ``id<TAB>text<TAB>label`` rows).
 
@@ -165,18 +198,9 @@ def load_labeled_tsv(path: str | Path, language: LanguageCode, split: str = "tra
     ``CorpusError`` naming the offending line.
     """
     path = Path(path)
-    text = read_utf8(path)
-    lines = text.splitlines()
-    if not lines:
-        raise CorpusError(f"{path}: empty file, expected a header line")
     examples: list[Example] = []
     dropped = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < 3:
-            raise CorpusError(f"{path}: malformed row at line {lineno}: expected >=3 tab-separated fields")
+    for lineno, fields in tsv_rows(path, 3, "id<TAB>text<TAB>label"):
         row_id, raw, raw_label = fields[0], fields[1], fields[2]
         label = raw_label.strip().lower()
         if label not in LABELS:
@@ -191,13 +215,20 @@ def load_labeled_tsv(path: str | Path, language: LanguageCode, split: str = "tra
     return Dataset(language=language, split=split, examples=tuple(examples))
 
 
+def load_texts_tsv(path: str | Path) -> tuple[list[str], list[str]]:
+    """The ids and normalized texts of a TSV whose rows start with
+    ``id<TAB>text``; further columns, such as a label, are ignored."""
+    ids: list[str] = []
+    texts: list[str] = []
+    for _, fields in tsv_rows(path, 2, "id<TAB>text"):
+        ids.append(fields[0])
+        texts.append(normalize_text(fields[1]))
+    return ids, texts
+
+
 def save_labeled_tsv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset back to the labeled TSV format (lossless round trip)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id\ttext\tlabel\n")
-        for ex in dataset:
-            fh.write(f"{ex.id}\t{ex.text}\t{ex.label or ''}\n")
+    write_tsv(path, ("id", "text", "label"), ((ex.id, ex.text, ex.label or "") for ex in dataset))
 
 
 def load_unlabeled_text(path: str | Path, language: LanguageCode, split: str = "train") -> Dataset:
@@ -298,19 +329,19 @@ def sample_per_language(datasets: Iterable[Dataset], k: int, seed: int) -> list[
 AFRISENTI_LANGUAGES: dict[str, LanguageCode] = {
     lc.code: lc
     for lc in (
-        LanguageCode("am", "Afro-Asiatic/Semitic", "Semitic"),
-        LanguageCode("dz", "Afro-Asiatic/Semitic", "Semitic"),
-        LanguageCode("ha", "Afro-Asiatic/Chadic", "Chadic"),
-        LanguageCode("ig", "Niger-Congo/Volta-Niger", "Volta-Niger"),
-        LanguageCode("kr", "Niger-Congo/Bantu", "Bantu"),
-        LanguageCode("ma", "Afro-Asiatic/Semitic", "Semitic"),
-        LanguageCode("pcm", "English-Creole", None),
-        LanguageCode("pt", "Indo-European", None),
-        LanguageCode("sw", "Niger-Congo/Bantu", "Bantu"),
-        LanguageCode("ts", "Niger-Congo/Bantu", "Bantu"),
-        LanguageCode("twi", "Niger-Congo/Kwa", "Kwa"),
-        LanguageCode("yo", "Niger-Congo/Volta-Niger", "Volta-Niger"),
-        LanguageCode("or", "Afro-Asiatic/Cushitic", "Cushitic"),
-        LanguageCode("tg", "Afro-Asiatic/Semitic", "Semitic"),
+        LanguageCode("am", "Afro-Asiatic/Semitic"),
+        LanguageCode("dz", "Afro-Asiatic/Semitic"),
+        LanguageCode("ha", "Afro-Asiatic/Chadic"),
+        LanguageCode("ig", "Niger-Congo/Volta-Niger"),
+        LanguageCode("kr", "Niger-Congo/Bantu"),
+        LanguageCode("ma", "Afro-Asiatic/Semitic"),
+        LanguageCode("pcm", "English-Creole"),
+        LanguageCode("pt", "Indo-European"),
+        LanguageCode("sw", "Niger-Congo/Bantu"),
+        LanguageCode("ts", "Niger-Congo/Bantu"),
+        LanguageCode("twi", "Niger-Congo/Kwa"),
+        LanguageCode("yo", "Niger-Congo/Volta-Niger"),
+        LanguageCode("or", "Afro-Asiatic/Cushitic"),
+        LanguageCode("tg", "Afro-Asiatic/Semitic"),
     )
 }

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import LABEL_INDEX, LABELS, read_utf8
+from .corpus import LABEL_INDEX, LABELS, tsv_rows, write_tsv
 from .errors import EnsembleError
 
 Prediction = tuple[str, tuple[float, float, float]]
@@ -70,33 +70,17 @@ def write_predictions_tsv(
     """Write ``id<TAB>label`` rows (probability columns optional)."""
     if len(ids) != len(predictions):
         raise EnsembleError(f"{len(ids)} ids vs {len(predictions)} predictions")
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        if include_probs:
-            fh.write("id\tlabel\tp_negative\tp_neutral\tp_positive\n")
-            for row_id, (label, probs) in zip(ids, predictions):
-                fh.write(f"{row_id}\t{label}\t{probs[0]!r}\t{probs[1]!r}\t{probs[2]!r}\n")
-        else:
-            fh.write("id\tlabel\n")
-            for row_id, (label, _) in zip(ids, predictions):
-                fh.write(f"{row_id}\t{label}\n")
+    header = ("id", "label", "p_negative", "p_neutral", "p_positive") if include_probs else ("id", "label")
+    rows = ((row_id, label, *probs)[: len(header)] for row_id, (label, probs) in zip(ids, predictions))
+    write_tsv(path, header, rows)
 
 
 def read_predictions_tsv(path: str | Path) -> tuple[list[str], list[Prediction]]:
     """Read a prediction TSV; missing probability columns become zeros."""
     path = Path(path)
-    if not path.exists():
-        raise EnsembleError(f"prediction file not found: {path}")
     ids: list[str] = []
     predictions: list[Prediction] = []
-    lines = read_utf8(path).splitlines()
-    if not lines:
-        raise EnsembleError(f"{path}: empty prediction file")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) < 2:
-            raise EnsembleError(f"{path}: malformed row at line {lineno}")
+    for lineno, fields in tsv_rows(path, 2, "id<TAB>label"):
         label = fields[1].strip().lower()
         if label not in LABEL_INDEX:
             raise EnsembleError(f"{path}: unknown label {fields[1]!r} at line {lineno}")

@@ -96,9 +96,9 @@ def load_config(path: str | Path) -> HarnessConfig:
     for i, entry in enumerate(raw_languages):
         if not isinstance(entry, dict) or "code" not in entry:
             raise HarnessError(f"{path}: languages[{i}] must be a mapping with a 'code'")
-        metadata = {"code": entry["code"], "family": entry.get("family", ""), "subgroup": entry.get("subgroup")}
+        metadata = {"code": entry["code"], "family": entry.get("family", "")}
         for key, value in metadata.items():
-            if not isinstance(value, str) and not (key == "subgroup" and value is None):
+            if not isinstance(value, str):
                 raise HarnessError(f"{path}: 'languages[{i}].{key}' must be a string, got {value!r}")
         lang = LanguageCode(**metadata)
         files = {

@@ -12,14 +12,12 @@ from one seed, so fixtures are byte-reproducible.
 from __future__ import annotations
 
 import random
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
-from .corpus import LABELS
-from .harness import CorpusStore, load_config
+from .corpus import LABELS, write_tsv
 
 IDENTITY = (0, 1, 2)
 ROTATED = (1, 2, 0)
@@ -148,17 +146,6 @@ def generate_rows(universe: SynthUniverse) -> tuple[dict[str, dict[str, list[Row
     return rows, corpora
 
 
-def build_store(universe: SynthUniverse) -> CorpusStore:
-    """The store ``CorpusStore.from_config`` builds from the universe's
-    files, written by ``write_universe`` to a temporary directory that is
-    gone on return. Given no memo, ``from_config`` loads every file at
-    once through an empty in-memory one, and devstar derives from the
-    loaded train and dev splits, so the store never reads the directory
-    again."""
-    with tempfile.TemporaryDirectory() as tmp:
-        return CorpusStore.from_config(load_config(write_universe(universe, tmp)))
-
-
 def write_universe(universe: SynthUniverse, out_dir: str | Path) -> Path:
     """Write the universe's TSVs, corpora and a config.yaml; returns the
     config path."""
@@ -174,10 +161,7 @@ def write_universe(universe: SynthUniverse, out_dir: str | Path) -> Path:
             if not split_rows:
                 continue
             path = data_dir / f"{lang.code}_{split}.tsv"
-            with path.open("w", encoding="utf-8", newline="\n") as fh:
-                fh.write("id\ttext\tlabel\n")
-                for row_id, raw, label in split_rows:
-                    fh.write(f"{row_id}\t{raw}\t{label}\n")
+            write_tsv(path, ("id", "text", "label"), split_rows)
             entry[split] = str(path.relative_to(out_dir))
         if lang.code in corpora:
             path = data_dir / f"{lang.code}_corpus.txt"
@@ -210,26 +194,6 @@ _FAST_LEARNER = {
 }
 
 
-def tapt_universe(seed: int = 7) -> SynthUniverse:
-    """One noise-heavy language where frequency adaptation pays off."""
-    return SynthUniverse(
-        name="tapt",
-        seed=seed,
-        languages=(
-            SynthLanguage("qq", "Synthetic-A", IDENTITY, n_train=120, n_dev=120, n_test=0),
-        ),
-        keywords_per_concept=10,
-        noise_pool_size=10,
-        keywords_per_text=1,
-        noise_per_text=10,
-        decorate=False,
-        generic_corpus_lines=120,
-        learner=dict(_FAST_LEARNER, epochs=8),
-        seeds=(1, 2, 3, 4, 5),
-        adaptation="tapt",
-    )
-
-
 def four_language_universe(seed: int = 11) -> SynthUniverse:
     """Two aligned pairs with mutually adversarial mappings: aa/bb agree,
     cc/dd agree with each other but conflict with aa/bb. Hand-derivable
@@ -255,30 +219,5 @@ def four_language_universe(seed: int = 11) -> SynthUniverse:
         learner=dict(_FAST_LEARNER, learning_rate=4.0),
         seeds=(1, 2),
         parallelism=1,
-        adaptation="none",
-    )
-
-
-def six_language_universe(seed: int = 13) -> SynthUniverse:
-    """A low-resource target, two aligned helpers and three adversarial
-    languages; forward selection should pick exactly the helpers."""
-    return SynthUniverse(
-        name="six",
-        seed=seed,
-        languages=(
-            SynthLanguage("tt", "Synthetic-A", IDENTITY, n_train=48, n_dev=90, n_test=0),
-            SynthLanguage("ha", "Synthetic-A", IDENTITY, n_train=240, n_dev=30, n_test=0),
-            SynthLanguage("hb", "Synthetic-A", IDENTITY, n_train=240, n_dev=30, n_test=0),
-            SynthLanguage("xa", "Synthetic-B", ROTATED, n_train=240, n_dev=30, n_test=0),
-            SynthLanguage("xb", "Synthetic-B", ROTATED, n_train=240, n_dev=30, n_test=0),
-            SynthLanguage("xc", "Synthetic-B", ROTATED, n_train=240, n_dev=30, n_test=0),
-        ),
-        keywords_per_concept=8,
-        noise_pool_size=10,
-        keywords_per_text=2,
-        noise_per_text=8,
-        decorate=False,
-        learner=dict(_FAST_LEARNER),
-        seeds=(1, 2, 3, 4, 5),
         adaptation="none",
     )

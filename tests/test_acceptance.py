@@ -30,12 +30,7 @@ from langselect import (
 )
 from langselect.cli import main as cli_main
 from langselect.harness import PlanCell, ScoreCache, run_matrix
-from langselect.synth import (
-    build_store,
-    four_language_universe,
-    six_language_universe,
-    tapt_universe,
-)
+from langselect.synth import four_language_universe
 from langselect.textmodel import AdaptationStats, Model, fine_tune, predict_texts
 
 from conftest import make_dataset
@@ -47,6 +42,7 @@ from reference import (
     reference_weighted_f1,
     score_plan,
 )
+from synth_fixtures import build_store, six_language_universe, tapt_universe
 
 LABELS = ("negative", "neutral", "positive")
 

@@ -1,4 +1,5 @@
 """CLI tests: verbs, outputs, exit codes and start-up imports."""
+import hashlib
 import json
 import logging
 import os
@@ -207,7 +208,6 @@ class TestExitCodes:
             ("    lapt_corpus: {a: b}\n", "'languages[0].lapt_corpus' must be a path string"),
             # YAML null is not the family "None".
             ("    family: null\n", "'languages[0].family' must be a string"),
-            ("    subgroup: 3\n", "'languages[0].subgroup' must be a string"),
             ("cache_dir: [x]\n", "'cache_dir' must be a path string"),
             # Selection scores devstar only; ``score --eval-split`` is the
             # one way to score another split.
@@ -216,7 +216,7 @@ class TestExitCodes:
         ids=["seeds-int", "seeds-str", "seeds-float", "seeds-bool", "selection-str", "top-k-str",
              "absolute-threshold-str", "top-k-float", "threshold-bool", "epochs-bool", "epochs-float",
              "learning-rate-str", "learner-list",
-             "train-int", "dev-list", "test-float", "lapt-corpus-map", "family-null", "subgroup-int", "cache-dir-list",
+             "train-int", "dev-list", "test-float", "lapt-corpus-map", "family-null", "cache-dir-list",
              "eval-split-test"],
     )
     def test_malformed_config_value_is_experiment_error(self, tmp_path, capsys, section, key):
@@ -267,6 +267,36 @@ class TestIngest:
         assert main(["ingest", "--config", str(config), "--out-dir", str(out_dir)]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "bb\ttrain=36\tdev=0\tdevstar=skipped"
         assert sorted(p.name for p in out_dir.iterdir()) == ["aa_devstar.tsv"]
+
+    PINNED = {
+        "data/aa_dev.tsv": "7bdfeb588130e61e15b33c381c01fef4c08dec998067ecad9077bda7b5a7aaa7",
+        "data/aa_test.tsv": "fcdd1d28014ffeecff07fa29d8f43bd47fee709ccd1a6a7ad27745e10aa98f21",
+        "data/aa_train.tsv": "be3a01cfb0d1e90d0273e000dd310c2aa0d72df2ab60b552835269c99d1e2341",
+        "data/bb_dev.tsv": "318de6b7c7a15157d22177fd6292780e5f1f3215b975d65e228acc621c5d4b4b",
+        "data/bb_test.tsv": "4c4979ccc2d3be93aa16eb01701e2a137370cabfe7b488abca9f418da39776f6",
+        "data/bb_train.tsv": "55c1b9ad854f6b8101c6724c9d7b943b33a42d2dec1107684ef1e96d3720777a",
+        "data/cc_dev.tsv": "3cf149b0b2c0fa66de24a3435b9063153d9b0950afca6bbe49fca5bb63fac5e5",
+        "data/cc_test.tsv": "a8236c571d98067eae36ab3e6a07e7ab35b4f10380fc924e647869cb174e23ad",
+        "data/cc_train.tsv": "0ff698d6296d8f730a1007e61edd16aaae4613ac5b8e09b9ad8adc590bf06a12",
+        "data/dd_dev.tsv": "6615d62fad128adccb7146effe3c675ee2e21446e6bc751af80bebb30af014bf",
+        "data/dd_test.tsv": "66c8d41cc8657fabb79ed3f007d72e7983c28f5fc691e58a9358f0b7b44d4712",
+        "data/dd_train.tsv": "11e102f06e24b3904ea5d37242c2653e09ff83250e74479e53068cea085f1974",
+        "ingested/aa_devstar.tsv": "47674fcd10153105ae8c7687156ae18a10e3feb840d8f8837d748d1421ba3715",
+        "ingested/bb_devstar.tsv": "4dc553db4cdb7b1ea9fb9b409b4248f79003efd6969727248cdf91b35c6cf45a",
+        "ingested/cc_devstar.tsv": "4a8a5c1b43d876950358c623050dfccd2c03602fbac620aee599abeddb255322",
+        "ingested/dd_devstar.tsv": "08a02ed5e996b9fa04d7ebac3f3d19b82473fe5fe9e48e4ea87eb8f31cf59793",
+    }
+
+    def test_written_tsv_bytes_are_pinned(self, tmp_path, capsys):
+        # The fixture's splits and ingest's devstar files hold no learner
+        # floats, so their bytes are fixed on every platform.
+        config = write_universe(four_language_universe(), tmp_path)
+        assert main(["ingest", "--config", str(config), "--out-dir", str(tmp_path / "ingested")]) == 0
+        written = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.glob("*/*.tsv")
+        }
+        assert written == self.PINNED
 
 
 class TestScore:

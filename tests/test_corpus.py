@@ -23,8 +23,10 @@ from langselect.corpus import (
     URL_RE,
     _is_punct,
     _warn_short_language,
+    load_texts_tsv,
     save_labeled_tsv,
 )
+from langselect.ensemble import read_predictions_tsv
 
 from conftest import make_dataset
 from reference import reference_normalize
@@ -232,6 +234,59 @@ class TestLoadLabeledTsv:
         out = tmp_path / "out.tsv"
         save_labeled_tsv(ds, out)
         assert load_labeled_tsv(out, lang) == ds
+
+
+def _labeled_rows(path):
+    return [(ex.id, ex.text, ex.label) for ex in load_labeled_tsv(path, LanguageCode("xx"))]
+
+
+def _text_rows(path):
+    return list(zip(*load_texts_tsv(path)))
+
+
+def _prediction_rows(path):
+    ids, predictions = read_predictions_tsv(path)
+    return list(zip(ids, predictions))
+
+
+@pytest.mark.parametrize("read_rows", [_labeled_rows, _text_rows, _prediction_rows],
+                         ids=["labeled", "texts", "predictions"])
+class TestSharedTsvRules:
+    """Every TSV reader takes the same header, line and field rules from
+    ``tsv_rows``. Each row here is valid for all three readers: its
+    second field is a text and a label alike."""
+
+    ROWS = "a\tpositive\tneutral\nb\tnegative\tpositive\n"
+
+    def test_header_only_gives_no_rows(self, tmp_path, read_rows):
+        path = tmp_path / "d.tsv"
+        path.write_text("id\ttext\tlabel\n")
+        assert read_rows(path) == []
+
+    def test_blank_lines_skipped(self, tmp_path, read_rows):
+        plain, spaced = tmp_path / "plain.tsv", tmp_path / "spaced.tsv"
+        plain.write_text("h\n" + self.ROWS)
+        spaced.write_text("h\n\n  \n" + self.ROWS.replace("\n", "\n \t \n\n", 1) + "\n")
+        assert len(read_rows(plain)) == 2
+        assert read_rows(spaced) == read_rows(plain)
+
+    def test_crlf_reads_like_lf(self, tmp_path, read_rows):
+        lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
+        lf.write_bytes(("h\n" + self.ROWS).encode("utf-8"))
+        crlf.write_bytes(("h\n" + self.ROWS).replace("\n", "\r\n").encode("utf-8"))
+        assert read_rows(crlf) == read_rows(lf)
+
+    def test_empty_file_names_the_path(self, tmp_path, read_rows):
+        path = tmp_path / "d.tsv"
+        path.write_text("")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}: empty file, expected a header line")):
+            read_rows(path)
+
+    def test_short_row_names_path_and_line(self, tmp_path, read_rows):
+        path = tmp_path / "d.tsv"
+        path.write_text("h\n" + self.ROWS + "\nc\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}: malformed row at line 5: expected id<TAB>")):
+            read_rows(path)
 
 
 class TestLoadUnlabeledText:

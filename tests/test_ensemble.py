@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from langselect import EnsembleError, VotePool, majority_vote
+from langselect import CorpusError, EnsembleError, VotePool, majority_vote
 from langselect.ensemble import pool_from_files, read_predictions_tsv, write_predictions_tsv
 
 LABELS = ("negative", "neutral", "positive")
@@ -121,5 +121,24 @@ class TestPredictionFiles:
         assert majority_vote(pool) == ["positive", "positive"]
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(EnsembleError, match="not found"):
+        # Prediction files share the TSV reader, and so its data error.
+        with pytest.raises(CorpusError, match="not found"):
             read_predictions_tsv(tmp_path / "nope.tsv")
+
+    @pytest.mark.parametrize(
+        "include_probs, expected",
+        [
+            (False, "id\tlabel\na\tpositive\nb\tneutral\n"),
+            (True, "id\tlabel\tp_negative\tp_neutral\tp_positive\n"
+                   "a\tpositive\t0.1\t0.2\t0.7\n"
+                   "b\tneutral\t0.3333333333333333\t0.3333333333333333\t0.3333333333333333\n"),
+        ],
+        ids=["plain", "probs"],
+    )
+    def test_written_bytes(self, tmp_path, include_probs, expected):
+        # Probabilities are written as their repr, so they read back bit
+        # for bit; lines end in LF on every platform.
+        path = tmp_path / "p.tsv"
+        preds = [("positive", (0.1, 0.2, 0.7)), ("neutral", (1 / 3, 1 / 3, 1 / 3))]
+        write_predictions_tsv(path, ["a", "b"], preds, include_probs=include_probs)
+        assert path.read_bytes() == expected.encode("utf-8")

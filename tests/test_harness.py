@@ -40,10 +40,11 @@ from langselect.synth import (
     ROTATED,
     SynthLanguage,
     SynthUniverse,
-    build_store,
     four_language_universe,
     write_universe,
 )
+
+from synth_fixtures import build_store
 
 TINY_LEARNER = {
     "ngram_min": 1,
@@ -214,7 +215,7 @@ class TestCorpusStore:
     def test_build_store_outlives_its_directory(self, monkeypatch):
         # build_store's files are gone when it returns: every split, the
         # devstar derived later among them, must come from what was loaded.
-        import langselect.synth as synth
+        import synth_fixtures
 
         written = []
 
@@ -222,8 +223,8 @@ class TestCorpusStore:
             written.append(Path(out_dir))
             return write_universe(universe, out_dir)
 
-        monkeypatch.setattr(synth, "write_universe", spy)
-        fresh = synth.build_store(TINY)
+        monkeypatch.setattr(synth_fixtures, "write_universe", spy)
+        fresh = build_store(TINY)
         assert len(written) == 1 and not written[0].exists()
         for code in ("aa", "bb", "cc"):
             assert len(fresh.devstar(code)) == (22 if code == "aa" else 24)

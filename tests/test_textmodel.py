@@ -649,7 +649,7 @@ class TestAdaptationEffect:
         # Constructed so the effect is forced: discriminative grams are
         # frequent in the task corpus and absent from the generic one.
         from langselect.harness import PlanCell, run_matrix
-        from langselect.synth import build_store, tapt_universe
+        from synth_fixtures import build_store, tapt_universe
 
         uni = tapt_universe()
         store = build_store(uni)
