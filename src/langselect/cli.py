@@ -305,9 +305,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     if args.matrix_out:
         Path(args.matrix_out).write_text(sel_matrix.to_jsonl(), encoding="utf-8")
     if args.out:
-        Path(args.out).write_text(
-            f"# strategy={strategy}\n" + selection_results_to_jsonl(results), encoding="utf-8"
-        )
+        Path(args.out).write_text(selection_results_to_jsonl(results, strategy), encoding="utf-8")
     logger.info("selected %d targets, %d selected-set cells", len(results), len(sel_matrix.entries))
     return 0
 
@@ -324,10 +322,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     entries: dict = {}
     for path in args.matrix:
-        try:
-            entries.update(ScoreMatrix.from_jsonl(read_utf8(path)).entries)
-        except HarnessError as e:
-            raise HarnessError(f"{path}: {e}") from None
+        entries.update(ScoreMatrix.from_jsonl(read_utf8(path), path).entries)
     matrix = ScoreMatrix(entries=entries)
     selections: dict[str, dict[str, sel.SelectionResult]] = {}
     for path in args.selections:

@@ -234,23 +234,15 @@ def save_labeled_tsv(dataset: Dataset, path: str | Path) -> None:
 def load_unlabeled_text(path: str | Path, language: LanguageCode, split: str = "train") -> Dataset:
     """Load an unlabeled corpus: UTF-8 text, one sentence per line.
 
-    Blank lines are skipped; remaining lines are normalized and lines
-    that normalize to empty are dropped with a logged count.
+    Blank lines are skipped; every other line is normalized, which never
+    leaves it empty, into the example ``u<line number>``.
     """
     path = Path(path)
-    text = read_utf8(path)
-    examples: list[Example] = []
-    dropped = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        normalized = normalize_text(line)
-        if not normalized:
-            dropped += 1
-            continue
-        examples.append(Example(id=f"u{lineno}", text=normalized, label=None))
-    if dropped:
-        logger.info("%s: dropped %d lines with empty text after normalization", path, dropped)
+    examples = [
+        Example(id=f"u{lineno}", text=normalize_text(line), label=None)
+        for lineno, line in enumerate(read_utf8(path).splitlines(), start=1)
+        if line.strip()
+    ]
     if not examples:
         warn_empty_corpus(path)
     return Dataset(language=language, split=split, examples=tuple(examples))

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from ..corpus import (
     Dataset,
@@ -39,7 +39,7 @@ from ..corpus import (
     warn_empty_corpus,
     warn_empty_devstar,
 )
-from ..errors import CorpusError, HarnessError
+from ..errors import CorpusError, HarnessError, LangselectError, TextModelError
 from ..learner_config import NUMERICS_VERSION, LearnerConfig
 from ..selection import PlanCell, cell_mode
 from .cache import FactsMemo, ScoreCache
@@ -49,6 +49,8 @@ if TYPE_CHECKING:
     from ..textmodel import AdaptationStats, Model
 
 logger = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 # The numpy-backed learner names this module calls, by home module. They
 # are bound into this module's globals on first use, so a run whose
@@ -364,28 +366,29 @@ def build_training_set(spec: ExperimentSpec, store: CorpusStore, seed: int) -> l
 
 
 def adaptation_stats(spec: ExperimentSpec, store: CorpusStore) -> AdaptationStats:
-    """Adaptation statistics for a spec.
+    """Adaptation statistics for a spec: one ``pretrain`` over the corpora
+    its adaptation splits name, labels ignored.
 
-    TAPT pretrains on the task texts (train and dev splits, labels
-    ignored) of the spec's languages plus the target; LAPT
-    pretrains on the target's configured external corpus; lapt+tapt
-    merges the two document-frequency tables.
+    TAPT reads the train and dev splits of the spec's languages plus the
+    target, LAPT the target's configured external corpus, and lapt+tapt
+    both. Absent train and dev splits are skipped; a LAPT corpus without
+    rows fails, as it would alone.
     """
     _bind_learner()
-    if spec.adaptation == "none":
+    splits = spec._adaptation_splits()
+    if not splits:
         return AdaptationStats.uniform()
-    tapt = lapt = None
-    tapt_splits = [(code, split) for code, split in spec._adaptation_splits() if split != "lapt"]
-    if tapt_splits:
-        corpora = [ds for code, split in tapt_splits if (ds := store.split(code, split)) is not None]
-        langs = sorted({code for code, _ in tapt_splits})
-        tapt = pretrain(corpora, tag=f"tapt:{'+'.join(langs)}", config=spec.learner)
-    if spec.adaptation in ("lapt", "lapt+tapt"):
-        corpus = store.lapt_corpus(spec.target)
-        lapt = pretrain([corpus], tag=f"lapt:{spec.target}", config=spec.learner)
-    if tapt is not None and lapt is not None:
-        return lapt.merged(tapt, tag=f"lapt+tapt:{spec.target}")
-    return tapt if tapt is not None else lapt  # type: ignore[return-value]
+    corpora = []
+    for code, split in splits:
+        if split == "lapt":
+            corpora.append(store.lapt_corpus(code))
+            if not len(corpora[-1]):
+                raise TextModelError("adaptation corpus empty")
+        elif (ds := store.split(code, split)) is not None:
+            corpora.append(ds)
+    # Tags are saved in model files: tapt:aa+bb, lapt:aa, lapt+tapt:aa.
+    names = "+".join(sorted({code for code, _ in splits})) if spec.adaptation == "tapt" else spec.target
+    return pretrain(corpora, tag=f"{spec.adaptation}:{names}", config=spec.learner)
 
 
 def train_model(spec: ExperimentSpec, store: CorpusStore, seed: int, stats: AdaptationStats) -> Model:
@@ -467,6 +470,29 @@ def _aggregate(per_seed: dict[int, float]) -> tuple[float, float]:
     return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
 
+def jsonl_text(docs: Iterable[dict]) -> str:
+    """The JSON-lines text of ``docs``: one ``json.dumps(doc,
+    sort_keys=True)`` line per doc, each ending in LF."""
+    return "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
+
+
+def parse_jsonl(text: str, what: str, parse: Callable[[dict], _T]) -> list[_T]:
+    """``parse(json.loads(line))`` of each line of JSON-lines ``text``, in
+    order. Lines end in LF, or in CRLF, whose CR is JSON whitespace; blank
+    lines and lines starting with ``#`` are skipped. A line that fails
+    raises ``HarnessError`` reading ``{what} at line {n}: {repr of the
+    error}``."""
+    items = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        try:
+            items.append(parse(json.loads(line)))
+        except (AttributeError, KeyError, TypeError, ValueError, LangselectError) as e:
+            raise HarnessError(f"{what} at line {lineno}: {e!r}") from None
+    return items
+
+
 @dataclass(frozen=True)
 class MatrixEntry:
     """Aggregated scores of one cell, as stored in a ScoreMatrix. Its
@@ -509,53 +535,48 @@ class ScoreMatrix:
         return {PlanCell(e.target, e.sources, e.sample_cap): e.mean for e in self.entries.values()}
 
     def to_jsonl(self) -> str:
-        lines = []
-        for key in sorted(self.entries):
-            e = self.entries[key]
-            lines.append(
-                json.dumps(
-                    {
-                        "key": key,
-                        "target": e.target,
-                        "sources": list(e.sources),
-                        "mode": e.mode,
-                        "adaptation": e.adaptation,
-                        "sample_cap": e.sample_cap,
-                        "eval_split": e.eval_split,
-                        "per_seed": {str(seed): score for seed, score in sorted(e.per_seed.items())},
-                        "mean": e.mean,
-                        "std": e.std,
-                        "support": e.support,
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        return jsonl_text(
+            {
+                "key": key,
+                "target": e.target,
+                "sources": list(e.sources),
+                "mode": e.mode,
+                "adaptation": e.adaptation,
+                "sample_cap": e.sample_cap,
+                "eval_split": e.eval_split,
+                "per_seed": {str(seed): score for seed, score in sorted(e.per_seed.items())},
+                "mean": e.mean,
+                "std": e.std,
+                "support": e.support,
+            }
+            for key, e in sorted(self.entries.items())
+        )
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "ScoreMatrix":
-        entries: dict[str, MatrixEntry] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                entry = entries[doc["key"]] = MatrixEntry(
-                    target=doc["target"],
-                    sources=tuple(doc["sources"]),
-                    adaptation=doc["adaptation"],
-                    sample_cap=doc["sample_cap"],
-                    eval_split=doc["eval_split"],
-                    per_seed={int(seed): float(score) for seed, score in doc["per_seed"].items()},
-                    mean=float(doc["mean"]),
-                    std=float(doc["std"]),
-                    support=int(doc["support"]),
-                )
-                if doc["mode"] != entry.mode:
-                    raise ValueError(f"mode {doc['mode']!r} contradicts sources {list(entry.sources)}")
-            except (AttributeError, KeyError, TypeError, ValueError, HarnessError) as e:
-                raise HarnessError(f"bad matrix jsonl at line {lineno}: {e}") from None
-        return cls(entries=entries)
+    def from_jsonl(cls, text: str, path: str | Path | None = None) -> "ScoreMatrix":
+        """Parse lines written by ``to_jsonl``; errors name ``path`` when given."""
+        what = "bad matrix jsonl" if path is None else f"{path}: bad matrix jsonl"
+        return cls(entries=dict(parse_jsonl(text, what, _matrix_item)))
+
+
+def _matrix_item(doc: dict) -> tuple[str, MatrixEntry]:
+    """One matrix line's (cell key, entry)."""
+    entry = MatrixEntry(
+        target=doc["target"],
+        sources=tuple(doc["sources"]),
+        adaptation=doc["adaptation"],
+        sample_cap=doc["sample_cap"],
+        eval_split=doc["eval_split"],
+        per_seed={int(seed): float(score) for seed, score in doc["per_seed"].items()},
+        mean=float(doc["mean"]),
+        std=float(doc["std"]),
+        support=int(doc["support"]),
+    )
+    if doc["mode"] != entry.mode:
+        raise ValueError(f"mode {doc['mode']!r} contradicts sources {list(entry.sources)}")
+    if not isinstance(doc["key"], str):
+        raise TypeError(f"key {doc['key']!r} is not a string")
+    return doc["key"], entry
 
 
 def run_matrix(

@@ -14,14 +14,13 @@ tsv, or json-lines.
 """
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from ..corpus import LanguageCode, read_utf8
-from ..errors import CorpusError, HarnessError
+from ..errors import HarnessError
 from ..selection import ZEROSHOT, SelectionResult
-from .experiments import MatrixEntry, ScoreMatrix
+from .experiments import MatrixEntry, ScoreMatrix, jsonl_text, parse_jsonl
 
 FORMATS = ("markdown", "tsv", "jsonl")
 
@@ -148,31 +147,20 @@ def render_report(
         selection_body.append(row)
 
     if fmt == "jsonl":
-        lines = []
-        for label, cells in rows:
-            lines.append(
-                json.dumps(
-                    {
-                        "table": "scores",
-                        "model": label,
-                        "cells": {t: cells[t].mean for t in sorted(cells)},
-                        "overall": _overall(cells, targets),
-                    },
-                    sort_keys=True,
-                )
-            )
-        for target, *cols in selection_body:
-            lines.append(
-                json.dumps(
-                    {
-                        "table": "selection",
-                        "target": target,
-                        **{s: c for s, c in zip(strategies, cols)},
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        scores = (
+            {
+                "table": "scores",
+                "model": label,
+                "cells": {t: cells[t].mean for t in sorted(cells)},
+                "overall": _overall(cells, targets),
+            }
+            for label, cells in rows
+        )
+        picks = (
+            {"table": "selection", "target": target, **dict(zip(strategies, cols))}
+            for target, *cols in selection_body
+        )
+        return jsonl_text([*scores, *picks])
 
     table = _markdown_table if fmt == "markdown" else _tsv_table
     sections = []
@@ -189,48 +177,34 @@ def render_report(
     return "\n\n".join(sections) + "\n"
 
 
-def selection_results_to_jsonl(results: Mapping[str, SelectionResult]) -> str:
-    """Serialize per-target selection results, one JSON object per line."""
-    lines = []
-    for target in sorted(results):
-        r = results[target]
-        lines.append(
-            json.dumps(
-                {
-                    "target": r.target.code,
-                    "strategy": r.strategy,
-                    "mode": r.mode,
-                    "baseline": r.baseline_score,
-                    "positives": [[lang.code, gain] for lang, gain in r.positive_sources],
-                    "ranking": [[lang.code, score] for lang, score in r.ranking],
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+def selection_results_to_jsonl(results: Mapping[str, SelectionResult], strategy: str) -> str:
+    """A selections file: a ``# strategy=`` line, then one JSON object per
+    target's result, in target order."""
+    return f"# strategy={strategy}\n" + jsonl_text(
+        {
+            "target": r.target.code,
+            "strategy": r.strategy,
+            "mode": r.mode,
+            "baseline": r.baseline_score,
+            "positives": [[lang.code, gain] for lang, gain in r.positive_sources],
+            "ranking": [[lang.code, score] for lang, score in r.ranking],
+        }
+        for _, r in sorted(results.items())
+    )
+
+
+def _selection_result(doc: dict) -> SelectionResult:
+    return SelectionResult(
+        target=LanguageCode(doc["target"]),
+        strategy=doc["strategy"],
+        mode=doc["mode"],
+        baseline_score=float(doc["baseline"]),
+        positive_sources=tuple((LanguageCode(code), float(gain)) for code, gain in doc["positives"]),
+        ranking=tuple((LanguageCode(code), float(score)) for code, score in doc["ranking"]),
+    )
 
 
 def selection_results_from_jsonl(path: str | Path) -> list[SelectionResult]:
-    """Read a selections file: lines written by ``selection_results_to_jsonl``,
-    in file order. Blank lines and ``#`` comment lines are skipped."""
-    results = []
-    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        try:
-            doc = json.loads(line)
-            results.append(
-                SelectionResult(
-                    target=LanguageCode(doc["target"]),
-                    strategy=doc["strategy"],
-                    mode=doc["mode"],
-                    baseline_score=float(doc["baseline"]),
-                    positive_sources=tuple(
-                        (LanguageCode(code), float(gain)) for code, gain in doc["positives"]
-                    ),
-                    ranking=tuple((LanguageCode(code), float(score)) for code, score in doc["ranking"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError, CorpusError) as e:
-            raise HarnessError(f"{path}: bad selections jsonl at line {lineno}: {e!r}") from None
-    return results
+    """Read a selections file written by ``selection_results_to_jsonl``:
+    its results in file order."""
+    return parse_jsonl(read_utf8(path), f"{path}: bad selections jsonl", _selection_result)

@@ -108,19 +108,6 @@ class AdaptationStats:
         empty = np.empty(0, dtype=np.int64)
         return cls(df_buckets=empty, df_counts=empty, num_documents=1, source_tag=tag)
 
-    def merged(self, other: "AdaptationStats", tag: str | None = None) -> "AdaptationStats":
-        """Pool two adaptation corpora by summing document frequencies."""
-        buckets = np.union1d(self.df_buckets, other.df_buckets)
-        counts = np.zeros(len(buckets), dtype=np.int64)
-        counts[np.searchsorted(buckets, self.df_buckets)] += self.df_counts
-        counts[np.searchsorted(buckets, other.df_buckets)] += other.df_counts
-        return AdaptationStats(
-            df_buckets=buckets,
-            df_counts=counts,
-            num_documents=self.num_documents + other.num_documents,
-            source_tag=tag or f"{self.source_tag}+{other.source_tag}",
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class CsrRows:

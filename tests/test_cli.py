@@ -679,6 +679,26 @@ def test_cli_import_skips_scipy_and_numpy_tooling():
     assert done.stdout.split() == []
 
 
+def test_bench_tracer_finds_every_span_but_the_known_four():
+    # bench/tracer.py wraps functions by module and name, and skips a
+    # missing one with a note, so a refactor could drop a layer's span
+    # unseen. It patches module globals, hence its own interpreter.
+    root = Path(__file__).resolve().parents[1]
+    src, bench = str(root / "src"), str(root / "bench")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys; sys.path.insert(0, {bench!r}); import tracer; print(*tracer.install().notes, sep='\\n')"
+    done = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == [
+        f"{target} not found; its span is skipped"
+        for target in (
+            "langselect.cli:dedup_dev",
+            "langselect.cli:fine_tune",
+            "langselect.cli:predict_texts",
+            "langselect.harness.experiments:strip_labels",
+        )
+    ]
+
+
 def test_openblas_pin_leaves_scores_and_a_preset_value_alone(tmp_path, monkeypatch, capsys, config_path):
     # ``main`` pins OpenBLAS to one thread unless the caller set a count.
     # The learner makes no BLAS call, so no count changes a score.

@@ -303,6 +303,17 @@ class TestLoadUnlabeledText:
         ds = load_unlabeled_text(path, lang)
         assert ds.examples[0].text == "visit HTTPURL"
 
+    def test_every_non_blank_line_is_an_example(self, tmp_path, lang):
+        # Normalizing never empties a line with a non-whitespace character,
+        # not even one made only of a URL, a mention, a punctuation run or
+        # a zero-width space.
+        path = tmp_path / "c.txt"
+        path.write_text("https://x.co/a\n@someone\n\n!!!!!\n\u200b\n  ...  \n", encoding="utf-8")
+        ds = load_unlabeled_text(path, lang)
+        assert [(ex.id, ex.text) for ex in ds] == [
+            ("u1", "HTTPURL"), ("u2", "USER"), ("u4", "!"), ("u5", "\u200b"), ("u6", ".")
+        ]
+
     def test_empty_file_ok(self, tmp_path, lang):
         path = tmp_path / "c.txt"
         path.write_text("")

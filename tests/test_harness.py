@@ -34,6 +34,8 @@ from langselect.harness import (
     render_report,
     run_matrix,
     score_experiment,
+    selection_results_from_jsonl,
+    selection_results_to_jsonl,
 )
 from langselect.synth import (
     IDENTITY,
@@ -393,6 +395,25 @@ class TestAdaptationStats:
         spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, adaptation="lapt+tapt")
         merged = adaptation_stats(spec, store)
         assert merged.num_documents == 20 + 36 + 24
+        assert merged.source_tag == "lapt+tapt:aa"
+        # Document frequencies are the sums of the two adaptations' own.
+        summed: dict[int, int] = {}
+        for adaptation in ("tapt", "lapt"):
+            part = adaptation_stats(replace(spec, adaptation=adaptation), store)
+            for bucket, count in zip(part.df_buckets.tolist(), part.df_counts.tolist()):
+                summed[bucket] = summed.get(bucket, 0) + count
+        assert merged.df_buckets.tolist() == sorted(summed)
+        assert merged.df_counts.tolist() == [summed[bucket] for bucket in sorted(summed)]
+
+    @pytest.mark.parametrize("adaptation", ["lapt", "lapt+tapt"])
+    def test_empty_lapt_corpus_fails(self, tmp_path, adaptation):
+        # TAPT's texts do not make up for a configured corpus without rows.
+        config = write_universe(TINY, tmp_path)
+        (tmp_path / "data" / "aa_corpus.txt").write_text("\n", encoding="utf-8")
+        store = CorpusStore.from_config(load_config(config))
+        spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, adaptation=adaptation)
+        with pytest.raises(TextModelError, match="adaptation corpus empty"):
+            adaptation_stats(spec, store)
 
 
 class TestScoreExperiment:
@@ -677,15 +698,27 @@ class TestRunMatrix:
         written = [json.loads(line) for line in matrix.to_jsonl().splitlines()]
         assert {tuple(doc["sources"]): doc["mode"] for doc in written} == modes
 
-    def test_jsonl_roundtrip(self, store):
+    @pytest.mark.parametrize("form", ["as written", "crlf", "comment and blank lines", "raw U+2028 in a key"])
+    def test_jsonl_roundtrip(self, store, form):
         cells = [PlanCell("aa", ("aa",), None), PlanCell("aa", ("aa", "bb"), None)]
         matrix = run_matrix(cells, store, seeds=(1, 2), learner=LEARNER)
-        assert ScoreMatrix.from_jsonl(matrix.to_jsonl()) == matrix
+        text = matrix.to_jsonl()
+        if form == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif form == "comment and blank lines":
+            text = f"# written by hand\n\n{text} \n"
+        elif form == "raw U+2028 in a key":
+            # JSON allows a raw line separator inside a string; it ends no line.
+            matrix = ScoreMatrix({f"{key}\u2028": entry for key, entry in matrix.entries.items()})
+            docs = [json.loads(line) for line in matrix.to_jsonl().split("\n") if line]
+            text = "".join(json.dumps(doc, ensure_ascii=False) + "\n" for doc in docs)
+            assert "\u2028" in text
+        assert ScoreMatrix.from_jsonl(text) == matrix
 
     @pytest.mark.parametrize(
         "line",
         ['["x"]', '"x"', "3", "null", "per_seed as a list", "mode contradicting sources", "no mode",
-         "empty per_seed", "score outside [0, 1]", "mean disagreeing"],
+         "key not a string", "empty per_seed", "score outside [0, 1]", "mean disagreeing"],
     )
     def test_jsonl_line_not_an_entry_object(self, store, line):
         cells = [PlanCell("aa", ("aa",), None)]
@@ -695,6 +728,7 @@ class TestRunMatrix:
             "per_seed as a list": dict(doc, per_seed=[1]),
             "mode contradicting sources": dict(doc, mode="zeroshot"),
             "no mode": {k: v for k, v in doc.items() if k != "mode"},
+            "key not a string": dict(doc, key=["k"]),
             # MatrixEntry's own checks are named with the line too.
             "empty per_seed": dict(doc, per_seed={}),
             "score outside [0, 1]": dict(doc, per_seed={"1": 1.5}, mean=1.5),
@@ -702,7 +736,8 @@ class TestRunMatrix:
         }
         if line in edited:
             line = json.dumps(edited[line])
-        with pytest.raises(HarnessError, match="bad matrix jsonl at line 2"):
+        # The reason is the error's repr.
+        with pytest.raises(HarnessError, match=r"^bad matrix jsonl at line 2: [A-Za-z]+Error\("):
             ScoreMatrix.from_jsonl(f"{good}{line}\n")
 
     def test_entry_validation(self):
@@ -839,6 +874,57 @@ class TestModelGroups:
         spec = ExperimentSpec("aa", FOUR_CODES, learner=LEARNER, sample_cap=30)
         assert cache.get(spec.cell_key(four_store), 1) is not None
 
+    def test_failed_adaptation_fails_its_group_untrained(self, four_store, fine_tunes, monkeypatch):
+        import langselect.harness.experiments as exp
+
+        real = exp.adaptation_stats
+
+        def failing(spec, store):
+            if spec.sources == FOUR_CODES:
+                raise TextModelError("boom")
+            return real(spec, store)
+
+        monkeypatch.setattr(exp, "adaptation_stats", failing)
+        cache = ScoreCache()
+        cells = [PlanCell(t, FOUR_CODES, 30) for t in ("aa", "bb")] + [PlanCell("aa", ("aa", "bb"), 30)]
+        with pytest.raises(HarnessError) as err:
+            run_matrix(cells, four_store, seeds=(1, 2), learner=LEARNER, cache=cache)
+        header, *lines = str(err.value).splitlines()
+        assert header == "matrix run failed for 2 cell(s):"
+        assert [line.split()[2] for line in lines] == ["(target=aa", "(target=bb"]
+        # Before any seed: no line names one.
+        assert all(line.endswith("cap=30): boom") for line in lines)
+        # Only the other group trains, once per seed, and scores.
+        assert fine_tunes == [1, 2]
+        spec = ExperimentSpec("aa", ("aa", "bb"), learner=LEARNER, sample_cap=30)
+        assert all(cache.get(spec.cell_key(four_store), seed) is not None for seed in (1, 2))
+
+    def test_failed_prediction_fails_only_its_cell(self, four_store, fine_tunes, monkeypatch):
+        import langselect.harness.experiments as exp
+
+        real = exp.predict_texts
+        bb_texts = four_store.devstar("bb").texts()
+
+        def failing(model, texts):
+            if texts == bb_texts and fine_tunes[-1] == 2:
+                raise TextModelError("boom")
+            return real(model, texts)
+
+        monkeypatch.setattr(exp, "predict_texts", failing)
+        cache = ScoreCache()
+        cells = [PlanCell(t, FOUR_CODES, 30) for t in ("aa", "bb", "cc")]
+        with pytest.raises(HarnessError) as err:
+            run_matrix(cells, four_store, seeds=(1, 2, 3), learner=LEARNER, cache=cache)
+        header, line = str(err.value).splitlines()
+        assert header == "matrix run failed for 1 cell(s):"
+        assert "(target=bb" in line and line.endswith("cap=30 seed=2): boom")
+        # The shared model still trains at every seed; the failed cell is
+        # tried no further, and the others score at every seed.
+        assert fine_tunes == [1, 2, 3]
+        for target, seeds in (("aa", [1, 2, 3]), ("bb", [1]), ("cc", [1, 2, 3])):
+            key = ExperimentSpec(target, FOUR_CODES, learner=LEARNER, sample_cap=30).cell_key(four_store)
+            assert [seed for seed in (1, 2, 3) if cache.get(key, seed) is not None] == seeds
+
     def test_journal_order_is_group_then_seed_then_cell(self, store, tmp_path):
         # Groups in order of their first cell key; within one, seeds in
         # sorted order, and at each seed the group's cells in key order.
@@ -922,6 +1008,15 @@ class TestReport:
         rows = [json.loads(line) for line in jsonl.splitlines()]
         assert any(r["table"] == "scores" for r in rows)
         assert any(r["table"] == "selection" for r in rows)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_selections_jsonl_roundtrip(self, store, tmp_path, newline):
+        _, columns = self._matrix_and_selections(store)
+        text = selection_results_to_jsonl(columns["forward"], "forward")
+        assert text.startswith("# strategy=forward\n{")
+        path = tmp_path / "sel.jsonl"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        assert selection_results_from_jsonl(path) == [r for _, r in sorted(columns["forward"].items())]
 
     def test_unknown_format(self, store):
         matrix, selections = self._matrix_and_selections(store)

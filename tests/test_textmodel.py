@@ -246,19 +246,6 @@ class TestPretrain:
         stats = pretrain([make_dataset(rows, lang)], "t", SMALL)
         assert all(1 <= c <= stats.num_documents for c in df_of(stats).values())
 
-    def test_merged_sums(self, lang):
-        a = pretrain([make_dataset([("ab", None)], lang)], "a", SMALL)
-        b = pretrain([make_dataset([("ab", None), ("cd", None)], lang)], "b", SMALL)
-        merged = a.merged(b)
-        assert merged.num_documents == 3
-        bucket = hash_gram("ab") & (SMALL.hash_buckets - 1)
-        assert df_of(merged)[bucket] == 2
-        want = df_of(a)
-        for key, count in df_of(b).items():
-            want[key] = want.get(key, 0) + count
-        assert df_of(merged) == want
-        assert merged.df_buckets.tolist() == sorted(want)
-
     @pytest.mark.parametrize(
         "ngram_max, hash_buckets, side",
         [(2, 1 << 12, "below"), (3, 64, "above"), (1, 8, "equal")],
