@@ -280,6 +280,22 @@ class CorpusStore:
         return store
 
 
+def _is_count(value: object, least: int) -> bool:
+    """Whether ``value`` is an int, not a bool, of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _check_cell_fields(adaptation: object, sample_cap: object, eval_split: object) -> None:
+    """Raise ``HarnessError`` unless a cell's adaptation and eval split are
+    known and its ``sample_cap`` is None or an int >= 1."""
+    if adaptation not in ADAPTATIONS:
+        raise HarnessError(f"unknown adaptation {adaptation!r}, expected one of {ADAPTATIONS}")
+    if eval_split not in EVAL_SPLITS:
+        raise HarnessError(f"unknown eval split {eval_split!r}")
+    if sample_cap is not None and not _is_count(sample_cap, 1):
+        raise HarnessError(f"sample_cap must be None or an int >= 1, got {sample_cap!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One training/evaluation cell: which languages train the model, how
@@ -300,12 +316,7 @@ class ExperimentSpec:
         if len(set(ordered)) != len(ordered):
             raise HarnessError(f"duplicate sources in spec: {self.sources}")
         object.__setattr__(self, "sources", ordered)
-        if self.adaptation not in ADAPTATIONS:
-            raise HarnessError(f"unknown adaptation {self.adaptation!r}, expected one of {ADAPTATIONS}")
-        if self.eval_split not in EVAL_SPLITS:
-            raise HarnessError(f"unknown eval split {self.eval_split!r}")
-        if self.sample_cap is not None and self.sample_cap < 1:
-            raise HarnessError(f"sample_cap must be >= 1, got {self.sample_cap}")
+        _check_cell_fields(self.adaptation, self.sample_cap, self.eval_split)
 
     @property
     def mode(self) -> str:
@@ -496,7 +507,11 @@ def parse_jsonl(text: str, what: str, parse: Callable[[dict], _T]) -> list[_T]:
 @dataclass(frozen=True)
 class MatrixEntry:
     """Aggregated scores of one cell, as stored in a ScoreMatrix. Its
-    ``mode`` is read off its sources, as a spec's is."""
+    ``mode`` is read off its sources, as a spec's is. Its adaptation,
+    sample cap and eval split are checked as a spec's are, ``support``
+    is an int >= 0 (a bool is no int here), and each score lies in
+    [0, 1] with ``mean`` their mean; anything else is a
+    ``HarnessError``."""
 
     target: str
     sources: tuple[str, ...]
@@ -509,6 +524,9 @@ class MatrixEntry:
     support: int
 
     def __post_init__(self) -> None:
+        _check_cell_fields(self.adaptation, self.sample_cap, self.eval_split)
+        if not _is_count(self.support, 0):
+            raise HarnessError(f"support must be an int >= 0, got {self.support!r}")
         values = list(self.per_seed.values())
         if not values:
             raise HarnessError("matrix entry without per-seed scores")
@@ -570,7 +588,7 @@ def _matrix_item(doc: dict) -> tuple[str, MatrixEntry]:
         per_seed={int(seed): float(score) for seed, score in doc["per_seed"].items()},
         mean=float(doc["mean"]),
         std=float(doc["std"]),
-        support=int(doc["support"]),
+        support=doc["support"],
     )
     if doc["mode"] != entry.mode:
         raise ValueError(f"mode {doc['mode']!r} contradicts sources {list(entry.sources)}")

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from ..corpus import LanguageCode, read_utf8
 from ..errors import HarnessError
-from ..selection import ZEROSHOT, SelectionResult
+from ..selection import BACKWARD, FORWARD, MULTILINGUAL, ZEROSHOT, SelectionResult
 from .experiments import MatrixEntry, ScoreMatrix, jsonl_text, parse_jsonl
 
 FORMATS = ("markdown", "tsv", "jsonl")
@@ -194,6 +194,10 @@ def selection_results_to_jsonl(results: Mapping[str, SelectionResult], strategy:
 
 
 def _selection_result(doc: dict) -> SelectionResult:
+    if doc["strategy"] not in (FORWARD, BACKWARD):
+        raise ValueError(f"unknown strategy {doc['strategy']!r}, expected {FORWARD!r} or {BACKWARD!r}")
+    if doc["mode"] not in (MULTILINGUAL, ZEROSHOT):
+        raise ValueError(f"unknown mode {doc['mode']!r}, expected {MULTILINGUAL!r} or {ZEROSHOT!r}")
     return SelectionResult(
         target=LanguageCode(doc["target"]),
         strategy=doc["strategy"],

@@ -111,18 +111,23 @@ class AdaptationStats:
 
 @dataclass(frozen=True, eq=False)
 class CsrRows:
-    """A sparse matrix's rows in compressed sparse row (CSR) form.
+    """A sparse matrix's rows in compressed sparse row (CSR) form, over
+    its own columns.
 
-    Row ``i`` holds the values ``data[indptr[i]:indptr[i + 1]]`` at the
-    columns ``indices[indptr[i]:indptr[i + 1]]``. Both products add each
-    output element's terms in non-zero order, starting from 0.0, so they
-    give the floats of a sequential loop over the non-zeros.
+    ``columns`` lists, strictly increasing, the feature bucket of each
+    column, so the matrix is ``shape[0]`` x ``len(columns)`` and only
+    ``columns`` says which buckets those are. Row ``i`` holds the values
+    ``data[indptr[i]:indptr[i + 1]]`` at the column positions
+    ``indices[indptr[i]:indptr[i + 1]]``. Both products add each output
+    element's terms in non-zero order, starting from 0.0, so they give
+    the floats of a sequential loop over the non-zeros.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
+    columns: np.ndarray
 
     def row_of(self) -> np.ndarray:
         """The row of every non-zero."""
@@ -148,19 +153,31 @@ class CsrRows:
         return _keyed_sums(self.indices, self.data, other, self.row_of(), self.shape[1])
 
     def in_columns(self, columns: np.ndarray) -> "CsrRows":
-        """These rows over only ``columns`` (strictly increasing), each
-        renumbered by its position there. The non-zeros in other columns
-        are dropped and the rest keep their order, so a product with the
-        weights of ``columns`` alone gives the floats of the full product
-        with zero weights elsewhere: the dropped terms are ±0.0, and a
-        sum that starts at +0.0 is never −0.0, so adding ±0.0 to it
-        changes nothing."""
-        at = np.searchsorted(columns, self.indices)
-        keep = at < len(columns)
-        keep[keep] = columns[at[keep]] == self.indices[keep]
+        """These rows over ``columns`` (strictly increasing buckets)
+        instead of their own. Each of ``self.columns`` is searched for
+        there once, and each non-zero takes its column's position. The
+        non-zeros whose bucket is not in ``columns`` are dropped and the
+        rest keep their order, so a product with the weights of
+        ``columns`` alone gives the floats of the full product with zero
+        weights elsewhere: the dropped terms are ±0.0, and a sum that
+        starts at +0.0 is never −0.0, so adding ±0.0 to it changes
+        nothing."""
+        at, found = _search(columns, self.columns)
+        keep = found[self.indices]
         kept = np.zeros(len(keep) + 1, dtype=np.int64)
         np.cumsum(keep, out=kept[1:])
-        return CsrRows(kept[self.indptr], at[keep], self.data[keep], (self.shape[0], len(columns)))
+        return CsrRows(
+            kept[self.indptr], at[self.indices[keep]], self.data[keep], (self.shape[0], len(columns)), columns
+        )
+
+
+def _search(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``values``, its position in the strictly increasing
+    ``keys`` and whether it is there."""
+    at = np.searchsorted(keys, values)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == values[found]
+    return at, found
 
 
 def _keyed_sums(
@@ -301,22 +318,19 @@ def _term_counts(texts: Sequence[str], config: LearnerConfig) -> list[tuple[np.n
     return [memo[text] for text in texts]
 
 
-def _idf_vector(stats: AdaptationStats, hash_buckets: int) -> np.ndarray:
-    """idf = ln((1+N)/(1+df)) + 1 for every bucket; unseen buckets use df = 0."""
-    idf = np.full(hash_buckets, math.log(1 + stats.num_documents) + 1.0)
-    idf[stats.df_buckets] = np.log((1 + stats.num_documents) / (1 + stats.df_counts)) + 1.0
-    return idf
-
-
 def design_matrix(
     texts: Sequence[str], stats: AdaptationStats, config: LearnerConfig
 ) -> CsrRows:
-    """Stack the tf-idf vectors of texts into numpy CSR rows of width
-    ``hash_buckets``, one row per text in input order.
+    """Stack the tf-idf vectors of texts into CSR rows over the batch's
+    own columns, one row per text in input order.
 
-    Each row's bucket indices increase strictly. Values are
-    (1 + ln tf) * idf with idf = ln((1+N)/(1+df)) + 1 against the
-    adaptation statistics (unseen buckets use df = 0), then each row
+    ``columns`` lists, strictly increasing, the buckets that some text
+    contains, and each non-zero's index is its bucket's position there,
+    so ``columns[indices]`` gives the buckets and each row's buckets
+    increase strictly. One sort of the non-zeros finds the columns, and
+    every array is sized by the non-zeros, not by ``hash_buckets``.
+    Values are (1 + ln tf) * idf with idf = ln((1+N)/(1+df)) + 1 against
+    the adaptation statistics (unseen buckets use df = 0), then each row
     is scaled to unit L2 norm; empty text maps to an empty row. Term
     counts come from the per-process memo, which hashes the texts it
     has not seen in one numpy batch and keeps one entry per distinct
@@ -329,18 +343,25 @@ def design_matrix(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
     if n:
-        indices = np.concatenate([buckets for buckets, _ in rows], dtype=np.intp)
+        columns, indices = np.unique(np.concatenate([buckets for buckets, _ in rows]), return_inverse=True)
+        columns = columns.astype(np.int64)
         tf = np.concatenate([counts for _, counts in rows])
     else:
-        indices = np.empty(0, dtype=np.intp)
+        columns, indices = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp)
         tf = np.empty(0, dtype=np.int32)
-    values = (1.0 + np.log(tf)) * _idf_vector(stats, config.hash_buckets)[indices]
+    # idf of each column. Those with a df gather the expression computed
+    # over the whole df array, so each value is the one an elementwise
+    # log over that same array gives, whichever SIMD lane computes it.
+    at, hit = _search(stats.df_buckets, columns)
+    idf = np.full(len(columns), math.log(1 + stats.num_documents) + 1.0)
+    idf[hit] = (np.log((1 + stats.num_documents) / (1 + stats.df_counts)) + 1.0)[at[hit]]
+    values = (1.0 + np.log(tf)) * idf[indices]
     # Per-row sums by bincount: every row, trailing empty ones included,
     # gets a norm; non-empty rows have positive norms since idf >= 1.
     row_of = np.repeat(np.arange(n), lengths)
     norms = np.sqrt(np.bincount(row_of, weights=values * values, minlength=n))
     values /= norms[row_of]
-    return CsrRows(indptr, indices, values, (n, config.hash_buckets))
+    return CsrRows(indptr, indices, values, (n, len(columns)), columns)
 
 
 def _as_datasets(data: Dataset | Iterable[Dataset]) -> list[Dataset]:
@@ -426,7 +447,9 @@ def fine_tune(
 
     The step is lazy and sparse: the weights are held as ``scale * V``,
     where ``V`` has one row of 3 class weights per bucket that some
-    training text contains (the other buckets' weights stay zero). A
+    training text contains (the other buckets' weights stay zero). Those
+    are the design matrix's own columns, so its column positions index
+    ``V`` as they are, and no bucket id is held per non-zero. A
     batch's gradient is scattered into only the rows of ``V`` its texts
     touch, and the proximal shrink of every weight is one division of
     ``scale``, which is folded back into ``V`` before it underflows. So
@@ -448,9 +471,9 @@ def fine_tune(
     X = design_matrix([ex.text for ex in examples], stats, config)
     n = X.shape[0]
     # Buckets no example touches keep zero weight throughout, so V holds
-    # only the used ones, in increasing bucket order: slot[j] is the row
-    # of V for the bucket X.indices[j].
-    used, slot = np.unique(X.indices, return_inverse=True)
+    # only the used ones: X's columns, in increasing bucket order, and
+    # slot[j] is the row of V for the non-zero j.
+    used, slot = X.columns, X.indices
     V = np.zeros((len(used), 3), dtype=np.float64)
     scale = 1.0
     bias = np.zeros(3, dtype=np.float64)

@@ -113,17 +113,19 @@ def reference_tfidf(text, stats, ngram_min, ngram_max, hash_buckets):
 
 
 def csr_row(X, i):
-    """Row i of CSR rows X as (indices, values) lists."""
+    """Row i of CSR rows X as (column positions, values) lists; the
+    buckets are ``X.columns`` at those positions."""
     lo, hi = int(X.indptr[i]), int(X.indptr[i + 1])
     return X.indices[lo:hi].tolist(), X.data[lo:hi].tolist()
 
 
-def dense(X):
-    """CSR rows X as a dense (rows, columns) array."""
-    out = np.zeros(X.shape)
+def dense(X, width):
+    """CSR rows X as a dense (rows, width) array, each value in the
+    column of its bucket, ``X.columns`` at its position."""
+    out = np.zeros((X.shape[0], width))
     for i in range(X.shape[0]):
         indices, values = csr_row(X, i)
-        out[i, indices] = values
+        out[i, X.columns[indices]] = values
     return out
 
 

@@ -632,6 +632,10 @@ class TestSelectAndReport:
             ({"target": "aa", "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
               "positives": [1], "ranking": []}, "TypeError('cannot unpack"),
             ("{not json", "JSONDecodeError('Expecting property name"),
+            ({"target": "aa", "strategy": 5, "mode": "multilingual", "baseline": 0.5,
+              "positives": [], "ranking": []}, 'ValueError("unknown strategy 5'),
+            ({"target": "aa", "strategy": "forward", "mode": "bogus", "baseline": 0.5,
+              "positives": [], "ranking": []}, "ValueError(\"unknown mode 'bogus'"),
         ],
     )
     def test_malformed_selections_line_is_named(self, tmp_path, capsys, config_path, line, reason):

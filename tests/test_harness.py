@@ -718,7 +718,9 @@ class TestRunMatrix:
     @pytest.mark.parametrize(
         "line",
         ['["x"]', '"x"', "3", "null", "per_seed as a list", "mode contradicting sources", "no mode",
-         "key not a string", "empty per_seed", "score outside [0, 1]", "mean disagreeing"],
+         "key not a string", "empty per_seed", "score outside [0, 1]", "mean disagreeing",
+         "unknown adaptation", "sample_cap a string", "sample_cap 0", "sample_cap a bool",
+         "eval_split not a split", "support negative", "support a bool", "support a float"],
     )
     def test_jsonl_line_not_an_entry_object(self, store, line):
         cells = [PlanCell("aa", ("aa",), None)]
@@ -733,6 +735,14 @@ class TestRunMatrix:
             "empty per_seed": dict(doc, per_seed={}),
             "score outside [0, 1]": dict(doc, per_seed={"1": 1.5}, mean=1.5),
             "mean disagreeing": dict(doc, per_seed={"1": 0.2}, mean=0.4),
+            "unknown adaptation": dict(doc, adaptation="bogus"),
+            "sample_cap a string": dict(doc, sample_cap="x"),
+            "sample_cap 0": dict(doc, sample_cap=0),
+            "sample_cap a bool": dict(doc, sample_cap=True),
+            "eval_split not a split": dict(doc, eval_split=7),
+            "support negative": dict(doc, support=-3),
+            "support a bool": dict(doc, support=True),
+            "support a float": dict(doc, support=60.5),
         }
         if line in edited:
             line = json.dumps(edited[line])

@@ -5,6 +5,7 @@ import logging
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ class TestBatchHasher:
         config = LearnerConfig(ngram_min=1, ngram_max=2, hash_buckets=1 << 12, epochs=1)
         stats = pretrain(corpus, "t", config)
         X = design_matrix(texts + texts[:3], stats, config)
-        assert X.shape == (len(texts) + 3, config.hash_buckets)
+        assert X.shape == (len(texts) + 3, len(X.columns))
         assert sorted(seen) == sorted(texts)
 
 
@@ -206,7 +207,7 @@ class TestFeaturize:
         vec = design_matrix(["a"], stats, cfg)
         expected_seen = math.log((1 + 9) / (1 + 3)) + 1
         expected_unseen = math.log(10) + 1
-        raw = {int(i): float(v) for i, v in zip(vec.indices, vec.data)}
+        raw = {int(i): float(v) for i, v in zip(vec.columns[vec.indices], vec.data)}
         norm = math.sqrt(expected_seen**2 + 2 * expected_unseen**2)
         assert raw[char_bucket] == pytest.approx(expected_seen / norm, rel=1e-12)
 
@@ -355,7 +356,7 @@ class TestFineTune:
         model = fine_tune(stats, ds, cfg, 1)
         X = design_matrix([ex.text for ex in ds], stats, cfg)
         assert model.buckets.dtype == np.int64
-        assert np.array_equal(model.buckets, np.unique(X.indices))
+        assert np.array_equal(model.buckets, np.unique(X.columns[X.indices]))
         assert model.weights.shape == (3, len(model.buckets))
 
     def test_single_class_warns(self, lang, caplog):
@@ -465,10 +466,10 @@ class TestPredict:
         model = fine_tune(stats, ds, cfg, 1)
         probe = ["".join(rng.choice("abcdxyz ") for _ in range(30)).strip() for _ in range(20)] + [""]
         X = design_matrix(probe, stats, cfg)
-        assert not np.isin(X.indices, model.buckets).all()
+        assert not np.isin(X.columns[X.indices], model.buckets).all()
         # The sequential product over the dense weights: BLAS's summation
         # order would differ in the last bits from any row-order sum.
-        probs = textmodel._softmax(reference_matmul(X, dense_weights(model).T) + model.bias)
+        probs = textmodel._softmax(reference_matmul(X, dense_weights(model).T[X.columns]) + model.bias)
         got = predict_texts(model, probe)
         assert [p for _, p in got] == [tuple(row) for row in probs.tolist()]
         assert [label for label, _ in got] == [LABELS[i] for i in probs.argmax(axis=1)]
@@ -741,11 +742,11 @@ class TestAgainstReferences:
         words = [random_example(rng, lang, i).text for i in range(6)]
         texts = ["", words[0], words[1], words[0], "", words[2], words[3], words[1], ""]
         X = design_matrix(texts, stats, cfg)
-        assert X.shape == (len(texts), cfg.hash_buckets)
+        assert X.shape == (len(texts), len(X.columns))
         for i, text in enumerate(texts):
             want = reference_tfidf(text, stats, cfg.ngram_min, cfg.ngram_max, cfg.hash_buckets)
             indices, values = csr_row(X, i)
-            assert indices == sorted(want), i
+            assert X.columns[indices].tolist() == sorted(want), i
             np.testing.assert_allclose(values, [want[b] for b in sorted(want)], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
@@ -769,7 +770,9 @@ class TestAgainstReferences:
         X = design_matrix([ex.text for ex in ds], stats, cfg)
         y = np.array([LABELS.index(ex.label) for ex in ds])
         weights, bias, history = reference_sparse_fine_tune(X, y, cfg, 5)
-        assert np.array_equal(dense_weights(model), weights)
+        expected = np.zeros((3, cfg.hash_buckets))
+        expected[:, X.columns] = weights
+        assert np.array_equal(dense_weights(model), expected)
         assert np.array_equal(model.bias, bias)
         assert model.loss_history == tuple(history)
 
@@ -786,14 +789,14 @@ class TestAgainstReferences:
         )
         stats = pretrain([ds], "t", cfg)
         model = fine_tune(stats, ds, cfg, 3)
-        X = dense(design_matrix([ex.text for ex in ds], stats, cfg))
+        X = dense(design_matrix([ex.text for ex in ds], stats, cfg), cfg.hash_buckets)
         y = np.array([LABELS.index(ex.label) for ex in ds])
         weights, bias, history = reference_dense_fine_tune(X, y, cfg, 3)
         np.testing.assert_allclose(dense_weights(model), weights, rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.bias, bias, rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.loss_history, history, rtol=1e-12, atol=0)
         probe = [random_example(rng, lang, i).text for i in range(30)]
-        ref_logits = dense(design_matrix(probe, stats, cfg)) @ weights.T + bias
+        ref_logits = dense(design_matrix(probe, stats, cfg), cfg.hash_buckets) @ weights.T + bias
         assert [label for label, _ in predict_texts(model, probe)] == [
             LABELS[int(np.argmax(row))] for row in ref_logits
         ]
@@ -808,5 +811,31 @@ class TestAgainstReferences:
 
 def test_design_matrix_shapes(lang):
     X = design_matrix(["ab", "", "abc"], AdaptationStats.uniform(), SMALL)
-    assert X.shape == (3, SMALL.hash_buckets)
+    assert X.shape == (3, len(X.columns))
     assert csr_row(X, 1) == ([], [])
+
+
+def test_nothing_allocated_is_sized_by_hash_buckets(lang):
+    # At 2^24 buckets a hash_buckets-long float64 array takes 128 MB;
+    # featurizing, training and predicting a few dozen rows stay far below.
+    rng = random.Random(9)
+    ds = Dataset(lang, "train", tuple(random_example(rng, lang, i, (20, 40)) for i in range(40)))
+    cfg = LearnerConfig(ngram_min=1, ngram_max=3, hash_buckets=1 << 24, epochs=2)
+    stats = pretrain([ds], "t", cfg)
+    texts = [ex.text for ex in ds]
+    # The warm-up fills the term-count memo, which is not sized by
+    # hash_buckets either but outlives the calls traced below.
+    X = design_matrix(texts, stats, cfg)
+    assert (np.diff(X.columns) > 0).all()
+    for i, text in enumerate(texts):
+        want = reference_tfidf(text, stats, cfg.ngram_min, cfg.ngram_max, cfg.hash_buckets)
+        assert X.columns[csr_row(X, i)[0]].tolist() == sorted(want), i
+    probe = texts[:3] + ["hgfedcba", ""]
+    tracemalloc.start()
+    try:
+        model = fine_tune(stats, ds, cfg, 1)
+        predict_texts(model, probe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
