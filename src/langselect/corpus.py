@@ -1,9 +1,17 @@
 """Data ingestion and tweet normalization.
 
-Owns the program's one TSV format (``tsv_rows``, ``write_tsv``) and
-handles labeled TSV files (``id<TAB>text<TAB>label``), unlabeled
-one-sentence-per-line corpora, train/dev overlap removal (the
-``devstar`` split) and deterministic per-language subsampling.
+Owns the program's one text rule (``read_utf8``, ``text_lines``) and
+its one TSV format (``tsv_rows``, ``write_tsv``), and handles labeled
+TSV files (``id<TAB>text<TAB>label``), unlabeled one-sentence-per-line
+corpora, train/dev overlap removal (the ``devstar`` split) and
+deterministic per-language subsampling.
+
+Every text file the program reads is UTF-8, loses one leading BOM, and
+has lines that end at LF, CRLF or a lone CR and nowhere else, so a
+tweet holding U+2028, U+0085, a form feed or another character that
+``str.splitlines`` also breaks at stays in its row. ``LOADER_VERSION``
+versions the rows that the loaders and ``normalize_text`` make of a
+file's bytes.
 """
 from __future__ import annotations
 
@@ -20,6 +28,18 @@ from typing import Iterable, Iterator, Sequence
 from .errors import CorpusError
 
 logger = logging.getLogger(__name__)
+
+# Version of the rows a data file's bytes load to. Bump it with any
+# change to reading, line splitting, normalization or loading that can
+# alter the rows some file's bytes give (ids, texts, labels, dropped
+# rows, devstar overlap removal): the cache directory's facts journal
+# maps raw bytes to split digests under this version, and would
+# otherwise name the old rows. It keys nothing else, so a bump makes
+# each file parse once more and keeps every cached score whose rows are
+# unchanged. Records written under 1 and 2, the learner's numerics
+# versions that keyed the journal while lines also ended at U+2028 and
+# the like, are never recalled.
+LOADER_VERSION = 3
 
 LABELS = ("negative", "neutral", "positive")
 LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
@@ -55,7 +75,9 @@ def normalize_text(raw: str) -> str:
     of the same non-whitespace character longer than 3 collapse to 3; runs
     of the same punctuation character longer than 1 collapse to 1;
     whitespace runs collapse to a single space and the ends are trimmed.
-    The function is total and idempotent.
+    The function is total and idempotent. Any change to its output for
+    some input changes the rows a file loads to, so it bumps
+    ``LOADER_VERSION``.
 
     The passes below give the same string for every input: a text can hold
     a URL only if it contains "://", "w." or "W." and a mention only if it
@@ -146,26 +168,40 @@ def read_file_bytes(path: str | Path) -> bytes:
 
 
 def read_utf8(path: str | Path) -> str:
-    """The text of a UTF-8 file. A missing or unreadable file or invalid
-    UTF-8 is a data error that names the path."""
+    """The text of a UTF-8 file, without one leading byte order mark. A
+    missing or unreadable file or invalid UTF-8 is a data error that
+    names the path and, for invalid UTF-8, the file's byte offset."""
     path = Path(path)
     data = read_file_bytes(path)
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise CorpusError(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
+
+
+def text_lines(text: str) -> list[str]:
+    """The lines of ``text``, without their ends. A line ends at LF, CRLF
+    or a lone CR (Python's universal newlines) and nowhere else; a final
+    line end starts no further line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def tsv_rows(path: str | Path, min_fields: int, row_form: str) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line number, fields)`` for each row after a TSV's header.
 
-    The file is UTF-8 with LF or CRLF line ends; blank lines are skipped
-    and fields are split on tabs. A missing header line, or a row of
-    fewer than ``min_fields`` fields, is a ``CorpusError`` naming the
-    path and the line; ``row_form`` says what a row should hold.
+    The file is read by ``read_utf8`` and split by ``text_lines``; blank
+    lines are skipped and fields are split on tabs. A missing header
+    line, or a row of fewer than ``min_fields`` fields, is a
+    ``CorpusError`` naming the path and the line; ``row_form`` says what
+    a row should hold.
     """
     path = Path(path)
-    lines = read_utf8(path).splitlines()
+    lines = text_lines(read_utf8(path))
     if not lines:
         raise CorpusError(f"{path}: empty file, expected a header line")
     for lineno, line in enumerate(lines[1:], start=2):
@@ -232,7 +268,8 @@ def save_labeled_tsv(dataset: Dataset, path: str | Path) -> None:
 
 
 def load_unlabeled_text(path: str | Path, language: LanguageCode, split: str = "train") -> Dataset:
-    """Load an unlabeled corpus: UTF-8 text, one sentence per line.
+    """Load an unlabeled corpus: one sentence per line, read by
+    ``read_utf8`` and split by ``text_lines``.
 
     Blank lines are skipped; every other line is normalized, which never
     leaves it empty, into the example ``u<line number>``.
@@ -240,7 +277,7 @@ def load_unlabeled_text(path: str | Path, language: LanguageCode, split: str = "
     path = Path(path)
     examples = [
         Example(id=f"u{lineno}", text=normalize_text(line), label=None)
-        for lineno, line in enumerate(read_utf8(path).splitlines(), start=1)
+        for lineno, line in enumerate(text_lines(read_utf8(path)), start=1)
         if line.strip()
     ]
     if not examples:

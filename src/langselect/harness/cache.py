@@ -10,7 +10,7 @@ cell and seed:
 The facts journal holds one record per loaded split file (see
 ``FactsMemo``):
 
-    v1<TAB>numerics_version<TAB>loader<TAB>raw_sha256<TAB>digest<TAB>rows
+    v1<TAB>loader_version<TAB>loader<TAB>raw_sha256<TAB>digest<TAB>rows
 
 Scores are written with ``repr`` so they round-trip bit-for-bit. Each
 record is appended as one whole line, so processes sharing a journal do
@@ -113,12 +113,14 @@ class ScoreCache:
 
 class FactsMemo:
     """Facts of split files, remembered across runs: (content digest, row
-    count) by (numerics version, loader, sha256 of the raw file bytes).
+    count) by (loader version, loader, sha256 of the raw file bytes).
 
     The loaders are deterministic, so the same bytes always load the same
-    rows for one numerics version; a store that finds a file's facts here
-    need not parse the file until a cell reads its rows. Without a path
-    the memo lives in memory only: it starts empty and writes no file.
+    rows for one ``corpus.LOADER_VERSION``; a store that finds a file's
+    facts here need not parse the file until a cell reads its rows.
+    Records of other versions load but are never recalled. Without a
+    path the memo lives in memory only: it starts empty and writes no
+    file.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -127,12 +129,12 @@ class FactsMemo:
         self._journal.load(self._parse)
 
     def _parse(self, fields: list[str]) -> None:
-        numerics, loader, raw, digest, rows = fields
-        self._facts[(numerics, loader, raw)] = (digest, int(rows))
+        version, loader, raw, digest, rows = fields
+        self._facts[(version, loader, raw)] = (digest, int(rows))
 
-    def get(self, numerics: int, loader: str, raw: str) -> tuple[str, int] | None:
-        return self._facts.get((str(numerics), loader, raw))
+    def get(self, version: int, loader: str, raw: str) -> tuple[str, int] | None:
+        return self._facts.get((str(version), loader, raw))
 
-    def put(self, numerics: int, loader: str, raw: str, facts: tuple[str, int]) -> None:
-        self._facts[(str(numerics), loader, raw)] = facts
-        self._journal.append(numerics, loader, raw, *facts)
+    def put(self, version: int, loader: str, raw: str, facts: tuple[str, int]) -> None:
+        self._facts[(str(version), loader, raw)] = facts
+        self._journal.append(version, loader, raw, *facts)

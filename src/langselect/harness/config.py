@@ -1,11 +1,13 @@
 """Harness configuration: one YAML document declaring languages, data
 paths, learner settings, selection settings, seeds, adaptation and the
-cache directory. Unknown top-level keys are ignored; unknown learner and
-selection keys are errors. The top-level ``seeds`` are the only seed
-setting: every score of a run is averaged over them unless
-``--seed-list`` replaces them. Selection always scores the devstar
-split; ``eval_split`` may only say so, and ``score --eval-split`` is the
-one way to score another split.
+cache directory. Unknown keys are errors, at the top level, in a
+``languages`` entry and in ``learner`` and ``selection``; the one
+exception is a top-level ``parallelism``, which ``langselect.synth``
+writes and which, like the ``--parallelism`` flag, has no effect. The
+top-level ``seeds`` are the only seed setting: every score of a run is
+averaged over them unless ``--seed-list`` replaces them. Selection
+always scores the devstar split; ``eval_split`` may only say so, and
+``score --eval-split`` is the one way to score another split.
 
 Relative paths are resolved against the config file's directory. The
 cache directory can be overridden with the LANGSELECT_CACHE_DIR
@@ -29,6 +31,9 @@ CACHE_DIR_ENV = "LANGSELECT_CACHE_DIR"
 # libyaml's loader when PyYAML was built with it: it parses the same
 # documents several times faster than the pure-Python one.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+_TOP_KEYS = ("languages", "learner", "selection", "seeds", "adaptation", "cache_dir", "eval_split", "parallelism")
+_LANGUAGE_KEYS = ("code", "family", "train", "dev", "test", "lapt_corpus")
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,13 @@ def _resolve(config_path: Path, key: str, value: object) -> Path | None:
     return path if path.is_absolute() else config_path.parent / path
 
 
+def _check_keys(config_path: Path, doc: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        names = ", ".join(repr(key) for key in unknown)
+        raise HarnessError(f"{config_path}: unknown key{'s' * (len(unknown) > 1)} {names} in {where}")
+
+
 def load_config(path: str | Path) -> HarnessConfig:
     """Parse and validate a YAML harness config."""
     path = Path(path)
@@ -88,6 +100,7 @@ def load_config(path: str | Path) -> HarnessConfig:
         raise HarnessError(f"{path}: invalid YAML: {e}") from None
     if not isinstance(doc, dict):
         raise HarnessError(f"{path}: config must be a mapping")
+    _check_keys(path, doc, _TOP_KEYS, "the config")
 
     raw_languages = doc.get("languages")
     if not raw_languages or not isinstance(raw_languages, list):
@@ -96,6 +109,7 @@ def load_config(path: str | Path) -> HarnessConfig:
     for i, entry in enumerate(raw_languages):
         if not isinstance(entry, dict) or "code" not in entry:
             raise HarnessError(f"{path}: languages[{i}] must be a mapping with a 'code'")
+        _check_keys(path, entry, _LANGUAGE_KEYS, f"languages[{i}]")
         metadata = {"code": entry["code"], "family": entry.get("family", "")}
         for key, value in metadata.items():
             if not isinstance(value, str):

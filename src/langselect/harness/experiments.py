@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from ..corpus import (
+    LOADER_VERSION,
     Dataset,
     LanguageCode,
     dedup_dev,
@@ -36,6 +37,7 @@ from ..corpus import (
     load_unlabeled_text,
     read_file_bytes,
     sample_per_language,
+    text_lines,
     warn_empty_corpus,
     warn_empty_devstar,
 )
@@ -142,7 +144,10 @@ class CorpusStore:
     only when a dataset of it is first returned, so a run whose scores
     all come from the cache parses no corpus. Any other file is loaded
     and validated at once, and its facts remembered; with an empty memo,
-    every file is loaded at once.
+    every file is loaded at once. Facts are remembered under
+    ``corpus.LOADER_VERSION``: after a loader change each file is parsed
+    once more, and a file whose rows did not change keeps its digests,
+    so its cells keep their keys and cached scores.
     """
 
     def __init__(self, metadata: dict[str, LanguageCode], memo: FactsMemo):
@@ -169,7 +174,7 @@ class CorpusStore:
         ``warn_empty`` logs, for recalled facts, what the loader logs for
         an empty result."""
         loader = _LOADERS.get(split, "labeled")
-        facts = self._memo.get(NUMERICS_VERSION, loader, raw)
+        facts = self._memo.get(LOADER_VERSION, loader, raw)
         if facts is not None and not facts[1]:
             # Nothing to parse: the split is empty, as the loader would
             # build it, and the recall logs the loader's warning.
@@ -180,7 +185,7 @@ class CorpusStore:
         entry = self._splits[(code, split)] = _Split(name, build, facts)
         if facts is None:
             entry.dataset()
-            self._memo.put(NUMERICS_VERSION, loader, raw, entry.facts())
+            self._memo.put(LOADER_VERSION, loader, raw, entry.facts())
 
     def _add_file(self, code: str, split: str, path: Path, build: Callable[[], Dataset], warn_empty=None) -> None:
         raw = self._raw[(code, split)] = hashlib.sha256(read_file_bytes(path)).hexdigest()
@@ -489,12 +494,11 @@ def jsonl_text(docs: Iterable[dict]) -> str:
 
 def parse_jsonl(text: str, what: str, parse: Callable[[dict], _T]) -> list[_T]:
     """``parse(json.loads(line))`` of each line of JSON-lines ``text``, in
-    order. Lines end in LF, or in CRLF, whose CR is JSON whitespace; blank
-    lines and lines starting with ``#`` are skipped. A line that fails
-    raises ``HarnessError`` reading ``{what} at line {n}: {repr of the
-    error}``."""
+    order. Lines are split by ``corpus.text_lines``; blank lines and lines
+    starting with ``#`` are skipped. A line that fails raises
+    ``HarnessError`` reading ``{what} at line {n}: {repr of the error}``."""
     items = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(text_lines(text), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         try:

@@ -9,15 +9,11 @@ from dataclasses import dataclass
 
 from .errors import TextModelError, check_setting_types
 
-# Version of the learner's float results and of the rows a data file
-# loads to. Bump it with any change that can alter a trained weight or a
-# score in its last bits, so that cached scores from other numerics are
-# never reused. Bump it too with any change to loading or normalization
-# that can alter the rows some file's bytes give (ids, texts, labels,
-# dropped rows, devstar overlap removal): the cache directory's facts
-# journal maps raw bytes to split digests per version, and would
-# otherwise name the old rows. Version 1 was the dense trainer with
-# per-text featurization.
+# Version of the learner's float results. Bump it with any change that
+# can alter a trained weight or a score in its last bits, so that cached
+# scores from other numerics are never reused. The rows a data file loads
+# to are versioned apart, by ``corpus.LOADER_VERSION``. Version 1 was the
+# dense trainer with per-text featurization.
 NUMERICS_VERSION = 2
 
 

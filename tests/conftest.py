@@ -12,6 +12,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 # output otherwise; failures still surface through assertions.
 logging.getLogger("langselect").setLevel(logging.ERROR)
 
+# The characters besides LF and CR that str.splitlines() ends a line at.
+# Any of them can occur inside a tweet, and none ends a line in a data file.
+BOUNDARY_CHARS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+BOUNDARY_IDS = ["U+2028", "U+2029", "U+0085", "VT", "FF", "FS", "GS", "RS"]
+
 
 @pytest.fixture
 def lang():

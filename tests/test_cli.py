@@ -1,5 +1,7 @@
 """CLI tests: verbs, outputs, exit codes and start-up imports."""
+import contextlib
 import hashlib
+import io
 import json
 import logging
 import os
@@ -14,6 +16,8 @@ import numpy as np
 import pytest
 
 from langselect.cli import main
+from langselect.corpus import LOADER_VERSION
+from langselect.harness import load_config
 from langselect.synth import (
     IDENTITY,
     ROTATED,
@@ -90,7 +94,7 @@ class TestExitCodes:
         score = ["score", "--config", config_path, "--target", "aa", "--sources", "aa"]
         if case == "cache-dir-is-file":
             path = tmp_path / "cache"
-            path.write_text("")
+            path.write_text("", encoding="utf-8")
             argv = score
         elif case == "journal-is-dir":
             path = tmp_path / "cache" / "scores.journal"
@@ -103,7 +107,7 @@ class TestExitCodes:
             argv = [verb, "--config", config_path, "--strategy", "bwd", flag, str(path)]
         else:
             path = tmp_path / "out"
-            path.write_text("")
+            path.write_text("", encoding="utf-8")
             argv = ["ingest", "--config", config_path, "--out-dir", str(path)]
         monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
         assert main(argv) == 2
@@ -256,7 +260,7 @@ class TestIngest:
         assert main(["ingest", "--config", config_path, "--out-dir", str(out_dir)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("aa\ttrain=36\tdev=24\tdevstar=21\tremoved=3")
-        devstar = (out_dir / "aa_devstar.tsv").read_text().splitlines()
+        devstar = (out_dir / "aa_devstar.tsv").read_text(encoding="utf-8").splitlines()
         assert devstar[0] == "id\ttext\tlabel"
         assert len(devstar) == 1 + 21
 
@@ -355,7 +359,7 @@ class TestTrainPredictEnsemble:
             preds.append(str(pred_path))
         out_path = tmp_path / "ensemble.tsv"
         assert main(["ensemble", "--inputs", *preds, "--out", str(out_path)]) == 0
-        rows = out_path.read_text().splitlines()
+        rows = out_path.read_text(encoding="utf-8").splitlines()
         assert rows[0] == "id\tlabel"
         assert len(rows) == 1 + 12
 
@@ -364,11 +368,11 @@ class TestTrainPredictEnsemble:
         assert main(["train", "--config", config_path, "--target", "aa", "--sources", "aa",
                      "--out", str(model)]) == 0
         empty = tmp_path / "in.tsv"
-        empty.write_text("id\ttext\n")
+        empty.write_text("id\ttext\n", encoding="utf-8")
         out = tmp_path / "o.tsv"
         capsys.readouterr()
         assert main(["predict", "--model", str(model), "--input", str(empty), "--out", str(out)]) == 0
-        assert out.read_text() == "id\tlabel\n"
+        assert out.read_text(encoding="utf-8") == "id\tlabel\n"
         assert capsys.readouterr().out == f"examples=0\tout={out}\n"
 
     def test_dense_layout_model_file_predicts_the_same(self, tmp_path, config_path, universe_dir):
@@ -401,7 +405,7 @@ class TestTrainPredictEnsemble:
 
     def test_predict_missing_model_is_experiment_error(self, tmp_path):
         ok = tmp_path / "in.tsv"
-        ok.write_text("id\ttext\na\thello\n")
+        ok.write_text("id\ttext\na\thello\n", encoding="utf-8")
         missing = tmp_path / "m.npz"
         assert main(["predict", "--model", str(missing), "--input", str(ok), "--out", str(tmp_path / "o.tsv")]) == 3
 
@@ -433,7 +437,7 @@ class TestTrainPredictEnsemble:
                 arrays["bias"] = arrays["bias"][:2]
             np.savez_compressed(model, **arrays)
         ok = tmp_path / "in.tsv"
-        ok.write_text("id\ttext\na\thello\n")
+        ok.write_text("id\ttext\na\thello\n", encoding="utf-8")
         capsys.readouterr()
         assert main(["predict", "--model", str(model), "--input", str(ok), "--out", str(tmp_path / "o.tsv")]) == 3
         assert f"experiment error: cannot load model file {model}" in capsys.readouterr().err
@@ -458,7 +462,7 @@ class TestTrainPredictEnsemble:
              "--seed", "1", "--out", str(model)]
         ) == 0
         bad = tmp_path / "bad.tsv"
-        bad.write_text("id\ttext\nonly-one-field\n")
+        bad.write_text("id\ttext\nonly-one-field\n", encoding="utf-8")
         assert main(["predict", "--model", str(model), "--input", str(bad), "--out", str(tmp_path / "o.tsv")]) == 2
 
 
@@ -514,7 +518,7 @@ class TestSelectAndReport:
         assert main(
             ["matrix", "--config", config_path, "--strategy", "fwd", "--out", str(matrix_path)]
         ) == 0
-        assert len(matrix_path.read_text().splitlines()) == 9  # N*N cells for N=3
+        assert len(matrix_path.read_text(encoding="utf-8").splitlines()) == 9  # N*N cells for N=3
 
         sel_path = tmp_path / "sel.jsonl"
         selcells_path = tmp_path / "selcells.jsonl"
@@ -531,7 +535,7 @@ class TestSelectAndReport:
              "--matrix", str(selcells_path), "--selections", str(sel_path),
              "--format", "markdown", "--out", str(report_path)]
         ) == 0
-        doc = report_path.read_text()
+        doc = report_path.read_text(encoding="utf-8")
         assert "# Scores by target language" in doc
         assert "monolingual" in doc
 
@@ -540,7 +544,7 @@ class TestSelectAndReport:
             ["report", "--config", config_path, "--matrix", str(matrix_path),
              "--selections", str(sel_path), "--format", "jsonl", "--out", str(jsonl)]
         ) == 0
-        rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
+        rows = [json.loads(line) for line in jsonl.read_text(encoding="utf-8").splitlines()]
         assert any(r["table"] == "selection" for r in rows)
 
 
@@ -553,19 +557,19 @@ class TestSelectAndReport:
         config = str(write_universe(universe, tmp_path / "four"))
         monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
         sel_path, cells_path = tmp_path / "sel.jsonl", tmp_path / "cells.jsonl"
-        cells_path.write_text('{"stale": true}\n')
+        cells_path.write_text('{"stale": true}\n', encoding="utf-8")
         assert main(
             ["select", "--config", config, "--strategy", "bwd", "--mode", "zeroshot",
              "--out", str(sel_path), "--matrix-out", str(cells_path)]
         ) == 0
         assert all(not r["positives"] for r in _read_jsonl(sel_path))
-        assert cells_path.read_text() == ""
+        assert cells_path.read_text(encoding="utf-8") == ""
         cells_path.unlink()
         assert main(
             ["select", "--config", config, "--strategy", "bwd", "--mode", "zeroshot",
              "--matrix-out", str(cells_path)]
         ) == 0
-        assert cells_path.read_text() == ""
+        assert cells_path.read_text(encoding="utf-8") == ""
         capsys.readouterr()
         assert main(
             ["report", "--config", config, "--matrix", str(cells_path), "--selections", str(sel_path)]
@@ -580,7 +584,7 @@ class TestSelectAndReport:
         )
         monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
         train = tmp_path / "four" / "data" / "dd_train.tsv"
-        train.write_text(train.read_text().splitlines()[0] + "\n")
+        train.write_text(train.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
         sel_path = tmp_path / "sel.jsonl"
         assert main(["select", "--config", str(config), "--strategy", "fwd", "--mode", "zeroshot",
                      "--out", str(sel_path)]) == 0
@@ -597,7 +601,7 @@ class TestSelectAndReport:
         )
         monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
         train = tmp_path / "four" / "data" / "dd_train.tsv"
-        train.write_text(train.read_text().splitlines()[0] + "\n")
+        train.write_text(train.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
         caplog.set_level(logging.WARNING, logger="langselect.cli")
         out = tmp_path / "out.jsonl"
         assert main([verb, "--config", str(config), "--strategy", "fwd", "--mode", "multilingual",
@@ -640,12 +644,12 @@ class TestSelectAndReport:
     )
     def test_malformed_selections_line_is_named(self, tmp_path, capsys, config_path, line, reason):
         matrix = tmp_path / "matrix.jsonl"
-        matrix.write_text("")
+        matrix.write_text("", encoding="utf-8")
         good = {"target": "bb", "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
                 "positives": [["aa", 0.1]], "ranking": [["aa", 0.6], ["cc", 0.4]]}
         sel = tmp_path / "sel.jsonl"
         bad = line if isinstance(line, str) else json.dumps(line)
-        sel.write_text(f"# strategy=forward\n{json.dumps(good)}\n{bad}\n")
+        sel.write_text(f"# strategy=forward\n{json.dumps(good)}\n{bad}\n", encoding="utf-8")
         assert main(["report", "--config", config_path, "--matrix", str(matrix), "--selections", str(sel)]) == 3
         err = capsys.readouterr().err
         assert f"{sel}: bad selections jsonl at line 3" in err and reason in err
@@ -656,7 +660,7 @@ class TestSelectAndReport:
         inputs = {"--matrix": tmp_path / "matrix.jsonl", "--selections": tmp_path / "sel.jsonl"}
         for flag, path in inputs.items():
             if flag != missing:
-                path.write_text("")
+                path.write_text("", encoding="utf-8")
         argv = ["report", "--config", config_path]
         for flag, path in inputs.items():
             argv += [flag, str(path)]
@@ -665,7 +669,7 @@ class TestSelectAndReport:
 
     def test_matrix_line_not_an_object_is_named(self, tmp_path, capsys, config_path):
         matrix = tmp_path / "matrix.jsonl"
-        matrix.write_text('\n["x"]\n')
+        matrix.write_text('\n["x"]\n', encoding="utf-8")
         assert main(["report", "--config", config_path, "--matrix", str(matrix)]) == 3
         assert f"{matrix}: bad matrix jsonl at line 2" in capsys.readouterr().err
 
@@ -679,7 +683,7 @@ def test_cli_import_skips_scipy_and_numpy_tooling():
         "import sys, langselect.cli; "
         "print(*[m for m in ('scipy', 'numpy.testing', 'numpy.f2py') if m in sys.modules])"
     )
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, encoding="utf-8", check=True)
     assert done.stdout.split() == []
 
 
@@ -691,7 +695,9 @@ def test_bench_tracer_finds_every_span_but_the_known_four():
     src, bench = str(root / "src"), str(root / "bench")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = f"import sys; sys.path.insert(0, {bench!r}); import tracer; print(*tracer.install().notes, sep='\\n')"
-    done = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", code], env=env, capture_output=True, encoding="utf-8", check=True
+    )
     assert done.stdout.splitlines() == [
         f"{target} not found; its span is skipped"
         for target in (
@@ -716,7 +722,7 @@ def test_openblas_pin_leaves_scores_and_a_preset_value_alone(tmp_path, monkeypat
         env.pop("OPENBLAS_NUM_THREADS", None)
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
-        outputs.append(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout)
+        outputs.append(subprocess.run(argv, env=env, capture_output=True, encoding="utf-8", check=True).stdout)
     assert outputs[0] == outputs[1] and outputs[0].startswith("seed_1=")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
     assert main(["score", "--no-such-flag"]) == 1
@@ -727,11 +733,12 @@ def test_openblas_pin_leaves_scores_and_a_preset_value_alone(tmp_path, monkeypat
 
 
 def _read_jsonl(path):
-    return [json.loads(line) for line in path.read_text().splitlines() if line and not line.startswith("#")]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines if line and not line.startswith("#")]
 
 
 def _journal_records(path):
-    return [tuple(line.split("\t")[1:3]) for line in path.read_text().splitlines()]
+    return [tuple(line.split("\t")[1:3]) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 @pytest.fixture(scope="module")
@@ -800,13 +807,13 @@ class TestCappedTrain:
         (baseline,) = [r for r in _read_jsonl(matrix) if r["target"] == "aa" and len(r["sources"]) == 4]
         assert baseline["sample_cap"] == 30
         gold_tsv = tmp_path / "ingested" / "aa_devstar.tsv"
-        gold = dict(line.split("\t")[::2] for line in gold_tsv.read_text().splitlines()[1:])
+        gold = dict(line.split("\t")[::2] for line in gold_tsv.read_text(encoding="utf-8").splitlines()[1:])
         for seed in (1, 2):
             model, pred = tmp_path / f"model{seed}.npz", tmp_path / f"pred{seed}.tsv"
             assert main(["train", "--config", config, "--target", "aa", "--sources", "aa,bb,cc,dd",
                          "--cap", "30", "--seed", str(seed), "--out", str(model)]) == 0
             assert main(["predict", "--model", str(model), "--input", str(gold_tsv), "--out", str(pred)]) == 0
-            predicted = dict(line.split("\t")[:2] for line in pred.read_text().splitlines()[1:])
+            predicted = dict(line.split("\t")[:2] for line in pred.read_text(encoding="utf-8").splitlines()[1:])
             score = weighted_f1(confusion(list(gold.values()), [predicted[i] for i in gold]))
             assert score == baseline["per_seed"][str(seed)]
 
@@ -826,7 +833,7 @@ class TestReportRows:
             ) == 0
         out = tmp_path / "report.tsv"
         assert main(["report", "--config", str(four_config), *paths, "--format", "tsv", "--out", str(out)]) == 0
-        scores_table = out.read_text().split("\n\n")[0].splitlines()
+        scores_table = out.read_text(encoding="utf-8").split("\n\n")[0].splitlines()
         assert scores_table[0] == "model\taa\tbb\tcc\tdd\toverall"
         rows = {line.split("\t")[0]: line.split("\t")[1:5] for line in scores_table[1:]}
         codes = ["aa", "bb", "cc", "dd"]
@@ -854,7 +861,7 @@ class TestReportRows:
             inputs += ["--selections", str(sel), "--matrix", str(cells)]
         out = tmp_path / "report.tsv"
         assert main(["report", "--config", str(four_config), *inputs, "--format", "tsv", "--out", str(out)]) == 0
-        scores, _, picks = out.read_text().rstrip("\n").split("\n\n")
+        scores, _, picks = out.read_text(encoding="utf-8").rstrip("\n").split("\n\n")
         labels = [line.split("\t")[0] for line in scores.splitlines()[1:]]
         assert "fwd source transfer" in labels and "fwd zeroshot source transfer" in labels
         picks = picks.splitlines()
@@ -919,7 +926,7 @@ class TestNumpyFreeVerbs:
 
         def run(*argv):
             done = subprocess.run(
-                [sys.executable, "-c", _VERB_PROBE, *argv], env=env, capture_output=True, text=True, timeout=300
+                [sys.executable, "-c", _VERB_PROBE, *argv], env=env, capture_output=True, encoding="utf-8", timeout=300
             )
             assert done.returncode == 0, done.stderr
             rc, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
@@ -947,7 +954,7 @@ class TestNumpyFreeVerbs:
 
         done = subprocess.run(
             [sys.executable, "-c", _EXPORT_PROBE, json.dumps(_EXPORTS)],
-            env=env, capture_output=True, text=True, check=True, timeout=60,
+            env=env, capture_output=True, encoding="utf-8", check=True, timeout=60,
         )
         assert json.loads(done.stdout) == [False, [], []]
 
@@ -973,7 +980,9 @@ def _warm_universe(adaptation):
 @pytest.fixture(scope="module")
 def warm_dirs(tmp_path_factory):
     """Per adaptation, a four-language universe whose cache the verbs of
-    ``_warm_verbs`` have filled, with their outputs under ``cold/``."""
+    ``_warm_verbs`` have filled, with their outputs under ``cold/``;
+    ``cold/stdout.txt`` holds their stdout, with ``{out}`` for the output
+    directory."""
     dirs = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("LANGSELECT_CACHE_DIR", raising=False)
@@ -981,8 +990,11 @@ def warm_dirs(tmp_path_factory):
             root = tmp_path_factory.mktemp("warm")
             config = write_universe(_warm_universe(adaptation), root)
             (root / "cold").mkdir()
-            for argv in _warm_verbs(config, root / "cold"):
-                assert main(argv) == 0
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                for argv in _warm_verbs(config, root / "cold"):
+                    assert main(argv) == 0
+            text = stdout.getvalue().replace(str(root / "cold"), "{out}")
+            (root / "cold" / "stdout.txt").write_text(text, encoding="utf-8")
             dirs[adaptation] = root
     return dirs
 
@@ -1035,6 +1047,36 @@ class TestWarmRuns:
         assert calls == {"load_labeled_tsv": [], "load_unlabeled_text": [], "fine_tune": []}
         for name in ("sel.jsonl", "cells.jsonl", "matrix.jsonl"):
             assert (universe / "warm" / name).read_bytes() == (universe / "cold" / name).read_bytes()
+
+    @pytest.mark.parametrize("universe", ["none", "lapt+tapt"], indirect=True)
+    def test_facts_of_an_older_loader_are_derived_once(self, universe, calls, capsys):
+        # A cache filled before the loaders had a version of their own holds
+        # facts records keyed by NUMERICS_VERSION 2. None is recalled: the
+        # first verb parses each configured file once and remembers its
+        # facts anew. Rows, digests and cell keys are unchanged, so every
+        # score comes from the journal and every output is as before.
+        facts = universe / "cache" / "facts.journal"
+        records = facts.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert records and all(r.startswith(f"v1\t{LOADER_VERSION}\t") for r in records)
+        old = "".join(r.replace(f"v1\t{LOADER_VERSION}\t", "v1\t2\t", 1) for r in records)
+        facts.write_text(old, encoding="utf-8")
+        journal = (universe / "cache" / "scores.journal").read_bytes()
+        cfg = load_config(universe / "config.yaml")
+        labeled = sorted(p.name for lf in cfg.languages for p in (lf.train, lf.dev, lf.test) if p is not None)
+        corpora = sorted(lf.lapt_corpus.name for lf in cfg.languages if lf.lapt_corpus is not None)
+
+        parsed = {"load_labeled_tsv": labeled, "load_unlabeled_text": corpora, "fine_tune": []}
+        stdout, after = self._run(universe, capsys)
+        assert after == journal
+        assert {name: sorted(names) for name, names in calls.items()} == parsed
+        cold = (universe / "cold" / "stdout.txt").read_text(encoding="utf-8")
+        assert stdout == cold.replace("{out}", str(universe / "warm"))
+        for name in ("sel.jsonl", "cells.jsonl", "matrix.jsonl"):
+            assert (universe / "warm" / name).read_bytes() == (universe / "cold" / name).read_bytes()
+        assert facts.read_text(encoding="utf-8") == old + "".join(records)
+
+        assert self._run(universe, capsys) == (stdout, journal)
+        assert {name: sorted(names) for name, names in calls.items()} == parsed
 
     def test_rotated_labels_miss_the_cache(self, universe, calls, capsys):
         train = universe / "data" / "bb_train.tsv"

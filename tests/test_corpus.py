@@ -28,7 +28,7 @@ from langselect.corpus import (
 )
 from langselect.ensemble import read_predictions_tsv
 
-from conftest import make_dataset
+from conftest import BOUNDARY_CHARS, BOUNDARY_IDS, make_dataset
 from reference import reference_normalize
 
 
@@ -183,20 +183,20 @@ class TestDatasetInvariants:
 class TestLoadLabeledTsv:
     def test_basic_parse(self, tmp_path, lang):
         path = tmp_path / "d.tsv"
-        path.write_text("id\ttext\tlabel\nt1\tgreat day\tpositive\n")
+        path.write_text("id\ttext\tlabel\nt1\tgreat day\tpositive\n", encoding="utf-8")
         ds = load_labeled_tsv(path, lang)
         assert len(ds) == 1
         assert ds.examples[0] == Example("t1", "great day", "positive")
 
     def test_unknown_label_names_line_and_value(self, tmp_path, lang):
         path = tmp_path / "d.tsv"
-        path.write_text("id\ttext\tlabel\nt1\tok\thappy\n")
+        path.write_text("id\ttext\tlabel\nt1\tok\thappy\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=r"unknown label 'happy' at line 2"):
             load_labeled_tsv(path, lang)
 
     def test_malformed_row_names_line(self, tmp_path, lang):
         path = tmp_path / "d.tsv"
-        path.write_text("id\ttext\tlabel\nt1\tok\tpositive\njust-one-field\n")
+        path.write_text("id\ttext\tlabel\nt1\tok\tpositive\njust-one-field\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 3"):
             load_labeled_tsv(path, lang)
 
@@ -206,13 +206,13 @@ class TestLoadLabeledTsv:
 
     def test_mention_only_text_kept(self, tmp_path, lang):
         path = tmp_path / "d.tsv"
-        path.write_text("id\ttext\tlabel\nt1\t@user\tpositive\n")
+        path.write_text("id\ttext\tlabel\nt1\t@user\tpositive\n", encoding="utf-8")
         ds = load_labeled_tsv(path, lang)
         assert [ex.text for ex in ds] == ["USER"]
 
     def test_labels_case_insensitive(self, tmp_path, lang):
         path = tmp_path / "d.tsv"
-        path.write_text("id\ttext\tlabel\nt1\tok\tPositive\nt2\tmeh\tNEUTRAL\n")
+        path.write_text("id\ttext\tlabel\nt1\tok\tPositive\nt2\tmeh\tNEUTRAL\n", encoding="utf-8")
         ds = load_labeled_tsv(path, lang)
         assert [ex.label for ex in ds] == ["positive", "neutral"]
 
@@ -222,13 +222,25 @@ class TestLoadLabeledTsv:
         ds = load_labeled_tsv(path, lang)
         assert [ex.text for ex in ds] == ["ok"]
 
+    @pytest.mark.parametrize("ch", BOUNDARY_CHARS, ids=BOUNDARY_IDS)
+    def test_boundary_character_stays_in_its_text(self, tmp_path, lang, ch):
+        # Labeled and predict --input files alike: the character stays in
+        # its row, and normalization turns it into a space.
+        path = tmp_path / "d.tsv"
+        path.write_text(f"id\ttext\tlabel\nt1\thello{ch}world\tpositive\nt2\tok\tneutral\n", encoding="utf-8")
+        assert [(ex.id, ex.text, ex.label) for ex in load_labeled_tsv(path, lang)] == [
+            ("t1", "hello world", "positive"), ("t2", "ok", "neutral")
+        ]
+        assert load_texts_tsv(path) == (["t1", "t2"], ["hello world", "ok"])
+
     def test_roundtrip(self, tmp_path, lang):
         path = tmp_path / "d.tsv"
         path.write_text(
             "id\ttext\tlabel\n"
             "t1\tsoooooo cooool @buddy\tpositive\n"
             "t2\tvisit www.spam.example now!!!\tnegative\n"
-            "t3\tjust fine\tneutral\n"
+            "t3\tjust fine\tneutral\n",
+            encoding="utf-8",
         )
         ds = load_labeled_tsv(path, lang)
         out = tmp_path / "out.tsv"
@@ -260,13 +272,13 @@ class TestSharedTsvRules:
 
     def test_header_only_gives_no_rows(self, tmp_path, read_rows):
         path = tmp_path / "d.tsv"
-        path.write_text("id\ttext\tlabel\n")
+        path.write_text("id\ttext\tlabel\n", encoding="utf-8")
         assert read_rows(path) == []
 
     def test_blank_lines_skipped(self, tmp_path, read_rows):
         plain, spaced = tmp_path / "plain.tsv", tmp_path / "spaced.tsv"
-        plain.write_text("h\n" + self.ROWS)
-        spaced.write_text("h\n\n  \n" + self.ROWS.replace("\n", "\n \t \n\n", 1) + "\n")
+        plain.write_text("h\n" + self.ROWS, encoding="utf-8")
+        spaced.write_text("h\n\n  \n" + self.ROWS.replace("\n", "\n \t \n\n", 1) + "\n", encoding="utf-8")
         assert len(read_rows(plain)) == 2
         assert read_rows(spaced) == read_rows(plain)
 
@@ -276,15 +288,43 @@ class TestSharedTsvRules:
         crlf.write_bytes(("h\n" + self.ROWS).replace("\n", "\r\n").encode("utf-8"))
         assert read_rows(crlf) == read_rows(lf)
 
+    def test_lone_cr_reads_like_lf(self, tmp_path, read_rows):
+        lf, cr = tmp_path / "lf.tsv", tmp_path / "cr.tsv"
+        lf.write_bytes(("h\n" + self.ROWS).encode("utf-8"))
+        cr.write_bytes(("h\n" + self.ROWS).replace("\n", "\r").encode("utf-8"))
+        assert read_rows(cr) == read_rows(lf)
+
+    def test_leading_bom_dropped(self, tmp_path, read_rows):
+        plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+        plain.write_text("h\n" + self.ROWS, encoding="utf-8")
+        bom.write_text("\ufeffh\n" + self.ROWS, encoding="utf-8")
+        assert read_rows(bom) == read_rows(plain)
+
+    @pytest.mark.parametrize("ch", BOUNDARY_CHARS, ids=BOUNDARY_IDS)
+    def test_boundary_character_stays_in_its_field(self, tmp_path, read_rows, ch):
+        plain, path = tmp_path / "plain.tsv", tmp_path / "d.tsv"
+        plain.write_text("h\n" + self.ROWS, encoding="utf-8")
+        path.write_text("h\n" + self.ROWS.replace("a\t", f"a{ch}z\t"), encoding="utf-8")
+        rows = read_rows(path)
+        assert len(rows) == 2 and rows[0][0] == f"a{ch}z"
+        assert rows[0][1:] == read_rows(plain)[0][1:] and rows[1] == read_rows(plain)[1]
+
+    @pytest.mark.parametrize("ch", BOUNDARY_CHARS, ids=BOUNDARY_IDS)
+    def test_error_line_counts_only_newlines(self, tmp_path, read_rows, ch):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(f"h{ch}x\r\na{ch}z\tpositive\tneutral\rb\tnegative\tpositive\nc\n".encode("utf-8"))
+        with pytest.raises(CorpusError, match=re.escape(f"{path}: malformed row at line 4: expected id<TAB>")):
+            read_rows(path)
+
     def test_empty_file_names_the_path(self, tmp_path, read_rows):
         path = tmp_path / "d.tsv"
-        path.write_text("")
+        path.write_text("", encoding="utf-8")
         with pytest.raises(CorpusError, match=re.escape(f"{path}: empty file, expected a header line")):
             read_rows(path)
 
     def test_short_row_names_path_and_line(self, tmp_path, read_rows):
         path = tmp_path / "d.tsv"
-        path.write_text("h\n" + self.ROWS + "\nc\n")
+        path.write_text("h\n" + self.ROWS + "\nc\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=re.escape(f"{path}: malformed row at line 5: expected id<TAB>")):
             read_rows(path)
 
@@ -292,14 +332,14 @@ class TestSharedTsvRules:
 class TestLoadUnlabeledText:
     def test_blank_lines_skipped(self, tmp_path, lang):
         path = tmp_path / "c.txt"
-        path.write_text("one\n\ntwo\nthree\n")
+        path.write_text("one\n\ntwo\nthree\n", encoding="utf-8")
         ds = load_unlabeled_text(path, lang)
         assert [ex.text for ex in ds] == ["one", "two", "three"]
         assert not any(ex.label for ex in ds)
 
     def test_url_normalized(self, tmp_path, lang):
         path = tmp_path / "c.txt"
-        path.write_text("visit https://x.co\n")
+        path.write_text("visit https://x.co\n", encoding="utf-8")
         ds = load_unlabeled_text(path, lang)
         assert ds.examples[0].text == "visit HTTPURL"
 
@@ -314,9 +354,24 @@ class TestLoadUnlabeledText:
             ("u1", "HTTPURL"), ("u2", "USER"), ("u4", "!"), ("u5", "\u200b"), ("u6", ".")
         ]
 
+    @pytest.mark.parametrize("ch", BOUNDARY_CHARS, ids=BOUNDARY_IDS)
+    def test_boundary_character_stays_in_its_line(self, tmp_path, lang, ch):
+        path = tmp_path / "c.txt"
+        path.write_text(f"one{ch}two\n{ch}\nthree {ch}\n", encoding="utf-8")
+        ds = load_unlabeled_text(path, lang)
+        assert [(ex.id, ex.text) for ex in ds] == [("u1", "one two"), ("u3", "three")]
+
+    def test_line_ends_and_bom(self, tmp_path, lang):
+        # LF, CRLF and a lone CR each end a line; one leading BOM is not
+        # part of the first sentence.
+        path = tmp_path / "c.txt"
+        path.write_bytes("\ufeffone\r\ntwo\rthree\n\r\nfour".encode("utf-8"))
+        ds = load_unlabeled_text(path, lang)
+        assert [(ex.id, ex.text) for ex in ds] == [("u1", "one"), ("u2", "two"), ("u3", "three"), ("u5", "four")]
+
     def test_empty_file_ok(self, tmp_path, lang):
         path = tmp_path / "c.txt"
-        path.write_text("")
+        path.write_text("", encoding="utf-8")
         assert len(load_unlabeled_text(path, lang)) == 0
 
     def test_invalid_utf8_names_offset(self, tmp_path, lang):

@@ -98,7 +98,7 @@ class TestPredictionFiles:
     def test_plain_format_defaults_probs_to_zero(self, tmp_path):
         path = tmp_path / "p.tsv"
         write_predictions_tsv(path, ["a"], [("neutral", (0.1, 0.8, 0.1))])
-        assert path.read_text() == "id\tlabel\na\tneutral\n"
+        assert path.read_text(encoding="utf-8") == "id\tlabel\na\tneutral\n"
         _, loaded = read_predictions_tsv(path)
         assert loaded == [("neutral", (0.0, 0.0, 0.0))]
 

@@ -2,6 +2,7 @@
 selection plans, matrix runner and reports."""
 import json
 import logging
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from langselect.synth import (
     write_universe,
 )
 
+from conftest import BOUNDARY_CHARS, BOUNDARY_IDS
 from synth_fixtures import build_store
 
 TINY_LEARNER = {
@@ -209,7 +211,7 @@ class TestCorpusStore:
     def test_header_only_train_is_not_trainable(self, tmp_path):
         config = write_universe(TINY, tmp_path)
         train = tmp_path / "data" / "bb_train.tsv"
-        train.write_text(train.read_text().splitlines()[0] + "\n")
+        train.write_text(train.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
         store = CorpusStore.from_config(load_config(config))
         assert [store.has_train(code) for code in ("aa", "bb", "cc", "zz")] == [True, False, True, False]
         assert store.has_eval("bb", "devstar") and len(store.train("bb")) == 0
@@ -235,7 +237,7 @@ class TestCorpusStore:
 
     def test_digests_pinned(self, tmp_path):
         # The facts memo maps a file's raw bytes to its split digest for one
-        # NUMERICS_VERSION, so that mapping must not move under it: URLs,
+        # LOADER_VERSION, so that mapping must not move under it: URLs,
         # mentions, character and punctuation runs, CRLF, whitespace, and
         # rows that normalize to empty and are dropped.
         data = tmp_path / "data"
@@ -273,8 +275,8 @@ class TestCorpusStore:
             "lapt": "4c79fb660a8b8eefadf97e653932d1f936aeec0cb52f546487f48b83be16420e",
         }
         assert digests == pinned, (
-            "the rows loaded from these bytes changed; bump NUMERICS_VERSION in "
-            "langselect/learner_config.py, or remembered split facts will name the wrong rows"
+            "the rows loaded from these bytes changed; bump LOADER_VERSION in "
+            "langselect/corpus.py, or remembered split facts will name the wrong rows"
         )
 
 
@@ -313,7 +315,7 @@ class TestFactsMemo:
 
     def test_no_cache_dir_loads_every_file(self, tmp_path, monkeypatch):
         config = write_universe(TINY, tmp_path)
-        config.write_text(config.read_text().replace("cache_dir: cache\n", ""))
+        config.write_text(config.read_text(encoding="utf-8").replace("cache_dir: cache\n", ""), encoding="utf-8")
         cfg = load_config(config)
         assert cfg.facts_path() is None
         for _ in range(2):
@@ -329,6 +331,25 @@ class TestFactsMemo:
         assert memo.get(2, "labeled", "ab") == ("digest", 3)
         assert list(tmp_path.iterdir()) == []
 
+    def test_facts_are_keyed_by_loader_version(self, tmp_path, monkeypatch):
+        # A loader change parses every file once more and keeps every
+        # digest whose rows it leaves alone; a numerics change re-parses
+        # nothing, since cell keys carry the numerics version themselves.
+        import langselect.harness.experiments as exp
+
+        cfg = load_config(write_universe(TINY, tmp_path))
+        cold, _ = self._store(cfg, monkeypatch)
+        digests = [cold.digest(code, "devstar") for code in ("aa", "bb", "cc")]
+        monkeypatch.setattr(exp, "NUMERICS_VERSION", exp.NUMERICS_VERSION + 1)
+        _, loads = self._store(cfg, monkeypatch)
+        assert loads == []
+        monkeypatch.setattr(exp, "LOADER_VERSION", exp.LOADER_VERSION + 1)
+        bumped, loads = self._store(cfg, monkeypatch)
+        assert len(loads) == 10
+        assert [bumped.digest(code, "devstar") for code in ("aa", "bb", "cc")] == digests
+        _, loads = self._store(cfg, monkeypatch)
+        assert loads == []
+
     def test_file_changed_after_hashing_is_refused(self, tmp_path, monkeypatch):
         # Rows parsed after the store hashed the bytes must be the rows its
         # digests name, or a score would be cached under the wrong key.
@@ -337,7 +358,7 @@ class TestFactsMemo:
         CorpusStore.from_config(cfg, FactsMemo(cfg.facts_path()))
         warm = CorpusStore.from_config(cfg, FactsMemo(cfg.facts_path()))
         train = tmp_path / "data" / "bb_train.tsv"
-        train.write_text(train.read_text().replace("positive", "negative"))
+        train.write_text(train.read_text(encoding="utf-8").replace("positive", "negative"), encoding="utf-8")
         with pytest.raises(CorpusError, match="bb_train.tsv: rows differ"):
             warm.train("bb")
 
@@ -698,13 +719,15 @@ class TestRunMatrix:
         written = [json.loads(line) for line in matrix.to_jsonl().splitlines()]
         assert {tuple(doc["sources"]): doc["mode"] for doc in written} == modes
 
-    @pytest.mark.parametrize("form", ["as written", "crlf", "comment and blank lines", "raw U+2028 in a key"])
+    @pytest.mark.parametrize(
+        "form", ["as written", "crlf", "comment and blank lines", "raw U+2028 in a key", "lone cr"]
+    )
     def test_jsonl_roundtrip(self, store, form):
         cells = [PlanCell("aa", ("aa",), None), PlanCell("aa", ("aa", "bb"), None)]
         matrix = run_matrix(cells, store, seeds=(1, 2), learner=LEARNER)
         text = matrix.to_jsonl()
-        if form == "crlf":
-            text = text.replace("\n", "\r\n")
+        if form in ("crlf", "lone cr"):
+            text = text.replace("\n", "\r\n" if form == "crlf" else "\r")
         elif form == "comment and blank lines":
             text = f"# written by hand\n\n{text} \n"
         elif form == "raw U+2028 in a key":
@@ -714,6 +737,23 @@ class TestRunMatrix:
             text = "".join(json.dumps(doc, ensure_ascii=False) + "\n" for doc in docs)
             assert "\u2028" in text
         assert ScoreMatrix.from_jsonl(text) == matrix
+
+    @pytest.mark.parametrize("ch", BOUNDARY_CHARS, ids=BOUNDARY_IDS)
+    def test_jsonl_boundary_character_ends_no_line(self, store, ch):
+        # JSON takes a raw character at or above U+0080 inside a string,
+        # and none of the control characters outside a comment line; in
+        # both places the character ends no line, so the lines load as
+        # written and an error names the line that LF and CR count.
+        matrix = run_matrix([PlanCell("aa", ("aa",), None)], store, seeds=(1,), learner=LEARNER)
+        if ch >= "\x80":
+            matrix = ScoreMatrix({f"{key}{ch}": entry for key, entry in matrix.entries.items()})
+        docs = [json.loads(line) for line in matrix.to_jsonl().splitlines()]
+        body = "".join(json.dumps(doc, ensure_ascii=False) + "\n" for doc in docs)
+        assert (ch in body) == (ch >= "\x80")
+        text = f"# note{ch}{{not json}}\n{body}"
+        assert ScoreMatrix.from_jsonl(text) == matrix
+        with pytest.raises(HarnessError, match=r"^bad matrix jsonl at line 3: "):
+            ScoreMatrix.from_jsonl(text + '["x"]\n')
 
     @pytest.mark.parametrize(
         "line",
@@ -942,7 +982,7 @@ class TestModelGroups:
         cells = [PlanCell(t, ("aa", "bb", "cc"), 10) for t in ("aa", "bb", "cc")]
         cells += [PlanCell("aa", ("bb",), None), PlanCell("bb", ("cc",), None)]
         run_matrix(cells, store, seeds=(2, 1), learner=LEARNER, cache=ScoreCache(journal))
-        records = [line.split("\t")[1:3] for line in journal.read_text().splitlines()]
+        records = [line.split("\t")[1:3] for line in journal.read_text(encoding="utf-8").splitlines()]
         assert [(key[:6], int(seed)) for key, seed in records] == [
             ("292750", 1), ("292750", 2),
             ("2dd3e9", 1), ("2dd3e9", 2),
@@ -1019,7 +1059,7 @@ class TestReport:
         assert any(r["table"] == "scores" for r in rows)
         assert any(r["table"] == "selection" for r in rows)
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_selections_jsonl_roundtrip(self, store, tmp_path, newline):
         _, columns = self._matrix_and_selections(store)
         text = selection_results_to_jsonl(columns["forward"], "forward")
@@ -1027,6 +1067,26 @@ class TestReport:
         path = tmp_path / "sel.jsonl"
         path.write_bytes(text.replace("\n", newline).encode("utf-8"))
         assert selection_results_from_jsonl(path) == [r for _, r in sorted(columns["forward"].items())]
+
+    def test_selections_jsonl_leading_bom_dropped(self, store, tmp_path):
+        _, columns = self._matrix_and_selections(store)
+        path = tmp_path / "sel.jsonl"
+        path.write_text("\ufeff" + selection_results_to_jsonl(columns["forward"], "forward"), encoding="utf-8")
+        assert selection_results_from_jsonl(path) == [r for _, r in sorted(columns["forward"].items())]
+
+    @pytest.mark.parametrize("ch", BOUNDARY_CHARS, ids=BOUNDARY_IDS)
+    def test_selections_jsonl_boundary_character_ends_no_line(self, store, tmp_path, ch):
+        # A selections object holds no free-text string, so the character
+        # sits in a comment line, which it must not end.
+        _, columns = self._matrix_and_selections(store)
+        header, body = selection_results_to_jsonl(columns["forward"], "forward").split("\n", 1)
+        path = tmp_path / "sel.jsonl"
+        path.write_text(f"{header}\n# note{ch}{{not json}}\n{body}", encoding="utf-8")
+        assert selection_results_from_jsonl(path) == [r for _, r in sorted(columns["forward"].items())]
+        path.write_text(f"{header}\n# note{ch}{{not json}}\n{body}[]\n", encoding="utf-8")
+        bad_line = 3 + body.count("\n")
+        with pytest.raises(HarnessError, match=f"^{re.escape(f'{path}: bad selections jsonl at line {bad_line}: ')}"):
+            selection_results_from_jsonl(path)
 
     def test_unknown_format(self, store):
         matrix, selections = self._matrix_and_selections(store)
@@ -1056,28 +1116,28 @@ class TestConfig:
         with pytest.raises(HarnessError, match="not found"):
             load_config(tmp_path / "nope.yaml")
         bad = tmp_path / "bad.yaml"
-        bad.write_text("languages: []\n")
+        bad.write_text("languages: []\n", encoding="utf-8")
         with pytest.raises(HarnessError, match="non-empty"):
             load_config(bad)
-        bad.write_text("languages:\n  - code: aa\n  - code: aa\n")
+        bad.write_text("languages:\n  - code: aa\n  - code: aa\n", encoding="utf-8")
         with pytest.raises(HarnessError, match="duplicate"):
             load_config(bad)
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("languages:\n  - code: aa\nseeds: [1, 1, 2]\n")
+        bad.write_text("languages:\n  - code: aa\nseeds: [1, 1, 2]\n", encoding="utf-8")
         with pytest.raises(HarnessError, match="distinct"):
             load_config(bad)
-        bad.write_text("languages:\n  - code: aa\nseeds: [1, 2]\nselection:\n  seeds: [2, 2]\n")
+        bad.write_text("languages:\n  - code: aa\nseeds: [1, 2]\nselection:\n  seeds: [2, 2]\n", encoding="utf-8")
         with pytest.raises(HarnessError, match="seeds"):
             load_config(bad)
 
     def test_eval_split_must_be_devstar(self, tmp_path):
         config = tmp_path / "config.yaml"
         for section in ("", "eval_split: devstar\n"):
-            config.write_text("languages:\n  - code: aa\n" + section)
+            config.write_text("languages:\n  - code: aa\n" + section, encoding="utf-8")
             load_config(config)
-        config.write_text("languages:\n  - code: aa\neval_split: test\n")
+        config.write_text("languages:\n  - code: aa\neval_split: test\n", encoding="utf-8")
         with pytest.raises(HarnessError, match="score --eval-split"):
             load_config(config)
 
@@ -1097,10 +1157,35 @@ class TestConfig:
         for key, settings in (("learner", LearnerConfig()), ("selection", SelectionConfig())):
             assert doc[key] == {f.name: getattr(settings, f.name) for f in fields(settings)}
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("languages:\n  - code: aa\nadaptaton: tapt\n", "unknown key 'adaptaton' in the config"),
+            ("languages:\n  - code: aa\nseed: [3]\n", "unknown key 'seed' in the config"),
+            ("languages:\n  - code: aa\n    train: a.tsv\n    devv: a_dev.tsv\n", "unknown key 'devv' in languages[0]"),
+            ("languages:\n  - code: aa\nseed: 3\n1: x\n", "unknown keys 'seed', 1 in the config"),
+        ],
+        ids=["top-level", "seed-not-seeds", "language-entry", "two-keys"],
+    )
+    def test_unknown_key_rejected(self, tmp_path, text, message):
+        # A misspelt key would otherwise load as its default: TAPT off,
+        # seeds 1-5, or a language without its dev split and so no target.
+        config = tmp_path / "config.yaml"
+        config.write_text(text, encoding="utf-8")
+        with pytest.raises(HarnessError, match=f"^{re.escape(f'{config}: {message}')}$"):
+            load_config(config)
+
+    def test_parallelism_key_accepted_and_ignored(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("languages:\n  - code: aa\nseeds: [1]\n", encoding="utf-8")
+        plain = load_config(config)
+        config.write_text("languages:\n  - code: aa\nseeds: [1]\nparallelism: 4\n", encoding="utf-8")
+        assert load_config(config) == plain
+
     def test_learner_seed_rejected(self, tmp_path):
         # A run's seeds are the top-level ``seeds``; a learner seed would
         # be parsed and then overridden by every job.
         bad = tmp_path / "bad.yaml"
-        bad.write_text("languages:\n  - code: aa\nseeds: [1, 2]\nlearner:\n  seed: 3\n")
+        bad.write_text("languages:\n  - code: aa\nseeds: [1, 2]\nlearner:\n  seed: 3\n", encoding="utf-8")
         with pytest.raises(HarnessError, match="seeds"):
             load_config(bad)
