@@ -172,7 +172,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         code = lf.language.code
         train = store.split(code, "train")
         dev = store.split(code, "dev")
-        devstar = store.devstar(code)
+        devstar = store.split(code, "devstar")
         if devstar is None:
             print(f"{code}\ttrain={len(train) if train else 0}\tdev={len(dev) if dev else 0}\tdevstar=skipped")
             continue
@@ -223,8 +223,8 @@ def _tasks(cfg, store, mode: str) -> list[sel.SelectionTask]:
     multilingual plan trains on its target's own rows, so there a
     language without train rows is no target: it is skipped with a
     warning."""
-    trainable = sorted(lf.language.code for lf in cfg.languages if store.has_train(lf.language.code))
-    targets = sorted(lf.language.code for lf in cfg.languages if store.has_eval(lf.language.code, "devstar"))
+    trainable = sorted(lf.language.code for lf in cfg.languages if store.has(lf.language.code, "train"))
+    targets = sorted(lf.language.code for lf in cfg.languages if store.has(lf.language.code, "devstar"))
     if mode == sel.MULTILINGUAL:
         for t in sorted(set(targets) - set(trainable)):
             logger.warning("%s: no train rows, so it is not a target of a multilingual plan", t)

@@ -24,7 +24,7 @@ import yaml
 from ..corpus import LanguageCode, read_utf8
 from ..errors import CorpusError, HarnessError, SelectionError, TextModelError
 from ..selection import SelectionConfig
-from ..learner_config import LearnerConfig
+from ..learner_config import ADAPTATIONS, LearnerConfig
 
 CACHE_DIR_ENV = "LANGSELECT_CACHE_DIR"
 
@@ -146,7 +146,9 @@ def load_config(path: str | Path) -> HarnessConfig:
     except (TypeError, TextModelError, SelectionError) as e:
         raise HarnessError(f"{path}: bad learner/selection settings: {e}") from None
 
-    adaptation = str(doc.get("adaptation", "none")).lower()
+    adaptation = doc.get("adaptation", "none")
+    if not isinstance(adaptation, str) or adaptation.lower() not in ADAPTATIONS:
+        raise HarnessError(f"{path}: 'adaptation' must be one of {ADAPTATIONS}, got {adaptation!r}")
     if doc.get("eval_split", "devstar") != "devstar":
         raise HarnessError(
             f"{path}: 'eval_split' must be devstar, got {doc['eval_split']!r}: selection always scores "
@@ -159,5 +161,5 @@ def load_config(path: str | Path) -> HarnessConfig:
         selection=selection,
         seeds=seeds,
         cache_dir=_resolve(path, "cache_dir", doc.get("cache_dir")),
-        adaptation=adaptation,
+        adaptation=adaptation.lower(),
     )

@@ -41,8 +41,8 @@ from ..corpus import (
     warn_empty_corpus,
     warn_empty_devstar,
 )
-from ..errors import CorpusError, HarnessError, LangselectError, TextModelError
-from ..learner_config import NUMERICS_VERSION, LearnerConfig
+from ..errors import CorpusError, HarnessError, LangselectError
+from ..learner_config import ADAPTATIONS, NUMERICS_VERSION, LearnerConfig
 from ..selection import PlanCell, cell_mode
 from .cache import FactsMemo, ScoreCache
 from .config import HarnessConfig
@@ -82,7 +82,6 @@ def __getattr__(name: str):
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-ADAPTATIONS = ("none", "tapt", "lapt", "lapt+tapt")
 EVAL_SPLITS = ("devstar", "dev", "test")
 
 
@@ -133,11 +132,15 @@ class CorpusStore:
     """Datasets organized by language and split; the split "lapt" names a
     language's LAPT corpus. Built by ``from_config``.
 
-    A split's facts are its content digest and row count. ``digest``,
-    ``has_train`` and ``has_eval`` answer from them; ``train``, ``split``,
-    ``devstar`` and ``lapt_corpus`` return datasets. ``devstar`` splits
-    are derived from train/dev overlap removal on first use. ``sample``
-    returns capped train splits, each drawn once.
+    Every split query goes through three methods under one rule: a
+    split that is absent or holds no rows has no rows. ``split`` returns
+    the dataset, or None if it is absent; ``rows`` returns it only if it
+    holds a row, and otherwise raises one ``HarnessError`` naming the
+    language and the split; ``has`` says whether ``rows`` would succeed.
+    A split's facts are its content digest and row count, and ``has``
+    and ``digest`` answer from them alone. A ``devstar`` split is derived
+    from train/dev overlap removal on first use. ``sample`` returns
+    capped train splits, each drawn once.
 
     The store hashes every configured file's bytes and looks their facts
     up in its ``FactsMemo``. A file whose facts the memo holds is parsed
@@ -213,33 +216,34 @@ class CorpusStore:
             raise HarnessError(f"unknown language {code!r}") from None
 
     def split(self, code: str, split: str) -> Dataset | None:
+        """The split's dataset, empty or not, or None if it is absent."""
         entry = self._entry(code, split)
         return None if entry is None else entry.dataset()
 
-    def train(self, code: str) -> Dataset:
-        ds = self.split(code, "train")
-        if ds is None:
-            raise HarnessError(f"no train split loaded for language {code!r}")
-        return ds
+    def rows(self, code: str, split: str) -> Dataset:
+        """The split's dataset, which holds at least one row. An absent
+        or empty split is a ``HarnessError`` naming the language and the
+        split."""
+        if not self.has(code, split):
+            what = "LAPT corpus" if split == "lapt" else f"{split} split"
+            raise HarnessError(f"language {code!r} has no rows in its {what}")
+        return self.split(code, split)
+
+    def has(self, code: str, split: str) -> bool:
+        """Whether the split is present and holds at least one row, so
+        that ``rows`` returns it."""
+        entry = self._entry(code, split)
+        return entry is not None and entry.facts()[1] > 0
 
     def sample(self, code: str, cap: int, seed: int) -> Dataset:
-        """The train split of ``code`` capped at ``cap`` rows by
+        """``rows(code, "train")`` capped at ``cap`` rows by
         ``sample_per_language`` with ``seed``. A draw depends on nothing
         else, so it is made on first use and kept: at most ``cap``
         references to the split's examples."""
         key = (code, cap, seed)
         if key not in self._samples:
-            (self._samples[key],) = sample_per_language([self.train(code)], cap, seed=seed)
+            (self._samples[key],) = sample_per_language([self.rows(code, "train")], cap, seed=seed)
         return self._samples[key]
-
-    def devstar(self, code: str) -> Dataset | None:
-        return self.split(code, "devstar")
-
-    def lapt_corpus(self, code: str) -> Dataset:
-        ds = self.split(code, "lapt")
-        if ds is None:
-            raise HarnessError(f"no LAPT corpus configured for language {code!r}")
-        return ds
 
     def digest(self, code: str, split: str) -> str | None:
         """sha256 of a split's (id, text, label) rows in order, or None if
@@ -247,20 +251,6 @@ class CorpusStore:
         language's LAPT corpus."""
         entry = self._entry(code, split)
         return None if entry is None else entry.facts()[0]
-
-    def eval_dataset(self, code: str, split: str) -> Dataset:
-        ds = self.split(code, split)
-        if ds is None or not len(ds):
-            raise HarnessError(f"no {split} split available for language {code!r}")
-        return ds
-
-    def has_train(self, code: str) -> bool:
-        return self.has_eval(code, "train")
-
-    def has_eval(self, code: str, split: str) -> bool:
-        """Whether the split is present and holds at least one row."""
-        entry = self._entry(code, split)
-        return entry is not None and entry.facts()[1] > 0
 
     @classmethod
     def from_config(cls, cfg: HarnessConfig, memo: FactsMemo | None = None) -> "CorpusStore":
@@ -377,7 +367,7 @@ def build_training_set(spec: ExperimentSpec, store: CorpusStore, seed: int) -> l
     capped spec reads each language's subsample at ``seed`` from
     ``store.sample``, so cells share each draw."""
     if spec.sample_cap is None:
-        return [store.train(code) for code in spec.sources]
+        return [store.rows(code, "train") for code in spec.sources]
     return [store.sample(code, spec.sample_cap, seed) for code in spec.sources]
 
 
@@ -386,9 +376,10 @@ def adaptation_stats(spec: ExperimentSpec, store: CorpusStore) -> AdaptationStat
     its adaptation splits name, labels ignored.
 
     TAPT reads the train and dev splits of the spec's languages plus the
-    target, LAPT the target's configured external corpus, and lapt+tapt
-    both. Absent train and dev splits are skipped; a LAPT corpus without
-    rows fails, as it would alone.
+    target, LAPT the target's configured external corpus through
+    ``store.rows``, and lapt+tapt both. An absent train or dev split is
+    skipped and an empty one adds no documents; a LAPT corpus that is
+    absent or empty fails, whatever TAPT adds.
     """
     _bind_learner()
     splits = spec._adaptation_splits()
@@ -397,9 +388,7 @@ def adaptation_stats(spec: ExperimentSpec, store: CorpusStore) -> AdaptationStat
     corpora = []
     for code, split in splits:
         if split == "lapt":
-            corpora.append(store.lapt_corpus(code))
-            if not len(corpora[-1]):
-                raise TextModelError("adaptation corpus empty")
+            corpora.append(store.rows(code, "lapt"))
         elif (ds := store.split(code, split)) is not None:
             corpora.append(ds)
     # Tags are saved in model files: tapt:aa+bb, lapt:aa, lapt+tapt:aa.
@@ -452,7 +441,7 @@ def score_experiment(
         evals: dict[str, tuple[list[str], list[str]]] = {}
         for key in missing:
             try:
-                eval_ds = store.eval_dataset(group[key].target, group[key].eval_split)
+                eval_ds = store.rows(group[key].target, group[key].eval_split)
                 evals[key] = (eval_ds.texts(), [ex.label for ex in eval_ds])
             except Exception as e:
                 fail([key], e)

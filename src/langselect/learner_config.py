@@ -1,4 +1,4 @@
-"""The learner's settings and numerics version.
+"""The learner's settings, numerics version and adaptations.
 
 They live apart from ``textmodel`` so that configs, specs and cache keys
 can be built without importing numpy; ``textmodel`` imports both back.
@@ -15,6 +15,10 @@ from .errors import TextModelError, check_setting_types
 # to are versioned apart, by ``corpus.LOADER_VERSION``. Version 1 was the
 # dense trainer with per-text featurization.
 NUMERICS_VERSION = 2
+
+# The corpora a model may pretrain its document frequencies on: none,
+# the task texts (TAPT), the target's unlabeled corpus (LAPT) or both.
+ADAPTATIONS = ("none", "tapt", "lapt", "lapt+tapt")
 
 
 @dataclass(frozen=True)

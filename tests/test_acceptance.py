@@ -314,8 +314,8 @@ def test_criterion_7_ensemble_behavior():
     uni = four_language_universe()
     store = build_store(uni)
     learner = LearnerConfig(**uni.learner)
-    train_sets = [store.train("aa"), store.train("bb")]
-    devstar = store.devstar("aa")
+    train_sets = [store.rows("aa", "train"), store.rows("bb", "train")]
+    devstar = store.split("aa", "devstar")
     gold = [ex.label for ex in devstar]
     per_seed_scores = []
     per_seed_preds = []

@@ -232,6 +232,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("experiment error:") and key in err
 
+    @pytest.mark.parametrize("value, shown", [("tpt", "'tpt'"), ("5", "5"), ("null", "None"), ("[tapt]", "['tapt']")])
+    def test_bad_adaptation_is_named_before_data_loads(self, tmp_path, capsys, value, shown):
+        # An unknown or non-string adaptation is a config error naming the
+        # file and the key, not coerced and not found only after every
+        # data file is parsed: the missing train file is never reached.
+        config = write_universe(CLI_UNIVERSE, tmp_path)
+        (tmp_path / "data" / "aa_train.tsv").unlink()
+        config.write_text(config.read_text(encoding="utf-8").replace("adaptation: none", f"adaptation: {value}"),
+                          encoding="utf-8")
+        assert main(["select", "--config", str(config), "--strategy", "fwd"]) == 3
+        assert capsys.readouterr().err == (
+            f"experiment error: {config}: 'adaptation' must be one of "
+            f"('none', 'tapt', 'lapt', 'lapt+tapt'), got {shown}\n"
+        )
+
     def test_null_language_code_is_experiment_error(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"
         config.write_text("languages:\n  - code: null\n", encoding="utf-8")
@@ -313,6 +328,25 @@ class TestScore:
         out = capsys.readouterr().out
         assert "seed_1=" in out and "seed_2=" in out
         assert "mean=" in out and "support=21" in out
+
+
+class TestInputsWithoutRows:
+    @pytest.mark.parametrize("sources", ["aa,bb", "bb"])
+    @pytest.mark.parametrize("verb", ["train", "score"])
+    def test_source_without_train_rows_is_named(self, tmp_path, capsys, monkeypatch, verb, sources):
+        # A source whose train file holds only its header fails the run,
+        # naming the language and the split, instead of training on the
+        # other sources alone or failing in the learner.
+        config = write_universe(four_language_universe(), tmp_path / "four")
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        train = tmp_path / "four" / "data" / "bb_train.tsv"
+        train.write_text(train.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+        model = tmp_path / "model.npz"
+        argv = [verb, "--config", str(config), "--target", "aa", "--sources", sources]
+        assert main(argv + (["--out", str(model)] if verb == "train" else [])) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("experiment error: ") and "language 'bb' has no rows in its train split" in err
+        assert not model.exists()
 
 
 class TestCellMode:

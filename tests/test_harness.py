@@ -191,30 +191,98 @@ class TestExperimentSpec:
         assert spec.cell_key(edited) == spec.cell_key(store)
 
 
+def memo_store(cfg, monkeypatch):
+    """The store of ``cfg`` with the facts memo in its cache directory,
+    and the list of file names its loaders load from then on."""
+    import langselect.harness.experiments as exp
+
+    monkeypatch.delenv("LANGSELECT_CACHE_DIR", raising=False)
+    loads: list[str] = []
+    for name in ("load_labeled_tsv", "load_unlabeled_text"):
+        real = getattr(exp, name)
+
+        def spy(path, *args, real=real, **kwargs):
+            loads.append(path.name)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(exp, name, spy)
+    return CorpusStore.from_config(cfg, FactsMemo(cfg.facts_path())), loads
+
+
 class TestCorpusStore:
     def test_devstar_derived_once(self, store):
-        star = store.devstar("aa")
-        assert star is store.devstar("aa")
+        star = store.split("aa", "devstar")
+        assert star is store.split("aa", "devstar") is store.rows("aa", "devstar")
         assert star.split == "devstar"
         assert len(star) == 24 - 2  # two planted overlaps removed
 
     def test_eval_dataset_missing(self, store):
-        with pytest.raises(HarnessError, match="test split"):
-            store.eval_dataset("bb", "test")
+        with pytest.raises(HarnessError, match="^language 'bb' has no rows in its test split$"):
+            store.rows("bb", "test")
 
     def test_unknown_language(self, store):
         with pytest.raises(HarnessError, match="unknown language"):
             store.language("zz")
-        with pytest.raises(HarnessError, match="no train split"):
-            store.train("zz")
+        with pytest.raises(HarnessError, match="^language 'zz' has no rows in its train split$"):
+            store.rows("zz", "train")
+        assert store.split("zz", "train") is None and not store.has("zz", "train")
 
     def test_header_only_train_is_not_trainable(self, tmp_path):
         config = write_universe(TINY, tmp_path)
         train = tmp_path / "data" / "bb_train.tsv"
         train.write_text(train.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
         store = CorpusStore.from_config(load_config(config))
-        assert [store.has_train(code) for code in ("aa", "bb", "cc", "zz")] == [True, False, True, False]
-        assert store.has_eval("bb", "devstar") and len(store.train("bb")) == 0
+        assert [store.has(code, "train") for code in ("aa", "bb", "cc", "zz")] == [True, False, True, False]
+        assert store.has("bb", "devstar") and len(store.split("bb", "train")) == 0
+
+    # What ``rows`` names each split of in its error.
+    _WHAT = {"train": "train split", "dev": "dev split", "devstar": "devstar split", "test": "test split",
+             "lapt": "LAPT corpus"}
+
+    @staticmethod
+    def _universe_with(tmp_path, split, state):
+        """The config of TINY with language aa's ``split`` absent, empty or
+        as written. An empty devstar is a dev file that train holds
+        entirely; an absent one lacks its dev file."""
+        config = write_universe(TINY, tmp_path)
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        entry = doc["languages"][0]
+        key = {"devstar": "dev", "lapt": "lapt_corpus"}.get(split, split)
+        path = tmp_path / entry[key]
+        if state == "absent":
+            del entry[key]
+        elif state == "empty" and split == "devstar":
+            path.write_bytes((tmp_path / entry["train"]).read_bytes())
+        elif state == "empty":
+            path.write_text("" if split == "lapt" else "id\ttext\tlabel\n", encoding="utf-8")
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        return load_config(config)
+
+    @pytest.mark.parametrize("state", ["absent", "empty", "rows"])
+    @pytest.mark.parametrize("split", ["train", "dev", "devstar", "test", "lapt"])
+    def test_split_queries_follow_one_rule(self, tmp_path, monkeypatch, split, state):
+        # split returns the dataset or None; rows returns it only with a
+        # row, else one error naming the language and the split; has says
+        # which. A warm store answers has and digest without a load.
+        cfg = self._universe_with(tmp_path, split, state)
+        cold, _ = memo_store(cfg, monkeypatch)
+        answers = (cold.has("aa", split), cold.digest("aa", split))
+        assert answers[0] == (state == "rows") and (answers[1] is None) == (state == "absent")
+        warm, loads = memo_store(cfg, monkeypatch)
+        assert (warm.has("aa", split), warm.digest("aa", split)) == answers
+        assert loads == []
+        for store in (cold, warm):
+            ds = store.split("aa", split)
+            if state == "absent":
+                assert ds is None
+            else:
+                assert len(ds) == 0 if state == "empty" else len(ds) > 0
+            if state == "rows":
+                assert store.rows("aa", split) is ds
+            else:
+                with pytest.raises(HarnessError) as raised:
+                    store.rows("aa", split)
+                assert str(raised.value) == f"language 'aa' has no rows in its {self._WHAT[split]}"
 
     def test_build_store_outlives_its_directory(self, monkeypatch):
         # build_store's files are gone when it returns: every split, the
@@ -231,8 +299,8 @@ class TestCorpusStore:
         fresh = build_store(TINY)
         assert len(written) == 1 and not written[0].exists()
         for code in ("aa", "bb", "cc"):
-            assert len(fresh.devstar(code)) == (22 if code == "aa" else 24)
-            assert len(fresh.lapt_corpus(code)) == 20
+            assert len(fresh.split(code, "devstar")) == (22 if code == "aa" else 24)
+            assert len(fresh.rows(code, "lapt")) == 20
             assert all(fresh.digest(code, split) for split in ("train", "dev", "devstar", "lapt"))
 
     def test_digests_pinned(self, tmp_path):
@@ -284,33 +352,18 @@ class TestFactsMemo:
     """A store with a facts memo remembers each split's facts by its
     file's raw bytes, and parses a remembered file only on first use."""
 
-    def _store(self, cfg, monkeypatch):
-        import langselect.harness.experiments as exp
-
-        monkeypatch.delenv("LANGSELECT_CACHE_DIR", raising=False)
-        loads: list[str] = []
-        for name in ("load_labeled_tsv", "load_unlabeled_text"):
-            real = getattr(exp, name)
-
-            def spy(path, *args, real=real, **kwargs):
-                loads.append(path.name)
-                return real(path, *args, **kwargs)
-
-            monkeypatch.setattr(exp, name, spy)
-        return CorpusStore.from_config(cfg, FactsMemo(cfg.facts_path())), loads
-
     def test_remembered_files_load_on_first_use(self, tmp_path, monkeypatch):
         cfg = load_config(write_universe(TINY, tmp_path))
-        cold, loads = self._store(cfg, monkeypatch)
+        cold, loads = memo_store(cfg, monkeypatch)
         assert len(loads) == 3 * 2 + 1 + 3  # train and dev, one test split, three corpora
         keys = {(code, split): cold.digest(code, split) for code in ("aa", "bb", "cc")
                 for split in ("train", "dev", "devstar", "test", "lapt")}
-        warm, loads = self._store(cfg, monkeypatch)
+        warm, loads = memo_store(cfg, monkeypatch)
         assert {key: warm.digest(*key) for key in keys} == keys
-        assert warm.has_train("aa") and warm.has_eval("aa", "devstar") and not warm.has_eval("bb", "test")
+        assert warm.has("aa", "train") and warm.has("aa", "devstar") and not warm.has("bb", "test")
         assert loads == []
-        assert warm.train("bb") == cold.train("bb")
-        assert warm.devstar("aa") == cold.devstar("aa")
+        assert warm.rows("bb", "train") == cold.rows("bb", "train")
+        assert warm.split("aa", "devstar") == cold.split("aa", "devstar")
         assert loads == ["bb_train.tsv", "aa_train.tsv", "aa_dev.tsv"]
 
     def test_no_cache_dir_loads_every_file(self, tmp_path, monkeypatch):
@@ -319,7 +372,7 @@ class TestFactsMemo:
         cfg = load_config(config)
         assert cfg.facts_path() is None
         for _ in range(2):
-            _, loads = self._store(cfg, monkeypatch)
+            _, loads = memo_store(cfg, monkeypatch)
             assert len(loads) == 10
         assert not (tmp_path / "cache").exists()
 
@@ -338,16 +391,16 @@ class TestFactsMemo:
         import langselect.harness.experiments as exp
 
         cfg = load_config(write_universe(TINY, tmp_path))
-        cold, _ = self._store(cfg, monkeypatch)
+        cold, _ = memo_store(cfg, monkeypatch)
         digests = [cold.digest(code, "devstar") for code in ("aa", "bb", "cc")]
         monkeypatch.setattr(exp, "NUMERICS_VERSION", exp.NUMERICS_VERSION + 1)
-        _, loads = self._store(cfg, monkeypatch)
+        _, loads = memo_store(cfg, monkeypatch)
         assert loads == []
         monkeypatch.setattr(exp, "LOADER_VERSION", exp.LOADER_VERSION + 1)
-        bumped, loads = self._store(cfg, monkeypatch)
+        bumped, loads = memo_store(cfg, monkeypatch)
         assert len(loads) == 10
         assert [bumped.digest(code, "devstar") for code in ("aa", "bb", "cc")] == digests
-        _, loads = self._store(cfg, monkeypatch)
+        _, loads = memo_store(cfg, monkeypatch)
         assert loads == []
 
     def test_file_changed_after_hashing_is_refused(self, tmp_path, monkeypatch):
@@ -360,7 +413,7 @@ class TestFactsMemo:
         train = tmp_path / "data" / "bb_train.tsv"
         train.write_text(train.read_text(encoding="utf-8").replace("positive", "negative"), encoding="utf-8")
         with pytest.raises(CorpusError, match="bb_train.tsv: rows differ"):
-            warm.train("bb")
+            warm.rows("bb", "train")
 
 
 class TestBuildTrainingSet:
@@ -409,7 +462,7 @@ class TestAdaptationStats:
         stats = adaptation_stats(spec, store)
         assert stats.num_documents == 20
         empty = build_store(replace(TINY, generic_corpus_lines=0))
-        with pytest.raises(HarnessError, match="no LAPT corpus"):
+        with pytest.raises(HarnessError, match="^language 'aa' has no rows in its LAPT corpus$"):
             adaptation_stats(spec, empty)
 
     def test_lapt_plus_tapt_merges(self, store):
@@ -428,13 +481,17 @@ class TestAdaptationStats:
 
     @pytest.mark.parametrize("adaptation", ["lapt", "lapt+tapt"])
     def test_empty_lapt_corpus_fails(self, tmp_path, adaptation):
-        # TAPT's texts do not make up for a configured corpus without rows.
+        # TAPT's texts do not make up for a configured corpus without rows,
+        # and an empty corpus fails as an absent one does.
         config = write_universe(TINY, tmp_path)
         (tmp_path / "data" / "aa_corpus.txt").write_text("\n", encoding="utf-8")
-        store = CorpusStore.from_config(load_config(config))
         spec = ExperimentSpec(target="aa", sources=("aa",), learner=LEARNER, adaptation=adaptation)
-        with pytest.raises(TextModelError, match="adaptation corpus empty"):
-            adaptation_stats(spec, store)
+        errors = []
+        for store in (CorpusStore.from_config(load_config(config)), build_store(replace(TINY, generic_corpus_lines=0))):
+            with pytest.raises(HarnessError) as raised:
+                adaptation_stats(spec, store)
+            errors.append(str(raised.value))
+        assert errors == ["language 'aa' has no rows in its LAPT corpus"] * 2
 
 
 class TestScoreExperiment:
@@ -445,7 +502,7 @@ class TestScoreExperiment:
         warm, support = score_cell(spec, store, (1,), cache)[1]
         cached, _ = score_cell(spec, store, (1,), cache)[1]
         assert cold1 == warm == cached  # bit-for-bit across recomputation
-        assert support == support1 == len(store.devstar("aa"))
+        assert support == support1 == len(store.split("aa", "devstar"))
         assert 0.0 <= warm <= 1.0
 
     def test_cache_is_actually_used(self, store, monkeypatch):
@@ -701,7 +758,7 @@ class TestRunMatrix:
             assert score_cell(spec, store, (seed,), ScoreCache())[seed][0] == score
         scores = list(entry.per_seed.values())
         assert entry.mean == sum(scores) / 3
-        assert entry.support == len(store.devstar("aa"))
+        assert entry.support == len(store.split("aa", "devstar"))
 
     def test_duplicate_seeds_rejected(self, store):
         with pytest.raises(HarnessError, match="distinct"):
@@ -920,7 +977,7 @@ class TestModelGroups:
             run_matrix(cells, four_store, seeds=(1,), learner=LEARNER, cache=cache)
         header, line = str(err.value).splitlines()
         assert header == "matrix run failed for 1 cell(s):"
-        assert "target=zz" in line and "no devstar split" in line
+        assert "target=zz" in line and "language 'zz' has no rows in its devstar split" in line
         spec = ExperimentSpec("aa", FOUR_CODES, learner=LEARNER, sample_cap=30)
         assert cache.get(spec.cell_key(four_store), 1) is not None
 
@@ -953,7 +1010,7 @@ class TestModelGroups:
         import langselect.harness.experiments as exp
 
         real = exp.predict_texts
-        bb_texts = four_store.devstar("bb").texts()
+        bb_texts = four_store.split("bb", "devstar").texts()
 
         def failing(model, texts):
             if texts == bb_texts and fine_tunes[-1] == 2:
@@ -1103,8 +1160,12 @@ class TestConfig:
         assert cfg.seeds == (1, 2)
         assert cfg.cache_path() is not None
         store = CorpusStore.from_config(cfg)
-        assert len(store.train("aa")) == 36
-        assert all(ex.label is None for ex in store.lapt_corpus("aa"))
+        assert len(store.rows("aa", "train")) == 36
+        assert all(ex.label is None for ex in store.rows("aa", "lapt"))
+
+    def test_adaptation_matches_case_insensitively(self, tmp_path):
+        config = write_universe(replace(TINY, adaptation="LAPT+Tapt"), tmp_path)
+        assert load_config(config).adaptation == "lapt+tapt"
 
     def test_env_override_for_cache(self, tmp_path, monkeypatch):
         config_path = write_universe(TINY, tmp_path)
