@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import ensemble as ens
@@ -116,7 +117,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--top-k", type=_positive_int, default=None)
     p.add_argument("--parallelism", type=_positive_int, default=None, help="no effect; accepted for existing scripts")
     p.add_argument("--out", default=None, help="selections jsonl output")
-    p.add_argument("--matrix-out", default=None, help="jsonl of the selected-set cells")
+    p.add_argument("--matrix-out", default=None, help="jsonl of the selected-set cells (trains those the plan did not score)")
 
     p = sub.add_parser("ensemble", help="majority-vote over prediction files")
     p.add_argument("--inputs", nargs="+", required=True)
@@ -262,51 +263,46 @@ def _check_out_dirs(*paths: str | None) -> None:
             raise OSError(code, os.strerror(code), path)
 
 
-def _run_cells(cfg, store, cache, seeds, cells) -> ScoreMatrix:
-    return run_matrix(cells, store, seeds=seeds, learner=cfg.learner, adaptation=cfg.adaptation, cache=cache)
+def _score_plan(args: argparse.Namespace, *outs: str | None):
+    """Score the plan of ``args.strategy`` for every target in one run,
+    once each output's directory is checked. Returns the tasks, the
+    selection config, the seeds, the plan's matrix and the runner, which
+    scores further cells with the same store, cache and seeds."""
+    cfg, store, cache, seeds = _context(args)
+    sel_cfg = _selection_config(args, cfg)
+    tasks = _tasks(cfg, store, sel_cfg.mode)
+    cells = [cell for task in tasks for cell in sel.plan(task, sel_cfg, _STRATEGIES[args.strategy])]
+    _check_out_dirs(*outs)
+    run = partial(run_matrix, store=store, seeds=seeds, learner=cfg.learner, adaptation=cfg.adaptation, cache=cache)
+    return tasks, sel_cfg, seeds, run(cells), run
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
-    cfg, store, cache, seeds = _context(args)
-    sel_cfg = _selection_config(args, cfg)
-    strategy = _STRATEGIES[args.strategy]
-    cells = [cell for task in _tasks(cfg, store, sel_cfg.mode) for cell in sel.plan(task, sel_cfg, strategy)]
-    _check_out_dirs(args.out)
-    matrix = _run_cells(cfg, store, cache, seeds, cells)
+    _, _, seeds, matrix, _ = _score_plan(args, args.out)
     Path(args.out).write_text(matrix.to_jsonl(), encoding="utf-8")
     print(f"cells={len(matrix.entries)}\tseeds={len(seeds)}\tout={args.out}")
     return 0
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    cfg, store, cache, seeds = _context(args)
-    sel_cfg = _selection_config(args, cfg)
     strategy = _STRATEGIES[args.strategy]
-    tasks = _tasks(cfg, store, sel_cfg.mode)
-    # One run over every target's plan; deciding then only reads its table.
-    cells = [cell for task in tasks for cell in sel.plan(task, sel_cfg, strategy)]
-    _check_out_dirs(args.out, args.matrix_out)
-    scores = _run_cells(cfg, store, cache, seeds, cells).means()
+    tasks, sel_cfg, _, matrix, run = _score_plan(args, args.out, args.matrix_out)
+    scores = matrix.means()
     decide = sel.forward_select if strategy == sel.FORWARD else sel.backward_select
     results: dict[str, sel.SelectionResult] = {}
     for task in tasks:
         results[task.target.code] = decide(task, scores, sel_cfg)
         print(results[task.target.code].to_row())
 
-    # Score the selected training sets so reports can show their rows. The
-    # matrix file is written even when nothing was selected, so it never
-    # holds an earlier run's cells.
-    selected_cells = [
-        PlanCell(target, result.selected_sources(), None)
-        for target, result in sorted(results.items())
-        if result.selected_sources()
-    ]
-    sel_matrix = _run_cells(cfg, store, cache, seeds, selected_cells)
     if args.matrix_out:
-        Path(args.matrix_out).write_text(sel_matrix.to_jsonl(), encoding="utf-8")
+        # Score each target's selected training set, uncapped, for the
+        # report's rows; a set the plan already scored is read back from
+        # the cache. The file is written even when nothing was selected,
+        # so it never holds an earlier run's cells.
+        selected = [PlanCell(t, s, None) for t, r in sorted(results.items()) if (s := r.selected_sources())]
+        Path(args.matrix_out).write_text(run(selected).to_jsonl(), encoding="utf-8")
     if args.out:
         Path(args.out).write_text(selection_results_to_jsonl(results, strategy), encoding="utf-8")
-    logger.info("selected %d targets, %d selected-set cells", len(results), len(sel_matrix.entries))
     return 0
 
 

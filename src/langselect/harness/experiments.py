@@ -616,6 +616,8 @@ def run_matrix(
     never silently partial. An ``OSError`` from a journal append is no
     cell's failure: it ends the run at once.
     """
+    if not seeds:
+        raise HarnessError("seeds must not be empty")
     if len(set(seeds)) != len(seeds):
         raise HarnessError(f"seeds must be distinct, got {tuple(seeds)}")
     cache = ScoreCache() if cache is None else cache

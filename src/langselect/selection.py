@@ -136,6 +136,8 @@ def plan(task: SelectionTask, cfg: SelectionConfig, strategy: str) -> list[PlanC
         baseline = PlanCell(target, tuple(sorted(cands)), None)
         return [baseline, *(PlanCell(target, (c,), None) for c in cands)]
     if strategy == BACKWARD:
+        if cfg.mode == ZEROSHOT and len(cands) < 2:
+            raise SelectionError(f"target {target}: zero-shot backward selection needs at least two candidates")
         cap = cfg.baseline_samples_per_language
         full = tuple(sorted((target, *cands) if cfg.mode == MULTILINGUAL else cands))
         baseline = PlanCell(target, full, cap)

@@ -10,6 +10,15 @@ import tempfile
 from langselect.harness import CorpusStore, load_config
 from langselect.synth import _FAST_LEARNER, IDENTITY, ROTATED, SynthLanguage, SynthUniverse, write_universe
 
+# A learner small enough that a plan of dozens of cells trains in seconds.
+TINY_LEARNER = {
+    "ngram_min": 1,
+    "ngram_max": 3,
+    "hash_buckets": 1024,
+    "learning_rate": 2.0,
+    "epochs": 3,
+}
+
 
 def build_store(universe: SynthUniverse) -> CorpusStore:
     """The store ``CorpusStore.from_config`` builds from the universe's

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from langselect.cli import main
 from langselect.corpus import LOADER_VERSION
@@ -28,6 +29,7 @@ from langselect.synth import (
 )
 
 from reference import TableOracle, brute_force_backward, brute_force_forward
+from synth_fixtures import TINY_LEARNER
 
 CLI_UNIVERSE = SynthUniverse(
     name="cli",
@@ -40,13 +42,7 @@ CLI_UNIVERSE = SynthUniverse(
     noise_pool_size=12,
     noise_per_text=4,
     decorate=False,
-    learner={
-        "ngram_min": 1,
-        "ngram_max": 3,
-        "hash_buckets": 1024,
-        "learning_rate": 2.0,
-        "epochs": 3,
-    },
+    learner=TINY_LEARNER,
     seeds=(1, 2),
     parallelism=2,
 )
@@ -662,6 +658,23 @@ class TestSelectAndReport:
         assert main(["select", "--config", str(config), "--strategy", "fwd"]) == 3
         assert capsys.readouterr().err == f"experiment error: {message}\n"
 
+    def test_zeroshot_backward_with_one_candidate_is_named(self, tmp_path, capsys, monkeypatch):
+        # Leaving out a target's only candidate leaves no source to train
+        # on; the error names the target before any cell trains.
+        import langselect.harness.experiments as exp
+
+        monkeypatch.setattr(exp, "fine_tune", lambda *args, **kwargs: pytest.fail("a cell trained"))
+        two = replace(four_language_universe(), languages=four_language_universe().languages[:2])
+        config = write_universe(two, tmp_path / "two")
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        for verb in ("select", "matrix"):
+            assert main([verb, "--config", str(config), "--strategy", "bwd", "--mode", "zeroshot",
+                         "--out", str(tmp_path / "out.jsonl")]) == 3
+            assert capsys.readouterr().err == (
+                "experiment error: target aa: zero-shot backward selection needs at least two candidates\n"
+            )
+        assert not (tmp_path / "out.jsonl").exists()
+
     @pytest.mark.parametrize(
         "line, reason",
         [
@@ -785,21 +798,31 @@ def four_config(tmp_path_factory):
 
 
 class TestOneScoringPath:
-    @pytest.mark.parametrize("strategy", ["fwd", "bwd"])
-    @pytest.mark.parametrize("mode", ["multilingual", "zeroshot"])
-    def test_select_decides_from_the_matrix(self, tmp_path, capsys, monkeypatch, four_config, strategy, mode):
+    @pytest.mark.parametrize(
+        "mode, strategy, matrix_out",
+        [
+            pytest.param(mode, strategy, matrix_out, id=f"{mode}-{strategy}" + ("" if matrix_out else "-no-matrix-out"))
+            for mode in ("multilingual", "zeroshot")
+            for strategy in ("fwd", "bwd")
+            for matrix_out in (True, False)
+        ],
+    )
+    def test_select_decides_from_the_matrix(
+        self, tmp_path, capsys, monkeypatch, four_config, strategy, mode, matrix_out
+    ):
         # ``matrix`` writes the plan's scores; ``select`` must decide exactly
-        # what the selection rules give on those scores, and must score
-        # nothing but the selected sets on top of them.
+        # what the selection rules give on those scores. On top of them it
+        # scores the selected sets for ``--matrix-out`` and nothing else, and
+        # without that flag nothing at all.
         monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
         journal = tmp_path / "cache" / "scores.journal"
         common = ["--config", str(four_config), "--strategy", strategy, "--mode", mode]
         assert main(["matrix", *common, "--out", str(tmp_path / "matrix.jsonl")]) == 0
         planned = _journal_records(journal)
-        assert main(
-            ["select", *common, "--out", str(tmp_path / "sel.jsonl"),
-             "--matrix-out", str(tmp_path / "selcells.jsonl")]
-        ) == 0
+        select = ["select", *common, "--out", str(tmp_path / "sel.jsonl")]
+        if matrix_out:
+            select += ["--matrix-out", str(tmp_path / "selcells.jsonl")]
+        assert main(select) == 0
         capsys.readouterr()
 
         records = _read_jsonl(tmp_path / "matrix.jsonl")
@@ -821,6 +844,9 @@ class TestOneScoringPath:
 
         after = _journal_records(journal)
         assert after[: len(planned)] == planned
+        if not matrix_out:
+            assert after == planned
+            return
         selected_keys = {r["key"] for r in _read_jsonl(tmp_path / "selcells.jsonl")}
         planned_keys = {r["key"] for r in records}
         assert {key for key, _ in after[len(planned):]} <= selected_keys - planned_keys
@@ -993,6 +1019,14 @@ class TestNumpyFreeVerbs:
         assert json.loads(done.stdout) == [False, [], []]
 
 
+def _rotate_labels(path):
+    """Give every row of a labeled TSV the next label, keeping its text."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    rotate = {"negative": "neutral", "neutral": "positive", "positive": "negative"}
+    rows = ["\t".join([*row.split("\t")[:2], rotate[row.split("\t")[2]]]) for row in rows]
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
 def _warm_verbs(config, out):
     """A select, a matrix and a score run of one config, writing into out."""
     config = ["--config", str(config)]
@@ -1113,14 +1147,42 @@ class TestWarmRuns:
         assert {name: sorted(names) for name, names in calls.items()} == parsed
 
     def test_rotated_labels_miss_the_cache(self, universe, calls, capsys):
-        train = universe / "data" / "bb_train.tsv"
-        header, *rows = train.read_text(encoding="utf-8").splitlines()
-        rotate = {"negative": "neutral", "neutral": "positive", "positive": "negative"}
-        rows = ["\t".join([*row.split("\t")[:2], rotate[row.split("\t")[2]]]) for row in rows]
-        train.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        _rotate_labels(universe / "data" / "bb_train.tsv")
         self._run(universe, capsys)
         assert calls["fine_tune"]
         assert calls["load_labeled_tsv"].count("bb_train.tsv") == 3  # once per verb
+
+    @pytest.mark.parametrize("universe", ["none", "lapt+tapt"], indirect=True)
+    @pytest.mark.parametrize("change", ["reverse-languages", "move-data-files", "move-universe"])
+    def test_warm_run_ignores(self, universe, calls, capsys, change):
+        # The cache follows the data's bytes, not the config's language
+        # order, the files' paths or the universe's place: after each
+        # change a warm run parses and trains nothing and writes the same
+        # bytes.
+        config = universe / "config.yaml"
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        if change == "reverse-languages":
+            doc["languages"].reverse()
+        elif change == "move-data-files":
+            (universe / "moved").mkdir()
+            for entry in doc["languages"]:
+                for key in ("train", "dev", "test", "lapt_corpus"):
+                    if key in entry:
+                        moved = f"moved/{key}-of-{entry['code']}.data"
+                        (universe / entry[key]).rename(universe / moved)
+                        entry[key] = moved
+        config.write_text(yaml.safe_dump(doc, sort_keys=True), encoding="utf-8")
+        if change == "move-universe":
+            universe = universe.rename(universe.parent / "moved-universe")
+        journal = (universe / "cache" / "scores.journal").read_bytes()
+
+        stdout, after = self._run(universe, capsys)
+        assert calls == {"load_labeled_tsv": [], "load_unlabeled_text": [], "fine_tune": []}
+        assert after == journal
+        cold = (universe / "cold" / "stdout.txt").read_text(encoding="utf-8")
+        assert stdout == cold.replace("{out}", str(universe / "warm"))
+        for name in ("sel.jsonl", "cells.jsonl", "matrix.jsonl"):
+            assert (universe / "warm" / name).read_bytes() == (universe / "cold" / name).read_bytes()
 
     def test_whitespace_edit_still_hits(self, universe, calls, capsys):
         # New bytes, the same rows after normalization: the file is parsed
@@ -1200,3 +1262,66 @@ def test_warm_runs_log_empty_split_warnings(tmp_path, monkeypatch, caplog):
         ("langselect.corpus", f"{corpus}: unlabeled corpus is empty"),
         ("langselect.corpus", "ee: devstar is empty, dev was fully contained in train"),
     ]
+
+
+_CONTRACT_PLANS = [(strategy, mode) for strategy in ("fwd", "bwd") for mode in ("multilingual", "zeroshot")]
+_CONTRACT_FILES = [f"{code}_{split}.tsv" for code in ("aa", "bb", "cc", "dd") for split in ("train", "dev", "test")]
+
+
+def _run_plans(root, out):
+    """Run ``matrix`` for each plan of ``_CONTRACT_PLANS`` on the universe
+    at root, writing into out; returns each scored cell by its key, as
+    (target, sources, sample cap)."""
+    out.mkdir()
+    cells = {}
+    for strategy, mode in _CONTRACT_PLANS:
+        path = out / f"{strategy}-{mode}.jsonl"
+        assert main(["matrix", "--config", str(root / "config.yaml"), "--strategy", strategy, "--mode", mode,
+                     "--out", str(path)]) == 0
+        cells.update((r["key"], (r["target"], tuple(r["sources"]), r["sample_cap"])) for r in _read_jsonl(path))
+    return cells
+
+
+def _reads(cell, name, adaptation):
+    """Whether a cell reads the labeled file ``name`` (``<code>_<split>.tsv``):
+    its sources' train files, its target's dev file, from which its eval
+    split devstar derives, and, under TAPT, the train and dev files of
+    its sources and its target. No cell reads a test file."""
+    target, sources, _ = cell
+    code, split = name.removesuffix(".tsv").split("_")
+    tapt_file = adaptation == "tapt" and split in ("train", "dev") and code in (target, *sources)
+    return (split == "train" and code in sources) or (split == "dev" and code == target) or tapt_file
+
+
+@pytest.fixture(scope="module", params=["tapt", "none"])
+def contract_dir(tmp_path_factory, request):
+    """The four-language universe with the tiny learner at one seed, its
+    cache filled by every plan of ``_CONTRACT_PLANS``; returns the
+    directory, its adaptation and the plans' cells."""
+    root = tmp_path_factory.mktemp("contract")
+    universe = replace(
+        four_language_universe(), adaptation=request.param, learner=TINY_LEARNER, seeds=(1,),
+        selection={"baseline_samples_per_language": 30},
+    )
+    write_universe(universe, root)
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.delenv("LANGSELECT_CACHE_DIR", raising=False)
+        cells = _run_plans(root, root / "cold")
+    return root, request.param, set(cells.values())
+
+
+@pytest.mark.parametrize("name", _CONTRACT_FILES)
+def test_exactly_the_cells_that_read_a_file_retrain(tmp_path, monkeypatch, capsys, contract_dir, name):
+    # Rotating a file's labels keeps every text, so a devstar's rows change
+    # only with its dev file, and only the cells that read the file get a
+    # new key and train again.
+    root, adaptation, plan_cells = contract_dir
+    monkeypatch.delenv("LANGSELECT_CACHE_DIR", raising=False)
+    shutil.copytree(root, tmp_path / "universe")
+    journal = tmp_path / "universe" / "cache" / "scores.journal"
+    warm = len(_journal_records(journal))
+    _rotate_labels(tmp_path / "universe" / "data" / name)
+    cells = _run_plans(tmp_path / "universe", tmp_path / "universe" / "rerun")
+    capsys.readouterr()
+    retrained = {cells[key] for key, _ in _journal_records(journal)[warm:]}
+    assert retrained == {cell for cell in plan_cells if _reads(cell, name, adaptation)}

@@ -48,15 +48,7 @@ from langselect.synth import (
 )
 
 from conftest import BOUNDARY_CHARS, BOUNDARY_IDS
-from synth_fixtures import build_store
-
-TINY_LEARNER = {
-    "ngram_min": 1,
-    "ngram_max": 3,
-    "hash_buckets": 1024,
-    "learning_rate": 2.0,
-    "epochs": 3,
-}
+from synth_fixtures import TINY_LEARNER, build_store
 
 TINY = SynthUniverse(
     name="tiny",
@@ -763,6 +755,10 @@ class TestRunMatrix:
     def test_duplicate_seeds_rejected(self, store):
         with pytest.raises(HarnessError, match="distinct"):
             run_matrix([PlanCell("aa", ("aa",), None)], store, seeds=(1, 1), learner=LEARNER)
+
+    def test_empty_seeds_rejected(self, store):
+        with pytest.raises(HarnessError, match="^seeds must not be empty$"):
+            run_matrix([PlanCell("aa", ("aa",), None)], store, seeds=(), learner=LEARNER)
 
     def test_cell_mode_read_off_sources(self, store):
         # A cell without its target trains zero-shot, one with it

@@ -278,6 +278,14 @@ class TestPlan:
             PlanCell("t", ("b",), 7),
         ]
 
+    def test_zeroshot_backward_needs_two_candidates(self):
+        # Leaving out a zero-shot target's only candidate leaves no source.
+        zeroshot = SelectionConfig(mode="zeroshot")
+        with pytest.raises(SelectionError, match="^target t: zero-shot backward selection needs at least two"):
+            plan(task("t", "a"), zeroshot, "backward")
+        assert plan(task("t", "a"), CFG1, "backward") == [PlanCell("t", ("a", "t"), 500), PlanCell("t", ("t",), 500)]
+        assert plan(task("t", "a"), zeroshot, "forward") == [PlanCell("t", ("a",), None), PlanCell("t", ("a",), None)]
+
     def test_unknown_strategy(self):
         with pytest.raises(SelectionError, match="unknown strategy"):
             plan(task("t", "a"), CFG1, "sideways")
@@ -320,9 +328,13 @@ class TestAgainstBruteForce:
             oracle = HashOracle(salt=f"b{trial}")
             mode = rng.choice(["multilingual", "zeroshot"])
             cfg = SelectionConfig(mode=mode, threshold=rng.choice([0.02, 0.05, 0.2]))
-            result = bwd(
-                SelectionTask(LanguageCode(target), langs(*candidates)), oracle, cfg
-            )
+            t = SelectionTask(LanguageCode(target), langs(*candidates))
+            if mode == "zeroshot" and len(candidates) == 1:
+                # Leaving out the only candidate would leave nothing to train on.
+                with pytest.raises(SelectionError, match=f"target {target}: zero-shot backward"):
+                    bwd(t, oracle, cfg)
+                continue
+            result = bwd(t, oracle, cfg)
             baseline, expected = brute_force_backward(
                 target,
                 candidates,
