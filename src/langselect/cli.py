@@ -171,17 +171,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for lf in sorted(cfg.languages, key=lambda l: l.language.code):
         code = lf.language.code
-        train = store.split(code, "train")
-        dev = store.split(code, "dev")
-        devstar = store.split(code, "devstar")
+        train, dev, devstar = (store.split(code, split) for split in ("train", "dev", "devstar"))
+        counts = f"{code}\ttrain={len(train or ())}\tdev={len(dev or ())}"
         if devstar is None:
-            print(f"{code}\ttrain={len(train) if train else 0}\tdev={len(dev) if dev else 0}\tdevstar=skipped")
+            print(f"{counts}\tdevstar=skipped")
             continue
         save_labeled_tsv(devstar, out_dir / f"{code}_devstar.tsv")
-        print(
-            f"{code}\ttrain={len(train)}\tdev={len(dev)}\tdevstar={len(devstar)}"
-            f"\tremoved={len(dev) - len(devstar)}"
-        )
+        print(f"{counts}\tdevstar={len(devstar)}\tremoved={len(dev) - len(devstar)}")
     return 0
 
 
@@ -191,6 +187,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg, store, _, _ = _context(args)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     spec = _spec_from_args(args, cfg)
+    _check_out_dirs(args.out)
     model = train_model(spec, store, seed, adaptation_stats(spec, store))
     save_model(model, args.out)
     print(f"saved\t{args.out}\tfinal_loss={model.loss_history[-1]!r}")
@@ -234,12 +231,10 @@ def _tasks(cfg, store, mode: str) -> list[sel.SelectionTask]:
         raise HarnessError("no language has a devstar split to evaluate on")
     tasks = []
     for t in targets:
-        cands = [c for c in trainable if c != t]
+        cands = tuple(c for c in trainable if c != t)
         if not cands:
             raise HarnessError(f"target {t!r} has no candidate source languages with train data")
-        tasks.append(
-            sel.SelectionTask(target=store.language(t), candidates=tuple(store.language(c) for c in cands))
-        )
+        tasks.append(sel.SelectionTask(target=t, candidates=cands))
     return tasks
 
 
@@ -291,8 +286,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
     decide = sel.forward_select if strategy == sel.FORWARD else sel.backward_select
     results: dict[str, sel.SelectionResult] = {}
     for task in tasks:
-        results[task.target.code] = decide(task, scores, sel_cfg)
-        print(results[task.target.code].to_row())
+        results[task.target] = decide(task, scores, sel_cfg)
+        print(results[task.target].to_row())
 
     if args.matrix_out:
         # Score each target's selected training set, uncapped, for the
@@ -325,7 +320,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         for result in selection_results_from_jsonl(path):
             # Zero-shot results get their own column, apart from multilingual ones.
             column = result.strategy if result.mode == sel.MULTILINGUAL else f"{result.strategy} {result.mode}"
-            selections.setdefault(column, {})[result.target.code] = result
+            selections.setdefault(column, {})[result.target] = result
     languages = [lf.language.code for lf in cfg.languages]
     document = render_report(matrix, selections, languages, fmt=args.format)
     if args.out:

@@ -93,6 +93,14 @@ def normalize_text(raw: str) -> str:
     return " ".join(s.split())
 
 
+def check_code(code: object) -> str:
+    """``code`` if it is a language code, a non-empty lowercase string
+    without whitespace; anything else is a ``CorpusError``."""
+    if not isinstance(code, str) or not code or code != code.lower() or any(c.isspace() for c in code):
+        raise CorpusError(f"invalid language code {code!r}: must be non-empty lowercase without whitespace")
+    return code
+
+
 @dataclass(frozen=True)
 class LanguageCode:
     """A language identifier plus optional family metadata.
@@ -105,8 +113,7 @@ class LanguageCode:
     family: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if not self.code or self.code != self.code.lower() or any(c.isspace() for c in self.code):
-            raise CorpusError(f"invalid language code {self.code!r}: must be non-empty lowercase without whitespace")
+        check_code(self.code)
 
     def __str__(self) -> str:
         return self.code

@@ -139,8 +139,8 @@ class CorpusStore:
     language and the split; ``has`` says whether ``rows`` would succeed.
     A split's facts are its content digest and row count, and ``has``
     and ``digest`` answer from them alone. A ``devstar`` split is derived
-    from train/dev overlap removal on first use. ``sample`` returns
-    capped train splits, each drawn once.
+    on first use from a present dev split, less any rows that train holds.
+    ``sample`` returns capped train splits, each drawn once.
 
     The store hashes every configured file's bytes and looks their facts
     up in its ``FactsMemo``. A file whose facts the memo holds is parsed
@@ -195,25 +195,20 @@ class CorpusStore:
         self._add(code, split, str(path), raw, build, warn_empty)
 
     def _entry(self, code: str, split: str) -> _Split | None:
-        if split == "devstar" and (code, split) not in self._splits:
-            train, dev = self._splits.get((code, "train")), self._splits.get((code, "dev"))
-            if train is None or dev is None:
-                return None
+        if split == "devstar" and (code, split) not in self._splits and (code, "dev") in self._splits:
+            # An absent train split removes no dev row, as an empty one
+            # does; its facts key starts with "+", as no other key does.
             self._add(
                 code,
                 "devstar",
                 f"{code}/devstar",
-                f"{self._raw[(code, 'train')]}+{self._raw[(code, 'dev')]}",
-                lambda: dedup_dev(train.dataset(), dev.dataset()),
+                f"{self._raw.get((code, 'train'), '')}+{self._raw[(code, 'dev')]}",
+                lambda: dedup_dev(
+                    self.split(code, "train") or Dataset(self._metadata[code], "train", ()), self.split(code, "dev")
+                ),
                 partial(warn_empty_devstar, code),
             )
         return self._splits.get((code, split))
-
-    def language(self, code: str) -> LanguageCode:
-        try:
-            return self._metadata[code]
-        except KeyError:
-            raise HarnessError(f"unknown language {code!r}") from None
 
     def split(self, code: str, split: str) -> Dataset | None:
         """The split's dataset, empty or not, or None if it is absent."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from ..corpus import LanguageCode, read_utf8
+from ..corpus import check_code, read_utf8
 from ..errors import HarnessError
 from ..selection import BACKWARD, FORWARD, MULTILINGUAL, ZEROSHOT, SelectionResult
 from .experiments import MatrixEntry, ScoreMatrix, jsonl_text, parse_jsonl
@@ -182,12 +182,12 @@ def selection_results_to_jsonl(results: Mapping[str, SelectionResult], strategy:
     target's result, in target order."""
     return f"# strategy={strategy}\n" + jsonl_text(
         {
-            "target": r.target.code,
+            "target": r.target,
             "strategy": r.strategy,
             "mode": r.mode,
             "baseline": r.baseline_score,
-            "positives": [[lang.code, gain] for lang, gain in r.positive_sources],
-            "ranking": [[lang.code, score] for lang, score in r.ranking],
+            "positives": r.positive_sources,
+            "ranking": r.ranking,
         }
         for _, r in sorted(results.items())
     )
@@ -199,12 +199,12 @@ def _selection_result(doc: dict) -> SelectionResult:
     if doc["mode"] not in (MULTILINGUAL, ZEROSHOT):
         raise ValueError(f"unknown mode {doc['mode']!r}, expected {MULTILINGUAL!r} or {ZEROSHOT!r}")
     return SelectionResult(
-        target=LanguageCode(doc["target"]),
+        target=check_code(doc["target"]),
         strategy=doc["strategy"],
         mode=doc["mode"],
         baseline_score=float(doc["baseline"]),
-        positive_sources=tuple((LanguageCode(code), float(gain)) for code, gain in doc["positives"]),
-        ranking=tuple((LanguageCode(code), float(score)) for code, score in doc["ranking"]),
+        positive_sources=tuple((check_code(code), float(gain)) for code, gain in doc["positives"]),
+        ranking=tuple((check_code(code), float(score)) for code, score in doc["ranking"]),
     )
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import LanguageCode
 from .errors import SelectionError, check_setting_types
 
 FORWARD = "forward"
@@ -64,53 +63,54 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class SelectionTask:
-    """A target language and its candidate source languages."""
+    """A target language's code and the codes of its candidate source
+    languages: at least one, distinct, and never the target."""
 
-    target: LanguageCode
-    candidates: tuple[LanguageCode, ...]
+    target: str
+    candidates: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not self.candidates:
-            raise SelectionError(f"target {self.target.code}: no candidate source languages")
-        codes = [c.code for c in self.candidates]
-        if len(set(codes)) != len(codes):
-            raise SelectionError(f"target {self.target.code}: duplicate candidates")
-        if self.target.code in codes:
-            raise SelectionError(f"target {self.target.code} must not appear among candidates")
+            raise SelectionError(f"target {self.target}: no candidate source languages")
+        if len(set(self.candidates)) != len(self.candidates):
+            raise SelectionError(f"target {self.target}: duplicate candidates")
+        if self.target in self.candidates:
+            raise SelectionError(f"target {self.target} must not appear among candidates")
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Ranked positive sources for one target.
+    """Ranked positive sources for one target; every language is given by
+    its code.
 
-    ``positive_sources`` pairs each positive language with its gain:
+    ``positive_sources`` pairs each positive source's code with its gain:
     score minus baseline for forward selection, baseline minus
-    leave-one-out score (the drop) for backward. ``ranking`` lists every
-    candidate best-first with the raw cell score that judged it.
+    leave-one-out score (the drop) for backward. ``ranking`` pairs every
+    candidate's code, best first, with the raw cell score that judged it.
     """
 
-    target: LanguageCode
+    target: str
     strategy: str
     mode: str
     baseline_score: float
-    positive_sources: tuple[tuple[LanguageCode, float], ...]
-    ranking: tuple[tuple[LanguageCode, float], ...]
+    positive_sources: tuple[tuple[str, float], ...]
+    ranking: tuple[tuple[str, float], ...]
 
     def positive_codes(self) -> tuple[str, ...]:
-        return tuple(lang.code for lang, _ in self.positive_sources)
+        return tuple(code for code, _ in self.positive_sources)
 
     def selected_sources(self) -> tuple[str, ...]:
         """Sorted codes of the training set the selection picks: the
         positive sources, plus the target in multilingual mode."""
         codes = set(self.positive_codes())
         if self.mode == MULTILINGUAL:
-            codes.add(self.target.code)
+            codes.add(self.target)
         return tuple(sorted(codes))
 
     def to_row(self) -> str:
         """Report row: ``target<TAB>strategy<TAB>baseline<TAB>src(gain)...``."""
-        cells = [self.target.code, self.strategy, f"{self.baseline_score:.4f}"]
-        cells.extend(f"{lang.code}({gain:+.4f})" for lang, gain in self.positive_sources)
+        cells = [self.target, self.strategy, f"{self.baseline_score:.4f}"]
+        cells.extend(f"{code}({gain:+.4f})" for code, gain in self.positive_sources)
         return "\t".join(cells)
 
 
@@ -127,8 +127,7 @@ class PlanCell:
 def plan(task: SelectionTask, cfg: SelectionConfig, strategy: str) -> list[PlanCell]:
     """The cells one strategy reads for ``task``: the baseline cell, then
     one cell per candidate in candidate order."""
-    target = task.target.code
-    cands = [lang.code for lang in task.candidates]
+    target, cands = task.target, task.candidates
     if strategy == FORWARD:
         if cfg.mode == MULTILINGUAL:
             baseline = PlanCell(target, (target,), None)
@@ -147,21 +146,21 @@ def plan(task: SelectionTask, cfg: SelectionConfig, strategy: str) -> list[PlanC
 
 def _planned_scores(
     task: SelectionTask, scores: Mapping[PlanCell, float], cfg: SelectionConfig, strategy: str
-) -> tuple[float, list[tuple[LanguageCode, float]]]:
+) -> tuple[float, list[tuple[str, float]]]:
     """(baseline score, [(candidate, its cell's score)]) read from ``scores``."""
     cells = plan(task, cfg, strategy)
     missing = [cell.sources for cell in cells if cell not in scores]
     if missing:
         raise SelectionError(
-            f"score table lacks {len(missing)} planned cell(s) for target {task.target.code}: "
+            f"score table lacks {len(missing)} planned cell(s) for target {task.target}: "
             + "; ".join(",".join(sources) for sources in missing)
         )
     return scores[cells[0]], [(cand, scores[cell]) for cand, cell in zip(task.candidates, cells[1:])]
 
 
-def _rank(pairs: list[tuple[LanguageCode, float]], descending: bool) -> list[tuple[LanguageCode, float]]:
+def _rank(pairs: list[tuple[str, float]], descending: bool) -> list[tuple[str, float]]:
     sign = -1.0 if descending else 1.0
-    return sorted(pairs, key=lambda p: (sign * p[1], p[0].code))
+    return sorted(pairs, key=lambda p: (sign * p[1], p[0]))
 
 
 def forward_select(

@@ -565,25 +565,27 @@ def loss_and_gradient(
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    """Serialize a model to an .npz container of ``weights``
-    (3 x len(buckets)), ``buckets``, ``bias``, the adaptation stats'
-    ``df_buckets`` and ``df_counts``, and a JSON ``meta`` (config, stats
-    fields and loss history); loading reproduces bit-identical
+    """Serialize a model to ``path``, as given, in an .npz container of
+    ``weights`` (3 x len(buckets)), ``buckets``, ``bias``, the adaptation
+    stats' ``df_buckets`` and ``df_counts``, and a JSON ``meta`` (config,
+    stats fields and loss history); loading reproduces bit-identical
     predictions."""
     meta = {
         "config": asdict(model.config),
         "stats": {"num_documents": model.stats.num_documents, "source_tag": model.stats.source_tag},
         "loss_history": list(model.loss_history),
     }
-    np.savez_compressed(
-        Path(path),
-        weights=model.weights,
-        buckets=model.buckets,
-        bias=model.bias,
-        df_buckets=model.stats.df_buckets,
-        df_counts=model.stats.df_counts,
-        meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
-    )
+    # Given a file, numpy appends no ".npz" to the name.
+    with open(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            weights=model.weights,
+            buckets=model.buckets,
+            bias=model.bias,
+            df_buckets=model.stats.df_buckets,
+            df_counts=model.stats.df_counts,
+            meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
+        )
 
 
 def load_model(path: str | Path) -> Model:

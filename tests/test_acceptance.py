@@ -13,7 +13,6 @@ import numpy as np
 from langselect import (
     Dataset,
     Example,
-    LanguageCode,
     LearnerConfig,
     SelectionConfig,
     SelectionTask,
@@ -111,14 +110,11 @@ def test_criterion_3_selection_correctness():
             ("t", ("d", "t")): 0.55,
         }
     )
-    task = SelectionTask(
-        target=LanguageCode("t"),
-        candidates=tuple(LanguageCode(c) for c in ("a", "b", "c", "d")),
-    )
+    task = SelectionTask(target="t", candidates=("a", "b", "c", "d"))
     cfg = SelectionConfig()
     result = forward_select(task, score_plan(plan(task, cfg, "forward"), fwd_oracle, (1,)), cfg)
     assert result.baseline_score == 0.50
-    assert [(l.code, round(g, 10)) for l, g in result.positive_sources] == [
+    assert [(c, round(g, 10)) for c, g in result.positive_sources] == [
         ("a", 0.10),
         ("d", 0.05),
     ]
@@ -136,7 +132,7 @@ def test_criterion_3_selection_correctness():
     )
     result = backward_select(task, score_plan(plan(task, cfg, "backward"), bwd_oracle, (1,)), cfg)
     assert result.baseline_score == 0.70
-    assert [(l.code, round(g, 10)) for l, g in result.positive_sources] == [
+    assert [(c, round(g, 10)) for c, g in result.positive_sources] == [
         ("c", 0.20),
         ("a", 0.10),
     ]
@@ -148,10 +144,7 @@ def test_criterion_3_selection_correctness():
     for strategy, decide in (("forward", forward_select), ("backward", backward_select)):
         oracle = HashOracle(salt=strategy)
         for target in codes:
-            task = SelectionTask(
-                target=LanguageCode(target),
-                candidates=tuple(LanguageCode(c) for c in codes if c != target),
-            )
+            task = SelectionTask(target=target, candidates=tuple(c for c in codes if c != target))
             decide(task, score_plan(plan(task, cfg, strategy), oracle, seeds), cfg)
         assert len(oracle.distinct_cells()) == 16
         assert len(oracle.calls) == 16 * 2
@@ -182,10 +175,7 @@ def test_criterion_5_directional_source_selection_effect():
     cfg = SelectionConfig()
     seeds = (1, 2, 3, 4, 5)
     cache = ScoreCache()
-    task = SelectionTask(
-        target=store.language("tt"),
-        candidates=tuple(store.language(c) for c in ("ha", "hb", "xa", "xb", "xc")),
-    )
+    task = SelectionTask(target="tt", candidates=("ha", "hb", "xa", "xb", "xc"))
     matrix = run_matrix(plan(task, cfg, "forward"), store, seeds=seeds, learner=learner, cache=cache)
     result = forward_select(task, matrix.means(), cfg)
     assert result.positive_codes() == ("ha", "hb") or result.positive_codes() == ("hb", "ha")

@@ -72,7 +72,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["cache-dir-is-file", "journal-is-dir", "matrix-out-dir-missing",
                                       "select-out-dir-missing", "select-matrix-out-dir-missing",
-                                      "ingest-out-dir-is-file"])
+                                      "ingest-out-dir-is-file", "train-out-dir-missing"])
     def test_os_error_is_data_error(self, tmp_path, capsys, monkeypatch, config_path, case):
         # A path the run cannot read or write ends in one line naming it,
         # not in a traceback; an output directory that is missing fails
@@ -96,6 +96,9 @@ class TestExitCodes:
             path = tmp_path / "cache" / "scores.journal"
             path.mkdir(parents=True)
             argv = score
+        elif case == "train-out-dir-missing":
+            path = tmp_path / "missing" / "model.npz"
+            argv = ["train", "--config", config_path, "--target", "aa", "--sources", "aa", "--out", str(path)]
         elif case.endswith("out-dir-missing"):
             path = tmp_path / "missing" / "out.jsonl"
             verb, flag = {"matrix-out-dir-missing": ("matrix", "--out"), "select-out-dir-missing": ("select", "--out"),
@@ -153,6 +156,24 @@ class TestExitCodes:
         }[verb]
         assert main([verb, "--config", config_path, "--seed-list", "1,1,2", *argv]) == 1
         assert "repeats a seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, flag, value, message",
+        [("score", "--seed-list", "1,x", "bad seed list '1,x', expected comma-separated integers"),
+         ("select", "--seed-list", ",", "seed list is empty"),
+         ("train", "--sources", ",", "--sources must name at least one language"),
+         ("score", "--sources", ",", "--sources must name at least one language")],
+        ids=["seed-list-not-int", "seed-list-empty", "train-sources-empty", "score-sources-empty"],
+    )
+    def test_bad_list_is_usage_error(self, tmp_path, capsys, config_path, verb, flag, value, message):
+        argv = {
+            "score": ["--target", "aa", "--sources", "aa"],
+            "train": ["--target", "aa", "--sources", "aa", "--out", str(tmp_path / "m.npz")],
+            "select": ["--strategy", "fwd"],
+        }[verb]
+        assert main([verb, "--config", config_path, *argv, flag, value]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "m.npz").exists()
 
     @pytest.mark.parametrize(
         "verb, flag",
@@ -374,13 +395,16 @@ class TestCellMode:
 
 class TestTrainPredictEnsemble:
     def test_roundtrip(self, tmp_path, capsys, config_path, universe_dir):
+        # A model is written to --out as given, whatever its suffix.
         preds = []
-        for seed in (1, 2, 3):
-            model_path = tmp_path / f"model{seed}.npz"
+        for seed, suffix in ((1, ".npz"), (2, ".bin"), (3, ".npz")):
+            model_path = tmp_path / f"model{seed}{suffix}"
             assert main(
                 ["train", "--config", config_path, "--target", "aa", "--sources", "aa,bb",
                  "--seed", str(seed), "--out", str(model_path)]
             ) == 0
+            assert capsys.readouterr().out.splitlines()[-1].startswith(f"saved\t{model_path}\t")
+            assert sorted(tmp_path.glob(f"model{seed}*")) == [model_path]
             pred_path = tmp_path / f"preds{seed}.tsv"
             assert main(
                 ["predict", "--model", str(model_path), "--input",
@@ -641,6 +665,32 @@ class TestSelectAndReport:
         ]
         assert {r["target"] for r in _read_jsonl(out)} == {"aa", "bb", "cc"}
 
+    @pytest.mark.parametrize("mode", ["zeroshot", "multilingual"])
+    def test_absent_train_runs_as_header_only_train(self, tmp_path, monkeypatch, capsys, mode):
+        # A language with a dev file and no train file is a zero-shot
+        # target and no multilingual one, as with a header-only train
+        # file, and ingest counts its train rows as 0.
+        outs = []
+        for state in ("absent", "header-only"):
+            config = write_universe(four_language_universe(), tmp_path / state)
+            doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+            (dd,) = [entry for entry in doc["languages"] if entry["code"] == "dd"]
+            train = config.parent / dd["train"]
+            if state == "absent":
+                del dd["train"]
+                train.unlink()
+            else:
+                train.write_text(train.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+            config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+            monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / state / "cache"))
+            assert main(["ingest", "--config", str(config), "--out-dir", str(tmp_path / state / "ingested")]) == 0
+            assert main(["select", "--config", str(config), "--strategy", "fwd", "--mode", mode,
+                         "--seed-list", "1"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "dd\ttrain=0\tdev=60\tdevstar=60\tremoved=0\n" in outs[0]
+        assert ("\ndd\tforward\t" in outs[0]) == (mode == "zeroshot")
+
     @pytest.mark.parametrize(
         "drop, message",
         [("dev", "no language has a devstar split to evaluate on"),
@@ -687,6 +737,15 @@ class TestSelectAndReport:
               "positives": [], "ranking": []}, 'ValueError("unknown strategy 5'),
             ({"target": "aa", "strategy": "forward", "mode": "bogus", "baseline": 0.5,
               "positives": [], "ranking": []}, "ValueError(\"unknown mode 'bogus'"),
+            # Every language must be a valid code, as in the config.
+            ({"target": 5, "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
+              "positives": [], "ranking": []}, "invalid language code 5:"),
+            ({"target": "aa", "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
+              "positives": [["", 0.1]], "ranking": []}, "invalid language code '':"),
+            ({"target": "aa", "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
+              "positives": [], "ranking": [["BB", 0.6]]}, "invalid language code 'BB':"),
+            ({"target": "a a", "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
+              "positives": [], "ranking": []}, "invalid language code 'a a':"),
         ],
     )
     def test_malformed_selections_line_is_named(self, tmp_path, capsys, config_path, line, reason):

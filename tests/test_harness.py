@@ -12,7 +12,6 @@ import yaml
 from langselect import (
     CorpusError,
     HarnessError,
-    LanguageCode,
     LearnerConfig,
     SelectionConfig,
     SelectionError,
@@ -76,9 +75,7 @@ def store():
 
 def tasks(codes):
     """One selection task per code, the other codes as its candidates."""
-    return [
-        SelectionTask(LanguageCode(t), tuple(LanguageCode(c) for c in codes if c != t)) for t in codes
-    ]
+    return [SelectionTask(t, tuple(c for c in codes if c != t)) for t in codes]
 
 
 def score_cell(spec, store, seeds, cache):
@@ -213,8 +210,6 @@ class TestCorpusStore:
             store.rows("bb", "test")
 
     def test_unknown_language(self, store):
-        with pytest.raises(HarnessError, match="unknown language"):
-            store.language("zz")
         with pytest.raises(HarnessError, match="^language 'zz' has no rows in its train split$"):
             store.rows("zz", "train")
         assert store.split("zz", "train") is None and not store.has("zz", "train")
@@ -667,7 +662,7 @@ class TestEnumeratePlan:
         cfg = SelectionConfig()
         scores = run_matrix(full_plan(codes, "forward"), store, seeds=(1,), learner=LEARNER).means()
         assert len(scores) == 9
-        by_target = {task.target.code: task for task in tasks(codes)}
+        by_target = {task.target: task for task in tasks(codes)}
         for task in by_target.values():
             forward_select(task, scores, cfg)
         for cell in scores:
@@ -1082,7 +1077,7 @@ class TestReport:
         matrix = run_matrix(cells, store, seeds=(1, 2), learner=LEARNER, cache=cache)
         scores = matrix.means()
         cfg = SelectionConfig()
-        selections = {task.target.code: forward_select(task, scores, cfg) for task in tasks(codes)}
+        selections = {task.target: forward_select(task, scores, cfg) for task in tasks(codes)}
         # score the selected sets so the report can show their row
         extra = [
             PlanCell(t, tuple(sorted({t, *r.positive_codes()})), None)
@@ -1179,6 +1174,14 @@ class TestConfig:
         bad.write_text("languages:\n  - code: aa\n  - code: aa\n", encoding="utf-8")
         with pytest.raises(HarnessError, match="duplicate"):
             load_config(bad)
+        for text, message in [
+            ("- code: aa\n", "config must be a mapping"),
+            ("languages:\n  - code: aa\n  - bb\n", "languages[1] must be a mapping with a 'code'"),
+            ("languages:\n  - code: aa\nseeds: []\n", "'seeds' must be non-empty"),
+        ]:
+            bad.write_text(text, encoding="utf-8")
+            with pytest.raises(HarnessError, match=f"^{re.escape(f'{bad}: {message}')}$"):
+                load_config(bad)
 
     def test_duplicate_seeds_rejected(self, tmp_path):
         bad = tmp_path / "bad.yaml"

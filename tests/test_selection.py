@@ -10,7 +10,6 @@ import pytest
 
 from langselect import (
     AFRISENTI_LANGUAGES,
-    LanguageCode,
     PlanCell,
     SelectionConfig,
     SelectionError,
@@ -23,12 +22,8 @@ from langselect import (
 from reference import DictOracle, HashOracle, brute_force_backward, brute_force_forward, score_plan
 
 
-def langs(*codes):
-    return tuple(LanguageCode(c) for c in codes)
-
-
 def task(target, *candidates):
-    return SelectionTask(target=LanguageCode(target), candidates=langs(*candidates))
+    return SelectionTask(target=target, candidates=candidates)
 
 
 CFG1 = SelectionConfig()
@@ -45,10 +40,10 @@ def bwd(task, oracle, cfg, seeds=(1,)):
 
 
 def run_all_targets(languages, oracle, cfg, strategy="forward", seeds=(1,)):
-    """Selection with every language as the target and the others as its
-    candidates, as the CLI runs it."""
+    """Selection with every language code as the target and the others as
+    its candidates, as the CLI runs it."""
     select = fwd if strategy == "forward" else bwd
-    codes = sorted(lang.code for lang in languages)
+    codes = sorted(languages)
     return {t: select(task(t, *(c for c in codes if c != t)), oracle, cfg, seeds) for t in codes}
 
 
@@ -66,7 +61,7 @@ class TestForwardMultilingual:
         assert result.baseline_score == 0.50
         assert result.positive_codes() == ("a",)
         assert result.positive_sources[0][1] == pytest.approx(0.10)
-        assert [l.code for l, _ in result.ranking] == ["a", "b", "c"]
+        assert [c for c, _ in result.ranking] == ["a", "b", "c"]
 
     def test_exactly_at_baseline_not_positive(self):
         oracle = DictOracle(
@@ -161,7 +156,7 @@ class TestBackwardMultilingual:
             }
         )
         result = bwd(task("t", "a", "b", "c"), oracle, CFG1)
-        assert [l.code for l, _ in result.ranking] == ["a", "b", "c"]
+        assert [c for c, _ in result.ranking] == ["a", "b", "c"]
         assert result.positive_codes() == ("a", "b")
 
 
@@ -180,7 +175,7 @@ class TestZeroShot:
         assert result.baseline_score == 0.6
         # positive when not more than 5% below the full-set baseline
         assert result.positive_codes() == ("a", "b")
-        assert [l.code for l, _ in result.ranking] == ["a", "b", "c"]
+        assert [c for c, _ in result.ranking] == ["a", "b", "c"]
 
     def test_forward_never_trains_on_target(self):
         oracle = HashOracle()
@@ -221,7 +216,7 @@ class TestRunAllTargets:
         codes = ("a", "b", "c", "d")
         for strategy in ("forward", "backward"):
             oracle = HashOracle()
-            run_all_targets(langs(*codes), oracle, CFG1, strategy, seeds=(1, 2))
+            run_all_targets(codes, oracle, CFG1, strategy, seeds=(1, 2))
             assert len(oracle.distinct_cells()) == 16
             per_seed_calls = len(oracle.calls) / 2
             assert per_seed_calls == 16
@@ -231,16 +226,16 @@ class TestRunAllTargets:
         cfg = SelectionConfig(mode="zeroshot")
         for strategy in ("forward", "backward"):
             oracle = HashOracle()
-            run_all_targets(langs(*codes), oracle, cfg, strategy)
+            run_all_targets(codes, oracle, cfg, strategy)
             assert len(oracle.distinct_cells()) == 16
 
     def test_requires_two_languages(self):
         with pytest.raises(SelectionError, match="no candidate"):
-            run_all_targets(langs("a"), HashOracle(), CFG1)
+            run_all_targets(("a",), HashOracle(), CFG1)
 
     def test_deterministic(self):
-        results1 = run_all_targets(langs("a", "b", "c"), HashOracle(), CFG1)
-        results2 = run_all_targets(langs("a", "b", "c"), HashOracle(), CFG1)
+        results1 = run_all_targets(("a", "b", "c"), HashOracle(), CFG1)
+        results2 = run_all_targets(("a", "b", "c"), HashOracle(), CFG1)
         assert results1 == results2
 
     def test_missing_cell_error_names_cell(self):
@@ -309,13 +304,13 @@ class TestAgainstBruteForce:
             mode = rng.choice(["multilingual", "zeroshot"])
             cfg = SelectionConfig(mode=mode, threshold=rng.choice([0.02, 0.05, 0.2]))
             result = fwd(
-                SelectionTask(LanguageCode(target), langs(*candidates)), oracle, cfg, seeds=(1, 2)
+                SelectionTask(target, tuple(candidates)), oracle, cfg, seeds=(1, 2)
             )
             baseline, expected = brute_force_forward(
                 target, candidates, HashOracle(salt=str(trial)), (1, 2), cfg.threshold, mode
             )
             assert result.baseline_score == pytest.approx(baseline, abs=1e-12)
-            assert [(l.code, g) for l, g in result.positive_sources] == [
+            assert list(result.positive_sources) == [
                 (c, pytest.approx(g, abs=1e-12)) for c, g in expected
             ]
 
@@ -328,7 +323,7 @@ class TestAgainstBruteForce:
             oracle = HashOracle(salt=f"b{trial}")
             mode = rng.choice(["multilingual", "zeroshot"])
             cfg = SelectionConfig(mode=mode, threshold=rng.choice([0.02, 0.05, 0.2]))
-            t = SelectionTask(LanguageCode(target), langs(*candidates))
+            t = SelectionTask(target, tuple(candidates))
             if mode == "zeroshot" and len(candidates) == 1:
                 # Leaving out the only candidate would leave nothing to train on.
                 with pytest.raises(SelectionError, match=f"target {target}: zero-shot backward"):
@@ -345,7 +340,7 @@ class TestAgainstBruteForce:
                 cfg.baseline_samples_per_language,
             )
             assert result.baseline_score == pytest.approx(baseline, abs=1e-12)
-            assert [(l.code, g) for l, g in result.positive_sources] == [
+            assert list(result.positive_sources) == [
                 (c, pytest.approx(g, abs=1e-12)) for c, g in expected
             ]
 
@@ -380,11 +375,15 @@ class TestThresholdMonotonicity:
 class TestValidation:
     def test_task_rejects_target_in_candidates(self):
         with pytest.raises(SelectionError, match="must not appear"):
-            SelectionTask(LanguageCode("t"), langs("t", "a"))
+            SelectionTask("t", ("t", "a"))
 
     def test_task_rejects_empty_candidates(self):
         with pytest.raises(SelectionError, match="no candidate"):
-            SelectionTask(LanguageCode("t"), ())
+            SelectionTask("t", ())
+
+    def test_task_rejects_duplicate_candidates(self):
+        with pytest.raises(SelectionError, match="target t: duplicate candidates"):
+            SelectionTask("t", ("a", "b", "a"))
 
     def test_config_validation(self):
         with pytest.raises(SelectionError):
