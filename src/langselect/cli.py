@@ -216,13 +216,19 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _tasks(cfg, store, mode: str) -> list[sel.SelectionTask]:
-    """One selection task per language with a devstar split, sorted by
-    code; its candidates are every other language with train data. A
-    multilingual plan trains on its target's own rows, so there a
-    language without train rows is no target: it is skipped with a
-    warning."""
+    """One selection task per language with devstar rows, sorted by code;
+    its candidates are every other language with train rows. A language
+    that is no target is named by one warning, read off the store's
+    facts, so a warm run logs what a cold one does: one with a dev file
+    but no devstar rows, and, since a multilingual plan trains on its
+    target's own rows, there one without train rows."""
     trainable = sorted(lf.language.code for lf in cfg.languages if store.has(lf.language.code, "train"))
-    targets = sorted(lf.language.code for lf in cfg.languages if store.has(lf.language.code, "devstar"))
+    targets = []
+    for t in sorted(lf.language.code for lf in cfg.languages if lf.dev is not None):
+        if store.has(t, "devstar"):
+            targets.append(t)
+        else:
+            logger.warning("%s: no devstar rows, so it is not a target", t)
     if mode == sel.MULTILINGUAL:
         for t in sorted(set(targets) - set(trainable)):
             logger.warning("%s: no train rows, so it is not a target of a multilingual plan", t)
@@ -248,11 +254,13 @@ def _selection_config(args: argparse.Namespace, cfg) -> sel.SelectionConfig:
 
 
 def _check_out_dirs(*paths: str | None) -> None:
-    """Raise the error that writing an output into a missing directory
-    raises (``OSError`` picks its subclass by errno), before any cell
-    trains rather than after every one."""
+    """Raise the error that writing an output that is a directory, or
+    that lies in a missing one, raises (``OSError`` picks its subclass
+    by errno), before any cell trains rather than after every one."""
     for path in filter(None, paths):
         parent = Path(path).parent
+        if Path(path).is_dir():
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not parent.is_dir():
             code = errno.ENOTDIR if parent.exists() else errno.ENOENT
             raise OSError(code, os.strerror(code), path)

@@ -287,13 +287,7 @@ def load_unlabeled_text(path: str | Path, language: LanguageCode, split: str = "
         for lineno, line in enumerate(text_lines(read_utf8(path)), start=1)
         if line.strip()
     ]
-    if not examples:
-        warn_empty_corpus(path)
     return Dataset(language=language, split=split, examples=tuple(examples))
-
-
-def warn_empty_corpus(path: str | Path) -> None:
-    logger.warning("%s: unlabeled corpus is empty", path)
 
 
 def dedup_dev(train: Dataset, dev: Dataset) -> Dataset:
@@ -311,13 +305,7 @@ def dedup_dev(train: Dataset, dev: Dataset) -> Dataset:
     removed = len(dev) - len(kept)
     if removed:
         logger.info("%s: removed %d dev examples overlapping train", dev.language.code, removed)
-    if not kept:
-        warn_empty_devstar(dev.language.code)
     return Dataset(language=dev.language, split="devstar", examples=kept)
-
-
-def warn_empty_devstar(code: str) -> None:
-    logger.warning("%s: devstar is empty, dev was fully contained in train", code)
 
 
 def _sample_indices(n: int, k: int, rng: random.Random) -> list[int]:

@@ -114,7 +114,10 @@ def load_config(path: str | Path) -> HarnessConfig:
         for key, value in metadata.items():
             if not isinstance(value, str):
                 raise HarnessError(f"{path}: 'languages[{i}].{key}' must be a string, got {value!r}")
-        lang = LanguageCode(**metadata)
+        try:
+            lang = LanguageCode(**metadata)
+        except CorpusError as e:
+            raise HarnessError(f"{path}: 'languages[{i}].code': {e}") from None
         files = {
             key: _resolve(path, f"languages[{i}].{key}", entry.get(key))
             for key in ("train", "dev", "test", "lapt_corpus")

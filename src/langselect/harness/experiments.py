@@ -31,15 +31,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 from ..corpus import (
     LOADER_VERSION,
     Dataset,
-    LanguageCode,
     dedup_dev,
     load_labeled_tsv,
     load_unlabeled_text,
     read_file_bytes,
     sample_per_language,
     text_lines,
-    warn_empty_corpus,
-    warn_empty_devstar,
 )
 from ..errors import CorpusError, HarnessError, LangselectError
 from ..learner_config import ADAPTATIONS, NUMERICS_VERSION, LearnerConfig
@@ -147,14 +144,17 @@ class CorpusStore:
     only when a dataset of it is first returned, so a run whose scores
     all come from the cache parses no corpus. Any other file is loaded
     and validated at once, and its facts remembered; with an empty memo,
-    every file is loaded at once. Facts are remembered under
+    every file is loaded at once. A split whose facts count no rows is
+    no exception: its file is parsed when its dataset is first returned,
+    which a warm run never asks for, as ``rows`` raises first. The store
+    logs nothing about empty splits; the caller that picks targets says
+    which languages it leaves out and why. Facts are remembered under
     ``corpus.LOADER_VERSION``: after a loader change each file is parsed
     once more, and a file whose rows did not change keeps its digests,
     so its cells keep their keys and cached scores.
     """
 
-    def __init__(self, metadata: dict[str, LanguageCode], memo: FactsMemo):
-        self._metadata = metadata
+    def __init__(self, memo: FactsMemo):
         self._splits: dict[tuple[str, str], _Split] = {}
         # sha256 of the bytes of each split read from a file, by
         # (language, split).
@@ -162,52 +162,34 @@ class CorpusStore:
         self._memo = memo
         self._samples: dict[tuple[str, int, int], Dataset] = {}
 
-    def _add(
-        self,
-        code: str,
-        split: str,
-        name: str,
-        raw: str,
-        build: Callable[[], Dataset],
-        warn_empty: Callable[[], None] | None = None,
-    ) -> None:
+    def _add(self, code: str, split: str, name: str, raw: str, build: Callable[[], Dataset]) -> None:
         """Add the split ``build`` makes, named ``name`` in errors. When
         the memo holds its facts under the key ``raw``, it is built on
-        first use; otherwise it is built now and its facts remembered.
-        ``warn_empty`` logs, for recalled facts, what the loader logs for
-        an empty result."""
+        first use, whatever its row count; otherwise it is built now and
+        its facts remembered."""
         loader = _LOADERS.get(split, "labeled")
         facts = self._memo.get(LOADER_VERSION, loader, raw)
-        if facts is not None and not facts[1]:
-            # Nothing to parse: the split is empty, as the loader would
-            # build it, and the recall logs the loader's warning.
-            empty = Dataset(self._metadata[code], "train" if split == "lapt" else split, ())
-            build = lambda: empty  # noqa: E731
-            if warn_empty is not None:
-                warn_empty()
         entry = self._splits[(code, split)] = _Split(name, build, facts)
         if facts is None:
             entry.dataset()
             self._memo.put(LOADER_VERSION, loader, raw, entry.facts())
 
-    def _add_file(self, code: str, split: str, path: Path, build: Callable[[], Dataset], warn_empty=None) -> None:
+    def _add_file(self, code: str, split: str, path: Path, build: Callable[[], Dataset]) -> None:
         raw = self._raw[(code, split)] = hashlib.sha256(read_file_bytes(path)).hexdigest()
-        self._add(code, split, str(path), raw, build, warn_empty)
+        self._add(code, split, str(path), raw, build)
+
+    def _devstar(self, code: str) -> Dataset:
+        """Dev less the rows train holds; an absent train split removes
+        no row, as an empty one does."""
+        train, dev = self.split(code, "train"), self.split(code, "dev")
+        return dedup_dev(train or Dataset(dev.language, "train", ()), dev)
 
     def _entry(self, code: str, split: str) -> _Split | None:
         if split == "devstar" and (code, split) not in self._splits and (code, "dev") in self._splits:
-            # An absent train split removes no dev row, as an empty one
-            # does; its facts key starts with "+", as no other key does.
-            self._add(
-                code,
-                "devstar",
-                f"{code}/devstar",
-                f"{self._raw.get((code, 'train'), '')}+{self._raw[(code, 'dev')]}",
-                lambda: dedup_dev(
-                    self.split(code, "train") or Dataset(self._metadata[code], "train", ()), self.split(code, "dev")
-                ),
-                partial(warn_empty_devstar, code),
-            )
+            # Without a train file, the facts key starts with "+", as no
+            # other key does.
+            raw = f"{self._raw.get((code, 'train'), '')}+{self._raw[(code, 'dev')]}"
+            self._add(code, "devstar", f"{code}/devstar", raw, partial(self._devstar, code))
         return self._splits.get((code, split))
 
     def split(self, code: str, split: str) -> Dataset | None:
@@ -253,20 +235,14 @@ class CorpusStore:
         ``memo`` holds are parsed on first use; without a memo, an empty
         in-memory one loads every file at once."""
         memo = FactsMemo() if memo is None else memo
-        store = cls({lf.language.code: lf.language for lf in cfg.languages}, memo)
+        store = cls(memo)
         for lf in cfg.languages:
             code = lf.language.code
             for split, path in (("train", lf.train), ("dev", lf.dev), ("test", lf.test)):
                 if path is not None:
                     store._add_file(code, split, path, partial(load_labeled_tsv, path, lf.language, split))
             if lf.lapt_corpus is not None:
-                store._add_file(
-                    code,
-                    "lapt",
-                    lf.lapt_corpus,
-                    partial(load_unlabeled_text, lf.lapt_corpus, lf.language),
-                    partial(warn_empty_corpus, lf.lapt_corpus),
-                )
+                store._add_file(code, "lapt", lf.lapt_corpus, partial(load_unlabeled_text, lf.lapt_corpus, lf.language))
         return store
 
 

@@ -72,11 +72,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["cache-dir-is-file", "journal-is-dir", "matrix-out-dir-missing",
                                       "select-out-dir-missing", "select-matrix-out-dir-missing",
-                                      "ingest-out-dir-is-file", "train-out-dir-missing"])
+                                      "ingest-out-dir-is-file", "train-out-dir-missing", "train-out-is-dir",
+                                      "matrix-out-is-dir", "select-out-is-dir", "select-matrix-out-is-dir"])
     def test_os_error_is_data_error(self, tmp_path, capsys, monkeypatch, config_path, case):
         # A path the run cannot read or write ends in one line naming it,
-        # not in a traceback; an output directory that is missing fails
-        # the run before any model trains.
+        # not in a traceback; an output that is a directory, or whose
+        # directory is missing, fails the run before any model trains.
         import langselect.harness.experiments as exp
 
         trained = []
@@ -96,13 +97,19 @@ class TestExitCodes:
             path = tmp_path / "cache" / "scores.journal"
             path.mkdir(parents=True)
             argv = score
-        elif case == "train-out-dir-missing":
+        elif case.startswith("train-"):
             path = tmp_path / "missing" / "model.npz"
+            if case == "train-out-is-dir":
+                path = tmp_path / "outdir"
+                path.mkdir()
             argv = ["train", "--config", config_path, "--target", "aa", "--sources", "aa", "--out", str(path)]
-        elif case.endswith("out-dir-missing"):
+        elif case.endswith(("out-dir-missing", "out-is-dir")):
             path = tmp_path / "missing" / "out.jsonl"
-            verb, flag = {"matrix-out-dir-missing": ("matrix", "--out"), "select-out-dir-missing": ("select", "--out"),
-                          "select-matrix-out-dir-missing": ("select", "--matrix-out")}[case]
+            if case.endswith("out-is-dir"):
+                path = tmp_path / "outdir"
+                path.mkdir()
+            verb, output = case.split("-", 1)
+            flag = "--matrix-out" if output.startswith("matrix-out") else "--out"
             argv = [verb, "--config", config_path, "--strategy", "bwd", flag, str(path)]
         else:
             path = tmp_path / "out"
@@ -1297,8 +1304,9 @@ class TestWarmRuns:
 
 
 def test_warm_runs_log_empty_split_warnings(tmp_path, monkeypatch, caplog):
-    # A devstar that overlap removal empties and an empty LAPT corpus warn
-    # on every run, also when their facts come from the memo.
+    # A devstar that overlap removal empties leaves its language out of
+    # the targets with one warning on every run, also when the facts come
+    # from the memo; an empty LAPT corpus that no cell reads logs nothing.
     monkeypatch.delenv("LANGSELECT_CACHE_DIR", raising=False)
     universe = replace(
         CLI_UNIVERSE,
@@ -1317,10 +1325,7 @@ def test_warm_runs_log_empty_split_warnings(tmp_path, monkeypatch, caplog):
         with caplog.at_level(logging.WARNING, logger="langselect"):
             assert main(argv) == 0
         logged.append([(r.name, r.getMessage()) for r in caplog.records])
-    assert logged[0] == logged[1] == [
-        ("langselect.corpus", f"{corpus}: unlabeled corpus is empty"),
-        ("langselect.corpus", "ee: devstar is empty, dev was fully contained in train"),
-    ]
+    assert logged[0] == logged[1] == [("langselect.cli", "ee: no devstar rows, so it is not a target")]
 
 
 _CONTRACT_PLANS = [(strategy, mode) for strategy in ("fwd", "bwd") for mode in ("multilingual", "zeroshot")]

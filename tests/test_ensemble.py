@@ -1,6 +1,7 @@
 """Majority-vote ensembling tests."""
 import itertools
 import random
+import re
 
 import pytest
 
@@ -108,6 +109,8 @@ class TestPredictionFiles:
         write_predictions_tsv(b, ["x", "z"], [pred("positive"), pred("negative")])
         with pytest.raises(EnsembleError, match="ids do not match"):
             pool_from_files([a, b])
+        with pytest.raises(EnsembleError, match="no prediction files given"):
+            pool_from_files([])
 
     def test_pool_from_files_majority(self, tmp_path):
         paths = []
@@ -119,6 +122,14 @@ class TestPredictionFiles:
         ids, pool = pool_from_files(paths)
         assert ids == ["x", "y"]
         assert majority_vote(pool) == ["positive", "positive"]
+
+    def test_malformed_predictions_rejected(self, tmp_path):
+        path = tmp_path / "p.tsv"
+        with pytest.raises(EnsembleError, match="1 ids vs 2 predictions"):
+            write_predictions_tsv(path, ["a"], [pred("positive"), pred("negative")])
+        path.write_text("id\tlabel\na\tmeh\n", encoding="utf-8")
+        with pytest.raises(EnsembleError, match=f"^{re.escape(str(path))}: unknown label 'meh' at line 2$"):
+            read_predictions_tsv(path)
 
     def test_missing_file(self, tmp_path):
         # Prediction files share the TSV reader, and so its data error.

@@ -104,6 +104,8 @@ class TestExperimentSpec:
         assert spec.sources == ("aa", "bb")
         with pytest.raises(HarnessError, match="duplicate"):
             ExperimentSpec(target="aa", sources=("bb", "bb"))
+        with pytest.raises(HarnessError, match="at least one source"):
+            ExperimentSpec(target="aa", sources=())
 
     def test_bad_enum_values(self):
         with pytest.raises(HarnessError, match="adaptation"):
@@ -1178,6 +1180,11 @@ class TestConfig:
             ("- code: aa\n", "config must be a mapping"),
             ("languages:\n  - code: aa\n  - bb\n", "languages[1] must be a mapping with a 'code'"),
             ("languages:\n  - code: aa\nseeds: []\n", "'seeds' must be non-empty"),
+            *(
+                (f"languages:\n  - code: aa\n  - code: {code}\n", f"'languages[1].code': invalid language code "
+                 f"{yaml.safe_load(code)!r}: must be non-empty lowercase without whitespace")
+                for code in ("AA", '"a a"', '""')
+            ),
         ]:
             bad.write_text(text, encoding="utf-8")
             with pytest.raises(HarnessError, match=f"^{re.escape(f'{bad}: {message}')}$"):

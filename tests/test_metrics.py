@@ -122,3 +122,5 @@ class TestScoreReport:
     def test_negative_counts_rejected(self):
         with pytest.raises(MetricsError):
             ConfusionMatrix(np.array([[-1, 0, 0], [0, 0, 0], [0, 0, 0]]))
+        with pytest.raises(MetricsError, match="must be 3x3"):
+            ConfusionMatrix(np.zeros((2, 3), dtype=np.int64))

@@ -392,6 +392,8 @@ class TestValidation:
             SelectionConfig(top_k=0)
         with pytest.raises(SelectionError):
             SelectionConfig(mode="both")
+        with pytest.raises(SelectionError, match="baseline_samples_per_language"):
+            SelectionConfig(baseline_samples_per_language=0)
 
     def test_result_row_format(self):
         oracle = DictOracle({("t", ("t",)): 0.5, ("t", ("a", "t")): 0.6})

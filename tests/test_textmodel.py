@@ -230,6 +230,8 @@ class TestPretrain:
     def test_empty_corpus_rejected(self, lang):
         with pytest.raises(TextModelError, match="adaptation corpus empty"):
             pretrain([Dataset(lang, "train", ())], "t", SMALL)
+        with pytest.raises(TextModelError, match="num_documents >= 1"):
+            AdaptationStats(df_buckets=[], df_counts=[], num_documents=0, source_tag="t")
 
     def test_labels_ignored(self, lang):
         rows = [("good day", "positive"), ("bad day", "negative"), ("a day", "neutral")]
