@@ -34,10 +34,11 @@ from .harness import (
     selection_results_to_jsonl,
     train_model,
 )
-from .harness.experiments import EVAL_SPLITS
+from .harness.experiments import EVAL_SPLITS, warn_cap_shortfalls
 from .harness.report import FORMATS
 
-logger = logging.getLogger(__name__)
+# Not __name__, which is "__main__" under ``python -m langselect.cli``.
+logger = logging.getLogger("langselect.cli")
 
 _MODES = {"multi": sel.MULTILINGUAL, "multilingual": sel.MULTILINGUAL, "zeroshot": sel.ZEROSHOT}
 _STRATEGIES = {"fwd": sel.FORWARD, "forward": sel.FORWARD, "bwd": sel.BACKWARD, "backward": sel.BACKWARD}
@@ -188,6 +189,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     spec = _spec_from_args(args, cfg)
     _check_out_dirs(args.out)
+    warn_cap_shortfalls([spec], store)
     model = train_model(spec, store, seed, adaptation_stats(spec, store))
     save_model(model, args.out)
     print(f"saved\t{args.out}\tfinal_loss={model.loss_history[-1]!r}")
@@ -222,10 +224,10 @@ def _tasks(cfg, store, mode: str) -> list[sel.SelectionTask]:
     facts, so a warm run logs what a cold one does: one with a dev file
     but no devstar rows, and, since a multilingual plan trains on its
     target's own rows, there one without train rows."""
-    trainable = sorted(lf.language.code for lf in cfg.languages if store.has(lf.language.code, "train"))
+    trainable = sorted(lf.language.code for lf in cfg.languages if store.count(lf.language.code, "train"))
     targets = []
     for t in sorted(lf.language.code for lf in cfg.languages if lf.dev is not None):
-        if store.has(t, "devstar"):
+        if store.count(t, "devstar"):
             targets.append(t)
         else:
             logger.warning("%s: no devstar rows, so it is not a target", t)

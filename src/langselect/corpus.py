@@ -21,7 +21,6 @@ import re
 import string
 import unicodedata
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -317,36 +316,22 @@ def _sample_indices(n: int, k: int, rng: random.Random) -> list[int]:
     return sorted(i for _, i in keys[:k])
 
 
-@lru_cache(maxsize=1 << 12)
-def _warn_short_language(code: str, available: int, requested: int) -> None:
-    # Memoized, so the warning is logged once per (language, rows
-    # available, cap) in a process, not once per cell and seed.
-    logger.warning("%s: only %d train rows available, requested %d; using all", code, available, requested)
+def sample_per_language(ds: Dataset, k: int, seed: int) -> Dataset:
+    """Draw up to ``k`` of a train split's examples, without replacement.
 
-
-def sample_per_language(datasets: Iterable[Dataset], k: int, seed: int) -> list[Dataset]:
-    """Draw up to ``k`` train examples per language, without replacement.
-
-    The generator is seeded by (seed, language code), so the subsample for
-    a language does not depend on which other languages are present.
-    Languages with fewer than ``k`` rows contribute everything. Selected
-    rows keep their original file order.
+    The generator is seeded by (seed, language code), so a draw depends
+    on nothing but the split, ``k`` and ``seed``. A split of at most
+    ``k`` rows is returned whole; selected rows keep their file order.
+    Logs nothing: a run names each cap shortfall from its store's facts.
     """
     if k <= 0:
         raise CorpusError(f"sample_per_language: k must be >= 1, got {k}")
-    out: list[Dataset] = []
-    for ds in datasets:
-        if ds.split != "train":
-            raise CorpusError(f"sample_per_language expects train splits, got {ds.language.code}/{ds.split}")
-        if len(ds) <= k:
-            if len(ds) < k:
-                _warn_short_language(ds.language.code, len(ds), k)
-            out.append(ds)
-            continue
-        rng = random.Random(f"{seed}:{ds.language.code}")
-        chosen = _sample_indices(len(ds), k, rng)
-        out.append(Dataset(ds.language, "train", tuple(ds.examples[i] for i in chosen)))
-    return out
+    if ds.split != "train":
+        raise CorpusError(f"sample_per_language expects a train split, got {ds.language.code}/{ds.split}")
+    if len(ds) <= k:
+        return ds
+    chosen = _sample_indices(len(ds), k, random.Random(f"{seed}:{ds.language.code}"))
+    return Dataset(ds.language, "train", tuple(ds.examples[i] for i in chosen))
 
 
 # The AfriSenti shared-task languages and their families.

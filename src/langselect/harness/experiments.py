@@ -133,8 +133,8 @@ class CorpusStore:
     split that is absent or holds no rows has no rows. ``split`` returns
     the dataset, or None if it is absent; ``rows`` returns it only if it
     holds a row, and otherwise raises one ``HarnessError`` naming the
-    language and the split; ``has`` says whether ``rows`` would succeed.
-    A split's facts are its content digest and row count, and ``has``
+    language and the split; ``count`` gives its row count, 0 if absent.
+    A split's facts are its content digest and row count, and ``count``
     and ``digest`` answer from them alone. A ``devstar`` split is derived
     on first use from a present dev split, less any rows that train holds.
     ``sample`` returns capped train splits, each drawn once.
@@ -201,16 +201,15 @@ class CorpusStore:
         """The split's dataset, which holds at least one row. An absent
         or empty split is a ``HarnessError`` naming the language and the
         split."""
-        if not self.has(code, split):
+        if not self.count(code, split):
             what = "LAPT corpus" if split == "lapt" else f"{split} split"
             raise HarnessError(f"language {code!r} has no rows in its {what}")
         return self.split(code, split)
 
-    def has(self, code: str, split: str) -> bool:
-        """Whether the split is present and holds at least one row, so
-        that ``rows`` returns it."""
+    def count(self, code: str, split: str) -> int:
+        """The split's row count, read off its facts; 0 if it is absent."""
         entry = self._entry(code, split)
-        return entry is not None and entry.facts()[1] > 0
+        return 0 if entry is None else entry.facts()[1]
 
     def sample(self, code: str, cap: int, seed: int) -> Dataset:
         """``rows(code, "train")`` capped at ``cap`` rows by
@@ -219,7 +218,7 @@ class CorpusStore:
         references to the split's examples."""
         key = (code, cap, seed)
         if key not in self._samples:
-            (self._samples[key],) = sample_per_language([self.rows(code, "train")], cap, seed=seed)
+            self._samples[key] = sample_per_language(self.rows(code, "train"), cap, seed=seed)
         return self._samples[key]
 
     def digest(self, code: str, split: str) -> str | None:
@@ -330,6 +329,16 @@ class ExperimentSpec:
             f"target={self.target} sources={','.join(self.sources)} mode={self.mode} "
             f"adaptation={self.adaptation} eval={self.eval_split}{cap}"
         )
+
+
+def warn_cap_shortfalls(specs: Iterable[ExperimentSpec], store: CorpusStore) -> None:
+    """Log, sorted by code, one warning per (language, cap) of the capped
+    ``specs`` whose train split holds rows, but fewer than the cap. It
+    reads only ``store.count``, so a warm run logs what a cold one does."""
+    caps = {(code, spec.sample_cap) for spec in specs if spec.sample_cap is not None for code in spec.sources}
+    for code, cap in sorted(caps):
+        if 0 < (n := store.count(code, "train")) < cap:
+            logger.warning("%s: only %d train rows available, requested %d; using all", code, n, cap)
 
 
 def build_training_set(spec: ExperimentSpec, store: CorpusStore, seed: int) -> list[Dataset]:
@@ -579,8 +588,9 @@ def run_matrix(
     scored in order of each group's first cell key, so each distinct
     model trains once per seed. A group's (cell, seed) pairs are looked
     up in ``cache``; ``score_experiment`` scores those that miss, and
-    their scores are put in the order it returns. Logs one INFO line:
-    cells, cells fully cached, models trained and failed cells.
+    their scores are put in the order it returns. Logs every cap
+    shortfall by ``warn_cap_shortfalls``, then one INFO line: cells,
+    cells fully cached, models trained and failed cells.
 
     A failing cell does not stop the run: once every cell has been tried,
     a single error reporting all failed cells is raised, so a matrix is
@@ -603,6 +613,7 @@ def run_matrix(
             eval_split=eval_split,
         )
         specs.setdefault(spec.cell_key(store), spec)
+    warn_cap_shortfalls(specs.values(), store)
     groups: dict[tuple, dict[str, ExperimentSpec]] = {}
     for key in sorted(specs):
         groups.setdefault(specs[key].model_key(), {})[key] = specs[key]

@@ -513,8 +513,9 @@ def fine_tune(
                 V *= scale
                 scale = 1.0
             bias = bias - lr * dz.sum(axis=0)
-        w_used = scale * V
-        epoch_loss = ce_sum / n + 0.5 * config.l2_lambda * float((w_used * w_used).sum())
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+            w_used = scale * V
+            epoch_loss = ce_sum / n + 0.5 * config.l2_lambda * float((w_used * w_used).sum())
         if not math.isfinite(epoch_loss):
             raise TextModelError("divergence: reduce learning_rate")
         history.append(epoch_loss)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import yaml
 
+import langselect
 from langselect.cli import main
 from langselect.corpus import LOADER_VERSION
 from langselect.harness import load_config
@@ -187,7 +188,7 @@ class TestExitCodes:
         [("matrix", "--parallelism"), ("select", "--parallelism"), ("select", "--top-k"),
          ("score", "--cap"), ("train", "--cap")],
     )
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
     def test_non_positive_count_is_usage_error(self, tmp_path, capsys, config_path, verb, flag, value):
         argv = {
             "score": ["--target", "aa", "--sources", "aa"],
@@ -1083,6 +1084,11 @@ class TestNumpyFreeVerbs:
             env=env, capture_output=True, encoding="utf-8", check=True, timeout=60,
         )
         assert json.loads(done.stdout) == [False, [], []]
+        # In this process too: dir() lists the lazy names, and any other
+        # missing name is an AttributeError naming the package.
+        assert set(langselect._LAZY) <= set(dir(langselect))
+        with pytest.raises(AttributeError, match="^module 'langselect' has no attribute 'no_such_name'$"):
+            langselect.no_such_name
 
 
 def _rotate_labels(path):
@@ -1326,6 +1332,35 @@ def test_warm_runs_log_empty_split_warnings(tmp_path, monkeypatch, caplog):
             assert main(argv) == 0
         logged.append([(r.name, r.getMessage()) for r in caplog.records])
     assert logged[0] == logged[1] == [("langselect.cli", "ee: no devstar rows, so it is not a target")]
+    # Run as a module, the warm run logs under the same logger name.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "langselect.cli", *argv], env=env, capture_output=True,
+                          encoding="utf-8", check=True)
+    assert done.stderr == "WARNING langselect.cli: ee: no devstar rows, so it is not a target\n"
+
+
+def test_cold_and_warm_runs_log_each_cap_shortfall_once(tmp_path, monkeypatch, caplog):
+    # A language with fewer train rows than the backward cap trains on all
+    # of them. Each run names it once per cap, sorted by code, from the
+    # split facts, so the warm rerun logs what the cold run does, and
+    # train logs the same for its one spec.
+    monkeypatch.delenv("LANGSELECT_CACHE_DIR", raising=False)
+    aa, bb, cc = CLI_UNIVERSE.languages
+    universe = replace(CLI_UNIVERSE, languages=(aa, replace(bb, n_train=20), replace(cc, n_train=12)), seeds=(1,),
+                       selection={"baseline_samples_per_language": 30})
+    config = str(write_universe(universe, tmp_path))
+    runs = [["select", "--config", config, "--strategy", "bwd"]] * 2 + [
+        ["train", "--config", config, "--target", "aa", "--sources", "cc,bb", "--cap", "30",
+         "--out", str(tmp_path / "m.npz")]]
+    logged = []
+    for argv in runs:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="langselect"):
+            assert main(argv) == 0
+        logged.append([(r.name, r.getMessage()) for r in caplog.records])
+    assert logged == [[("langselect.harness.experiments", f"{code}: only {n} train rows available, requested 30; "
+                        "using all") for code, n in (("bb", 20), ("cc", 12))]] * 3
 
 
 _CONTRACT_PLANS = [(strategy, mode) for strategy in ("fwd", "bwd") for mode in ("multilingual", "zeroshot")]

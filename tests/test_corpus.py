@@ -1,5 +1,4 @@
 """Corpus module tests: normalization, loaders, dedup and sampling."""
-import logging
 import random
 import re
 import sys
@@ -22,7 +21,6 @@ from langselect.corpus import (
     MENTION_RE,
     URL_RE,
     _is_punct,
-    _warn_short_language,
     load_texts_tsv,
     save_labeled_tsv,
 )
@@ -421,65 +419,42 @@ class TestSamplePerLanguage:
 
     def test_shortfall_returns_all(self, lang):
         ds = self._train(300, lang)
-        (out,) = sample_per_language([ds], 500, seed=1)
+        out = sample_per_language(ds, 500, seed=1)
         assert out == ds
-
-    def test_shortfall_warns_once_per_language_size_and_cap(self, lang, caplog):
-        _warn_short_language.cache_clear()
-        short = self._train(3, lang)
-        other = make_dataset([("t", "positive")], LanguageCode("yy"))
-        with caplog.at_level(logging.WARNING, logger="langselect.corpus"):
-            for seed in range(4):
-                sample_per_language([short, other], 4, seed=seed)
-            sample_per_language([short], 6, seed=1)
-            sample_per_language([self._train(2, lang)], 6, seed=1)
-        assert [r.getMessage() for r in caplog.records] == [
-            "xx: only 3 train rows available, requested 4; using all",
-            "yy: only 1 train rows available, requested 4; using all",
-            "xx: only 3 train rows available, requested 6; using all",
-            "xx: only 2 train rows available, requested 6; using all",
-        ]
 
     def test_exact_size_keeps_order(self, lang):
         ds = self._train(5, lang)
-        (out,) = sample_per_language([ds], 5, seed=1)
+        out = sample_per_language(ds, 5, seed=1)
         assert out == ds
 
     def test_deterministic(self, lang):
         ds = self._train(50, lang)
-        a = sample_per_language([ds], 7, seed=3)[0]
-        b = sample_per_language([ds], 7, seed=3)[0]
+        a = sample_per_language(ds, 7, seed=3)
+        b = sample_per_language(ds, 7, seed=3)
         assert a == b
-        c = sample_per_language([ds], 7, seed=4)[0]
+        c = sample_per_language(ds, 7, seed=4)
         assert a != c
 
     def test_frozen_subsample(self, lang):
         # Regression pin so cross-platform drift would be caught.
         ds = self._train(10, lang)
-        (out,) = sample_per_language([ds], 3, seed=42)
+        out = sample_per_language(ds, 3, seed=42)
         assert [ex.id for ex in out] == ["e4", "e6", "e8"]
 
     def test_original_order_preserved(self, lang):
         ds = self._train(40, lang)
-        (out,) = sample_per_language([ds], 11, seed=9)
+        out = sample_per_language(ds, 11, seed=9)
         ids = [int(ex.id[1:]) for ex in out]
         assert ids == sorted(ids)
 
-    def test_independent_of_other_languages(self, lang):
-        other = make_dataset([(f"o {i}", "negative") for i in range(30)], LanguageCode("yy"))
-        ds = self._train(30, lang)
-        alone = sample_per_language([ds], 9, seed=5)[0]
-        together = sample_per_language([other, ds], 9, seed=5)[1]
-        assert alone == together
-
     def test_k_zero_rejected(self, lang):
         with pytest.raises(CorpusError, match=">= 1"):
-            sample_per_language([self._train(3, lang)], 0, seed=1)
+            sample_per_language(self._train(3, lang), 0, seed=1)
 
     def test_requires_train_split(self, lang):
         dev = make_dataset([("a", "positive")], lang, split="dev")
         with pytest.raises(CorpusError, match="train"):
-            sample_per_language([dev], 1, seed=1)
+            sample_per_language(dev, 1, seed=1)
 
 
 class TestMetadata:

@@ -214,15 +214,15 @@ class TestCorpusStore:
     def test_unknown_language(self, store):
         with pytest.raises(HarnessError, match="^language 'zz' has no rows in its train split$"):
             store.rows("zz", "train")
-        assert store.split("zz", "train") is None and not store.has("zz", "train")
+        assert store.split("zz", "train") is None and not store.count("zz", "train")
 
     def test_header_only_train_is_not_trainable(self, tmp_path):
         config = write_universe(TINY, tmp_path)
         train = tmp_path / "data" / "bb_train.tsv"
         train.write_text(train.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
         store = CorpusStore.from_config(load_config(config))
-        assert [store.has(code, "train") for code in ("aa", "bb", "cc", "zz")] == [True, False, True, False]
-        assert store.has("bb", "devstar") and len(store.split("bb", "train")) == 0
+        assert [bool(store.count(code, "train")) for code in ("aa", "bb", "cc", "zz")] == [True, False, True, False]
+        assert store.count("bb", "devstar") and len(store.split("bb", "train")) == 0
 
     # What ``rows`` names each split of in its error.
     _WHAT = {"train": "train split", "dev": "dev split", "devstar": "devstar split", "test": "test split",
@@ -251,17 +251,19 @@ class TestCorpusStore:
     @pytest.mark.parametrize("split", ["train", "dev", "devstar", "test", "lapt"])
     def test_split_queries_follow_one_rule(self, tmp_path, monkeypatch, split, state):
         # split returns the dataset or None; rows returns it only with a
-        # row, else one error naming the language and the split; has says
-        # which. A warm store answers has and digest without a load.
+        # row, else one error naming the language and the split; count
+        # gives its rows, 0 if absent. A warm store answers count and
+        # digest without a load.
         cfg = self._universe_with(tmp_path, split, state)
         cold, _ = memo_store(cfg, monkeypatch)
-        answers = (cold.has("aa", split), cold.digest("aa", split))
-        assert answers[0] == (state == "rows") and (answers[1] is None) == (state == "absent")
+        answers = (cold.count("aa", split), cold.digest("aa", split))
+        assert bool(answers[0]) == (state == "rows") and (answers[1] is None) == (state == "absent")
         warm, loads = memo_store(cfg, monkeypatch)
-        assert (warm.has("aa", split), warm.digest("aa", split)) == answers
+        assert (warm.count("aa", split), warm.digest("aa", split)) == answers
         assert loads == []
         for store in (cold, warm):
             ds = store.split("aa", split)
+            assert store.count("aa", split) == len(ds or ())
             if state == "absent":
                 assert ds is None
             else:
@@ -349,7 +351,7 @@ class TestFactsMemo:
                 for split in ("train", "dev", "devstar", "test", "lapt")}
         warm, loads = memo_store(cfg, monkeypatch)
         assert {key: warm.digest(*key) for key in keys} == keys
-        assert warm.has("aa", "train") and warm.has("aa", "devstar") and not warm.has("bb", "test")
+        assert warm.count("aa", "train") and warm.count("aa", "devstar") and not warm.count("bb", "test")
         assert loads == []
         assert warm.rows("bb", "train") == cold.rows("bb", "train")
         assert warm.split("aa", "devstar") == cold.split("aa", "devstar")
@@ -928,10 +930,9 @@ class TestModelGroups:
         draws = []
         real = exp.sample_per_language
 
-        def spy(datasets, k, seed):
-            datasets = list(datasets)
-            draws.extend((ds.language.code, k, seed) for ds in datasets)
-            return real(datasets, k, seed=seed)
+        def spy(ds, k, seed):
+            draws.append((ds.language.code, k, seed))
+            return real(ds, k, seed=seed)
 
         monkeypatch.setattr(exp, "sample_per_language", spy)
         store = build_store(four_language_universe())
@@ -1108,6 +1109,17 @@ class TestReport:
         rows = [json.loads(line) for line in jsonl.splitlines()]
         assert any(r["table"] == "scores" for r in rows)
         assert any(r["table"] == "selection" for r in rows)
+        # A row with no support in any target has no overall, and a column
+        # whose selections lack a target shows "-" for it.
+        matrix.entries["nosupport"] = MatrixEntry("aa", ("aa", "bb", "cc"), "none", 5, "devstar", {1: 0.5}, 0.5,
+                                                  0.0, 0)
+        selections["backward"] = {"bb": replace(selections["forward"]["bb"], strategy="backward")}
+        scores, strategies, picks = render_report(matrix, selections, ["aa", "bb", "cc"], fmt="tsv").split("\n\n")
+        assert "multilingual, cap 5\t50.00\t-\t-\t-" in scores.splitlines()
+        assert "multilingual, cap 5\t-" in strategies.splitlines()
+        assert picks.splitlines()[0] == "target\tbackward\tforward"
+        backward = {row.split("\t")[0]: row.split("\t")[1] for row in picks.splitlines()[1:]}
+        assert backward["aa"] == backward["cc"] == "-"
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_selections_jsonl_roundtrip(self, store, tmp_path, newline):

@@ -379,6 +379,13 @@ class TestFineTune:
         cfg = LearnerConfig(hash_buckets=256, ngram_max=3, epochs=4, learning_rate=1e12)
         with pytest.raises(TextModelError, match="divergence: reduce learning_rate"):
             fine_tune(AdaptationStats.uniform(), ds, cfg, 1)
+        # Finite batch losses but weights whose squares overflow: the
+        # epoch loss check reports it, with no numpy overflow warning.
+        ds = make_dataset([("good day", "positive"), ("bad day", "negative"), ("a day", "neutral")], lang)
+        cfg = LearnerConfig(hash_buckets=2**12, ngram_max=3, epochs=3, learning_rate=1e200, l2_lambda=0.0,
+                            lr_decay=1.0)
+        with pytest.raises(TextModelError, match="divergence: reduce learning_rate"):
+            fine_tune(AdaptationStats.uniform(), ds, cfg, 1)
 
     def test_loss_history_decreases(self, lang):
         rng = random.Random(23)
