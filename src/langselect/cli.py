@@ -151,7 +151,7 @@ def _spec_from_args(args: argparse.Namespace, cfg) -> ExperimentSpec:
     sources = tuple(s.strip() for s in args.sources.split(",") if s.strip())
     if not sources:
         raise _UsageError("--sources must name at least one language")
-    declared = {lf.language.code for lf in cfg.languages}
+    declared = {lf.code for lf in cfg.languages}
     for code in (args.target, *sources):
         if code not in declared:
             raise HarnessError(f"language {code!r} is not declared in {args.config}")
@@ -170,8 +170,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     store = CorpusStore.from_config(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for lf in sorted(cfg.languages, key=lambda l: l.language.code):
-        code = lf.language.code
+    for lf in sorted(cfg.languages, key=lambda l: l.code):
+        code = lf.code
         train, dev, devstar = (store.split(code, split) for split in ("train", "dev", "devstar"))
         counts = f"{code}\ttrain={len(train or ())}\tdev={len(dev or ())}"
         if devstar is None:
@@ -224,9 +224,9 @@ def _tasks(cfg, store, mode: str) -> list[sel.SelectionTask]:
     facts, so a warm run logs what a cold one does: one with a dev file
     but no devstar rows, and, since a multilingual plan trains on its
     target's own rows, there one without train rows."""
-    trainable = sorted(lf.language.code for lf in cfg.languages if store.count(lf.language.code, "train"))
+    trainable = sorted(lf.code for lf in cfg.languages if store.count(lf.code, "train"))
     targets = []
-    for t in sorted(lf.language.code for lf in cfg.languages if lf.dev is not None):
+    for t in sorted(lf.code for lf in cfg.languages if lf.dev is not None):
         if store.count(t, "devstar"):
             targets.append(t)
         else:
@@ -331,8 +331,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             # Zero-shot results get their own column, apart from multilingual ones.
             column = result.strategy if result.mode == sel.MULTILINGUAL else f"{result.strategy} {result.mode}"
             selections.setdefault(column, {})[result.target] = result
-    languages = [lf.language.code for lf in cfg.languages]
-    document = render_report(matrix, selections, languages, fmt=args.format)
+    languages = [lf.code for lf in cfg.languages]
+    trainable = [lf.code for lf in cfg.languages if lf.train is not None]
+    document = render_report(matrix, selections, languages, fmt=args.format, trainable=trainable)
     if args.out:
         Path(args.out).write_text(document, encoding="utf-8")
     else:

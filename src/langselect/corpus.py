@@ -102,7 +102,9 @@ def check_code(code: object) -> str:
 
 @dataclass(frozen=True)
 class LanguageCode:
-    """A language identifier plus optional family metadata.
+    """A language identifier plus optional family metadata, as
+    ``AFRISENTI_LANGUAGES`` holds them; datasets and the config hold the
+    bare code.
 
     Equality and hashing use only ``code``: two values with the same code
     are the same language regardless of how much metadata they carry.
@@ -114,14 +116,11 @@ class LanguageCode:
     def __post_init__(self) -> None:
         check_code(self.code)
 
-    def __str__(self) -> str:
-        return self.code
-
 
 @dataclass(frozen=True)
 class Example:
-    """One text row of a ``Dataset``, which owns its language and split;
-    ``label`` is None for unlabeled data."""
+    """One text row of a ``Dataset``, which owns its language code and
+    split; ``label`` is None for unlabeled data."""
 
     id: str
     text: str
@@ -136,19 +135,21 @@ class Example:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered, immutable collection of examples for one language/split."""
+    """An ordered, immutable collection of examples for one language,
+    named by its code, and split."""
 
-    language: LanguageCode
+    code: str
     split: str
     examples: tuple[Example, ...]
 
     def __post_init__(self) -> None:
+        check_code(self.code)
         if self.split not in SPLITS:
             raise CorpusError(f"unknown split {self.split!r}, expected one of {SPLITS}")
         seen: set[str] = set()
         for ex in self.examples:
             if ex.id in seen:
-                raise CorpusError(f"dataset {self.language.code}/{self.split}: duplicate id {ex.id!r}")
+                raise CorpusError(f"dataset {self.code}/{self.split}: duplicate id {ex.id!r}")
             seen.add(ex.id)
 
     def __len__(self) -> int:
@@ -231,7 +232,7 @@ def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
             fh.write(line % tuple(row))
 
 
-def load_labeled_tsv(path: str | Path, language: LanguageCode, split: str = "train") -> Dataset:
+def load_labeled_tsv(path: str | Path, code: str, split: str = "train") -> Dataset:
     """Load a labeled TSV (header, then ``id<TAB>text<TAB>label`` rows).
 
     Texts are normalized; rows whose text normalizes to empty are dropped
@@ -254,7 +255,7 @@ def load_labeled_tsv(path: str | Path, language: LanguageCode, split: str = "tra
         examples.append(Example(id=row_id, text=normalized, label=label))
     if dropped:
         logger.info("%s: dropped %d rows with empty text after normalization", path, dropped)
-    return Dataset(language=language, split=split, examples=tuple(examples))
+    return Dataset(code=code, split=split, examples=tuple(examples))
 
 
 def load_texts_tsv(path: str | Path) -> tuple[list[str], list[str]]:
@@ -273,9 +274,9 @@ def save_labeled_tsv(dataset: Dataset, path: str | Path) -> None:
     write_tsv(path, ("id", "text", "label"), ((ex.id, ex.text, ex.label or "") for ex in dataset))
 
 
-def load_unlabeled_text(path: str | Path, language: LanguageCode, split: str = "train") -> Dataset:
-    """Load an unlabeled corpus: one sentence per line, read by
-    ``read_utf8`` and split by ``text_lines``.
+def load_unlabeled_text(path: str | Path, code: str) -> Dataset:
+    """Load an unlabeled corpus, as a train split: one sentence per line,
+    read by ``read_utf8`` and split by ``text_lines``.
 
     Blank lines are skipped; every other line is normalized, which never
     leaves it empty, into the example ``u<line number>``.
@@ -286,7 +287,7 @@ def load_unlabeled_text(path: str | Path, language: LanguageCode, split: str = "
         for lineno, line in enumerate(text_lines(read_utf8(path)), start=1)
         if line.strip()
     ]
-    return Dataset(language=language, split=split, examples=tuple(examples))
+    return Dataset(code=code, split="train", examples=tuple(examples))
 
 
 def dedup_dev(train: Dataset, dev: Dataset) -> Dataset:
@@ -295,16 +296,14 @@ def dedup_dev(train: Dataset, dev: Dataset) -> Dataset:
     Returns the ``devstar`` split with the original dev order preserved.
     The overlap key is the full normalized text string.
     """
-    if train.language != dev.language:
-        raise CorpusError(
-            f"dedup_dev: language mismatch ({train.language.code} train vs {dev.language.code} dev)"
-        )
+    if train.code != dev.code:
+        raise CorpusError(f"dedup_dev: language mismatch ({train.code} train vs {dev.code} dev)")
     train_texts = {ex.text for ex in train}
     kept = tuple(ex for ex in dev if ex.text not in train_texts)
     removed = len(dev) - len(kept)
     if removed:
-        logger.info("%s: removed %d dev examples overlapping train", dev.language.code, removed)
-    return Dataset(language=dev.language, split="devstar", examples=kept)
+        logger.info("%s: removed %d dev examples overlapping train", dev.code, removed)
+    return Dataset(code=dev.code, split="devstar", examples=kept)
 
 
 def _sample_indices(n: int, k: int, rng: random.Random) -> list[int]:
@@ -327,11 +326,11 @@ def sample_per_language(ds: Dataset, k: int, seed: int) -> Dataset:
     if k <= 0:
         raise CorpusError(f"sample_per_language: k must be >= 1, got {k}")
     if ds.split != "train":
-        raise CorpusError(f"sample_per_language expects a train split, got {ds.language.code}/{ds.split}")
+        raise CorpusError(f"sample_per_language expects a train split, got {ds.code}/{ds.split}")
     if len(ds) <= k:
         return ds
-    chosen = _sample_indices(len(ds), k, random.Random(f"{seed}:{ds.language.code}"))
-    return Dataset(ds.language, "train", tuple(ds.examples[i] for i in chosen))
+    chosen = _sample_indices(len(ds), k, random.Random(f"{seed}:{ds.code}"))
+    return Dataset(ds.code, "train", tuple(ds.examples[i] for i in chosen))
 
 
 # The AfriSenti shared-task languages and their families.

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import yaml
 
-from ..corpus import LanguageCode, read_utf8
+from ..corpus import check_code, read_utf8
 from ..errors import CorpusError, HarnessError, SelectionError, TextModelError
 from ..selection import SelectionConfig
 from ..learner_config import ADAPTATIONS, LearnerConfig
@@ -38,9 +38,9 @@ _LANGUAGE_KEYS = ("code", "family", "train", "dev", "test", "lapt_corpus")
 
 @dataclass(frozen=True)
 class LanguageFiles:
-    """Data files declared for one language."""
+    """Data files declared for one language, named by its code."""
 
-    language: LanguageCode
+    code: str
     train: Path | None = None
     dev: Path | None = None
     test: Path | None = None
@@ -110,20 +110,20 @@ def load_config(path: str | Path) -> HarnessConfig:
         if not isinstance(entry, dict) or "code" not in entry:
             raise HarnessError(f"{path}: languages[{i}] must be a mapping with a 'code'")
         _check_keys(path, entry, _LANGUAGE_KEYS, f"languages[{i}]")
-        metadata = {"code": entry["code"], "family": entry.get("family", "")}
-        for key, value in metadata.items():
+        # A family is checked, as synth writes one, but not kept.
+        for key, value in (("code", entry["code"]), ("family", entry.get("family", ""))):
             if not isinstance(value, str):
                 raise HarnessError(f"{path}: 'languages[{i}].{key}' must be a string, got {value!r}")
         try:
-            lang = LanguageCode(**metadata)
+            code = check_code(entry["code"])
         except CorpusError as e:
             raise HarnessError(f"{path}: 'languages[{i}].code': {e}") from None
         files = {
             key: _resolve(path, f"languages[{i}].{key}", entry.get(key))
             for key in ("train", "dev", "test", "lapt_corpus")
         }
-        languages.append(LanguageFiles(language=lang, **files))
-    codes = [lf.language.code for lf in languages]
+        languages.append(LanguageFiles(code=code, **files))
+    codes = [lf.code for lf in languages]
     if len(set(codes)) != len(codes):
         raise HarnessError(f"{path}: duplicate language codes in config")
 

@@ -135,30 +135,28 @@ class CorpusStore:
     holds a row, and otherwise raises one ``HarnessError`` naming the
     language and the split; ``count`` gives its row count, 0 if absent.
     A split's facts are its content digest and row count, and ``count``
-    and ``digest`` answer from them alone. A ``devstar`` split is derived
-    on first use from a present dev split, less any rows that train holds.
-    ``sample`` returns capped train splits, each drawn once.
+    and ``digest`` answer from them alone. A language with a dev file
+    also has a ``devstar`` split: its dev split less any rows that train
+    holds. ``sample`` returns capped train splits, each drawn once.
 
-    The store hashes every configured file's bytes and looks their facts
-    up in its ``FactsMemo``. A file whose facts the memo holds is parsed
-    only when a dataset of it is first returned, so a run whose scores
-    all come from the cache parses no corpus. Any other file is loaded
-    and validated at once, and its facts remembered; with an empty memo,
-    every file is loaded at once. A split whose facts count no rows is
-    no exception: its file is parsed when its dataset is first returned,
-    which a warm run never asks for, as ``rows`` raises first. The store
-    logs nothing about empty splits; the caller that picks targets says
-    which languages it leaves out and why. Facts are remembered under
-    ``corpus.LOADER_VERSION``: after a loader change each file is parsed
-    once more, and a file whose rows did not change keeps its digests,
-    so its cells keep their keys and cached scores.
+    The store hashes every configured file's bytes and looks up the
+    facts of each split, devstar included, in its ``FactsMemo``. A split
+    whose facts the memo holds is built only when its dataset is first
+    returned, so a run whose scores all come from the cache parses no
+    corpus. Any other split is built and validated at once, and its
+    facts remembered; with an empty memo, every split is built at once.
+    A split whose facts count no rows is no exception: it is built when
+    its dataset is first returned, which a warm run never asks for, as
+    ``rows`` raises first. The store logs nothing about empty splits;
+    the caller that picks targets says which languages it leaves out and
+    why. Facts are remembered under ``corpus.LOADER_VERSION``: after a
+    loader change each file is parsed once more, and a file whose rows
+    did not change keeps its digests, so its cells keep their keys and
+    cached scores.
     """
 
     def __init__(self, memo: FactsMemo):
         self._splits: dict[tuple[str, str], _Split] = {}
-        # sha256 of the bytes of each split read from a file, by
-        # (language, split).
-        self._raw: dict[tuple[str, str], str] = {}
         self._memo = memo
         self._samples: dict[tuple[str, int, int], Dataset] = {}
 
@@ -174,27 +172,15 @@ class CorpusStore:
             entry.dataset()
             self._memo.put(LOADER_VERSION, loader, raw, entry.facts())
 
-    def _add_file(self, code: str, split: str, path: Path, build: Callable[[], Dataset]) -> None:
-        raw = self._raw[(code, split)] = hashlib.sha256(read_file_bytes(path)).hexdigest()
-        self._add(code, split, str(path), raw, build)
-
     def _devstar(self, code: str) -> Dataset:
         """Dev less the rows train holds; an absent train split removes
         no row, as an empty one does."""
         train, dev = self.split(code, "train"), self.split(code, "dev")
-        return dedup_dev(train or Dataset(dev.language, "train", ()), dev)
-
-    def _entry(self, code: str, split: str) -> _Split | None:
-        if split == "devstar" and (code, split) not in self._splits and (code, "dev") in self._splits:
-            # Without a train file, the facts key starts with "+", as no
-            # other key does.
-            raw = f"{self._raw.get((code, 'train'), '')}+{self._raw[(code, 'dev')]}"
-            self._add(code, "devstar", f"{code}/devstar", raw, partial(self._devstar, code))
-        return self._splits.get((code, split))
+        return dedup_dev(train or Dataset(code, "train", ()), dev)
 
     def split(self, code: str, split: str) -> Dataset | None:
         """The split's dataset, empty or not, or None if it is absent."""
-        entry = self._entry(code, split)
+        entry = self._splits.get((code, split))
         return None if entry is None else entry.dataset()
 
     def rows(self, code: str, split: str) -> Dataset:
@@ -208,7 +194,7 @@ class CorpusStore:
 
     def count(self, code: str, split: str) -> int:
         """The split's row count, read off its facts; 0 if it is absent."""
-        entry = self._entry(code, split)
+        entry = self._splits.get((code, split))
         return 0 if entry is None else entry.facts()[1]
 
     def sample(self, code: str, cap: int, seed: int) -> Dataset:
@@ -225,23 +211,29 @@ class CorpusStore:
         """sha256 of a split's (id, text, label) rows in order, or None if
         the split is absent. ``split`` may also be "lapt" for the
         language's LAPT corpus."""
-        entry = self._entry(code, split)
+        entry = self._splits.get((code, split))
         return None if entry is None else entry.facts()[0]
 
     @classmethod
     def from_config(cls, cfg: HarnessConfig, memo: FactsMemo | None = None) -> "CorpusStore":
-        """The store of every file ``cfg`` declares. Files whose facts
-        ``memo`` holds are parsed on first use; without a memo, an empty
-        in-memory one loads every file at once."""
+        """The store of every file ``cfg`` declares, each language's
+        devstar split after its files. Splits whose facts ``memo`` holds
+        are built on first use; without a memo, an empty in-memory one
+        builds every split at once."""
         memo = FactsMemo() if memo is None else memo
         store = cls(memo)
         for lf in cfg.languages:
-            code = lf.language.code
-            for split, path in (("train", lf.train), ("dev", lf.dev), ("test", lf.test)):
+            raw: dict[str, str] = {}
+            for split, path in (("train", lf.train), ("dev", lf.dev), ("test", lf.test), ("lapt", lf.lapt_corpus)):
                 if path is not None:
-                    store._add_file(code, split, path, partial(load_labeled_tsv, path, lf.language, split))
-            if lf.lapt_corpus is not None:
-                store._add_file(code, "lapt", lf.lapt_corpus, partial(load_unlabeled_text, lf.lapt_corpus, lf.language))
+                    raw[split] = hashlib.sha256(read_file_bytes(path)).hexdigest()
+                    load = load_unlabeled_text if split == "lapt" else partial(load_labeled_tsv, split=split)
+                    store._add(lf.code, split, str(path), raw[split], partial(load, path, lf.code))
+            if "dev" in raw:
+                # Without a train file, the facts key starts with "+", as no
+                # other key does.
+                key = f"{raw.get('train', '')}+{raw['dev']}"
+                store._add(lf.code, "devstar", f"{lf.code}/devstar", key, partial(store._devstar, lf.code))
         return store
 
 

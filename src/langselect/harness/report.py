@@ -25,17 +25,16 @@ from .experiments import MatrixEntry, ScoreMatrix, jsonl_text, parse_jsonl
 FORMATS = ("markdown", "tsv", "jsonl")
 
 
-def _composition(entry: MatrixEntry, all_codes: tuple[str, ...]) -> str | None:
-    """Name of a training composition, read off its target and sources
-    alone, or None for selection plumbing cells (pairs / leave-one-out
-    sets) that would flood the table."""
+def _composition(entry: MatrixEntry, trainable: frozenset[str]) -> str | None:
+    """Name of a training composition, read off its target, sources and
+    mode, or None for selection plumbing cells (pairs / leave-one-out
+    sets) that would flood the table. A baseline trains on every
+    language in ``trainable``, less the target in zero-shot mode, and
+    is named by its mode."""
     if entry.sources == (entry.target,):
         return "monolingual"
-    if set(entry.sources) == set(all_codes):
-        return "multilingual"
-    if set(entry.sources) == set(all_codes) - {entry.target}:
-        return "zeroshot"
-    return None
+    baseline = trainable if entry.mode == MULTILINGUAL else trainable - {entry.target}
+    return entry.mode if set(entry.sources) == baseline else None
 
 
 def _row_label(composition: str, entry: MatrixEntry) -> str:
@@ -49,17 +48,19 @@ def collect_rows(
     matrix: ScoreMatrix,
     selections: Mapping[str, Mapping[str, SelectionResult]],
     languages: Sequence[str],
+    trainable: Sequence[str] | None = None,
 ) -> tuple[list[str], list[tuple[str, dict[str, MatrixEntry]]]]:
-    """Group matrix entries into report rows.
+    """Group matrix entries into report rows, one column per language.
 
-    ``selections`` maps a column name (the strategy, "forward"/"backward",
+    ``trainable`` names the languages that can be sources, every one by
+    default; the baseline rows train on them. ``selections`` maps a column name (the strategy, "forward"/"backward",
     or a strategy and mode) to per-target results; the rows for
     selected-source models are matched by looking up the uncapped entry
     trained on exactly the selected set, whose sources imply the result's
     mode.
     """
-    all_codes = tuple(sorted(languages))
-    targets = list(all_codes)
+    targets = sorted(languages)
+    sources = frozenset(languages if trainable is None else trainable)
     rows: dict[str, dict[str, MatrixEntry]] = {}
     # Uncapped cells by (target, sources), where selected sets are
     # looked up. Keys are visited sorted, and the first match wins, so
@@ -69,7 +70,7 @@ def collect_rows(
         entry = matrix.entries[key]
         if entry.sample_cap is None:
             uncapped.setdefault((entry.target, entry.sources), entry)
-        composition = _composition(entry, all_codes)
+        composition = _composition(entry, sources)
         if composition is not None:
             rows.setdefault(_row_label(composition, entry), {}).setdefault(entry.target, entry)
     strategy_tags = {"forward": "fwd", "backward": "bwd"}
@@ -115,11 +116,13 @@ def render_report(
     selections: Mapping[str, Mapping[str, SelectionResult]],
     languages: Sequence[str],
     fmt: str = "markdown",
+    trainable: Sequence[str] | None = None,
 ) -> str:
-    """Render the full report document in the requested format."""
+    """Render the full report document in the requested format; the
+    arguments are those of ``collect_rows``."""
     if fmt not in FORMATS:
         raise HarnessError(f"unknown report format {fmt!r}, expected one of {FORMATS}")
-    targets, rows = collect_rows(matrix, selections, languages)
+    targets, rows = collect_rows(matrix, selections, languages, trainable)
 
     score_headers = ["model", *targets, "overall"]
     score_body = []

@@ -494,8 +494,8 @@ def fine_tune(
             idx = slot[pos]
             vals = X.data[pos]
             yb = y[chunk]
-            probs = _softmax(scale * _keyed_sums(row, vals, V, idx, nb) + bias)
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # divergence is reported below
+                probs = _softmax(scale * _keyed_sums(row, vals, V, idx, nb) + bias)
                 batch_ce = -float(np.log(probs[np.arange(nb), yb]).sum())
             if not math.isfinite(batch_ce):
                 raise TextModelError("divergence: reduce learning_rate")

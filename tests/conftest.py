@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from langselect import Dataset, Example, LanguageCode
+from langselect import Dataset, Example
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -20,15 +20,14 @@ BOUNDARY_IDS = ["U+2028", "U+2029", "U+0085", "VT", "FF", "FS", "GS", "RS"]
 
 @pytest.fixture
 def lang():
-    return LanguageCode("xx", "Test-Family/Sub")
+    return "xx"
 
 
-def make_dataset(rows, language=None, split="train", prefix="e"):
+def make_dataset(rows, code="xx", split="train", prefix="e"):
     """rows: iterable of (text, label) or (id, text, label)."""
-    language = language or LanguageCode("xx", "Test-Family/Sub")
     examples = []
     for i, row in enumerate(rows):
         if len(row) == 2:
             row = (f"{prefix}{i}", *row)
         examples.append(Example(id=row[0], text=row[1], label=row[2]))
-    return Dataset(language=language, split=split, examples=tuple(examples))
+    return Dataset(code=code, split=split, examples=tuple(examples))

@@ -372,7 +372,7 @@ def test_criterion_8_preprocessing_golden_suite(lang):
         ("d4", "fresh dev two", "neutral"),
     ]
     dev = Dataset(
-        language=lang,
+        code=lang,
         split="dev",
         examples=tuple(Example(i, t, l) for i, t, l in dev_rows),
     )

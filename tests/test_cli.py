@@ -974,6 +974,36 @@ class TestReportRows:
         assert rows["zeroshot"] != rows["zeroshot, cap 30"]
         assert "multilingual" not in rows
 
+    def test_a_language_without_a_train_file_keeps_the_baseline_rows(self, tmp_path, monkeypatch):
+        # dd declares no train file, so it is never a source: each baseline
+        # trains on aa, bb and cc (less the target, zero-shot) and still
+        # gets its row, and dd is a target of the zero-shot one alone.
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        config = write_universe(four_language_universe(), tmp_path)
+        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+        del next(entry for entry in doc["languages"] if entry["code"] == "dd")["train"]
+        config.write_text(yaml.safe_dump(doc, sort_keys=True), encoding="utf-8")
+        paths = []
+        for mode in ("multilingual", "zeroshot"):
+            paths += ["--matrix", str(tmp_path / f"{mode}.jsonl")]
+            assert main(["matrix", "--config", str(config), "--strategy", "bwd", "--mode", mode,
+                         "--seed-list", "1", "--out", paths[-1]]) == 0
+        out = tmp_path / "report.tsv"
+        assert main(["report", "--config", str(config), *paths, "--format", "tsv", "--out", str(out)]) == 0
+        scores_table = out.read_text(encoding="utf-8").split("\n\n")[0].splitlines()
+        assert scores_table[0] == "model\taa\tbb\tcc\tdd\toverall"
+        rows = {line.split("\t")[0]: line.split("\t")[1:5] for line in scores_table[1:]}
+        trainable = {"aa", "bb", "cc"}
+        for label, path, targets in (("multilingual, cap 500", paths[1], ["aa", "bb", "cc"]),
+                                     ("zeroshot, cap 500", paths[3], ["aa", "bb", "cc", "dd"])):
+            means = {
+                r["target"]: f"{100 * r['mean']:.2f}"
+                for r in _read_jsonl(Path(path))
+                if set(r["sources"]) == (trainable if r["mode"] == "multilingual" else trainable - {r["target"]})
+            }
+            assert sorted(means) == targets
+            assert rows[label] == [means.get(code, "-") for code in ("aa", "bb", "cc", "dd")]
+
     def test_multilingual_and_zeroshot_selections_get_their_own_rows(self, tmp_path, monkeypatch, four_config):
         # Forward selections in both modes, reported together: neither mode's
         # picks may replace the other's.
@@ -1307,6 +1337,36 @@ class TestWarmRuns:
                 assert main(argv) == 2
                 err = capsys.readouterr().err
                 assert err.startswith("data error:") and message in err and name in err
+
+
+class TestFactsJournal:
+    """What ``facts.journal`` holds: one record per configured file, and
+    after each language's files one for its devstar split, all written
+    when the store is built and never again once remembered."""
+
+    _COLD = ["labeled", "labeled", "labeled", "devstar"] * 4
+
+    @pytest.fixture
+    def config(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("LANGSELECT_CACHE_DIR", raising=False)
+        return str(write_universe(four_language_universe(), tmp_path))
+
+    @staticmethod
+    def _loaders(config):
+        facts = Path(config).parent / "cache" / "facts.journal"
+        return [line.split("\t")[2] for line in facts.read_text(encoding="utf-8").splitlines()]
+
+    def test_cold_select_records_every_split_and_the_warm_rerun_none(self, config, capsys):
+        argv = ["select", "--config", config, "--strategy", "fwd", "--seed-list", "1"]
+        assert main(argv) == 0
+        assert self._loaders(config) == self._COLD
+        assert main(argv) == 0
+        assert self._loaders(config) == self._COLD
+
+    def test_cold_train_records_every_split(self, config, tmp_path, capsys):
+        assert main(["train", "--config", config, "--target", "aa", "--sources", "aa,bb", "--seed", "1",
+                     "--out", str(tmp_path / "m.npz")]) == 0
+        assert self._loaders(config) == self._COLD
 
 
 def test_warm_runs_log_empty_split_warnings(tmp_path, monkeypatch, caplog):

@@ -169,6 +169,11 @@ class TestDatasetInvariants:
         with pytest.raises(CorpusError, match="unknown split"):
             Dataset(lang, "validation", ())
 
+    @pytest.mark.parametrize("code", ["", "XX", "x x", None, LanguageCode("xx")])
+    def test_invalid_code_rejected(self, code):
+        with pytest.raises(CorpusError, match="invalid language code"):
+            Dataset(code, "train", ())
+
     def test_empty_text_rejected(self, lang):
         with pytest.raises(CorpusError, match="empty text"):
             Example("a", "", "positive")
@@ -247,7 +252,7 @@ class TestLoadLabeledTsv:
 
 
 def _labeled_rows(path):
-    return [(ex.id, ex.text, ex.label) for ex in load_labeled_tsv(path, LanguageCode("xx"))]
+    return [(ex.id, ex.text, ex.label) for ex in load_labeled_tsv(path, "xx")]
 
 
 def _text_rows(path):
@@ -406,7 +411,7 @@ class TestDedupDev:
         assert dedup_dev(train, once) == once
 
     def test_language_mismatch(self, lang):
-        other = LanguageCode("yy")
+        other = "yy"
         train = make_dataset([("a", "positive")], lang)
         dev = make_dataset([("b", "negative")], other, split="dev")
         with pytest.raises(CorpusError, match="language mismatch"):

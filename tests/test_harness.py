@@ -156,7 +156,7 @@ class TestExperimentSpec:
         # whatever the adaptation reads.
         config_path = write_universe(TINY, tmp_path)
         cfg = load_config(config_path)
-        train_tsv = next(lf.train for lf in cfg.languages if lf.language.code == "bb")
+        train_tsv = next(lf.train for lf in cfg.languages if lf.code == "bb")
         cache = ScoreCache(tmp_path / "scores.journal")
         specs = [
             ExperimentSpec(target="aa", sources=("aa", "bb"), learner=LEARNER),
@@ -411,7 +411,7 @@ class TestBuildTrainingSet:
     def test_concatenates_in_code_order(self, store):
         spec = ExperimentSpec(target="aa", sources=("bb", "aa"), learner=LEARNER)
         sets = build_training_set(spec, store, 1)
-        assert [ds.language.code for ds in sets] == ["aa", "bb"]
+        assert [ds.code for ds in sets] == ["aa", "bb"]
         assert sum(len(ds) for ds in sets) == 72
 
     def test_cap_applies_min_rule(self, store):
@@ -931,7 +931,7 @@ class TestModelGroups:
         real = exp.sample_per_language
 
         def spy(ds, k, seed):
-            draws.append((ds.language.code, k, seed))
+            draws.append((ds.code, k, seed))
             return real(ds, k, seed=seed)
 
         monkeypatch.setattr(exp, "sample_per_language", spy)
@@ -1160,7 +1160,7 @@ class TestConfig:
     def test_write_and_load_universe_config(self, tmp_path):
         config_path = write_universe(TINY, tmp_path)
         cfg = load_config(config_path)
-        assert [lf.language.code for lf in cfg.languages] == ["aa", "bb", "cc"]
+        assert [lf.code for lf in cfg.languages] == ["aa", "bb", "cc"]
         assert cfg.learner.hash_buckets == 1024
         assert cfg.seeds == (1, 2)
         assert cfg.cache_path() is not None

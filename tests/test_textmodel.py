@@ -372,6 +372,7 @@ class TestFineTune:
         with pytest.raises(TextModelError, match="no training examples"):
             fine_tune(AdaptationStats.uniform(), Dataset(lang, "train", ()), SMALL, 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_detected(self, lang):
         # Contradictory labels plus an absurd learning rate saturate the
         # softmax, sending the cross-entropy to infinity.
@@ -386,6 +387,16 @@ class TestFineTune:
                             lr_decay=1.0)
         with pytest.raises(TextModelError, match="divergence: reduce learning_rate"):
             fine_tune(AdaptationStats.uniform(), ds, cfg, 1)
+        # A learning rate near the float maximum overflows the batch
+        # logits themselves: the batch loss check reports it, with no numpy
+        # overflow warning, whether the shift or the bias overflows.
+        ds = make_dataset([("good day", "positive"), ("bad day", "negative"), ("a day", "neutral"),
+                           ("same", "positive"), ("same", "negative")], lang)
+        for batch_size in (1, 2):
+            cfg = LearnerConfig(hash_buckets=2**12, ngram_max=3, epochs=3, learning_rate=1.7e308, l2_lambda=0.0,
+                                lr_decay=1.0, batch_size=batch_size)
+            with pytest.raises(TextModelError, match="divergence: reduce learning_rate"):
+                fine_tune(AdaptationStats.uniform(), ds, cfg, 1)
 
     def test_loss_history_decreases(self, lang):
         rng = random.Random(23)
