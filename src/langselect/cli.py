@@ -217,6 +217,14 @@ def _cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
+def _with_rows(cfg, store, split: str) -> list[str]:
+    """The sorted codes of the configured languages whose ``split`` holds
+    rows, read off the store's facts: the one answer that ``select``,
+    ``matrix`` and ``report`` take to which languages can train
+    (``"train"``), and the plans to which can be targets (``"devstar"``)."""
+    return sorted(lf.code for lf in cfg.languages if store.count(lf.code, split))
+
+
 def _tasks(cfg, store, mode: str) -> list[sel.SelectionTask]:
     """One selection task per language with devstar rows, sorted by code;
     its candidates are every other language with train rows. A language
@@ -224,13 +232,10 @@ def _tasks(cfg, store, mode: str) -> list[sel.SelectionTask]:
     facts, so a warm run logs what a cold one does: one with a dev file
     but no devstar rows, and, since a multilingual plan trains on its
     target's own rows, there one without train rows."""
-    trainable = sorted(lf.code for lf in cfg.languages if store.count(lf.code, "train"))
-    targets = []
-    for t in sorted(lf.code for lf in cfg.languages if lf.dev is not None):
-        if store.count(t, "devstar"):
-            targets.append(t)
-        else:
-            logger.warning("%s: no devstar rows, so it is not a target", t)
+    trainable = _with_rows(cfg, store, "train")
+    targets = _with_rows(cfg, store, "devstar")
+    for t in sorted({lf.code for lf in cfg.languages if lf.dev is not None} - set(targets)):
+        logger.warning("%s: no devstar rows, so it is not a target", t)
     if mode == sel.MULTILINGUAL:
         for t in sorted(set(targets) - set(trainable)):
             logger.warning("%s: no train rows, so it is not a target of a multilingual plan", t)
@@ -320,6 +325,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out)
     cfg = load_config(args.config)
     entries: dict = {}
     for path in args.matrix:
@@ -331,9 +337,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             # Zero-shot results get their own column, apart from multilingual ones.
             column = result.strategy if result.mode == sel.MULTILINGUAL else f"{result.strategy} {result.mode}"
             selections.setdefault(column, {})[result.target] = result
+    store = CorpusStore.from_config(cfg, FactsMemo(cfg.facts_path()))
     languages = [lf.code for lf in cfg.languages]
-    trainable = [lf.code for lf in cfg.languages if lf.train is not None]
-    document = render_report(matrix, selections, languages, fmt=args.format, trainable=trainable)
+    document = render_report(matrix, selections, languages, _with_rows(cfg, store, "train"), fmt=args.format)
     if args.out:
         Path(args.out).write_text(document, encoding="utf-8")
     else:

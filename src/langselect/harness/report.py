@@ -48,19 +48,19 @@ def collect_rows(
     matrix: ScoreMatrix,
     selections: Mapping[str, Mapping[str, SelectionResult]],
     languages: Sequence[str],
-    trainable: Sequence[str] | None = None,
+    trainable: Sequence[str],
 ) -> tuple[list[str], list[tuple[str, dict[str, MatrixEntry]]]]:
     """Group matrix entries into report rows, one column per language.
 
-    ``trainable`` names the languages that can be sources, every one by
-    default; the baseline rows train on them. ``selections`` maps a column name (the strategy, "forward"/"backward",
-    or a strategy and mode) to per-target results; the rows for
-    selected-source models are matched by looking up the uncapped entry
-    trained on exactly the selected set, whose sources imply the result's
-    mode.
+    ``trainable`` names the languages that can be sources; the baseline
+    rows train on them. ``selections`` maps a column name (the strategy,
+    "forward"/"backward", or a strategy and mode) to per-target results;
+    the rows for selected-source models are matched by looking up the
+    uncapped entry trained on exactly the selected set, whose sources
+    imply the result's mode.
     """
     targets = sorted(languages)
-    sources = frozenset(languages if trainable is None else trainable)
+    sources = frozenset(trainable)
     rows: dict[str, dict[str, MatrixEntry]] = {}
     # Uncapped cells by (target, sources), where selected sets are
     # looked up. Keys are visited sorted, and the first match wins, so
@@ -115,16 +115,15 @@ def render_report(
     matrix: ScoreMatrix,
     selections: Mapping[str, Mapping[str, SelectionResult]],
     languages: Sequence[str],
+    trainable: Sequence[str],
     fmt: str = "markdown",
-    trainable: Sequence[str] | None = None,
 ) -> str:
     """Render the full report document in the requested format; the
-    arguments are those of ``collect_rows``."""
+    other arguments are those of ``collect_rows``."""
     if fmt not in FORMATS:
         raise HarnessError(f"unknown report format {fmt!r}, expected one of {FORMATS}")
     targets, rows = collect_rows(matrix, selections, languages, trainable)
 
-    score_headers = ["model", *targets, "overall"]
     score_body = []
     for label, cells in rows:
         row = [label]
@@ -132,21 +131,13 @@ def render_report(
         row.append(_fmt(_overall(cells, targets)))
         score_body.append(row)
 
-    strategy_headers = ["model", "overall"]
-    strategy_body = [[label, _fmt(_overall(cells, targets))] for label, cells in rows]
-
-    selection_headers = ["target", *sorted(selections)]
-    selection_body = []
     strategies = sorted(selections)
-    all_targets = sorted({t for strategy in strategies for t in selections[strategy]})
-    for target in all_targets:
+    selection_body = []
+    for target in sorted({t for strategy in strategies for t in selections[strategy]}):
         row = [target]
         for strategy in strategies:
             result = selections[strategy].get(target)
-            if result is None:
-                row.append("-")
-            else:
-                row.append(", ".join(result.positive_codes()) or "-")
+            row.append("-" if result is None else (", ".join(result.positive_codes()) or "-"))
         selection_body.append(row)
 
     if fmt == "jsonl":
@@ -165,19 +156,18 @@ def render_report(
         )
         return jsonl_text([*scores, *picks])
 
-    table = _markdown_table if fmt == "markdown" else _tsv_table
-    sections = []
+    strategy_body = [[label, _fmt(_overall(cells, targets))] for label, cells in rows]
+    sections = [
+        ("Scores by target language", ["model", *targets, "overall"], score_body),
+        ("Strategy comparison", ["model", "overall"], strategy_body),
+    ]
+    if selection_body:
+        sections.append(("Selected sources", ["target", *strategies], selection_body))
     if fmt == "markdown":
-        sections.append("# Scores by target language\n\n" + table(score_headers, score_body))
-        sections.append("# Strategy comparison\n\n" + table(strategy_headers, strategy_body))
-        if selection_body:
-            sections.append("# Selected sources\n\n" + table(selection_headers, selection_body))
+        tables = [f"# {title}\n\n{_markdown_table(headers, body)}" for title, headers, body in sections]
     else:
-        sections.append(table(score_headers, score_body))
-        sections.append(table(strategy_headers, strategy_body))
-        if selection_body:
-            sections.append(table(selection_headers, selection_body))
-    return "\n\n".join(sections) + "\n"
+        tables = [_tsv_table(headers, body) for _, headers, body in sections]
+    return "\n\n".join(tables) + "\n"
 
 
 def selection_results_to_jsonl(results: Mapping[str, SelectionResult], strategy: str) -> str:

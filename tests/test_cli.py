@@ -74,14 +74,16 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", ["cache-dir-is-file", "journal-is-dir", "matrix-out-dir-missing",
                                       "select-out-dir-missing", "select-matrix-out-dir-missing",
                                       "ingest-out-dir-is-file", "train-out-dir-missing", "train-out-is-dir",
-                                      "matrix-out-is-dir", "select-out-is-dir", "select-matrix-out-is-dir"])
+                                      "matrix-out-is-dir", "select-out-is-dir", "select-matrix-out-is-dir",
+                                      "report-out-dir-missing", "report-out-is-dir"])
     def test_os_error_is_data_error(self, tmp_path, capsys, monkeypatch, config_path, case):
         # A path the run cannot read or write ends in one line naming it,
         # not in a traceback; an output that is a directory, or whose
-        # directory is missing, fails the run before any model trains.
+        # directory is missing, fails the run before any model trains,
+        # and a report's before it parses any corpus.
         import langselect.harness.experiments as exp
 
-        trained = []
+        trained, parsed = [], []
         real = exp.fine_tune
 
         def fine_tune(stats, train, config, seed):
@@ -89,6 +91,12 @@ class TestExitCodes:
             return real(stats, train, config, seed)
 
         monkeypatch.setattr(exp, "fine_tune", fine_tune)
+        for name in ("load_labeled_tsv", "load_unlabeled_text"):
+            def spy(path, *args, real=getattr(exp, name), **kwargs):
+                parsed.append(path)
+                return real(path, *args, **kwargs)
+
+            monkeypatch.setattr(exp, name, spy)
         score = ["score", "--config", config_path, "--target", "aa", "--sources", "aa"]
         if case == "cache-dir-is-file":
             path = tmp_path / "cache"
@@ -111,7 +119,13 @@ class TestExitCodes:
                 path.mkdir()
             verb, output = case.split("-", 1)
             flag = "--matrix-out" if output.startswith("matrix-out") else "--out"
-            argv = [verb, "--config", config_path, "--strategy", "bwd", flag, str(path)]
+            argv = [verb, "--config", config_path, flag, str(path)]
+            if verb == "report":
+                matrix = tmp_path / "matrix.jsonl"
+                matrix.write_text("", encoding="utf-8")
+                argv += ["--matrix", str(matrix)]
+            else:
+                argv += ["--strategy", "bwd"]
         else:
             path = tmp_path / "out"
             path.write_text("", encoding="utf-8")
@@ -121,6 +135,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(path) in err and len(err.splitlines()) == 1
         assert trained == []
+        if case.startswith("report-"):
+            assert parsed == []  # the cache is cold: a store would parse every file
 
     def test_journal_append_error_ends_the_run(self, tmp_path, capsys, monkeypatch, four_config):
         # A score the journal cannot take is no cell's failure: the run
@@ -975,34 +991,41 @@ class TestReportRows:
         assert "multilingual" not in rows
 
     def test_a_language_without_a_train_file_keeps_the_baseline_rows(self, tmp_path, monkeypatch):
-        # dd declares no train file, so it is never a source: each baseline
-        # trains on aa, bb and cc (less the target, zero-shot) and still
-        # gets its row, and dd is a target of the zero-shot one alone.
-        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
-        config = write_universe(four_language_universe(), tmp_path)
-        doc = yaml.safe_load(config.read_text(encoding="utf-8"))
-        del next(entry for entry in doc["languages"] if entry["code"] == "dd")["train"]
-        config.write_text(yaml.safe_dump(doc, sort_keys=True), encoding="utf-8")
-        paths = []
-        for mode in ("multilingual", "zeroshot"):
-            paths += ["--matrix", str(tmp_path / f"{mode}.jsonl")]
-            assert main(["matrix", "--config", str(config), "--strategy", "bwd", "--mode", mode,
-                         "--seed-list", "1", "--out", paths[-1]]) == 0
-        out = tmp_path / "report.tsv"
-        assert main(["report", "--config", str(config), *paths, "--format", "tsv", "--out", str(out)]) == 0
-        scores_table = out.read_text(encoding="utf-8").split("\n\n")[0].splitlines()
-        assert scores_table[0] == "model\taa\tbb\tcc\tdd\toverall"
-        rows = {line.split("\t")[0]: line.split("\t")[1:5] for line in scores_table[1:]}
-        trainable = {"aa", "bb", "cc"}
-        for label, path, targets in (("multilingual, cap 500", paths[1], ["aa", "bb", "cc"]),
-                                     ("zeroshot, cap 500", paths[3], ["aa", "bb", "cc", "dd"])):
-            means = {
-                r["target"]: f"{100 * r['mean']:.2f}"
-                for r in _read_jsonl(Path(path))
-                if set(r["sources"]) == (trainable if r["mode"] == "multilingual" else trainable - {r["target"]})
-            }
-            assert sorted(means) == targets
-            assert rows[label] == [means.get(code, "-") for code in ("aa", "bb", "cc", "dd")]
+        # dd declares no train file, or one that holds only its header, so
+        # it is never a source: each baseline trains on aa, bb and cc (less
+        # the target, zero-shot) and still gets its row, and dd is a target
+        # of the zero-shot one alone. The plans and report ask one rule.
+        for train in ("absent", "header-only"):
+            root = tmp_path / train
+            monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(root / "cache"))
+            config = write_universe(four_language_universe(), root)
+            if train == "absent":
+                doc = yaml.safe_load(config.read_text(encoding="utf-8"))
+                del next(entry for entry in doc["languages"] if entry["code"] == "dd")["train"]
+                config.write_text(yaml.safe_dump(doc, sort_keys=True), encoding="utf-8")
+            else:
+                dd_train = root / "data" / "dd_train.tsv"
+                dd_train.write_text(dd_train.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+            paths = []
+            for mode in ("multilingual", "zeroshot"):
+                paths += ["--matrix", str(root / f"{mode}.jsonl")]
+                assert main(["matrix", "--config", str(config), "--strategy", "bwd", "--mode", mode,
+                             "--seed-list", "1", "--out", paths[-1]]) == 0
+            out = root / "report.tsv"
+            assert main(["report", "--config", str(config), *paths, "--format", "tsv", "--out", str(out)]) == 0
+            scores_table = out.read_text(encoding="utf-8").split("\n\n")[0].splitlines()
+            assert scores_table[0] == "model\taa\tbb\tcc\tdd\toverall"
+            rows = {line.split("\t")[0]: line.split("\t")[1:5] for line in scores_table[1:]}
+            trainable = {"aa", "bb", "cc"}
+            for label, path, targets in (("multilingual, cap 500", paths[1], ["aa", "bb", "cc"]),
+                                         ("zeroshot, cap 500", paths[3], ["aa", "bb", "cc", "dd"])):
+                means = {
+                    r["target"]: f"{100 * r['mean']:.2f}"
+                    for r in _read_jsonl(Path(path))
+                    if set(r["sources"]) == (trainable if r["mode"] == "multilingual" else trainable - {r["target"]})
+                }
+                assert sorted(means) == targets
+                assert rows.get(label) == [means.get(code, "-") for code in ("aa", "bb", "cc", "dd")], train
 
     def test_multilingual_and_zeroshot_selections_get_their_own_rows(self, tmp_path, monkeypatch, four_config):
         # Forward selections in both modes, reported together: neither mode's
@@ -1213,8 +1236,15 @@ class TestWarmRuns:
     @pytest.mark.parametrize("universe", ["none", "lapt+tapt"], indirect=True)
     def test_warm_verbs_parse_nothing(self, universe, calls, capsys):
         journal = (universe / "cache" / "scores.journal").read_bytes()
+        facts = (universe / "cache" / "facts.journal").read_bytes()
         assert self._run(universe, capsys)[1] == journal
+        warm = universe / "warm"
+        assert main(["report", "--config", str(universe / "config.yaml"), "--matrix", str(warm / "matrix.jsonl"),
+                     "--matrix", str(warm / "cells.jsonl"), "--selections", str(warm / "sel.jsonl"),
+                     "--out", str(warm / "report.md")]) == 0
+        assert "# Selected sources" in (warm / "report.md").read_text(encoding="utf-8")
         assert calls == {"load_labeled_tsv": [], "load_unlabeled_text": [], "fine_tune": []}
+        assert (universe / "cache" / "facts.journal").read_bytes() == facts
         for name in ("sel.jsonl", "cells.jsonl", "matrix.jsonl"):
             assert (universe / "warm" / name).read_bytes() == (universe / "cold" / name).read_bytes()
 

@@ -1092,7 +1092,8 @@ class TestReport:
 
     def test_markdown_layout(self, store):
         matrix, selections = self._matrix_and_selections(store)
-        doc = render_report(matrix, selections, ["aa", "bb", "cc"], fmt="markdown")
+        codes = ["aa", "bb", "cc"]
+        doc = render_report(matrix, selections, codes, codes, fmt="markdown")
         assert "| model | aa | bb | cc | overall |" in doc
         assert "monolingual" in doc
         assert "# Selected sources" in doc
@@ -1103,9 +1104,10 @@ class TestReport:
 
     def test_tsv_and_jsonl(self, store):
         matrix, selections = self._matrix_and_selections(store)
-        tsv = render_report(matrix, selections, ["aa", "bb", "cc"], fmt="tsv")
+        codes = ["aa", "bb", "cc"]
+        tsv = render_report(matrix, selections, codes, codes, fmt="tsv")
         assert tsv.splitlines()[0] == "model\taa\tbb\tcc\toverall"
-        jsonl = render_report(matrix, selections, ["aa", "bb", "cc"], fmt="jsonl")
+        jsonl = render_report(matrix, selections, codes, codes, fmt="jsonl")
         rows = [json.loads(line) for line in jsonl.splitlines()]
         assert any(r["table"] == "scores" for r in rows)
         assert any(r["table"] == "selection" for r in rows)
@@ -1114,12 +1116,22 @@ class TestReport:
         matrix.entries["nosupport"] = MatrixEntry("aa", ("aa", "bb", "cc"), "none", 5, "devstar", {1: 0.5}, 0.5,
                                                   0.0, 0)
         selections["backward"] = {"bb": replace(selections["forward"]["bb"], strategy="backward")}
-        scores, strategies, picks = render_report(matrix, selections, ["aa", "bb", "cc"], fmt="tsv").split("\n\n")
+        scores, strategies, picks = render_report(matrix, selections, codes, codes, fmt="tsv").split("\n\n")
         assert "multilingual, cap 5\t50.00\t-\t-\t-" in scores.splitlines()
         assert "multilingual, cap 5\t-" in strategies.splitlines()
         assert picks.splitlines()[0] == "target\tbackward\tforward"
         backward = {row.split("\t")[0]: row.split("\t")[1] for row in picks.splitlines()[1:]}
         assert backward["aa"] == backward["cc"] == "-"
+        assert backward["bb"] not in ("", "-")
+        # A selection that kept no source shows "-" too, in every format.
+        selections["backward"]["bb"] = replace(selections["backward"]["bb"], positive_sources=())
+        picks = render_report(matrix, selections, codes, codes, fmt="tsv").split("\n\n")[2]
+        assert [row.split("\t")[1] for row in picks.splitlines()[1:]] == ["-", "-", "-"]
+        markdown = render_report(matrix, selections, codes, codes, fmt="markdown").split("# Selected sources")[1]
+        assert [row.split(" | ")[1] for row in markdown.splitlines()[4:]] == ["-", "-", "-"]
+        jsonl = render_report(matrix, selections, codes, codes, fmt="jsonl")
+        rows = [json.loads(line) for line in jsonl.splitlines()]
+        assert [r["backward"] for r in rows if r["table"] == "selection"] == ["-", "-", "-"]
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_selections_jsonl_roundtrip(self, store, tmp_path, newline):
@@ -1153,7 +1165,7 @@ class TestReport:
     def test_unknown_format(self, store):
         matrix, selections = self._matrix_and_selections(store)
         with pytest.raises(HarnessError, match="unknown report format"):
-            render_report(matrix, selections, ["aa"], fmt="html")
+            render_report(matrix, selections, ["aa"], ["aa"], fmt="html")
 
 
 class TestConfig:
