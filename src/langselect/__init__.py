@@ -53,7 +53,6 @@ _LAZY = dict.fromkeys(("ConfusionMatrix", "confusion", "weighted_f1"), "metrics"
         "Model",
         "fine_tune",
         "load_model",
-        "loss_and_gradient",
         "predict_texts",
         "pretrain",
         "save_model",

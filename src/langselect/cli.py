@@ -167,9 +167,9 @@ def _spec_from_args(args: argparse.Namespace, cfg) -> ExperimentSpec:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    store = CorpusStore.from_config(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    store = CorpusStore.from_config(cfg)
     for lf in sorted(cfg.languages, key=lambda l: l.code):
         code = lf.code
         train, dev, devstar = (store.split(code, split) for split in ("train", "dev", "devstar"))
@@ -185,10 +185,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     from .textmodel import save_model
 
+    _check_out_dirs(args.out)
     cfg, store, _, _ = _context(args)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     spec = _spec_from_args(args, cfg)
-    _check_out_dirs(args.out)
     warn_cap_shortfalls([spec], store)
     model = train_model(spec, store, seed, adaptation_stats(spec, store))
     save_model(model, args.out)
@@ -263,7 +263,8 @@ def _selection_config(args: argparse.Namespace, cfg) -> sel.SelectionConfig:
 def _check_out_dirs(*paths: str | None) -> None:
     """Raise the error that writing an output that is a directory, or
     that lies in a missing one, raises (``OSError`` picks its subclass
-    by errno), before any cell trains rather than after every one."""
+    by errno), before any data file is read rather than after every
+    cell trains."""
     for path in filter(None, paths):
         parent = Path(path).parent
         if Path(path).is_dir():
@@ -278,11 +279,11 @@ def _score_plan(args: argparse.Namespace, *outs: str | None):
     once each output's directory is checked. Returns the tasks, the
     selection config, the seeds, the plan's matrix and the runner, which
     scores further cells with the same store, cache and seeds."""
+    _check_out_dirs(*outs)
     cfg, store, cache, seeds = _context(args)
     sel_cfg = _selection_config(args, cfg)
     tasks = _tasks(cfg, store, sel_cfg.mode)
     cells = [cell for task in tasks for cell in sel.plan(task, sel_cfg, _STRATEGIES[args.strategy])]
-    _check_out_dirs(*outs)
     run = partial(run_matrix, store=store, seeds=seeds, learner=cfg.learner, adaptation=cfg.adaptation, cache=cache)
     return tasks, sel_cfg, seeds, run(cells), run
 

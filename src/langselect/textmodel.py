@@ -8,9 +8,8 @@ transformer), followed by supervised ``fine_tune`` of a multinomial
 logistic regression over hashed character n-gram features weighted by
 those statistics. Everything is deterministic given (data, config, seed).
 
-``LearnerConfig`` and ``NUMERICS_VERSION`` are defined in the numpy-free
-``learner_config`` module and imported back here, so both names keep
-working from this module.
+``LearnerConfig`` is defined in the numpy-free ``learner_config`` module
+and imported back here, so the name keeps working from this module.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .corpus import LABEL_INDEX, LABELS, Dataset, Example
 from .errors import TextModelError
-from .learner_config import NUMERICS_VERSION, LearnerConfig  # noqa: F401 (NUMERICS_VERSION re-exported)
+from .learner_config import LearnerConfig
 
 logger = logging.getLogger(__name__)
 
@@ -35,13 +34,11 @@ logger = logging.getLogger(__name__)
 _BOUND_START = "\x02"
 _BOUND_END = "\x03"
 
-_FNV64_OFFSET = 0xCBF29CE484222325
-_FNV64_PRIME = 0x100000001B3
-_U64 = 0xFFFFFFFFFFFFFFFF
-# The batch hasher's uint64 twins. numpy scalars, not Python ints, so that
-# numpy 1.x value-based casting and numpy 2 (NEP 50) compute the same thing.
-_FNV64_OFFSET_NP = np.uint64(_FNV64_OFFSET)
-_FNV64_PRIME_NP = np.uint64(_FNV64_PRIME)
+# FNV-1a 64-bit offset basis and prime, for the batch hasher. numpy
+# scalars, not Python ints, so that numpy 1.x value-based casting and
+# numpy 2 (NEP 50) compute the same thing.
+_FNV64_OFFSET_NP = np.uint64(0xCBF29CE484222325)
+_FNV64_PRIME_NP = np.uint64(0x100000001B3)
 
 # The batch hasher hashes at most this many padded characters at a time
 # (a longer text gets a pass of its own), which bounds its temporaries.
@@ -58,18 +55,6 @@ _TERM_COUNTS: dict[tuple[int, int, int], dict[str, tuple[np.ndarray, np.ndarray]
 # fine_tune folds its lazy L2 scale back into the weights below this,
 # far above float64 underflow and far below any scale that matters.
 _SCALE_FLOOR = 1e-100
-
-
-def hash_gram(gram: str) -> int:
-    """FNV-1a 64-bit hash of a gram's UTF-8 bytes; fixed across runs.
-
-    This is the plain reference definition; featurization hashes whole
-    batches of texts with the equivalent array code in ``_hash_batch``.
-    """
-    h = _FNV64_OFFSET
-    for b in gram.encode("utf-8"):
-        h = ((h ^ b) * _FNV64_PRIME) & _U64
-    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,10 +88,10 @@ class AdaptationStats:
         object.__setattr__(self, "df_counts", counts)
 
     @classmethod
-    def uniform(cls, tag: str = "none") -> "AdaptationStats":
+    def uniform(cls) -> "AdaptationStats":
         """Stats carrying no corpus information: every gram gets the same idf."""
         empty = np.empty(0, dtype=np.int64)
-        return cls(df_buckets=empty, df_counts=empty, num_documents=1, source_tag=tag)
+        return cls(df_buckets=empty, df_counts=empty, num_documents=1, source_tag="none")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +103,8 @@ class CsrRows:
     column, so the matrix is ``shape[0]`` x ``len(columns)`` and only
     ``columns`` says which buckets those are. Row ``i`` holds the values
     ``data[indptr[i]:indptr[i + 1]]`` at the column positions
-    ``indices[indptr[i]:indptr[i + 1]]``. Both products add each output
-    element's terms in non-zero order, starting from 0.0, so they give
+    ``indices[indptr[i]:indptr[i + 1]]``. The product adds each output
+    element's terms in non-zero order, starting from 0.0, so it gives
     the floats of a sequential loop over the non-zeros.
     """
 
@@ -128,10 +113,6 @@ class CsrRows:
     data: np.ndarray
     shape: tuple[int, int]
     columns: np.ndarray
-
-    def row_of(self) -> np.ndarray:
-        """The row of every non-zero."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     def locate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gather the non-zeros of ``rows`` (an integer array of row
@@ -146,11 +127,8 @@ class CsrRows:
 
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
         """``X @ W`` for a dense ``W`` of shape (columns, k)."""
-        return _keyed_sums(self.row_of(), self.data, other, self.indices, self.shape[0])
-
-    def t_matmul(self, other: np.ndarray) -> np.ndarray:
-        """``X.T @ D`` for a dense ``D`` of shape (rows, k)."""
-        return _keyed_sums(self.indices, self.data, other, self.row_of(), self.shape[1])
+        row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return _keyed_sums(row_of, self.data, other, self.indices, self.shape[0])
 
     def in_columns(self, columns: np.ndarray) -> "CsrRows":
         """These rows over ``columns`` (strictly increasing buckets)
@@ -255,12 +233,13 @@ def _hash_chunk(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """``_hash_batch`` for one pass, with ``hash_buckets = 2**shift``.
 
-    FNV-1a is a left fold over bytes, so an n-gram's hash is its
-    (n-1)-gram's hash with the next character's UTF-8 bytes folded in;
-    uint64 arithmetic wraps mod 2^64 as the scalar definition's mask
-    does. Grams run over all texts joined into one string, and those
-    that cross a text's end are dropped. One ``np.unique`` of the
-    packed (text, bucket) keys then gives every text's counts.
+    FNV-1a is a left fold over bytes (XOR in each UTF-8 byte, then
+    multiply by the prime mod 2^64, which uint64 arithmetic does by
+    wrapping), so an n-gram's hash is its (n-1)-gram's hash with the
+    next character's UTF-8 bytes folded in. Grams run over all texts
+    joined into one string, and those that cross a text's end are
+    dropped. One ``np.unique`` of the packed (text, bucket) keys then
+    gives every text's counts.
     """
     lengths = np.array([len(t) + 2 if t else 0 for t in texts], dtype=np.int64)
     joined = "".join(_BOUND_START + t + _BOUND_END for t in texts if t)
@@ -536,33 +515,6 @@ def predict_texts(model: Model, texts: Sequence[str]) -> list[tuple[str, tuple[f
     # argmax returns the first maximum, which honors the fixed class
     # order (negative < neutral < positive) on exact ties.
     return [(LABELS[i], tuple(row)) for i, row in zip(probs.argmax(axis=1).tolist(), probs.tolist())]
-
-
-def loss_and_gradient(
-    model: Model, batch: Sequence[Example]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Exact objective value and gradient on a batch.
-
-    Returns (loss, grad_weights, grad_bias) for mean cross-entropy plus
-    (l2_lambda/2) * ||W||^2; the bias is unregularized. ``grad_weights``
-    has the shape of ``model.weights``: the gradient with respect to the
-    weights of ``model.buckets``.
-    """
-    if not batch:
-        raise TextModelError("loss_and_gradient: empty batch")
-    y = _labels_to_indices(batch)
-    X = design_matrix([ex.text for ex in batch], model.stats, model.config).in_columns(model.buckets)
-    n = len(batch)
-    probs = _softmax(X @ model.weights.T + model.bias)
-    with np.errstate(divide="ignore"):
-        ce = -float(np.log(probs[np.arange(n), y]).mean())
-    loss = ce + 0.5 * model.config.l2_lambda * float((model.weights * model.weights).sum())
-    dz = probs
-    dz[np.arange(n), y] -= 1.0
-    dz /= n
-    grad_w = X.t_matmul(dz).T + model.config.l2_lambda * model.weights
-    grad_b = dz.sum(axis=0)
-    return loss, grad_w, grad_b
 
 
 def save_model(model: Model, path: str | Path) -> None:

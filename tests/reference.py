@@ -1,12 +1,14 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's code paths: scores are computed
-from raw label lists with plain counting, selection rules are
-re-evaluated with straight-line loops, gradients are checked with
-central finite differences of the loss, term counts and tf-idf rows
+These deliberately avoid the library's code paths, and import nothing
+from it: scores are computed from raw label lists with plain counting,
+selection rules are re-evaluated with straight-line loops, grams are
+hashed one at a time with a scalar FNV-1a, term counts and tf-idf rows
 are built one text and one gram at a time, training is checked against
-a dense trainer, sparse rows are read and multiplied one non-zero at a
-time, and tweets are normalized with one regex pass per rule.
+a dense trainer whose cross-entropy gradient is checked with central
+finite differences of its loss, sparse rows are read and multiplied
+one non-zero at a time, and tweets are normalized with one regex pass
+per rule.
 """
 from __future__ import annotations
 
@@ -19,28 +21,13 @@ import unicodedata
 
 import numpy as np
 
-from langselect.textmodel import hash_gram
-
 LABELS = ("negative", "neutral", "positive")
 
 
-def finite_difference_grads(loss_fn, model, batch, h=1e-5):
-    """Central-difference gradients of loss_fn(model, batch) w.r.t. the
-    model's weights and bias. loss_fn must return the loss as its first
-    output and must not mutate the model."""
-    weights0 = model.weights.copy()
-    bias0 = model.bias.copy()
-
-    def loss_at(weights, bias):
-        model.weights = weights
-        model.bias = bias
-        try:
-            out = loss_fn(model, batch)
-        finally:
-            model.weights = weights0
-            model.bias = bias0
-        return out[0] if isinstance(out, tuple) else out
-
+def finite_difference_grads(loss_at, weights0, bias0, h=1e-5):
+    """Central-difference gradients of loss_at(weights, bias), a float,
+    w.r.t. the weights and the bias at (weights0, bias0). loss_at must
+    not mutate its arguments."""
     grad_w = np.zeros_like(weights0)
     for i in range(weights0.shape[0]):
         for j in range(weights0.shape[1]):
@@ -59,7 +46,8 @@ def finite_difference_grads(loss_fn, model, batch, h=1e-5):
     return grad_w, grad_b
 
 
-def _fnv1a_64(gram):
+def fnv1a_64(gram):
+    """FNV-1a 64-bit hash of a gram's UTF-8 bytes."""
     h = 0xCBF29CE484222325
     for b in gram.encode("utf-8"):
         h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
@@ -68,14 +56,14 @@ def _fnv1a_64(gram):
 
 def reference_term_counts(text, ngram_min, ngram_max, hash_buckets):
     """One text's raw term frequencies as (sorted buckets, counts) int64
-    arrays, hashing one gram at a time with the scalar ``hash_gram``
+    arrays, hashing one gram at a time with the scalar ``fnv1a_64``
     (checked against published FNV-1a vectors); empty text has no
     grams."""
     grams = []
     if text:
         padded = "\x02" + text + "\x03"
         for n in range(ngram_min, ngram_max + 1):
-            grams.extend(hash_gram(padded[i : i + n]) & (hash_buckets - 1) for i in range(len(padded) - n + 1))
+            grams.extend(fnv1a_64(padded[i : i + n]) & (hash_buckets - 1) for i in range(len(padded) - n + 1))
     return np.unique(np.array(grams, dtype=np.int64), return_counts=True)
 
 
@@ -102,7 +90,7 @@ def reference_tfidf(text, stats, ngram_min, ngram_max, hash_buckets):
     counts = {}
     for n in range(ngram_min, ngram_max + 1):
         for i in range(len(padded) - n + 1):
-            bucket = _fnv1a_64(padded[i : i + n]) & (hash_buckets - 1)
+            bucket = fnv1a_64(padded[i : i + n]) & (hash_buckets - 1)
             counts[bucket] = counts.get(bucket, 0) + 1
     row = {}
     for bucket, tf in counts.items():
@@ -145,18 +133,6 @@ def reference_matmul(X, W):
             for j, v in zip(indices, values):
                 total += v * float(W[j, k])
             out[i, k] = total
-    return out
-
-
-def reference_t_matmul(X, D):
-    """X.T @ D for CSR rows X and a dense D, each output element summed
-    over the non-zeros of its column in row order, starting from 0.0."""
-    out = np.zeros((X.shape[1], D.shape[1]))
-    for i in range(X.shape[0]):
-        indices, values = csr_row(X, i)
-        for j, v in zip(indices, values):
-            for k in range(D.shape[1]):
-                out[j, k] += v * float(D[i, k])
     return out
 
 
@@ -225,9 +201,33 @@ def reference_sparse_fine_tune(X, y, config, seed):
     return (V * scale).T, bias, history
 
 
+def reference_cross_entropy(weights, bias, X, y):
+    """Cross-entropy of the softmax of X @ weights.T + bias against the
+    class indices y, for a dense (rows, buckets) X and (3, buckets)
+    weights. Returns (summed cross-entropy, gradient of the mean
+    w.r.t. the weights, w.r.t. the bias)."""
+    n = len(y)
+    probs = _softmax(X @ weights.T + bias)
+    ce = -float(np.log(probs[np.arange(n), y]).sum())
+    dz = probs
+    dz[np.arange(n), y] -= 1.0
+    dz /= n
+    return ce, dz.T @ X, dz.sum(axis=0)
+
+
+def reference_objective(weights, bias, X, y, l2_lambda):
+    """The trainer's objective, mean cross-entropy plus
+    (l2_lambda/2) * ||weights||^2 (the bias is unregularized). Returns
+    (loss, gradient w.r.t. the weights, w.r.t. the bias)."""
+    ce, grad_w, grad_b = reference_cross_entropy(weights, bias, X, y)
+    ridge = 0.5 * l2_lambda * float((weights * weights).sum())
+    return ce / len(y) + ridge, grad_w + l2_lambda * weights, grad_b
+
+
 def reference_dense_fine_tune(X, y, config, seed):
     """Dense mini-batch trainer: every step updates the whole weight
-    matrix, W <- (W - lr * grad) / (1 + lr * l2_lambda), with the
+    matrix along ``reference_cross_entropy``'s gradient,
+    W <- (W - lr * grad) / (1 + lr * l2_lambda), with the
     library's shuffle (Fisher-Yates on random.Random(seed)) and
     per-epoch loss. X is a dense (rows, hash_buckets) array and y holds
     class indices. Returns (weights (3, hash_buckets), bias, loss_history)."""
@@ -245,17 +245,10 @@ def reference_dense_fine_tune(X, y, config, seed):
         ce_sum = 0.0
         for start in range(0, n, config.batch_size):
             chunk = order[start : start + config.batch_size]
-            xb = X[chunk]
-            yb = y[chunk]
-            logits = xb @ weights.T + bias
-            exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-            probs = exp / exp.sum(axis=1, keepdims=True)
-            ce_sum -= float(np.log(probs[np.arange(len(chunk)), yb]).sum())
-            dz = probs
-            dz[np.arange(len(chunk)), yb] -= 1.0
-            dz /= len(chunk)
-            weights = (weights - lr * (dz.T @ xb)) / (1.0 + lr * config.l2_lambda)
-            bias = bias - lr * dz.sum(axis=0)
+            ce, grad_w, grad_b = reference_cross_entropy(weights, bias, X[chunk], y[chunk])
+            ce_sum += ce
+            weights = (weights - lr * grad_w) / (1.0 + lr * config.l2_lambda)
+            bias = bias - lr * grad_b
         history.append(ce_sum / n + 0.5 * config.l2_lambda * float((weights * weights).sum()))
         lr *= config.lr_decay
     return weights, bias, history

@@ -1,4 +1,5 @@
 """CLI tests: verbs, outputs, exit codes and start-up imports."""
+import ast
 import contextlib
 import hashlib
 import io
@@ -79,8 +80,7 @@ class TestExitCodes:
     def test_os_error_is_data_error(self, tmp_path, capsys, monkeypatch, config_path, case):
         # A path the run cannot read or write ends in one line naming it,
         # not in a traceback; an output that is a directory, or whose
-        # directory is missing, fails the run before any model trains,
-        # and a report's before it parses any corpus.
+        # directory is missing, fails the run before it parses any corpus.
         import langselect.harness.experiments as exp
 
         trained, parsed = [], []
@@ -135,8 +135,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(path) in err and len(err.splitlines()) == 1
         assert trained == []
-        if case.startswith("report-"):
-            assert parsed == []  # the cache is cold: a store would parse every file
+        if not case.startswith(("cache-", "journal-")):
+            assert parsed == []  # the facts memo is cold: a store would parse every file
 
     def test_journal_append_error_ends_the_run(self, tmp_path, capsys, monkeypatch, four_config):
         # A score the journal cannot take is no cell's failure: the run
@@ -839,6 +839,19 @@ def test_bench_tracer_finds_every_span_but_the_known_four():
     ]
 
 
+def test_oracles_import_no_program_code():
+    # tests/reference.py checks the program against independent math, so
+    # it may take program objects as arguments but imports none.
+    source = Path(__file__).with_name("reference.py").read_text(encoding="utf-8")
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert imported and not [name for name in imported if name.split(".")[0] == "langselect"]
+
+
 def test_openblas_pin_leaves_scores_and_a_preset_value_alone(tmp_path, monkeypatch, capsys, config_path):
     # ``main`` pins OpenBLAS to one thread unless the caller set a count.
     # The learner makes no BLAS call, so no count changes a score.
@@ -1064,8 +1077,8 @@ _EXPORTS = {
     "metrics": ["ConfusionMatrix", "confusion", "weighted_f1"],
     "selection": ["BACKWARD", "FORWARD", "MULTILINGUAL", "ZEROSHOT", "PlanCell", "SelectionConfig",
                   "SelectionResult", "SelectionTask", "backward_select", "forward_select", "plan"],
-    "textmodel": ["AdaptationStats", "LearnerConfig", "Model", "fine_tune", "load_model", "loss_and_gradient",
-                  "predict_texts", "pretrain", "save_model"],
+    "textmodel": ["AdaptationStats", "LearnerConfig", "Model", "fine_tune", "load_model", "predict_texts",
+                  "pretrain", "save_model"],
 }
 
 # Runs one CLI verb; its last stdout line is [exit code, numpy imported].

@@ -18,25 +18,25 @@ from langselect import (
     TextModelError,
     fine_tune,
     load_model,
-    loss_and_gradient,
     predict_texts,
     pretrain,
     save_model,
 )
 from langselect import textmodel
-from langselect.textmodel import Model, design_matrix, hash_gram
+from langselect.textmodel import Model, design_matrix
 
 from conftest import make_dataset
 from reference import (
     csr_row,
     dense,
     finite_difference_grads,
+    fnv1a_64,
     reference_dense_fine_tune,
     reference_document_frequencies,
     reference_matmul,
+    reference_objective,
     reference_rows,
     reference_sparse_fine_tune,
-    reference_t_matmul,
     reference_term_counts,
     reference_tfidf,
     relative_error,
@@ -83,13 +83,13 @@ def dense_weights(model):
 
 class TestHashGram:
     def test_published_fnv1a_vectors(self):
-        assert hash_gram("") == 0xCBF29CE484222325
-        assert hash_gram("a") == 0xAF63DC4C8601EC8C
-        assert hash_gram("foobar") == 0x85944171F73967E8
+        assert fnv1a_64("") == 0xCBF29CE484222325
+        assert fnv1a_64("a") == 0xAF63DC4C8601EC8C
+        assert fnv1a_64("foobar") == 0x85944171F73967E8
 
     def test_unicode_stable(self):
-        assert hash_gram("é") == hash_gram("é")
-        assert hash_gram("é") != hash_gram("e")
+        assert fnv1a_64("é") == fnv1a_64("é")
+        assert fnv1a_64("é") != fnv1a_64("e")
 
 
 # One to four UTF-8 bytes per character, an emoji (4 bytes) and a
@@ -136,7 +136,7 @@ class TestBatchHasher:
         with pytest.raises(UnicodeEncodeError):
             textmodel._hash_batch(["ok", "a\ud800b"], 1, 3, 64)
         with pytest.raises(UnicodeEncodeError):
-            hash_gram("\ud800")
+            fnv1a_64("\ud800")
 
     def test_each_text_hashed_once_past_the_old_memo_size(self, monkeypatch, lang):
         # More distinct texts than the 2^16-entry LRU the memo replaced,
@@ -200,7 +200,7 @@ class TestFeaturize:
         # marks and the char), each tf=1, so pre-normalization values are
         # exactly idf = ln((1+N)/(1+df)) + 1.
         cfg = LearnerConfig(ngram_min=1, ngram_max=1, hash_buckets=1 << 16, epochs=1)
-        char_bucket = hash_gram("a") & (cfg.hash_buckets - 1)
+        char_bucket = fnv1a_64("a") & (cfg.hash_buckets - 1)
         stats = AdaptationStats(
             df_buckets=[char_bucket], df_counts=[3], num_documents=9, source_tag="t"
         )
@@ -217,7 +217,7 @@ class TestPretrain:
         ds = make_dataset([("abab", None), ("ab", None)], lang)
         stats = pretrain([ds], "t", SMALL)
         assert stats.num_documents == 2
-        bucket = hash_gram("ab") & (SMALL.hash_buckets - 1)
+        bucket = fnv1a_64("ab") & (SMALL.hash_buckets - 1)
         assert df_of(stats)[bucket] == 2
 
     def test_order_insensitive(self, lang):
@@ -412,7 +412,17 @@ class TestFineTune:
             fine_tune(AdaptationStats.uniform(), ds, SMALL, 0)
 
 
+def batch_arrays(batch, config):
+    """A labeled batch as dense tf-idf rows over all hash_buckets, under
+    uniform stats, and class indices."""
+    X = dense(design_matrix([ex.text for ex in batch], AdaptationStats.uniform(), config), config.hash_buckets)
+    return X, np.array([LABELS.index(ex.label) for ex in batch])
+
+
 class TestLossAndGradient:
+    """The dense reference trainer's objective, whose gradient
+    ``fine_tune`` steps along (see ``test_sparse_trainer_matches_dense``)."""
+
     def test_gradient_matches_finite_differences(self, lang):
         rng = random.Random(123)
         for trial in range(25):
@@ -424,31 +434,30 @@ class TestLossAndGradient:
                 epochs=1,
             )
             model = random_model(rng, config)
-            batch = [random_example(rng, lang, i) for i in range(rng.randint(1, 5))]
-            loss, grad_w, grad_b = loss_and_gradient(model, batch)
-            fd_w, fd_b = finite_difference_grads(loss_and_gradient, model, batch)
+            X, y = batch_arrays([random_example(rng, lang, i) for i in range(rng.randint(1, 5))], config)
+            _, grad_w, grad_b = reference_objective(model.weights, model.bias, X, y, config.l2_lambda)
+            fd_w, fd_b = finite_difference_grads(
+                lambda w, b: reference_objective(w, b, X, y, config.l2_lambda)[0], model.weights, model.bias
+            )
             assert relative_error(grad_w, fd_w) < 1e-4, trial
             assert relative_error(grad_b, fd_b) < 1e-4, trial
 
     def test_uniform_model_balanced_batch_loss_is_ln3(self, lang):
         model = random_model(random.Random(0), SMALL, scale=0.0)
-        batch = [Example(f"b{i}", f"text {i}", LABELS[i % 3]) for i in range(6)]
-        loss, _, _ = loss_and_gradient(model, batch)
+        X, y = batch_arrays([Example(f"b{i}", f"text {i}", LABELS[i % 3]) for i in range(6)], SMALL)
+        loss, _, _ = reference_objective(model.weights, model.bias, X, y, SMALL.l2_lambda)
         assert loss == pytest.approx(math.log(3), abs=1e-12)
 
     def test_duplicating_batch_changes_nothing(self, lang):
         rng = random.Random(9)
         model = random_model(rng)
-        batch = [random_example(rng, lang, i) for i in range(4)]
-        loss1, gw1, gb1 = loss_and_gradient(model, batch)
-        loss2, gw2, gb2 = loss_and_gradient(model, batch + batch)
+        X, y = batch_arrays([random_example(rng, lang, i) for i in range(4)], SMALL)
+        loss1, gw1, gb1 = reference_objective(model.weights, model.bias, X, y, SMALL.l2_lambda)
+        loss2, gw2, gb2 = reference_objective(model.weights, model.bias, np.vstack([X, X]), np.concatenate([y, y]),
+                                              SMALL.l2_lambda)
         assert loss1 == pytest.approx(loss2, abs=1e-12)
         np.testing.assert_allclose(gw1, gw2, atol=1e-12)
         np.testing.assert_allclose(gb1, gb2, atol=1e-12)
-
-    def test_empty_batch_rejected(self, lang):
-        with pytest.raises(TextModelError, match="empty batch"):
-            loss_and_gradient(random_model(random.Random(1)), [])
 
 
 class TestPredict:
@@ -715,13 +724,6 @@ class TestCsrRows:
             W = wide_range(rng, (X.shape[1], 3), order)
             assert np.array_equal(X @ W, reference_matmul(X, W))
 
-    @pytest.mark.parametrize("buckets", sorted(CSR_CONFIGS))
-    @pytest.mark.parametrize("layout", CSR_LAYOUTS)
-    def test_t_matmul_matches_reference(self, lang, layout, buckets):
-        X = csr_case(lang, layout, CSR_CONFIGS[buckets])
-        D = wide_range(np.random.default_rng(2), (X.shape[0], 3))
-        assert np.array_equal(X.t_matmul(D), reference_t_matmul(X, D))
-
     def test_order_sensitive_inputs(self, lang):
         # The kernel tests above can tell summation orders apart: a
         # pairwise sum of one row's terms differs from the sequential one.
@@ -739,9 +741,7 @@ class TestCsrRows:
         S = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
         rng = np.random.default_rng(3)
         W = wide_range(rng, (X.shape[1], 3), "F")
-        D = wide_range(rng, (X.shape[0], 3))
         assert np.array_equal(X @ W, S @ W)
-        assert np.array_equal(X.t_matmul(D), S.T @ D)
         rows = [X.shape[0] - 1, 0, X.shape[0] - 1]
         which, pos = X.locate(np.array(rows, dtype=np.intp))
         Sr = S[rows]
