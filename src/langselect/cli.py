@@ -19,23 +19,19 @@ from . import ensemble as ens
 from . import selection as sel
 from .corpus import load_texts_tsv, read_utf8, save_labeled_tsv
 from .errors import CorpusError, EnsembleError, HarnessError, MetricsError, SelectionError, TextModelError
-from .harness import (
+from .harness.cache import FactsMemo, ScoreCache
+from .harness.config import load_config
+from .harness.experiments import (
+    EVAL_SPLITS,
     CorpusStore,
     ExperimentSpec,
-    FactsMemo,
-    PlanCell,
-    ScoreCache,
     ScoreMatrix,
     adaptation_stats,
-    load_config,
-    render_report,
     run_matrix,
-    selection_results_from_jsonl,
-    selection_results_to_jsonl,
     train_model,
+    warn_cap_shortfalls,
 )
-from .harness.experiments import EVAL_SPLITS, warn_cap_shortfalls
-from .harness.report import FORMATS
+from .harness.report import FORMATS, render_report, selection_results_from_jsonl, selection_results_to_jsonl
 
 # Not __name__, which is "__main__" under ``python -m langselect.cli``.
 logger = logging.getLogger("langselect.cli")
@@ -139,9 +135,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _store(cfg) -> CorpusStore:
+    """The store of every verb that reads data: split facts are looked up
+    in, and appended to, the cache directory's facts journal."""
+    return CorpusStore.from_config(cfg, FactsMemo(cfg.facts_path()))
+
+
 def _context(args: argparse.Namespace):
     cfg = load_config(args.config)
-    store = CorpusStore.from_config(cfg, FactsMemo(cfg.facts_path()))
+    store = _store(cfg)
     cache = ScoreCache(cfg.cache_path())
     seeds = args.seed_list if getattr(args, "seed_list", None) else cfg.seeds
     return cfg, store, cache, seeds
@@ -169,7 +171,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    store = CorpusStore.from_config(cfg)
+    store = _store(cfg)
     for lf in sorted(cfg.languages, key=lambda l: l.code):
         code = lf.code
         train, dev, devstar = (store.split(code, split) for split in ("train", "dev", "devstar"))
@@ -200,7 +202,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     cfg, store, cache, seeds = _context(args)
     spec = _spec_from_args(args, cfg)
     matrix = run_matrix(
-        [PlanCell(spec.target, spec.sources, spec.sample_cap)],
+        [sel.PlanCell(spec.target, spec.sources, spec.sample_cap)],
         store,
         seeds=seeds,
         learner=spec.learner,
@@ -310,7 +312,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         # report's rows; a set the plan already scored is read back from
         # the cache. The file is written even when nothing was selected,
         # so it never holds an earlier run's cells.
-        selected = [PlanCell(t, s, None) for t, r in sorted(results.items()) if (s := r.selected_sources())]
+        selected = [sel.PlanCell(t, s, None) for t, r in sorted(results.items()) if (s := r.selected_sources())]
         Path(args.matrix_out).write_text(run(selected).to_jsonl(), encoding="utf-8")
     if args.out:
         Path(args.out).write_text(selection_results_to_jsonl(results, strategy), encoding="utf-8")
@@ -338,7 +340,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             # Zero-shot results get their own column, apart from multilingual ones.
             column = result.strategy if result.mode == sel.MULTILINGUAL else f"{result.strategy} {result.mode}"
             selections.setdefault(column, {})[result.target] = result
-    store = CorpusStore.from_config(cfg, FactsMemo(cfg.facts_path()))
+    store = _store(cfg)
     languages = [lf.code for lf in cfg.languages]
     document = render_report(matrix, selections, languages, _with_rows(cfg, store, "train"), fmt=args.format)
     if args.out:

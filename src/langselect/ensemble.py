@@ -76,7 +76,8 @@ def write_predictions_tsv(
 
 
 def read_predictions_tsv(path: str | Path) -> tuple[list[str], list[Prediction]]:
-    """Read a prediction TSV; missing probability columns become zeros."""
+    """Read a prediction TSV. A row holds an id and a label, and either
+    no probabilities, which read as zeros, or all three."""
     path = Path(path)
     ids: list[str] = []
     predictions: list[Prediction] = []
@@ -84,13 +85,15 @@ def read_predictions_tsv(path: str | Path) -> tuple[list[str], list[Prediction]]
         label = fields[1].strip().lower()
         if label not in LABEL_INDEX:
             raise EnsembleError(f"{path}: unknown label {fields[1]!r} at line {lineno}")
-        if len(fields) >= 5:
+        if len(fields) == 2:
+            probs = (0.0, 0.0, 0.0)
+        elif len(fields) < 5:
+            raise EnsembleError(f"{path}: {len(fields) - 2} of 3 probabilities at line {lineno}")
+        else:
             try:
                 probs = (float(fields[2]), float(fields[3]), float(fields[4]))
             except ValueError:
                 raise EnsembleError(f"{path}: non-numeric probability at line {lineno}") from None
-        else:
-            probs = (0.0, 0.0, 0.0)
         ids.append(fields[0])
         predictions.append((label, probs))
     return ids, predictions

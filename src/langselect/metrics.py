@@ -15,7 +15,7 @@ from .corpus import LABEL_INDEX
 from .errors import MetricsError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """3x3 counts; rows are gold classes, columns are predicted classes."""
 
@@ -28,11 +28,6 @@ class ConfusionMatrix:
         if (counts < 0).any():
             raise MetricsError("confusion matrix cells must be nonnegative")
         object.__setattr__(self, "counts", counts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConfusionMatrix):
-            return NotImplemented
-        return bool((self.counts == other.counts).all())
 
     def support(self) -> np.ndarray:
         """Gold-class counts (row sums)."""

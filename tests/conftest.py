@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from langselect import Dataset, Example
+from langselect.corpus import Dataset, Example
 
 sys.path.insert(0, str(Path(__file__).parent))
 

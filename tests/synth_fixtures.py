@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import tempfile
 
-from langselect.harness import CorpusStore, load_config
+from langselect.harness.config import load_config
+from langselect.harness.experiments import CorpusStore
 from langselect.synth import _FAST_LEARNER, IDENTITY, ROTATED, SynthLanguage, SynthUniverse, write_universe
 
 # A learner small enough that a plan of dozens of cells trains in seconds.

@@ -10,24 +10,14 @@ from pathlib import Path
 
 import numpy as np
 
-from langselect import (
-    Dataset,
-    Example,
-    LearnerConfig,
-    SelectionConfig,
-    SelectionTask,
-    VotePool,
-    backward_select,
-    confusion,
-    dedup_dev,
-    forward_select,
-    majority_vote,
-    normalize_text,
-    plan,
-    weighted_f1,
-)
 from langselect.cli import main as cli_main
-from langselect.harness import PlanCell, ScoreCache, run_matrix
+from langselect.corpus import Dataset, Example, dedup_dev, normalize_text
+from langselect.ensemble import VotePool, majority_vote
+from langselect.harness.cache import ScoreCache
+from langselect.harness.experiments import run_matrix
+from langselect.learner_config import LearnerConfig
+from langselect.metrics import confusion, weighted_f1
+from langselect.selection import PlanCell, SelectionConfig, SelectionTask, backward_select, forward_select, plan
 from langselect.synth import four_language_universe
 from langselect.textmodel import AdaptationStats, design_matrix, fine_tune, predict_texts
 

@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 import yaml
 
-import langselect
 from langselect.cli import main
 from langselect.corpus import LOADER_VERSION
-from langselect.harness import load_config
+from langselect.harness.config import load_config
 from langselect.synth import (
     IDENTITY,
     ROTATED,
@@ -144,7 +143,7 @@ class TestExitCodes:
         import errno
 
         import langselect.harness.experiments as exp
-        from langselect.harness import ScoreCache
+        from langselect.harness.cache import ScoreCache
 
         monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
         journal = tmp_path / "cache" / "scores.journal"
@@ -852,6 +851,30 @@ def test_oracles_import_no_program_code():
     assert imported and not [name for name in imported if name.split(".")[0] == "langselect"]
 
 
+def test_each_name_is_imported_from_its_home_module():
+    # ``langselect`` and ``langselect.harness`` re-export nothing, so a
+    # name imported from either package must be one of its submodules.
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src"
+    misplaced = []
+    for path in sorted([*src.rglob("*.py"), *(root / "tests").glob("*.py")]):
+        package = path.parent.relative_to(src).parts if path.is_relative_to(src) else ()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = package[: len(package) + 1 - node.level] if node.level else ()
+            parts = (*base, *filter(None, (node.module or "").split(".")))
+            if parts not in (("langselect",), ("langselect", "harness")):
+                continue
+            home = src.joinpath(*parts)
+            misplaced += [
+                f"{path.relative_to(root)}:{node.lineno}: {alias.name}"
+                for alias in node.names
+                if not (home / f"{alias.name}.py").is_file() and not (home / alias.name / "__init__.py").is_file()
+            ]
+    assert misplaced == []
+
+
 def test_openblas_pin_leaves_scores_and_a_preset_value_alone(tmp_path, monkeypatch, capsys, config_path):
     # ``main`` pins OpenBLAS to one thread unless the caller set a count.
     # The learner makes no BLAS call, so no count changes a score.
@@ -1066,44 +1089,17 @@ class TestReportRows:
             assert {row.split("\t")[0]: row.split("\t")[column] for row in picks[1:]} == picked
 
 
-# Every name ``langselect`` exported before its learner names became lazy,
-# by home module.
-_EXPORTS = {
-    "corpus": ["AFRISENTI_LANGUAGES", "LABELS", "SPLITS", "Dataset", "Example", "LanguageCode", "dedup_dev",
-               "load_labeled_tsv", "load_unlabeled_text", "normalize_text", "sample_per_language"],
-    "ensemble": ["VotePool", "majority_vote"],
-    "errors": ["CorpusError", "EnsembleError", "HarnessError", "LangselectError", "MetricsError",
-               "SelectionError", "TextModelError"],
-    "metrics": ["ConfusionMatrix", "confusion", "weighted_f1"],
-    "selection": ["BACKWARD", "FORWARD", "MULTILINGUAL", "ZEROSHOT", "PlanCell", "SelectionConfig",
-                  "SelectionResult", "SelectionTask", "backward_select", "forward_select", "plan"],
-    "textmodel": ["AdaptationStats", "LearnerConfig", "Model", "fine_tune", "load_model", "predict_texts",
-                  "pretrain", "save_model"],
-}
-
 # Runs one CLI verb; its last stdout line is [exit code, numpy imported].
 _VERB_PROBE = (
     "import json, sys; from langselect.cli import main; "
     "rc = main(sys.argv[1:]); print(json.dumps([rc, 'numpy' in sys.modules]))"
 )
 
-# Imports langselect, then resolves every export; prints [numpy imported
-# by the import, names missing from dir(), names not their home's object].
-_EXPORT_PROBE = """
-import importlib, json, sys
-import langselect
-numpy_on_import = 'numpy' in sys.modules
-exports = json.loads(sys.argv[1])
-listed = set(dir(langselect))
-missing = [name for names in exports.values() for name in names if name not in listed]
-different = [
-    name
-    for home, names in exports.items()
-    for name in names
-    if getattr(langselect, name) is not getattr(importlib.import_module('langselect.' + home), name)
-]
-print(json.dumps([numpy_on_import, missing, different]))
-"""
+# Imports langselect; prints the numpy and langselect modules it loaded.
+_PACKAGE_PROBE = (
+    "import json, sys; import langselect; "
+    "print(json.dumps(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('langselect.'))))"
+)
 
 
 class TestNumpyFreeVerbs:
@@ -1145,16 +1141,11 @@ class TestNumpyFreeVerbs:
             preds.append(str(pred))
         assert not run("ensemble", "--inputs", *preds, "--out", str(tmp_path / "ensemble.tsv"))
 
+        # The package re-exports nothing: importing it loads no submodule.
         done = subprocess.run(
-            [sys.executable, "-c", _EXPORT_PROBE, json.dumps(_EXPORTS)],
-            env=env, capture_output=True, encoding="utf-8", check=True, timeout=60,
+            [sys.executable, "-c", _PACKAGE_PROBE], env=env, capture_output=True, encoding="utf-8", check=True, timeout=60
         )
-        assert json.loads(done.stdout) == [False, [], []]
-        # In this process too: dir() lists the lazy names, and any other
-        # missing name is an AttributeError naming the package.
-        assert set(langselect._LAZY) <= set(dir(langselect))
-        with pytest.raises(AttributeError, match="^module 'langselect' has no attribute 'no_such_name'$"):
-            langselect.no_such_name
+        assert json.loads(done.stdout) == []
 
 
 def _rotate_labels(path):
@@ -1260,6 +1251,26 @@ class TestWarmRuns:
         assert (universe / "cache" / "facts.journal").read_bytes() == facts
         for name in ("sel.jsonl", "cells.jsonl", "matrix.jsonl"):
             assert (universe / "warm" / name).read_bytes() == (universe / "cold" / name).read_bytes()
+
+    def test_ingest_remembers_the_facts_it_derives(self, four_config, tmp_path, monkeypatch, calls, capsys):
+        # ingest parses every split, so it appends their facts to the
+        # facts journal as the other verbs do: a report after it parses
+        # no corpus, and a cache directory it cannot write is a data error.
+        config = ["--config", str(four_config)]
+        ingest = ["ingest", *config, "--out-dir", str(tmp_path / "ingested")]
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(ingest) == 0
+        assert calls["load_labeled_tsv"] and (tmp_path / "cache" / "facts.journal").is_file()
+        calls["load_labeled_tsv"].clear()
+        matrix = tmp_path / "matrix.jsonl"
+        matrix.write_text("", encoding="utf-8")
+        assert main(["report", *config, "--matrix", str(matrix), "--out", str(tmp_path / "report.md")]) == 0
+        assert calls["load_labeled_tsv"] == []
+
+        (tmp_path / "blocked").write_text("", encoding="utf-8")
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "blocked"))
+        assert main(ingest) == 2
+        assert capsys.readouterr().err == f"data error: {tmp_path / 'blocked'}: File exists\n"
 
     @pytest.mark.parametrize("universe", ["none", "lapt+tapt"], indirect=True)
     def test_facts_of_an_older_loader_are_derived_once(self, universe, calls, capsys):

@@ -5,26 +5,24 @@ import sys
 
 import pytest
 
-from langselect import (
-    CorpusError,
-    Dataset,
-    Example,
-    LanguageCode,
-    dedup_dev,
-    load_labeled_tsv,
-    load_unlabeled_text,
-    normalize_text,
-    sample_per_language,
-)
 from langselect.corpus import (
     AFRISENTI_LANGUAGES,
     MENTION_RE,
     URL_RE,
+    Dataset,
+    Example,
+    LanguageCode,
     _is_punct,
+    dedup_dev,
+    load_labeled_tsv,
     load_texts_tsv,
+    load_unlabeled_text,
+    normalize_text,
+    sample_per_language,
     save_labeled_tsv,
 )
 from langselect.ensemble import read_predictions_tsv
+from langselect.errors import CorpusError
 
 from conftest import BOUNDARY_CHARS, BOUNDARY_IDS, make_dataset
 from reference import reference_normalize
@@ -264,70 +262,75 @@ def _prediction_rows(path):
     return list(zip(ids, predictions))
 
 
-@pytest.mark.parametrize("read_rows", [_labeled_rows, _text_rows, _prediction_rows],
+# Two rows whose second field is a text and a label alike, and the
+# same rows with the three probabilities a prediction row needs.
+_ROWS = "a\tpositive\tneutral\nb\tnegative\tpositive\n"
+_PREDICTION_ROWS = "a\tpositive\t0.1\t0.2\t0.7\nb\tnegative\t0.5\t0.25\t0.25\n"
+
+
+@pytest.mark.parametrize("read_rows, rows", [(_labeled_rows, _ROWS), (_text_rows, _ROWS),
+                                             (_prediction_rows, _PREDICTION_ROWS)],
                          ids=["labeled", "texts", "predictions"])
 class TestSharedTsvRules:
     """Every TSV reader takes the same header, line and field rules from
-    ``tsv_rows``. Each row here is valid for all three readers: its
-    second field is a text and a label alike."""
+    ``tsv_rows``. Each reader is given two rows valid for it."""
 
-    ROWS = "a\tpositive\tneutral\nb\tnegative\tpositive\n"
-
-    def test_header_only_gives_no_rows(self, tmp_path, read_rows):
+    def test_header_only_gives_no_rows(self, tmp_path, read_rows, rows):
         path = tmp_path / "d.tsv"
         path.write_text("id\ttext\tlabel\n", encoding="utf-8")
         assert read_rows(path) == []
 
-    def test_blank_lines_skipped(self, tmp_path, read_rows):
+    def test_blank_lines_skipped(self, tmp_path, read_rows, rows):
         plain, spaced = tmp_path / "plain.tsv", tmp_path / "spaced.tsv"
-        plain.write_text("h\n" + self.ROWS, encoding="utf-8")
-        spaced.write_text("h\n\n  \n" + self.ROWS.replace("\n", "\n \t \n\n", 1) + "\n", encoding="utf-8")
+        plain.write_text("h\n" + rows, encoding="utf-8")
+        spaced.write_text("h\n\n  \n" + rows.replace("\n", "\n \t \n\n", 1) + "\n", encoding="utf-8")
         assert len(read_rows(plain)) == 2
         assert read_rows(spaced) == read_rows(plain)
 
-    def test_crlf_reads_like_lf(self, tmp_path, read_rows):
+    def test_crlf_reads_like_lf(self, tmp_path, read_rows, rows):
         lf, crlf = tmp_path / "lf.tsv", tmp_path / "crlf.tsv"
-        lf.write_bytes(("h\n" + self.ROWS).encode("utf-8"))
-        crlf.write_bytes(("h\n" + self.ROWS).replace("\n", "\r\n").encode("utf-8"))
+        lf.write_bytes(("h\n" + rows).encode("utf-8"))
+        crlf.write_bytes(("h\n" + rows).replace("\n", "\r\n").encode("utf-8"))
         assert read_rows(crlf) == read_rows(lf)
 
-    def test_lone_cr_reads_like_lf(self, tmp_path, read_rows):
+    def test_lone_cr_reads_like_lf(self, tmp_path, read_rows, rows):
         lf, cr = tmp_path / "lf.tsv", tmp_path / "cr.tsv"
-        lf.write_bytes(("h\n" + self.ROWS).encode("utf-8"))
-        cr.write_bytes(("h\n" + self.ROWS).replace("\n", "\r").encode("utf-8"))
+        lf.write_bytes(("h\n" + rows).encode("utf-8"))
+        cr.write_bytes(("h\n" + rows).replace("\n", "\r").encode("utf-8"))
         assert read_rows(cr) == read_rows(lf)
 
-    def test_leading_bom_dropped(self, tmp_path, read_rows):
+    def test_leading_bom_dropped(self, tmp_path, read_rows, rows):
         plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
-        plain.write_text("h\n" + self.ROWS, encoding="utf-8")
-        bom.write_text("\ufeffh\n" + self.ROWS, encoding="utf-8")
+        plain.write_text("h\n" + rows, encoding="utf-8")
+        bom.write_text("\ufeffh\n" + rows, encoding="utf-8")
         assert read_rows(bom) == read_rows(plain)
 
     @pytest.mark.parametrize("ch", BOUNDARY_CHARS, ids=BOUNDARY_IDS)
-    def test_boundary_character_stays_in_its_field(self, tmp_path, read_rows, ch):
+    def test_boundary_character_stays_in_its_field(self, tmp_path, read_rows, rows, ch):
         plain, path = tmp_path / "plain.tsv", tmp_path / "d.tsv"
-        plain.write_text("h\n" + self.ROWS, encoding="utf-8")
-        path.write_text("h\n" + self.ROWS.replace("a\t", f"a{ch}z\t"), encoding="utf-8")
-        rows = read_rows(path)
-        assert len(rows) == 2 and rows[0][0] == f"a{ch}z"
-        assert rows[0][1:] == read_rows(plain)[0][1:] and rows[1] == read_rows(plain)[1]
+        plain.write_text("h\n" + rows, encoding="utf-8")
+        path.write_text("h\n" + rows.replace("a\t", f"a{ch}z\t"), encoding="utf-8")
+        read = read_rows(path)
+        assert len(read) == 2 and read[0][0] == f"a{ch}z"
+        assert read[0][1:] == read_rows(plain)[0][1:] and read[1] == read_rows(plain)[1]
 
     @pytest.mark.parametrize("ch", BOUNDARY_CHARS, ids=BOUNDARY_IDS)
-    def test_error_line_counts_only_newlines(self, tmp_path, read_rows, ch):
+    def test_error_line_counts_only_newlines(self, tmp_path, read_rows, rows, ch):
         path = tmp_path / "d.tsv"
-        path.write_bytes(f"h{ch}x\r\na{ch}z\tpositive\tneutral\rb\tnegative\tpositive\nc\n".encode("utf-8"))
+        text = f"h{ch}x\r\n" + rows.replace("a\t", f"a{ch}z\t").replace("\n", "\r", 1) + "c\n"
+        path.write_bytes(text.encode("utf-8"))
         with pytest.raises(CorpusError, match=re.escape(f"{path}: malformed row at line 4: expected id<TAB>")):
             read_rows(path)
 
-    def test_empty_file_names_the_path(self, tmp_path, read_rows):
+    def test_empty_file_names_the_path(self, tmp_path, read_rows, rows):
         path = tmp_path / "d.tsv"
         path.write_text("", encoding="utf-8")
         with pytest.raises(CorpusError, match=re.escape(f"{path}: empty file, expected a header line")):
             read_rows(path)
 
-    def test_short_row_names_path_and_line(self, tmp_path, read_rows):
+    def test_short_row_names_path_and_line(self, tmp_path, read_rows, rows):
         path = tmp_path / "d.tsv"
-        path.write_text("h\n" + self.ROWS + "\nc\n", encoding="utf-8")
+        path.write_text("h\n" + rows + "\nc\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=re.escape(f"{path}: malformed row at line 5: expected id<TAB>")):
             read_rows(path)
 

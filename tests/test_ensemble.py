@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from langselect import CorpusError, EnsembleError, VotePool, majority_vote
-from langselect.ensemble import pool_from_files, read_predictions_tsv, write_predictions_tsv
+from langselect.ensemble import VotePool, majority_vote, pool_from_files, read_predictions_tsv, write_predictions_tsv
+from langselect.errors import CorpusError, EnsembleError
 
 LABELS = ("negative", "neutral", "positive")
 
@@ -130,6 +130,17 @@ class TestPredictionFiles:
         path.write_text("id\tlabel\na\tmeh\n", encoding="utf-8")
         with pytest.raises(EnsembleError, match=f"^{re.escape(str(path))}: unknown label 'meh' at line 2$"):
             read_predictions_tsv(path)
+
+    @pytest.mark.parametrize("row", ["x1\tpositive\t0.1", "x1\tpositive\t0.1\t0.2"], ids=["3-fields", "4-fields"])
+    def test_partial_probabilities_rejected(self, tmp_path, row):
+        # Such a row once loaded as zero probabilities, which then broke
+        # a vote's tie against the other file's real ones.
+        path, other = tmp_path / "p.tsv", tmp_path / "q.tsv"
+        path.write_text(f"id\tlabel\n{row}\n", encoding="utf-8")
+        write_predictions_tsv(other, ["x1"], [pred("negative")], include_probs=True)
+        given = len(row.split("\t")) - 2
+        with pytest.raises(EnsembleError, match=f"^{re.escape(str(path))}: {given} of 3 probabilities at line 2$"):
+            pool_from_files([path, other])
 
     def test_missing_file(self, tmp_path):
         # Prediction files share the TSV reader, and so its data error.

@@ -9,34 +9,22 @@ from pathlib import Path
 import pytest
 import yaml
 
-from langselect import (
-    CorpusError,
-    HarnessError,
-    LearnerConfig,
-    SelectionConfig,
-    SelectionError,
-    SelectionTask,
-    TextModelError,
-    forward_select,
-    plan,
-)
-from langselect.harness import (
+from langselect.errors import CorpusError, HarnessError, SelectionError, TextModelError
+from langselect.harness.cache import FactsMemo, ScoreCache
+from langselect.harness.config import load_config
+from langselect.harness.experiments import (
     CorpusStore,
     ExperimentSpec,
-    FactsMemo,
     MatrixEntry,
-    PlanCell,
-    ScoreCache,
     ScoreMatrix,
     adaptation_stats,
     build_training_set,
-    load_config,
-    render_report,
     run_matrix,
     score_experiment,
-    selection_results_from_jsonl,
-    selection_results_to_jsonl,
 )
+from langselect.harness.report import render_report, selection_results_from_jsonl, selection_results_to_jsonl
+from langselect.learner_config import LearnerConfig
+from langselect.selection import PlanCell, SelectionConfig, SelectionTask, forward_select, plan
 from langselect.synth import (
     IDENTITY,
     ROTATED,

@@ -5,13 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from langselect import (
-    ConfusionMatrix,
-    MetricsError,
-    confusion,
-    weighted_f1,
-)
-from langselect.metrics import _per_class_f1
+from langselect.errors import MetricsError
+from langselect.metrics import ConfusionMatrix, _per_class_f1, confusion, weighted_f1
 
 from reference import reference_macro_f1, reference_weighted_f1
 
@@ -37,7 +32,7 @@ class TestConfusion:
         rng.shuffle(pairs)
         gold, pred = zip(*pairs)
         cm2 = confusion(list(gold), list(pred))
-        assert cm1 == cm2
+        assert np.array_equal(cm1.counts, cm2.counts)
 
     def test_length_mismatch(self):
         with pytest.raises(MetricsError, match="length mismatch"):

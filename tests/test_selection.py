@@ -8,16 +8,9 @@ import random
 
 import pytest
 
-from langselect import (
-    AFRISENTI_LANGUAGES,
-    PlanCell,
-    SelectionConfig,
-    SelectionError,
-    SelectionTask,
-    backward_select,
-    forward_select,
-    plan,
-)
+from langselect.corpus import AFRISENTI_LANGUAGES
+from langselect.errors import SelectionError
+from langselect.selection import PlanCell, SelectionConfig, SelectionTask, backward_select, forward_select, plan
 
 from reference import DictOracle, HashOracle, brute_force_backward, brute_force_forward, score_plan
 

@@ -10,20 +10,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from langselect import (
+from langselect import textmodel
+from langselect.corpus import Dataset, Example
+from langselect.errors import TextModelError
+from langselect.learner_config import LearnerConfig
+from langselect.textmodel import (
     AdaptationStats,
-    Dataset,
-    Example,
-    LearnerConfig,
-    TextModelError,
+    Model,
+    design_matrix,
     fine_tune,
     load_model,
     predict_texts,
     pretrain,
     save_model,
 )
-from langselect import textmodel
-from langselect.textmodel import Model, design_matrix
 
 from conftest import make_dataset
 from reference import (
@@ -665,7 +665,8 @@ class TestAdaptationEffect:
     def test_task_stats_beat_unrelated_stats(self):
         # Constructed so the effect is forced: discriminative grams are
         # frequent in the task corpus and absent from the generic one.
-        from langselect.harness import PlanCell, run_matrix
+        from langselect.harness.experiments import run_matrix
+        from langselect.selection import PlanCell
         from synth_fixtures import build_store, tapt_universe
 
         uni = tapt_universe()
