@@ -323,7 +323,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
     ids, pool = ens.pool_from_files(args.inputs)
     labels = ens.majority_vote(pool)
     ens.write_predictions_tsv(args.out, ids, [(label, (0.0, 0.0, 0.0)) for label in labels])
-    print(f"examples={len(ids)}\tseeds={len(pool.per_seed)}\tout={args.out}")
+    print(f"examples={len(ids)}\tseeds={len(pool)}\tout={args.out}")
     return 0
 
 

@@ -5,7 +5,6 @@ labels, then by the fixed class order (negative < neutral < positive).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -15,38 +14,15 @@ from .errors import EnsembleError
 Prediction = tuple[str, tuple[float, float, float]]
 
 
-@dataclass(frozen=True)
-class VotePool:
-    """Predictions from several seeds over the same example sequence."""
-
-    per_seed: tuple[tuple[Prediction, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.per_seed:
-            raise EnsembleError("vote pool needs at least one seed")
-        length = len(self.per_seed[0])
-        for i, preds in enumerate(self.per_seed):
-            if len(preds) != length:
-                raise EnsembleError(
-                    f"seed {i} has {len(preds)} predictions, expected {length}"
-                )
-            for label, _ in preds:
-                if label not in LABEL_INDEX:
-                    raise EnsembleError(f"unknown label {label!r} in vote pool")
-
-    @property
-    def num_examples(self) -> int:
-        return len(self.per_seed[0])
-
-
-def majority_vote(pool: VotePool) -> list[str]:
-    """Per-example plurality label across seeds."""
+def majority_vote(per_seed: Sequence[Sequence[Prediction]]) -> list[str]:
+    """Per-example plurality label across seeds, given one prediction
+    sequence per seed over the same examples."""
     out: list[str] = []
-    num_seeds = len(pool.per_seed)
-    for i in range(pool.num_examples):
+    num_seeds = len(per_seed)
+    for i in range(len(per_seed[0])):
         votes = {label: 0 for label in LABELS}
         mean_probs = [0.0, 0.0, 0.0]
-        for preds in pool.per_seed:
+        for preds in per_seed:
             label, probs = preds[i]
             votes[label] += 1
             for c in range(3):
@@ -77,7 +53,8 @@ def write_predictions_tsv(
 
 def read_predictions_tsv(path: str | Path) -> tuple[list[str], list[Prediction]]:
     """Read a prediction TSV. A row holds an id and a label, and either
-    no probabilities, which read as zeros, or all three."""
+    no probabilities, which read as zeros, or all three, each finite and
+    in [0, 1]."""
     path = Path(path)
     ids: list[str] = []
     predictions: list[Prediction] = []
@@ -94,23 +71,26 @@ def read_predictions_tsv(path: str | Path) -> tuple[list[str], list[Prediction]]
                 probs = (float(fields[2]), float(fields[3]), float(fields[4]))
             except ValueError:
                 raise EnsembleError(f"{path}: non-numeric probability at line {lineno}") from None
+            if not all(0.0 <= prob <= 1.0 for prob in probs):
+                raise EnsembleError(f"{path}: probability not in [0, 1] at line {lineno}")
         ids.append(fields[0])
         predictions.append((label, probs))
     return ids, predictions
 
 
-def pool_from_files(paths: Sequence[str | Path]) -> tuple[list[str], VotePool]:
-    """Build a VotePool from prediction files, checking id alignment."""
+def pool_from_files(paths: Sequence[str | Path]) -> tuple[list[str], list[list[Prediction]]]:
+    """Read prediction files, one per seed, checking id alignment: the
+    ids, and one prediction list per file."""
     if not paths:
         raise EnsembleError("no prediction files given")
     base_ids: list[str] | None = None
-    per_seed: list[tuple[Prediction, ...]] = []
+    per_seed: list[list[Prediction]] = []
     for path in paths:
         ids, predictions = read_predictions_tsv(path)
         if base_ids is None:
             base_ids = ids
         elif ids != base_ids:
             raise EnsembleError(f"{path}: example ids do not match the first file")
-        per_seed.append(tuple(predictions))
+        per_seed.append(predictions)
     assert base_ids is not None
-    return base_ids, VotePool(per_seed=tuple(per_seed))
+    return base_ids, per_seed

@@ -5,6 +5,7 @@ metric inputs, and any ``OSError`` reading or writing a path) exit 2,
 experiment failures (training, selection, matrix runs) exit 3, usage
 errors exit 1.
 """
+import math
 from dataclasses import fields
 
 # The value types each annotated settings field takes. An int is a valid
@@ -15,8 +16,9 @@ _SETTING_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 def check_setting_types(settings: object, error: type[Exception]) -> None:
     """Raise ``error`` naming the first field of the dataclass ``settings``
     whose value is not of its annotated type (``int``, ``float``, ``bool``
-    or ``str``, each optionally ``| None``). Values are checked, never
-    coerced, so every valid setting keeps its value and its cell key."""
+    or ``str``, each optionally ``| None``), or is a float that is NaN or
+    infinite. Values are checked, never coerced, so every valid setting
+    keeps its value and its cell key."""
     for f in fields(settings):
         value = getattr(settings, f.name)
         kind, optional = f.type.removesuffix(" | None"), f.type.endswith(" | None")
@@ -24,6 +26,8 @@ def check_setting_types(settings: object, error: type[Exception]) -> None:
             continue
         if not isinstance(value, _SETTING_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
             raise error(f"{f.name} must be {f.type}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{f.name} must be a finite float, got {value!r}")
 
 
 class LangselectError(Exception):
@@ -48,7 +52,7 @@ class SelectionError(LangselectError):
 
 
 class EnsembleError(LangselectError):
-    """Invalid vote pools or mismatched prediction files."""
+    """Invalid or mismatched prediction files."""
 
 
 class HarnessError(LangselectError):

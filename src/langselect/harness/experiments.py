@@ -8,18 +8,16 @@ A spec is a cell; the seed is an argument of scoring, set once per run.
 Every score is a deterministic function of (spec, seed), so results are
 identical whether or not they come from the cache.
 
-The numpy-backed learner (``textmodel`` and ``metrics``) is imported on
-first use: when a cell misses the cache, or ``adaptation_stats`` or
-``train_model`` is called. Its names (``fine_tune``, ``predict_texts``,
-``pretrain``, ``AdaptationStats``, ``confusion``, ``weighted_f1``) are
-then bound as globals of this module, and reading one of them as an
-attribute binds them too, so they can be replaced here like any other
-module global.
+The numpy-backed learner, ``textmodel``, is imported on first use: when
+a cell misses the cache, or ``adaptation_stats`` or ``train_model`` is
+called. Its names (``fine_tune``, ``predict_texts``, ``pretrain``,
+``AdaptationStats``) are then bound as globals of this module, and
+reading one of them as an attribute binds them too, so they can be
+replaced here like any other module global.
 """
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 import logging
 import math
@@ -40,6 +38,7 @@ from ..corpus import (
 )
 from ..errors import CorpusError, HarnessError, LangselectError
 from ..learner_config import ADAPTATIONS, NUMERICS_VERSION, LearnerConfig
+from ..metrics import confusion, weighted_f1
 from ..selection import PlanCell, cell_mode
 from .cache import FactsMemo, ScoreCache
 from .config import HarnessConfig
@@ -51,26 +50,20 @@ logger = logging.getLogger(__name__)
 
 _T = TypeVar("_T")
 
-# The numpy-backed learner names this module calls, by home module. They
-# are bound into this module's globals on first use, so a run whose
-# scores all come from the cache never imports numpy.
-_LEARNER_NAMES = {
-    "AdaptationStats": "textmodel",
-    "fine_tune": "textmodel",
-    "predict_texts": "textmodel",
-    "pretrain": "textmodel",
-    "confusion": "metrics",
-    "weighted_f1": "metrics",
-}
+# The ``textmodel`` names this module calls. They are bound into this
+# module's globals on first use, so a run whose scores all come from the
+# cache never imports numpy.
+_LEARNER_NAMES = ("AdaptationStats", "fine_tune", "predict_texts", "pretrain")
 
 
 def _bind_learner() -> None:
     """Import the learner and bind its names here. A name already bound,
     such as a test spy or a tracing wrapper, is kept."""
+    from .. import textmodel
+
     namespace = globals()
-    for name, home in _LEARNER_NAMES.items():
-        if name not in namespace:
-            namespace[name] = getattr(importlib.import_module(f"..{home}", __package__), name)
+    for name in _LEARNER_NAMES:
+        namespace.setdefault(name, getattr(textmodel, name))
 
 
 def __getattr__(name: str):
@@ -456,17 +449,22 @@ def jsonl_text(docs: Iterable[dict]) -> str:
 def parse_jsonl(text: str, what: str, parse: Callable[[dict], _T]) -> list[_T]:
     """``parse(json.loads(line))`` of each line of JSON-lines ``text``, in
     order. Lines are split by ``corpus.text_lines``; blank lines and lines
-    starting with ``#`` are skipped. A line that fails raises
-    ``HarnessError`` reading ``{what} at line {n}: {repr of the error}``."""
+    starting with ``#`` are skipped. A line that fails, or holds ``NaN`` or
+    ``Infinity``, raises ``HarnessError`` reading ``{what} at line {n}:
+    {repr of the error}``."""
     items = []
     for lineno, line in enumerate(text_lines(text), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         try:
-            items.append(parse(json.loads(line)))
+            items.append(parse(json.loads(line, parse_constant=_refuse_constant)))
         except (AttributeError, KeyError, TypeError, ValueError, LangselectError) as e:
             raise HarnessError(f"{what} at line {lineno}: {e!r}") from None
     return items
+
+
+def _refuse_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name}")
 
 
 @dataclass(frozen=True)
@@ -497,7 +495,7 @@ class MatrixEntry:
             raise HarnessError("matrix entry without per-seed scores")
         if any(not 0.0 <= v <= 1.0 for v in values):
             raise HarnessError(f"score outside [0, 1] in entry for target {self.target!r}")
-        if abs(self.mean - sum(values) / len(values)) > 1e-12:
+        if not abs(self.mean - sum(values) / len(values)) <= 1e-12:
             raise HarnessError(f"entry mean inconsistent with per-seed scores for {self.target!r}")
 
     @property

@@ -12,7 +12,7 @@ import numpy as np
 
 from langselect.cli import main as cli_main
 from langselect.corpus import Dataset, Example, dedup_dev, normalize_text
-from langselect.ensemble import VotePool, majority_vote
+from langselect.ensemble import majority_vote
 from langselect.harness.cache import ScoreCache
 from langselect.harness.experiments import run_matrix
 from langselect.learner_config import LearnerConfig
@@ -278,20 +278,20 @@ def test_criterion_6_pipeline_determinism(tmp_path):
 def test_criterion_7_ensemble_behavior():
     start = time.perf_counter()
     # Vote test vectors.
-    strict = VotePool(per_seed=(
+    strict = (
         (("positive", (0.1, 0.1, 0.8)),),
         (("positive", (0.1, 0.1, 0.8)),),
         (("negative", (0.8, 0.1, 0.1)),),
-    ))
+    )
     assert majority_vote(strict) == ["positive"]
-    tie = VotePool(per_seed=(
+    tie = (
         (("positive", (0.30, 0.25, 0.45)),),
         (("negative", (0.45, 0.25, 0.30)),),
         (("neutral", (0.30, 0.25, 0.45)),),
-    ))
+    )
     assert majority_vote(tie) == ["positive"]  # mean probs .35/.25/.40
     single = (("neutral", (0.2, 0.6, 0.2)), ("negative", (0.7, 0.2, 0.1)))
-    assert majority_vote(VotePool(per_seed=(single,))) == ["neutral", "negative"]
+    assert majority_vote((single,)) == ["neutral", "negative"]
 
     # Fixture bound: the 5-seed ensemble never scores below the worst
     # single seed minus 1 F1 point.
@@ -308,7 +308,7 @@ def test_criterion_7_ensemble_behavior():
         preds = predict_texts(model, devstar.texts())
         per_seed_preds.append(tuple(preds))
         per_seed_scores.append(weighted_f1(confusion(gold, [l for l, _ in preds])))
-    voted = majority_vote(VotePool(per_seed=tuple(per_seed_preds)))
+    voted = majority_vote(tuple(per_seed_preds))
     ensemble_score = weighted_f1(confusion(gold, voted))
     assert ensemble_score >= min(per_seed_scores) - 0.01
     _passed(

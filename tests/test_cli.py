@@ -245,6 +245,11 @@ class TestExitCodes:
             ("learner:\n  epochs: true\n", "epochs must be int"),
             ("learner:\n  epochs: 2.5\n", "epochs must be int"),
             ("learner:\n  learning_rate: x\n", "learning_rate must be float"),
+            # NaN and infinity are floats, but no setting means them.
+            ("selection:\n  threshold: .nan\n", "threshold must be a finite float, got nan"),
+            ("selection:\n  threshold: .inf\n", "threshold must be a finite float, got inf"),
+            ("learner:\n  learning_rate: .nan\n", "learning_rate must be a finite float, got nan"),
+            ("learner:\n  l2_lambda: .inf\n", "l2_lambda must be a finite float, got inf"),
             ("learner: [3]\n", "'learner'"),
             ("    train: 5\n", "'languages[0].train' must be a path string"),
             ("    dev: [x]\n", "'languages[0].dev' must be a path string"),
@@ -259,7 +264,8 @@ class TestExitCodes:
         ],
         ids=["seeds-int", "seeds-str", "seeds-float", "seeds-bool", "selection-str", "top-k-str",
              "absolute-threshold-str", "top-k-float", "threshold-bool", "epochs-bool", "epochs-float",
-             "learning-rate-str", "learner-list",
+             "learning-rate-str", "threshold-nan", "threshold-inf", "learning-rate-nan", "l2-lambda-inf",
+             "learner-list",
              "train-int", "dev-list", "test-float", "lapt-corpus-map", "family-null", "cache-dir-list",
              "eval-split-test"],
     )
@@ -769,6 +775,14 @@ class TestSelectAndReport:
               "positives": [], "ranking": [["BB", 0.6]]}, "invalid language code 'BB':"),
             ({"target": "a a", "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
               "positives": [], "ranking": []}, "invalid language code 'a a':"),
+            # json.loads takes NaN and Infinity, which no score can be.
+            ({"target": "aa", "strategy": "forward", "mode": "multilingual", "baseline": float("nan"),
+              "positives": [], "ranking": []}, "ValueError('non-finite number NaN')"),
+            ({"target": "aa", "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
+              "positives": [["bb", float("inf")]], "ranking": [["bb", 0.6]]},
+             "ValueError('non-finite number Infinity')"),
+            ({"target": "aa", "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
+              "positives": [], "ranking": [["bb", float("-inf")]]}, "ValueError('non-finite number -Infinity')"),
         ],
     )
     def test_malformed_selections_line_is_named(self, tmp_path, capsys, config_path, line, reason):

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from langselect.ensemble import VotePool, majority_vote, pool_from_files, read_predictions_tsv, write_predictions_tsv
+from langselect.ensemble import majority_vote, pool_from_files, read_predictions_tsv, write_predictions_tsv
 from langselect.errors import CorpusError, EnsembleError
 
 LABELS = ("negative", "neutral", "positive")
@@ -19,33 +19,33 @@ def pred(label, probs=None):
 
 class TestMajorityVote:
     def test_strict_majority(self):
-        pool = VotePool(per_seed=(
+        pool = (
             (pred("positive"),),
             (pred("positive"),),
             (pred("negative"),),
-        ))
+        )
         assert majority_vote(pool) == ["positive"]
 
     def test_probability_tie_break(self):
         # Three-way tie; mean probabilities favor positive (.40 vs .35/.25).
-        pool = VotePool(per_seed=(
+        pool = (
             (("positive", (0.30, 0.25, 0.45)),),
             (("negative", (0.45, 0.25, 0.30)),),
             (("neutral", (0.30, 0.25, 0.45)),),
-        ))
+        )
         assert majority_vote(pool) == ["positive"]
 
     def test_full_tie_falls_back_to_class_order(self):
-        pool = VotePool(per_seed=(
+        pool = (
             (("positive", (0.0, 0.0, 0.0)),),
             (("negative", (0.0, 0.0, 0.0)),),
             (("neutral", (0.0, 0.0, 0.0)),),
-        ))
+        )
         assert majority_vote(pool) == ["negative"]
 
     def test_single_seed_identity(self):
         preds = tuple(pred(l) for l in ("negative", "positive", "neutral"))
-        pool = VotePool(per_seed=(preds,))
+        pool = (preds,)
         assert majority_vote(pool) == ["negative", "positive", "neutral"]
 
     def test_seed_order_invariance(self):
@@ -54,37 +54,23 @@ class TestMajorityVote:
             tuple(pred(rng.choice(LABELS), (rng.random(),) * 3) for _ in range(12))
             for _ in range(4)
         )
-        expected = majority_vote(VotePool(per_seed=seeds))
+        expected = majority_vote(seeds)
         for perm in itertools.permutations(range(4)):
-            permuted = VotePool(per_seed=tuple(seeds[i] for i in perm))
+            permuted = tuple(seeds[i] for i in perm)
             assert majority_vote(permuted) == expected
 
     def test_unanimous_agrees(self):
         rng = random.Random(3)
         row = tuple(pred(rng.choice(LABELS)) for _ in range(20))
-        pool = VotePool(per_seed=(row, row, row, row, row))
+        pool = (row, row, row, row, row)
         assert majority_vote(pool) == [label for label, _ in row]
 
     def test_copies_of_one_model_equal_that_model(self):
         rng = random.Random(5)
         row = tuple(pred(rng.choice(LABELS), (rng.random(), rng.random(), rng.random())) for _ in range(9))
-        single = majority_vote(VotePool(per_seed=(row,)))
+        single = majority_vote((row,))
         for k in (2, 3, 5):
-            assert majority_vote(VotePool(per_seed=(row,) * k)) == single
-
-
-class TestVotePoolValidation:
-    def test_empty_pool_rejected(self):
-        with pytest.raises(EnsembleError, match="at least one seed"):
-            VotePool(per_seed=())
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(EnsembleError, match="expected"):
-            VotePool(per_seed=((pred("positive"),), ()))
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(EnsembleError, match="unknown label"):
-            VotePool(per_seed=((("meh", (0.0, 0.0, 0.0)),),))
+            assert majority_vote((row,) * k) == single
 
 
 class TestPredictionFiles:
@@ -104,11 +90,13 @@ class TestPredictionFiles:
         assert loaded == [("neutral", (0.0, 0.0, 0.0))]
 
     def test_pool_from_files_checks_alignment(self, tmp_path):
-        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        a, b, short = tmp_path / "a.tsv", tmp_path / "b.tsv", tmp_path / "short.tsv"
         write_predictions_tsv(a, ["x", "y"], [pred("positive"), pred("negative")])
         write_predictions_tsv(b, ["x", "z"], [pred("positive"), pred("negative")])
-        with pytest.raises(EnsembleError, match="ids do not match"):
-            pool_from_files([a, b])
+        write_predictions_tsv(short, ["x"], [pred("positive")])
+        for other in (b, short):
+            with pytest.raises(EnsembleError, match=f"^{re.escape(str(other))}: example ids do not match"):
+                pool_from_files([a, other])
         with pytest.raises(EnsembleError, match="no prediction files given"):
             pool_from_files([])
 
@@ -140,6 +128,19 @@ class TestPredictionFiles:
         write_predictions_tsv(other, ["x1"], [pred("negative")], include_probs=True)
         given = len(row.split("\t")) - 2
         with pytest.raises(EnsembleError, match=f"^{re.escape(str(path))}: {given} of 3 probabilities at line 2$"):
+            pool_from_files([path, other])
+
+    @pytest.mark.parametrize("probs", ["nan\t-3\tinf", "0.5\t0.5\tNaN", "-0.1\t0.6\t0.5", "0.2\t1.5\t0.1",
+                                       "0.1\t0.1\t-inf"],
+                             ids=["nan-neg-inf", "nan-last", "negative", "above-one", "minus-inf"])
+    def test_probability_outside_unit_interval_rejected(self, tmp_path, probs):
+        # A NaN mean probability compares false, so it once decided a
+        # tie against the other file's real probabilities.
+        path, other = tmp_path / "p.tsv", tmp_path / "q.tsv"
+        path.write_text(f"id\tlabel\tp_negative\tp_neutral\tp_positive\nx1\tpositive\t{probs}\n",
+                        encoding="utf-8")
+        write_predictions_tsv(other, ["x1"], [("negative", (0.9, 0.05, 0.05))], include_probs=True)
+        with pytest.raises(EnsembleError, match=f"^{re.escape(str(path))}: probability not in \\[0, 1\\] at line 2$"):
             pool_from_files([path, other])
 
     def test_missing_file(self, tmp_path):

@@ -800,7 +800,8 @@ class TestRunMatrix:
         ['["x"]', '"x"', "3", "null", "per_seed as a list", "mode contradicting sources", "no mode",
          "key not a string", "empty per_seed", "score outside [0, 1]", "mean disagreeing",
          "unknown adaptation", "sample_cap a string", "sample_cap 0", "sample_cap a bool",
-         "eval_split not a split", "support negative", "support a bool", "support a float"],
+         "eval_split not a split", "support negative", "support a bool", "support a float", "mean NaN",
+         "std Infinity", "std NaN"],
     )
     def test_jsonl_line_not_an_entry_object(self, store, line):
         cells = [PlanCell("aa", ("aa",), None)]
@@ -823,6 +824,10 @@ class TestRunMatrix:
             "support negative": dict(doc, support=-3),
             "support a bool": dict(doc, support=True),
             "support a float": dict(doc, support=60.5),
+            # json.dumps writes these as NaN and Infinity, which are not JSON.
+            "mean NaN": dict(doc, per_seed={"1": 1.0, "2": 1.0}, mean=float("nan")),
+            "std Infinity": dict(doc, std=float("inf")),
+            "std NaN": dict(doc, std=float("nan")),
         }
         if line in edited:
             line = json.dumps(edited[line])
@@ -852,6 +857,19 @@ class TestRunMatrix:
                 eval_split="devstar",
                 per_seed={1: 1.5},
                 mean=1.5,
+                std=0.0,
+                support=10,
+            )
+        # NaN compares false with any bound, so the check must fail it.
+        with pytest.raises(HarnessError, match="mean inconsistent"):
+            MatrixEntry(
+                target="aa",
+                sources=("aa",),
+                adaptation="none",
+                sample_cap=None,
+                eval_split="devstar",
+                per_seed={1: 1.0},
+                mean=float("nan"),
                 std=0.0,
                 support=10,
             )

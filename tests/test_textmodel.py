@@ -617,7 +617,8 @@ class TestSerialization:
             load_model(tmp_path / "nope.npz")
 
     @pytest.mark.parametrize(
-        "damage", ["not-a-zip", "truncated", "empty", "no-meta", "no-weights", "meta-not-json", "directory"]
+        "damage",
+        ["not-a-zip", "truncated", "empty", "no-meta", "no-weights", "meta-not-json", "directory", "learning-rate-nan"],
     )
     def test_unloadable_file_names_the_path(self, tmp_path, lang, damage):
         ds = make_dataset([("good stuff", "positive"), ("bad stuff", "negative"), ("meh", "neutral")] * 5, lang)
@@ -636,6 +637,13 @@ class TestSerialization:
         elif damage == "directory":
             path.unlink()
             path.mkdir()
+        elif damage == "learning-rate-nan":
+            # json.dumps writes NaN and json.loads reads it back; the
+            # config's own check refuses it.
+            meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+            meta["config"]["learning_rate"] = float("nan")
+            meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+            np.savez_compressed(path, **{**arrays, "meta": np.frombuffer(meta_bytes, dtype=np.uint8)})
         else:
             del arrays[damage.removeprefix("no-")]
             np.savez_compressed(path, **arrays)
