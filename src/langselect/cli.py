@@ -188,7 +188,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from .textmodel import save_model
 
     _check_out_dirs(args.out)
-    cfg, store, _, _ = _context(args)
+    cfg = load_config(args.config)
+    store = _store(cfg)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     spec = _spec_from_args(args, cfg)
     warn_cap_shortfalls([spec], store)

@@ -18,9 +18,10 @@ not interleave records; readers tolerate duplicates (the last record
 for a key wins, and records are deterministic anyway). Only
 newline-terminated UTF-8 records with all their fields load: a record
 torn by a crash mid-write, or holding bytes that are not UTF-8, is
-skipped, not read as a shorter one. The next append ends a torn record's
-line and follows it with a marker line, so later loads skip that record
-without warning again.
+skipped, not read as a shorter one, and so is a score record whose score
+is not in [0, 1] or whose support is below 1. The next append ends a torn
+record's line and follows it with a marker line, so later loads skip
+that record without warning again.
 """
 from __future__ import annotations
 
@@ -95,8 +96,13 @@ class ScoreCache:
         self._journal.load(self._parse)
 
     def _parse(self, fields: list[str]) -> None:
+        # A weighted F1 lies in [0, 1] and is scored on at least one row;
+        # a record that says otherwise is skipped and its cell retrains.
         key, seed, score, support, _ = fields
-        self._entries[(key, int(seed))] = (float(score), int(support))
+        value, count = float(score), int(support)
+        if not 0.0 <= value <= 1.0 or count < 1:
+            raise ValueError(fields)
+        self._entries[(key, int(seed))] = (value, count)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -130,24 +130,6 @@ class CsrRows:
         row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
         return _keyed_sums(row_of, self.data, other, self.indices, self.shape[0])
 
-    def in_columns(self, columns: np.ndarray) -> "CsrRows":
-        """These rows over ``columns`` (strictly increasing buckets)
-        instead of their own. Each of ``self.columns`` is searched for
-        there once, and each non-zero takes its column's position. The
-        non-zeros whose bucket is not in ``columns`` are dropped and the
-        rest keep their order, so a product with the weights of
-        ``columns`` alone gives the floats of the full product with zero
-        weights elsewhere: the dropped terms are ±0.0, and a sum that
-        starts at +0.0 is never −0.0, so adding ±0.0 to it changes
-        nothing."""
-        at, found = _search(columns, self.columns)
-        keep = found[self.indices]
-        kept = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept[1:])
-        return CsrRows(
-            kept[self.indptr], at[self.indices[keep]], self.data[keep], (self.shape[0], len(columns)), columns
-        )
-
 
 def _search(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each of ``values``, its position in the strictly increasing
@@ -509,9 +491,20 @@ def fine_tune(
 
 
 def predict_texts(model: Model, texts: Sequence[str]) -> list[tuple[str, tuple[float, float, float]]]:
-    """Predict labels and class probabilities for a batch of texts."""
-    X = design_matrix(texts, model.stats, model.config).in_columns(model.buckets)
-    probs = _softmax(X @ model.weights.T + model.bias)
+    """Predict labels and class probabilities for a batch of texts.
+
+    The batch is featurized over its own columns, as ``fine_tune``
+    featurizes its examples, and ``W`` holds, for each column, the
+    model's weights of its bucket, or zeros where the model has none.
+    One ``X @ W`` then gives the floats of the product with the full
+    weights: each term of a bucket without weights is ±0.0, and a sum
+    that starts at +0.0 is never −0.0, so adding ±0.0 to it changes
+    nothing."""
+    X = design_matrix(texts, model.stats, model.config)
+    at, found = _search(model.buckets, X.columns)
+    W = np.zeros((len(X.columns), 3))
+    W[found] = model.weights.T[at[found]]
+    probs = _softmax(X @ W + model.bias)
     # argmax returns the first maximum, which honors the fixed class
     # order (negative < neutral < positive) on exact ties.
     return [(LABELS[i], tuple(row)) for i, row in zip(probs.argmax(axis=1).tolist(), probs.tolist())]
@@ -542,44 +535,32 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Model:
-    """Load a model saved by ``save_model``. A file without ``buckets``,
-    written before models kept only their buckets' weights, holds dense
-    (3 x hash_buckets) weights and loads as a model over all buckets. A
-    file that is missing or is not such a model (unreadable, corrupt,
-    lacking a key, or holding arrays of the wrong shape) is a
-    ``TextModelError`` naming the path."""
+    """Load a model saved by ``save_model``: the file must hold every
+    array it writes, and a meta config with ``LearnerConfig``'s fields
+    alone. A file that is missing or is not such a model (unreadable,
+    corrupt, lacking a key, holding arrays of the wrong shape, or of an
+    earlier layout: dense weights without ``buckets``, or a ``seed`` in
+    the config) is a ``TextModelError`` naming the path."""
     path = Path(path)
     if not path.exists():
         raise TextModelError(f"model file not found: {path}")
     try:
         # np.load leaves a file it cannot read as a zip archive open.
         with open(path, "rb") as fh, np.load(fh) as data:
-            arrays = {key: data[key] for key in ("weights", "bias", "df_buckets", "df_counts", "meta")}
-            buckets = data["buckets"] if "buckets" in data else None
+            arrays = {key: data[key] for key in ("weights", "buckets", "bias", "df_buckets", "df_counts", "meta")}
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        # Older model files also record the training seed in the config.
-        config_doc = dict(meta["config"])
-        config_doc.pop("seed", None)
-        config = LearnerConfig(**config_doc)
         stats = AdaptationStats(
             df_buckets=arrays["df_buckets"],
             df_counts=arrays["df_counts"],
             num_documents=int(meta["stats"]["num_documents"]),
             source_tag=str(meta["stats"]["source_tag"]),
         )
-        if buckets is None:
-            # The dense layout: checked before its buckets are listed, so
-            # a file cannot make that list as long as it likes.
-            shape = arrays["weights"].shape
-            if shape != (3, config.hash_buckets):
-                raise TextModelError(f"dense weights have shape {shape}, not (3, {config.hash_buckets})")
-            buckets = np.arange(config.hash_buckets)
         return Model(
             weights=arrays["weights"],
-            buckets=buckets,
+            buckets=arrays["buckets"],
             bias=arrays["bias"],
             stats=stats,
-            config=config,
+            config=LearnerConfig(**meta["config"]),
             loss_history=tuple(meta["loss_history"]),
         )
     except (OSError, EOFError, ValueError, KeyError, TypeError, TextModelError, zipfile.BadZipFile) as e:

@@ -375,6 +375,27 @@ class TestScore:
         assert "seed_1=" in out and "seed_2=" in out
         assert "mean=" in out and "support=21" in out
 
+    @pytest.mark.parametrize(
+        "field, value", [(3, "nan"), (3, "7.5"), (4, "0")], ids=["score-nan", "score-7.5", "support-0"]
+    )
+    def test_impossible_journal_record_retrains(self, tmp_path, capsys, monkeypatch, config_path, field, value):
+        # A record whose score is no F1, or whose support counts no row, is
+        # skipped: the cell retrains and scores as it did, not exit 3.
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        argv = ["score", "--config", config_path, "--target", "aa", "--sources", "aa", "--seed-list", "1"]
+        assert main(argv) == 0
+        scored = capsys.readouterr().out
+        journal = tmp_path / "cache" / "scores.journal"
+        (record,) = journal.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = record.split("\t")
+        fields[field] = value
+        journal.write_text("\t".join(fields), encoding="utf-8")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == scored
+        # The retrained record matches the first but for its timestamp.
+        _, retrained = journal.read_text(encoding="utf-8").splitlines()
+        assert retrained.split("\t")[:-1] == record.split("\t")[:-1]
+
 
 class TestInputsWithoutRows:
     @pytest.mark.parametrize("sources", ["aa,bb", "bb"])
@@ -458,25 +479,14 @@ class TestTrainPredictEnsemble:
         assert out.read_text(encoding="utf-8") == "id\tlabel\n"
         assert capsys.readouterr().out == f"examples=0\tout={out}\n"
 
-    def test_dense_layout_model_file_predicts_the_same(self, tmp_path, config_path, universe_dir):
-        # Model files once held dense (3, hash_buckets) weights and no buckets.
+    def test_train_reads_no_score_journal(self, tmp_path, capsys, monkeypatch, config_path):
+        # train scores nothing, so a score journal it cannot read does not
+        # fail it.
+        monkeypatch.setenv("LANGSELECT_CACHE_DIR", str(tmp_path / "cache"))
+        (tmp_path / "cache" / "scores.journal").mkdir(parents=True)
         model = tmp_path / "m.npz"
-        assert main(["train", "--config", config_path, "--target", "aa", "--sources", "aa,bb",
-                     "--out", str(model)]) == 0
-        with np.load(model) as data:
-            arrays = dict(data)
-        hash_buckets = json.loads(bytes(arrays["meta"]))["config"]["hash_buckets"]
-        weights = np.zeros((3, hash_buckets))
-        weights[:, arrays.pop("buckets")] = arrays["weights"]
-        dense = tmp_path / "dense.npz"
-        np.savez_compressed(dense, **{**arrays, "weights": weights})
-        outs = []
-        for path in (model, dense):
-            out = tmp_path / f"{path.stem}.tsv"
-            assert main(["predict", "--model", str(path), "--input", str(universe_dir / "data" / "aa_test.tsv"),
-                         "--out", str(out), "--probs"]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert main(["train", "--config", config_path, "--target", "aa", "--sources", "aa", "--out", str(model)]) == 0
+        assert capsys.readouterr().out.startswith(f"saved\t{model}\t")
 
     def test_train_takes_no_seed_list(self, tmp_path, capsys, config_path):
         # ``--seed`` is train's one seed flag; a seed list would train one
@@ -492,7 +502,9 @@ class TestTrainPredictEnsemble:
         missing = tmp_path / "m.npz"
         assert main(["predict", "--model", str(missing), "--input", str(ok), "--out", str(tmp_path / "o.tsv")]) == 3
 
-    @pytest.mark.parametrize("damage", ["corrupt", "no-meta", "directory", "weights-cut", "bias-cut"])
+    @pytest.mark.parametrize(
+        "damage", ["corrupt", "no-meta", "directory", "weights-cut", "bias-cut", "dense-layout", "config-seed"]
+    )
     def test_predict_unloadable_model_is_experiment_error(self, tmp_path, capsys, config_path, damage):
         # Like a missing model file: exit 3 naming the file, not a traceback.
         model = tmp_path / "m.npz"
@@ -516,8 +528,20 @@ class TestTrainPredictEnsemble:
                 arrays = dict(data)
             if damage == "weights-cut":
                 arrays["weights"] = arrays["weights"][:, :10]
-            else:
+            elif damage == "bias-cut":
                 arrays["bias"] = arrays["bias"][:2]
+            elif damage == "dense-layout":
+                # Model files once held dense (3, hash_buckets) weights and
+                # no buckets.
+                meta = json.loads(bytes(arrays["meta"]))
+                weights = np.zeros((3, meta["config"]["hash_buckets"]))
+                weights[:, arrays.pop("buckets")] = arrays["weights"]
+                arrays["weights"] = weights
+            else:
+                # Model files once also held the training seed in their config.
+                meta = json.loads(bytes(arrays["meta"]))
+                meta["config"]["seed"] = 1
+                arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
             np.savez_compressed(model, **arrays)
         ok = tmp_path / "in.tsv"
         ok.write_text("id\ttext\na\thello\n", encoding="utf-8")

@@ -563,6 +563,20 @@ class TestScoreCache:
         assert cache.get("key", 1) == (0.5, 7)
         assert len(cache) == 1
 
+    @pytest.mark.parametrize(
+        "score, support", [("nan", "7"), ("inf", "7"), ("7.5", "7"), ("-0.25", "7"), ("0.5", "0"), ("0.5", "-3")]
+    )
+    def test_impossible_score_or_support_skipped(self, tmp_path, caplog, score, support):
+        # A weighted F1 lies in [0, 1], bounds included, over at least one row.
+        path = tmp_path / "scores.journal"
+        path.write_text(
+            f"v1\tk\t1\t0.0\t1\tT\nv1\tk\t2\t{score}\t{support}\tT\nv1\tk\t3\t1.0\t7\tT\n", encoding="utf-8"
+        )
+        with caplog.at_level(logging.WARNING, logger="langselect.harness.cache"):
+            cache = ScoreCache(path)
+        assert "skipped 1 malformed cache lines" in caplog.text
+        assert (cache.get("k", 1), cache.get("k", 2), cache.get("k", 3)) == ((0.0, 1), None, (1.0, 7))
+
     @pytest.mark.parametrize("tail", ["support", "timestamp", "newline"])
     def test_torn_last_record_misses(self, tmp_path, caplog, tail):
         # A writer that died mid-record leaves a torn, unterminated last

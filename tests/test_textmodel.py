@@ -6,6 +6,7 @@ import math
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -502,6 +503,16 @@ class TestPredict:
         got = predict_texts(model, probe)
         assert [p for _, p in got] == [tuple(row) for row in probs.tolist()]
         assert [label for label, _ in got] == [LABELS[i] for i in probs.argmax(axis=1)]
+        assert predict_texts(model, []) == []
+        # Each non-empty text shares its boundary unigrams with every
+        # training text, so the probe's buckets are dropped from the model
+        # instead: its non-zeros then all meet zero weights.
+        columns = design_matrix(probe[:1], stats, cfg).columns
+        assert len(columns)
+        held = ~np.isin(model.buckets, columns)
+        blind = replace(model, weights=model.weights[:, held], buckets=model.buckets[held])
+        bias_only = textmodel._softmax(model.bias[None, :])
+        assert predict_texts(blind, probe[:1]) == [(LABELS[bias_only.argmax()], tuple(bias_only[0].tolist()))]
 
 
 class TestSerialization:
@@ -523,28 +534,33 @@ class TestSerialization:
         texts = ["good stuff", "zzz", "bad meh", ""]
         assert predict_texts(loaded, texts) == predict_texts(model, texts)
 
-    def test_dense_layout_file_loads(self, tmp_path, lang):
+    @pytest.mark.parametrize(
+        "layout, reason", [("dense", "buckets"), ("config-seed", "'seed'")], ids=["dense", "config-seed"]
+    )
+    def test_old_layout_file_names_the_path(self, tmp_path, lang, layout, reason):
         # Model files once held dense (3, hash_buckets) weights and no
-        # buckets; they load as a model over all buckets.
+        # buckets, and later a training seed in their meta config. Only
+        # the layout save_model writes loads.
         ds = make_dataset([("good stuff", "positive"), ("bad stuff", "negative"), ("meh", "neutral")] * 5, lang)
         model = fine_tune(pretrain([ds], "t", SMALL), ds, SMALL, 4)
         path = tmp_path / "model.npz"
         save_model(model, path)
         with np.load(path) as data:
             arrays = dict(data)
-        del arrays["buckets"]
-        arrays["weights"] = dense_weights(model)
+        if layout == "dense":
+            del arrays["buckets"]
+            arrays["weights"] = dense_weights(model)
+        else:
+            meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+            meta["config"]["seed"] = 4
+            arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
         np.savez_compressed(path, **arrays)
-        loaded = load_model(path)
-        assert np.array_equal(loaded.buckets, np.arange(SMALL.hash_buckets))
-        assert np.array_equal(loaded.weights, dense_weights(model))
-        texts = ["good stuff", "zzz", "bad meh", ""]
-        assert predict_texts(loaded, texts) == predict_texts(model, texts)
+        with pytest.raises(TextModelError, match=f"cannot load model file {re.escape(str(path))}: .*{reason}"):
+            load_model(path)
 
     MISSHAPEN = {
         "bias-cut": r"bias has shape \(2,\), not \(3,\)",
         "weights-cut": r"weights have shape \(3, 10\), not \(3, \d+\)",
-        "dense-weights-cut": r"dense weights have shape \(3, 10\), not \(3, 64\)",
         "buckets-reversed": "buckets must increase strictly",
         "buckets-repeated": "buckets must increase strictly",
         "buckets-negative": r"buckets must lie in \[0, 64\)",
@@ -566,12 +582,6 @@ class TestSerialization:
             arrays["bias"] = arrays["bias"][:2]
         elif damage == "weights-cut":
             arrays["weights"] = arrays["weights"][:, :10]
-        elif damage == "dense-weights-cut":
-            dense_cut = np.zeros((3, 10))
-            kept = buckets < 10
-            dense_cut[:, buckets[kept]] = arrays["weights"][:, kept]
-            arrays["weights"] = dense_cut
-            del arrays["buckets"]
         elif damage == "buckets-reversed":
             arrays["buckets"] = buckets[::-1]
         elif damage == "buckets-repeated":
@@ -591,26 +601,6 @@ class TestSerialization:
         reason = self.MISSHAPEN[damage]
         with pytest.raises(TextModelError, match=f"cannot load model file {re.escape(str(path))}: {reason}"):
             load_model(path)
-
-    def test_model_file_with_config_seed_loads(self, tmp_path, lang):
-        # Model files written while LearnerConfig had a seed field carry
-        # "seed" in their meta config.
-        ds = make_dataset([("good stuff", "positive"), ("bad stuff", "negative"), ("meh", "neutral")] * 5, lang)
-        model = fine_tune(pretrain([ds], "t", SMALL), ds, SMALL, 4)
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        with np.load(path) as data:
-            arrays = dict(data)
-        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        meta["config"]["seed"] = 4
-        arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-        np.savez_compressed(path, **arrays)
-        loaded = load_model(path)
-        assert loaded.config == model.config
-        assert np.array_equal(loaded.weights, model.weights)
-        assert loaded.loss_history == model.loss_history
-        texts = ["good stuff", "zzz", "bad meh", ""]
-        assert predict_texts(loaded, texts) == predict_texts(model, texts)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TextModelError, match="not found"):
