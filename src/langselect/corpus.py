@@ -4,7 +4,8 @@ Owns the program's one text rule (``read_utf8``, ``text_lines``) and
 its one TSV format (``tsv_rows``, ``write_tsv``), and handles labeled
 TSV files (``id<TAB>text<TAB>label``), unlabeled one-sentence-per-line
 corpora, train/dev overlap removal (the ``devstar`` split) and
-deterministic per-language subsampling.
+deterministic per-language subsampling. A dataset holds one language's
+rows; the store that holds it names its split.
 
 Every text file the program reads is UTF-8, loses one leading BOM, and
 has lines that end at LF, CRLF or a lone CR and nowhere else, so a
@@ -42,7 +43,6 @@ LOADER_VERSION = 3
 
 LABELS = ("negative", "neutral", "positive")
 LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
-SPLITS = ("train", "dev", "devstar", "test")
 
 # A URL span starts at an alpha-led scheme token ("http://", "ftp://", ...)
 # or at "www." and runs to the next whitespace.
@@ -93,10 +93,12 @@ def normalize_text(raw: str) -> str:
 
 
 def check_code(code: object) -> str:
-    """``code`` if it is a language code, a non-empty lowercase string
-    without whitespace; anything else is a ``CorpusError``."""
-    if not isinstance(code, str) or not code or code != code.lower() or any(c.isspace() for c in code):
-        raise CorpusError(f"invalid language code {code!r}: must be non-empty lowercase without whitespace")
+    """``code`` if it is a language code, a non-empty string of lowercase
+    ASCII letters, digits, ``-`` and ``_``, which can name a file
+    (``<code>_devstar.tsv``) or a report column; anything else is a
+    ``CorpusError``."""
+    if not isinstance(code, str) or not re.fullmatch(r"[a-z0-9_-]+", code):
+        raise CorpusError(f"invalid language code {code!r}: must be non-empty lowercase ASCII letters, digits, '-' or '_'")
     return code
 
 
@@ -119,8 +121,8 @@ class LanguageCode:
 
 @dataclass(frozen=True)
 class Example:
-    """One text row of a ``Dataset``, which owns its language code and
-    split; ``label`` is None for unlabeled data."""
+    """One text row of a ``Dataset``, which owns its language code;
+    ``label`` is None for unlabeled data."""
 
     id: str
     text: str
@@ -136,20 +138,17 @@ class Example:
 @dataclass(frozen=True)
 class Dataset:
     """An ordered, immutable collection of examples for one language,
-    named by its code, and split."""
+    named by its code, with distinct ids."""
 
     code: str
-    split: str
     examples: tuple[Example, ...]
 
     def __post_init__(self) -> None:
         check_code(self.code)
-        if self.split not in SPLITS:
-            raise CorpusError(f"unknown split {self.split!r}, expected one of {SPLITS}")
         seen: set[str] = set()
         for ex in self.examples:
             if ex.id in seen:
-                raise CorpusError(f"dataset {self.code}/{self.split}: duplicate id {ex.id!r}")
+                raise CorpusError(f"dataset {self.code}: duplicate id {ex.id!r}")
             seen.add(ex.id)
 
     def __len__(self) -> int:
@@ -232,16 +231,18 @@ def write_tsv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
             fh.write(line % tuple(row))
 
 
-def load_labeled_tsv(path: str | Path, code: str, split: str = "train") -> Dataset:
+def load_labeled_tsv(path: str | Path, code: str) -> Dataset:
     """Load a labeled TSV (header, then ``id<TAB>text<TAB>label`` rows).
 
     Texts are normalized; rows whose text normalizes to empty are dropped
     with a logged count. Labels are matched case-insensitively against
-    negative/neutral/positive. Unknown labels and short rows raise
-    ``CorpusError`` naming the offending line.
+    negative/neutral/positive. Unknown labels, short rows and a kept
+    row's id that an earlier kept row holds raise ``CorpusError`` naming
+    the offending line.
     """
     path = Path(path)
     examples: list[Example] = []
+    seen: set[str] = set()
     dropped = 0
     for lineno, fields in tsv_rows(path, 3, "id<TAB>text<TAB>label"):
         row_id, raw, raw_label = fields[0], fields[1], fields[2]
@@ -252,10 +253,13 @@ def load_labeled_tsv(path: str | Path, code: str, split: str = "train") -> Datas
         if not normalized:
             dropped += 1
             continue
+        if row_id in seen:
+            raise CorpusError(f"{path}: duplicate id {row_id!r} at line {lineno}")
+        seen.add(row_id)
         examples.append(Example(id=row_id, text=normalized, label=label))
     if dropped:
         logger.info("%s: dropped %d rows with empty text after normalization", path, dropped)
-    return Dataset(code=code, split=split, examples=tuple(examples))
+    return Dataset(code=code, examples=tuple(examples))
 
 
 def load_texts_tsv(path: str | Path) -> tuple[list[str], list[str]]:
@@ -275,8 +279,8 @@ def save_labeled_tsv(dataset: Dataset, path: str | Path) -> None:
 
 
 def load_unlabeled_text(path: str | Path, code: str) -> Dataset:
-    """Load an unlabeled corpus, as a train split: one sentence per line,
-    read by ``read_utf8`` and split by ``text_lines``.
+    """Load an unlabeled corpus: one sentence per line, read by
+    ``read_utf8`` and split by ``text_lines``.
 
     Blank lines are skipped; every other line is normalized, which never
     leaves it empty, into the example ``u<line number>``.
@@ -287,13 +291,13 @@ def load_unlabeled_text(path: str | Path, code: str) -> Dataset:
         for lineno, line in enumerate(text_lines(read_utf8(path)), start=1)
         if line.strip()
     ]
-    return Dataset(code=code, split="train", examples=tuple(examples))
+    return Dataset(code=code, examples=tuple(examples))
 
 
 def dedup_dev(train: Dataset, dev: Dataset) -> Dataset:
     """Remove dev examples whose normalized text also occurs in train.
 
-    Returns the ``devstar`` split with the original dev order preserved.
+    Returns the ``devstar`` rows with the original dev order preserved.
     The overlap key is the full normalized text string.
     """
     if train.code != dev.code:
@@ -303,7 +307,7 @@ def dedup_dev(train: Dataset, dev: Dataset) -> Dataset:
     removed = len(dev) - len(kept)
     if removed:
         logger.info("%s: removed %d dev examples overlapping train", dev.code, removed)
-    return Dataset(code=dev.code, split="devstar", examples=kept)
+    return Dataset(code=dev.code, examples=kept)
 
 
 def _sample_indices(n: int, k: int, rng: random.Random) -> list[int]:
@@ -316,21 +320,19 @@ def _sample_indices(n: int, k: int, rng: random.Random) -> list[int]:
 
 
 def sample_per_language(ds: Dataset, k: int, seed: int) -> Dataset:
-    """Draw up to ``k`` of a train split's examples, without replacement.
+    """Draw up to ``k`` of a dataset's examples, without replacement.
 
     The generator is seeded by (seed, language code), so a draw depends
-    on nothing but the split, ``k`` and ``seed``. A split of at most
+    on nothing but the dataset, ``k`` and ``seed``. A dataset of at most
     ``k`` rows is returned whole; selected rows keep their file order.
     Logs nothing: a run names each cap shortfall from its store's facts.
     """
     if k <= 0:
         raise CorpusError(f"sample_per_language: k must be >= 1, got {k}")
-    if ds.split != "train":
-        raise CorpusError(f"sample_per_language expects a train split, got {ds.code}/{ds.split}")
     if len(ds) <= k:
         return ds
     chosen = _sample_indices(len(ds), k, random.Random(f"{seed}:{ds.code}"))
-    return Dataset(ds.code, "train", tuple(ds.examples[i] for i in chosen))
+    return Dataset(ds.code, tuple(ds.examples[i] for i in chosen))
 
 
 # The AfriSenti shared-task languages and their families.

@@ -8,12 +8,12 @@ A spec is a cell; the seed is an argument of scoring, set once per run.
 Every score is a deterministic function of (spec, seed), so results are
 identical whether or not they come from the cache.
 
-The numpy-backed learner, ``textmodel``, is imported on first use: when
-a cell misses the cache, or ``adaptation_stats`` or ``train_model`` is
-called. Its names (``fine_tune``, ``predict_texts``, ``pretrain``,
-``AdaptationStats``) are then bound as globals of this module, and
-reading one of them as an attribute binds them too, so they can be
-replaced here like any other module global.
+The numpy-backed learner, ``textmodel``, is imported only when this
+module's ``pretrain``, ``fine_tune`` or ``predict_texts`` is called, or
+``adaptation_stats`` needs uniform statistics, so a run whose scores all
+come from the cache never imports numpy. Those three functions call
+``textmodel``'s of the same name and signature; being this module's own
+globals, they can be replaced here like any other.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import hashlib
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -29,6 +30,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 from ..corpus import (
     LOADER_VERSION,
     Dataset,
+    check_code,
     dedup_dev,
     load_labeled_tsv,
     load_unlabeled_text,
@@ -50,27 +52,27 @@ logger = logging.getLogger(__name__)
 
 _T = TypeVar("_T")
 
-# The ``textmodel`` names this module calls. They are bound into this
-# module's globals on first use, so a run whose scores all come from the
-# cache never imports numpy.
-_LEARNER_NAMES = ("AdaptationStats", "fine_tune", "predict_texts", "pretrain")
 
-
-def _bind_learner() -> None:
-    """Import the learner and bind its names here. A name already bound,
-    such as a test spy or a tracing wrapper, is kept."""
+def pretrain(corpus: Dataset | Iterable[Dataset], tag: str, config: LearnerConfig) -> AdaptationStats:
+    """``textmodel.pretrain``, imported on first call."""
     from .. import textmodel
 
-    namespace = globals()
-    for name in _LEARNER_NAMES:
-        namespace.setdefault(name, getattr(textmodel, name))
+    return textmodel.pretrain(corpus, tag, config)
 
 
-def __getattr__(name: str):
-    if name in _LEARNER_NAMES:
-        _bind_learner()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def fine_tune(stats: AdaptationStats, train: Dataset | Iterable[Dataset], config: LearnerConfig, seed: int) -> Model:
+    """``textmodel.fine_tune``, imported on first call."""
+    from .. import textmodel
+
+    return textmodel.fine_tune(stats, train, config, seed)
+
+
+def predict_texts(model: Model, texts: Sequence[str]) -> list[tuple[str, tuple[float, float, float]]]:
+    """``textmodel.predict_texts``, imported on first call."""
+    from .. import textmodel
+
+    return textmodel.predict_texts(model, texts)
+
 
 EVAL_SPLITS = ("devstar", "dev", "test")
 
@@ -169,7 +171,7 @@ class CorpusStore:
         """Dev less the rows train holds; an absent train split removes
         no row, as an empty one does."""
         train, dev = self.split(code, "train"), self.split(code, "dev")
-        return dedup_dev(train or Dataset(code, "train", ()), dev)
+        return dedup_dev(train or Dataset(code, ()), dev)
 
     def split(self, code: str, split: str) -> Dataset | None:
         """The split's dataset, empty or not, or None if it is absent."""
@@ -220,7 +222,7 @@ class CorpusStore:
             for split, path in (("train", lf.train), ("dev", lf.dev), ("test", lf.test), ("lapt", lf.lapt_corpus)):
                 if path is not None:
                     raw[split] = hashlib.sha256(read_file_bytes(path)).hexdigest()
-                    load = load_unlabeled_text if split == "lapt" else partial(load_labeled_tsv, split=split)
+                    load = load_unlabeled_text if split == "lapt" else load_labeled_tsv
                     store._add(lf.code, split, str(path), raw[split], partial(load, path, lf.code))
             if "dev" in raw:
                 # Without a train file, the facts key starts with "+", as no
@@ -346,9 +348,10 @@ def adaptation_stats(spec: ExperimentSpec, store: CorpusStore) -> AdaptationStat
     skipped and an empty one adds no documents; a LAPT corpus that is
     absent or empty fails, whatever TAPT adds.
     """
-    _bind_learner()
     splits = spec._adaptation_splits()
     if not splits:
+        from ..textmodel import AdaptationStats
+
         return AdaptationStats.uniform()
     corpora = []
     for code, split in splits:
@@ -364,7 +367,6 @@ def adaptation_stats(spec: ExperimentSpec, store: CorpusStore) -> AdaptationStat
 def train_model(spec: ExperimentSpec, store: CorpusStore, seed: int, stats: AdaptationStats) -> Model:
     """Fine-tune a spec's model at one seed on the cell's adaptation
     statistics ``stats``."""
-    _bind_learner()
     return fine_tune(stats, build_training_set(spec, store, seed), spec.learner, seed)
 
 
@@ -396,7 +398,6 @@ def score_experiment(
 
     missing = [key for key in group if any(key in keys for keys in todo.values())]
     if missing:
-        _bind_learner()
         spec = group[missing[0]]
         try:
             stats = adaptation_stats(spec, store)
@@ -467,14 +468,24 @@ def _refuse_constant(name: str) -> float:
     raise ValueError(f"non-finite number {name}")
 
 
+def json_number(value: object, what: str) -> float:
+    """``value`` as a float if it is a JSON number that a float holds
+    finitely: an int or a float, not a bool. Anything else, such as a
+    string or a number past the float range that ``json`` reads as
+    infinite, is a ``ValueError`` naming ``what``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{what} {value!r} is not a finite number")
+
+
 @dataclass(frozen=True)
 class MatrixEntry:
     """Aggregated scores of one cell, as stored in a ScoreMatrix. Its
     ``mode`` is read off its sources, as a spec's is. Its adaptation,
     sample cap and eval split are checked as a spec's are, ``support``
-    is an int >= 0 (a bool is no int here), and each score lies in
-    [0, 1] with ``mean`` their mean; anything else is a
-    ``HarnessError``."""
+    is an int >= 0 (a bool is no int here), each score lies in [0, 1]
+    with ``mean`` their mean, and ``std`` is at least 0; anything else
+    is a ``HarnessError``."""
 
     target: str
     sources: tuple[str, ...]
@@ -497,6 +508,8 @@ class MatrixEntry:
             raise HarnessError(f"score outside [0, 1] in entry for target {self.target!r}")
         if not abs(self.mean - sum(values) / len(values)) <= 1e-12:
             raise HarnessError(f"entry mean inconsistent with per-seed scores for {self.target!r}")
+        if not self.std >= 0.0:
+            raise HarnessError(f"std {self.std!r} below 0 in entry for target {self.target!r}")
 
     @property
     def mode(self) -> str:
@@ -541,16 +554,20 @@ class ScoreMatrix:
 
 
 def _matrix_item(doc: dict) -> tuple[str, MatrixEntry]:
-    """One matrix line's (cell key, entry)."""
+    """One matrix line's (cell key, entry). Its sources must be a list of
+    distinct codes in sorted order, as ``to_jsonl`` writes them."""
+    sources = doc["sources"]
+    if not isinstance(sources, list) or not sources or sources != sorted(set(map(check_code, sources))):
+        raise ValueError(f"sources {sources!r} are not a non-empty sorted list of distinct codes")
     entry = MatrixEntry(
-        target=doc["target"],
-        sources=tuple(doc["sources"]),
+        target=check_code(doc["target"]),
+        sources=tuple(sources),
         adaptation=doc["adaptation"],
         sample_cap=doc["sample_cap"],
         eval_split=doc["eval_split"],
-        per_seed={int(seed): float(score) for seed, score in doc["per_seed"].items()},
-        mean=float(doc["mean"]),
-        std=float(doc["std"]),
+        per_seed={int(seed): json_number(score, "score") for seed, score in doc["per_seed"].items()},
+        mean=json_number(doc["mean"], "mean"),
+        std=json_number(doc["std"], "std"),
         support=doc["support"],
     )
     if doc["mode"] != entry.mode:

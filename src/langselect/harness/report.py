@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from ..corpus import check_code, read_utf8
 from ..errors import HarnessError
 from ..selection import BACKWARD, FORWARD, MULTILINGUAL, ZEROSHOT, SelectionResult
-from .experiments import MatrixEntry, ScoreMatrix, jsonl_text, parse_jsonl
+from .experiments import MatrixEntry, ScoreMatrix, json_number, jsonl_text, parse_jsonl
 
 FORMATS = ("markdown", "tsv", "jsonl")
 
@@ -195,9 +195,9 @@ def _selection_result(doc: dict) -> SelectionResult:
         target=check_code(doc["target"]),
         strategy=doc["strategy"],
         mode=doc["mode"],
-        baseline_score=float(doc["baseline"]),
-        positive_sources=tuple((check_code(code), float(gain)) for code, gain in doc["positives"]),
-        ranking=tuple((check_code(code), float(score)) for code, score in doc["ranking"]),
+        baseline_score=json_number(doc["baseline"], "baseline"),
+        positive_sources=tuple((check_code(code), json_number(gain, "gain")) for code, gain in doc["positives"]),
+        ranking=tuple((check_code(code), json_number(score, "score")) for code, score in doc["ranking"]),
     )
 
 

@@ -23,11 +23,11 @@ def lang():
     return "xx"
 
 
-def make_dataset(rows, code="xx", split="train", prefix="e"):
+def make_dataset(rows, code="xx", prefix="e"):
     """rows: iterable of (text, label) or (id, text, label)."""
     examples = []
     for i, row in enumerate(rows):
         if len(row) == 2:
             row = (f"{prefix}{i}", *row)
         examples.append(Example(id=row[0], text=row[1], label=row[2]))
-    return Dataset(code=code, split=split, examples=tuple(examples))
+    return Dataset(code=code, examples=tuple(examples))

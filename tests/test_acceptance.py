@@ -367,7 +367,6 @@ def test_criterion_8_preprocessing_golden_suite(lang):
     ]
     dev = Dataset(
         code=lang,
-        split="dev",
         examples=tuple(Example(i, t, l) for i, t, l in dev_rows),
     )
     devstar = dedup_dev(train, dev)

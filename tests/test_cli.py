@@ -807,6 +807,18 @@ class TestSelectAndReport:
              "ValueError('non-finite number Infinity')"),
             ({"target": "aa", "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
               "positives": [], "ranking": [["bb", float("-inf")]]}, "ValueError('non-finite number -Infinity')"),
+            # A number must be a JSON number: no string, no bool, none past
+            # the float range, which json reads as infinite.
+            ({"target": "aa", "strategy": "forward", "mode": "multilingual", "baseline": "nan",
+              "positives": [], "ranking": []}, "baseline 'nan' is not a finite number"),
+            ({"target": "aa", "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
+              "positives": [], "ranking": [["bb", "inf"]]}, "score 'inf' is not a finite number"),
+            ({"target": "aa", "strategy": "forward", "mode": "multilingual", "baseline": True,
+              "positives": [], "ranking": []}, "baseline True is not a finite number"),
+            ({"target": "aa", "strategy": "forward", "mode": "multilingual", "baseline": 0.5,
+              "positives": [["bb", "0.1"]], "ranking": [["bb", 0.6]]}, "gain '0.1' is not a finite number"),
+            ('{"target": "aa", "strategy": "forward", "mode": "multilingual", "baseline": 1e999, '
+             '"positives": [], "ranking": []}', "baseline inf is not a finite number"),
         ],
     )
     def test_malformed_selections_line_is_named(self, tmp_path, capsys, config_path, line, reason):
@@ -1184,6 +1196,22 @@ class TestNumpyFreeVerbs:
             [sys.executable, "-c", _PACKAGE_PROBE], env=env, capture_output=True, encoding="utf-8", check=True, timeout=60
         )
         assert json.loads(done.stdout) == []
+
+    def test_reading_the_learner_functions_imports_no_numpy(self):
+        # harness.experiments' learner functions import textmodel when
+        # called, so reading one, as a spy or a tracing wrapper does, must
+        # not load numpy.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = (
+            "import sys; import langselect.harness.experiments as exp; "
+            "assert all(map(callable, (exp.fine_tune, exp.pretrain, exp.predict_texts))); "
+            "print('numpy' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, encoding="utf-8", check=True, timeout=60
+        )
+        assert done.stdout == "False\n"
 
 
 def _rotate_labels(path):

@@ -161,16 +161,12 @@ class TestDatasetInvariants:
     def test_duplicate_ids_rejected(self, lang):
         ex = Example("a", "text", "positive")
         with pytest.raises(CorpusError, match="duplicate id"):
-            Dataset(lang, "train", (ex, ex))
+            Dataset(lang, (ex, ex))
 
-    def test_unknown_split(self, lang):
-        with pytest.raises(CorpusError, match="unknown split"):
-            Dataset(lang, "validation", ())
-
-    @pytest.mark.parametrize("code", ["", "XX", "x x", None, LanguageCode("xx")])
+    @pytest.mark.parametrize("code", ["", "XX", "x x", None, LanguageCode("xx"), "../x", "a/b", "a|b"])
     def test_invalid_code_rejected(self, code):
         with pytest.raises(CorpusError, match="invalid language code"):
-            Dataset(code, "train", ())
+            Dataset(code, ())
 
     def test_empty_text_rejected(self, lang):
         with pytest.raises(CorpusError, match="empty text"):
@@ -199,6 +195,12 @@ class TestLoadLabeledTsv:
         path = tmp_path / "d.tsv"
         path.write_text("id\ttext\tlabel\nt1\tok\tpositive\njust-one-field\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 3"):
+            load_labeled_tsv(path, lang)
+
+    def test_duplicate_id_names_file_and_line(self, tmp_path, lang):
+        path = tmp_path / "d.tsv"
+        path.write_text("id\ttext\tlabel\n1\tok\tpositive\n2\tfine\tneutral\n1\tbad\tnegative\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: duplicate id '1' at line 4$"):
             load_labeled_tsv(path, lang)
 
     def test_missing_file(self, tmp_path, lang):
@@ -390,25 +392,24 @@ class TestLoadUnlabeledText:
 class TestDedupDev:
     def test_overlap_removed(self, lang):
         train = make_dataset([("a b", "positive"), ("c", "negative")], lang)
-        dev = make_dataset([("a b", "positive"), ("d", "neutral")], lang, split="dev", prefix="d")
+        dev = make_dataset([("a b", "positive"), ("d", "neutral")], lang, prefix="d")
         star = dedup_dev(train, dev)
-        assert star.split == "devstar"
         assert [ex.text for ex in star] == ["d"]
 
     def test_disjoint_unchanged(self, lang):
         train = make_dataset([("a", "positive")], lang)
-        dev = make_dataset([("b", "negative"), ("c", "neutral")], lang, split="dev", prefix="d")
+        dev = make_dataset([("b", "negative"), ("c", "neutral")], lang, prefix="d")
         assert [ex.text for ex in dedup_dev(train, dev)] == ["b", "c"]
 
     def test_fully_contained_gives_empty(self, lang):
         train = make_dataset([("a", "positive"), ("b", "negative")], lang)
-        dev = make_dataset([("a", "positive"), ("b", "negative")], lang, split="dev", prefix="d")
+        dev = make_dataset([("a", "positive"), ("b", "negative")], lang, prefix="d")
         assert len(dedup_dev(train, dev)) == 0
 
     def test_idempotent(self, lang):
         train = make_dataset([("a", "positive"), ("b", "negative")], lang)
         dev = make_dataset(
-            [("a", "positive"), ("x", "neutral"), ("y", "negative")], lang, split="dev", prefix="d"
+            [("a", "positive"), ("x", "neutral"), ("y", "negative")], lang, prefix="d"
         )
         once = dedup_dev(train, dev)
         assert dedup_dev(train, once) == once
@@ -416,7 +417,7 @@ class TestDedupDev:
     def test_language_mismatch(self, lang):
         other = "yy"
         train = make_dataset([("a", "positive")], lang)
-        dev = make_dataset([("b", "negative")], other, split="dev")
+        dev = make_dataset([("b", "negative")], other)
         with pytest.raises(CorpusError, match="language mismatch"):
             dedup_dev(train, dev)
 
@@ -458,11 +459,6 @@ class TestSamplePerLanguage:
     def test_k_zero_rejected(self, lang):
         with pytest.raises(CorpusError, match=">= 1"):
             sample_per_language(self._train(3, lang), 0, seed=1)
-
-    def test_requires_train_split(self, lang):
-        dev = make_dataset([("a", "positive")], lang, split="dev")
-        with pytest.raises(CorpusError, match="train"):
-            sample_per_language(dev, 1, seed=1)
 
 
 class TestMetadata:

@@ -192,7 +192,6 @@ class TestCorpusStore:
     def test_devstar_derived_once(self, store):
         star = store.split("aa", "devstar")
         assert star is store.split("aa", "devstar") is store.rows("aa", "devstar")
-        assert star.split == "devstar"
         assert len(star) == 24 - 2  # two planted overlaps removed
 
     def test_eval_dataset_missing(self, store):
@@ -815,7 +814,8 @@ class TestRunMatrix:
          "key not a string", "empty per_seed", "score outside [0, 1]", "mean disagreeing",
          "unknown adaptation", "sample_cap a string", "sample_cap 0", "sample_cap a bool",
          "eval_split not a split", "support negative", "support a bool", "support a float", "mean NaN",
-         "std Infinity", "std NaN"],
+         "std Infinity", "std NaN", "std a string", "std negative", "score a bool", "target not a code",
+         "sources a string", "sources repeated and unsorted"],
     )
     def test_jsonl_line_not_an_entry_object(self, store, line):
         cells = [PlanCell("aa", ("aa",), None)]
@@ -842,6 +842,14 @@ class TestRunMatrix:
             "mean NaN": dict(doc, per_seed={"1": 1.0, "2": 1.0}, mean=float("nan")),
             "std Infinity": dict(doc, std=float("inf")),
             "std NaN": dict(doc, std=float("nan")),
+            # A number is a JSON number, a code a code, and sources a
+            # sorted list of distinct codes, as to_jsonl writes them.
+            "std a string": dict(doc, std="nan"),
+            "std negative": dict(doc, std=-0.25),
+            "score a bool": dict(doc, per_seed={"1": True}, mean=1.0),
+            "target not a code": dict(doc, target=5, mode="zeroshot"),
+            "sources a string": dict(doc, sources="aa", mode="zeroshot"),
+            "sources repeated and unsorted": dict(doc, sources=["bb", "aa", "aa"]),
         }
         if line in edited:
             line = json.dumps(edited[line])
@@ -1226,8 +1234,8 @@ class TestConfig:
             ("languages:\n  - code: aa\nseeds: []\n", "'seeds' must be non-empty"),
             *(
                 (f"languages:\n  - code: aa\n  - code: {code}\n", f"'languages[1].code': invalid language code "
-                 f"{yaml.safe_load(code)!r}: must be non-empty lowercase without whitespace")
-                for code in ("AA", '"a a"', '""')
+                 f"{yaml.safe_load(code)!r}: must be non-empty lowercase ASCII letters, digits, '-' or '_'")
+                for code in ("AA", '"a a"', '""', "../x", "a/b", '"a|b"')
             ),
         ]:
             bad.write_text(text, encoding="utf-8")

@@ -154,7 +154,7 @@ class TestBatchHasher:
         monkeypatch.setattr(textmodel, "_hash_batch", spy)
         texts = [f"t{i}" for i in range((1 << 16) + 50)]
         examples = (Example(f"e{i}", t, None) for i, t in enumerate(texts + texts[:50]))
-        corpus = Dataset(lang, "train", tuple(examples))
+        corpus = Dataset(lang, tuple(examples))
         config = LearnerConfig(ngram_min=1, ngram_max=2, hash_buckets=1 << 12, epochs=1)
         stats = pretrain(corpus, "t", config)
         X = design_matrix(texts + texts[:3], stats, config)
@@ -230,7 +230,7 @@ class TestPretrain:
 
     def test_empty_corpus_rejected(self, lang):
         with pytest.raises(TextModelError, match="adaptation corpus empty"):
-            pretrain([Dataset(lang, "train", ())], "t", SMALL)
+            pretrain([Dataset(lang, ())], "t", SMALL)
         with pytest.raises(TextModelError, match="num_documents >= 1"):
             AdaptationStats(df_buckets=[], df_counts=[], num_documents=0, source_tag="t")
 
@@ -331,7 +331,7 @@ class TestFineTune:
     def test_seed_changes_model(self, lang):
         rng = random.Random(11)
         rows = [random_example(rng, lang, i) for i in range(64)]
-        ds = Dataset(lang, "train", tuple(rows))
+        ds = Dataset(lang, tuple(rows))
         cfg = LearnerConfig(hash_buckets=1024, ngram_max=3, epochs=5)
         a = fine_tune(AdaptationStats.uniform(), ds, cfg, 1)
         b = fine_tune(AdaptationStats.uniform(), ds, cfg, 2)
@@ -353,7 +353,7 @@ class TestFineTune:
     @pytest.mark.parametrize("hash_buckets", [1 << 12, 1 << 20])
     def test_weights_only_for_training_buckets(self, lang, hash_buckets):
         rng = random.Random(5)
-        ds = Dataset(lang, "train", tuple(random_example(rng, lang, i) for i in range(40)))
+        ds = Dataset(lang, tuple(random_example(rng, lang, i) for i in range(40)))
         cfg = LearnerConfig(ngram_min=1, ngram_max=3, hash_buckets=hash_buckets, epochs=2)
         stats = pretrain([ds], "t", cfg)
         model = fine_tune(stats, ds, cfg, 1)
@@ -371,7 +371,7 @@ class TestFineTune:
 
     def test_no_examples_rejected(self, lang):
         with pytest.raises(TextModelError, match="no training examples"):
-            fine_tune(AdaptationStats.uniform(), Dataset(lang, "train", ()), SMALL, 0)
+            fine_tune(AdaptationStats.uniform(), Dataset(lang, ()), SMALL, 0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_detected(self, lang):
@@ -402,13 +402,13 @@ class TestFineTune:
     def test_loss_history_decreases(self, lang):
         rng = random.Random(23)
         rows = [random_example(rng, lang, i) for i in range(90)]
-        ds = Dataset(lang, "train", tuple(rows))
+        ds = Dataset(lang, tuple(rows))
         model = fine_tune(AdaptationStats.uniform(), ds, LearnerConfig(hash_buckets=2048), 5)
         assert len(model.loss_history) == 20
         assert model.loss_history[-1] <= model.loss_history[0]
 
     def test_unlabeled_example_rejected(self, lang):
-        ds = Dataset(lang, "train", (Example("u", "text", None),))
+        ds = Dataset(lang, (Example("u", "text", None),))
         with pytest.raises(TextModelError, match="labeled"):
             fine_tune(AdaptationStats.uniform(), ds, SMALL, 0)
 
@@ -491,7 +491,7 @@ class TestPredict:
         # their rows have non-zeros in buckets the model has no weight for.
         rng = random.Random(hash_buckets)
         cfg = LearnerConfig(ngram_min=1, ngram_max=3, hash_buckets=hash_buckets, epochs=3)
-        ds = Dataset(lang, "train", tuple(random_example(rng, lang, i, (20, 40)) for i in range(30)))
+        ds = Dataset(lang, tuple(random_example(rng, lang, i, (20, 40)) for i in range(30)))
         stats = pretrain([ds], "t", cfg)
         model = fine_tune(stats, ds, cfg, 1)
         probe = ["".join(rng.choice("abcdxyz ") for _ in range(30)).strip() for _ in range(20)] + [""]
@@ -779,7 +779,7 @@ class TestAgainstReferences:
         # 21 rows in batches of 4 end each epoch on a one-row batch, and
         # the 120 steps pass the l2_lambda=10 fold-back floor at step 97.
         rng = random.Random(23)
-        ds = Dataset(lang, "train", tuple(random_example(rng, lang, i, (20, 40)) for i in range(21)))
+        ds = Dataset(lang, tuple(random_example(rng, lang, i, (20, 40)) for i in range(21)))
         cfg = LearnerConfig(
             ngram_min=1, ngram_max=3, hash_buckets=256, epochs=20, batch_size=4,
             l2_lambda=l2_lambda, learning_rate=learning_rate, lr_decay=lr_decay,
@@ -801,7 +801,7 @@ class TestAgainstReferences:
     )
     def test_sparse_trainer_matches_dense(self, lang, l2_lambda, learning_rate, lr_decay):
         rng = random.Random(17)
-        ds = Dataset(lang, "train", tuple(random_example(rng, lang, i) for i in range(40)))
+        ds = Dataset(lang, tuple(random_example(rng, lang, i) for i in range(40)))
         cfg = LearnerConfig(
             ngram_min=1, ngram_max=3, hash_buckets=256, epochs=20, batch_size=8,
             l2_lambda=l2_lambda, learning_rate=learning_rate, lr_decay=lr_decay,
@@ -838,7 +838,7 @@ def test_nothing_allocated_is_sized_by_hash_buckets(lang):
     # At 2^24 buckets a hash_buckets-long float64 array takes 128 MB;
     # featurizing, training and predicting a few dozen rows stay far below.
     rng = random.Random(9)
-    ds = Dataset(lang, "train", tuple(random_example(rng, lang, i, (20, 40)) for i in range(40)))
+    ds = Dataset(lang, tuple(random_example(rng, lang, i, (20, 40)) for i in range(40)))
     cfg = LearnerConfig(ngram_min=1, ngram_max=3, hash_buckets=1 << 24, epochs=2)
     stats = pretrain([ds], "t", cfg)
     texts = [ex.text for ex in ds]
