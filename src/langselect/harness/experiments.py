@@ -565,7 +565,7 @@ def _matrix_item(doc: dict) -> tuple[str, MatrixEntry]:
         adaptation=doc["adaptation"],
         sample_cap=doc["sample_cap"],
         eval_split=doc["eval_split"],
-        per_seed={int(seed): json_number(score, "score") for seed, score in doc["per_seed"].items()},
+        per_seed={_seed_key(seed): json_number(score, "score") for seed, score in doc["per_seed"].items()},
         mean=json_number(doc["mean"], "mean"),
         std=json_number(doc["std"], "std"),
         support=doc["support"],
@@ -575,6 +575,16 @@ def _matrix_item(doc: dict) -> tuple[str, MatrixEntry]:
     if not isinstance(doc["key"], str):
         raise TypeError(f"key {doc['key']!r} is not a string")
     return doc["key"], entry
+
+
+def _seed_key(key: str) -> int:
+    """The seed a ``per_seed`` key names. The key must be the seed's
+    decimal form, as ``to_jsonl`` writes it, so no two keys of one
+    object name the same seed."""
+    seed = int(key)
+    if key != str(seed):
+        raise ValueError(f"per_seed key {key!r} is not a seed in decimal form")
+    return seed
 
 
 def run_matrix(

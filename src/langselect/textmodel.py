@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import kernel
 from .corpus import LABEL_INDEX, LABELS, Dataset, Example
 from .errors import TextModelError
 from .learner_config import LearnerConfig
@@ -103,9 +104,10 @@ class CsrRows:
     column, so the matrix is ``shape[0]`` x ``len(columns)`` and only
     ``columns`` says which buckets those are. Row ``i`` holds the values
     ``data[indptr[i]:indptr[i + 1]]`` at the column positions
-    ``indices[indptr[i]:indptr[i + 1]]``. The product adds each output
-    element's terms in non-zero order, starting from 0.0, so it gives
-    the floats of a sequential loop over the non-zeros.
+    ``indices[indptr[i]:indptr[i + 1]]``. ``indptr`` and ``indices`` are
+    int64 and ``data`` float64, all contiguous, as the ``kernel`` loops
+    take them: those walk a row's non-zeros in this order, so a product
+    with the rows gives the floats of a sequential loop over them.
     """
 
     indptr: np.ndarray
@@ -114,21 +116,17 @@ class CsrRows:
     shape: tuple[int, int]
     columns: np.ndarray
 
-    def locate(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gather the non-zeros of ``rows`` (an integer array of row
-        numbers; a row may repeat), row by row in that order. Returns,
-        for each of them, the index into ``rows`` of its row and its
-        position in ``indices`` and ``data``."""
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        which = np.repeat(np.arange(len(rows)), lengths)
-        ends = np.cumsum(lengths)
-        return which, np.arange(len(which)) + (starts - ends + lengths)[which]
 
-    def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        """``X @ W`` for a dense ``W`` of shape (columns, k)."""
-        row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return _keyed_sums(row_of, self.data, other, self.indices, self.shape[0])
+def _kernel_args(X: CsrRows, V: np.ndarray) -> tuple[int, int, int, int]:
+    """The addresses of ``X.indptr``, ``X.indices``, ``X.data`` and the
+    (columns, 3) weights ``V``, the fixed arguments of the ``kernel``
+    loops, after checking the dtypes, shapes and C order those read."""
+    arrays = ((X.indptr, np.int64, (X.shape[0] + 1,)), (X.indices, np.int64, X.data.shape),
+              (X.data, np.float64, X.data.shape), (V, np.float64, (X.shape[1], 3)))
+    for array, dtype, shape in arrays:
+        if array.dtype != dtype or array.shape != shape or not array.flags.c_contiguous:
+            raise TextModelError(f"kernel argument of {array.dtype} {array.shape} is not C-ordered {np.dtype(dtype)} {shape}")
+    return X.indptr.ctypes.data, X.indices.ctypes.data, X.data.ctypes.data, V.ctypes.data
 
 
 def _search(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,18 +136,6 @@ def _search(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarra
     found = at < len(keys)
     found[found] = keys[at[found]] == values[found]
     return at, found
-
-
-def _keyed_sums(
-    keys: np.ndarray, data: np.ndarray, other: np.ndarray, at: np.ndarray, n: int
-) -> np.ndarray:
-    """``out[i, k]``: the sum of ``data[j] * other[at[j], k]`` over the j
-    with ``keys[j] == i``, added in j order starting from 0.0, one
-    ``np.bincount`` per column (it adds its weights sequentially)."""
-    out = np.empty((n, other.shape[1]))
-    for k in range(other.shape[1]):
-        out[:, k] = np.bincount(keys, weights=data * other[:, k][at], minlength=n)
-    return out
 
 
 @dataclass
@@ -305,10 +291,10 @@ def design_matrix(
     np.cumsum(lengths, out=indptr[1:])
     if n:
         columns, indices = np.unique(np.concatenate([buckets for buckets, _ in rows]), return_inverse=True)
-        columns = columns.astype(np.int64)
+        columns, indices = columns.astype(np.int64), indices.astype(np.int64, copy=False)
         tf = np.concatenate([counts for _, counts in rows])
     else:
-        columns, indices = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp)
+        columns, indices = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         tf = np.empty(0, dtype=np.int32)
     # idf of each column. Those with a df gather the expression computed
     # over the whole df array, so each value is the one an elementwise
@@ -415,9 +401,12 @@ def fine_tune(
     touch, and the proximal shrink of every weight is one division of
     ``scale``, which is folded back into ``V`` before it underflows. So
     a step costs what the batch's non-zeros cost, not what
-    ``hash_buckets`` costs, and ``V`` stays small enough to sit in
-    cache. The model returned keeps these buckets as ``Model.buckets``
-    and their weights as ``Model.weights`` (3 x len(buckets)).
+    ``hash_buckets`` costs. The batch's logits and its scatter into
+    ``V`` are the two C loops of ``kernel``, which walk the batch rows
+    in the epoch's order and each row's non-zeros in order; softmax,
+    the loss, the bias and ``scale`` stay numpy. The model returned
+    keeps these buckets as ``Model.buckets`` and their weights as
+    ``Model.weights`` (3 x len(buckets)).
     """
     examples: list[Example] = []
     for ds in _as_datasets(train):
@@ -429,34 +418,39 @@ def fine_tune(
     if len(present) < 3:
         logger.warning("training set covers only %s; model degenerates on absent classes", sorted(present))
 
+    loops = kernel.load()
     X = design_matrix([ex.text for ex in examples], stats, config)
     n = X.shape[0]
     # Buckets no example touches keep zero weight throughout, so V holds
     # only the used ones: X's columns, in increasing bucket order, and
-    # slot[j] is the row of V for the non-zero j.
-    used, slot = X.columns, X.indices
+    # X.indices[j] is the row of V for the non-zero j.
+    used = X.columns
     V = np.zeros((len(used), 3), dtype=np.float64)
     scale = 1.0
     bias = np.zeros(3, dtype=np.float64)
     rng = random.Random(seed)
     lr = config.learning_rate
     history: list[float] = []
+    # The loops' fixed arguments: X's arrays and V, which changes only in
+    # place, and the buffer each batch's logits are written to.
+    fixed = _kernel_args(X, V)
+    logits = np.empty((config.batch_size, 3))
+    logits_at = logits.ctypes.data
 
     for _ in range(config.epochs):
-        order = np.array(_shuffled_indices(n, rng))
+        order = np.array(_shuffled_indices(n, rng), dtype=np.int64)
+        order_at = order.ctypes.data
         shrink = 1.0 + lr * config.l2_lambda
         ce_sum = 0.0
         for start in range(0, n, config.batch_size):
-            chunk = order[start : start + config.batch_size]
-            nb = len(chunk)
-            # The batch's non-zeros, each with its row in the batch: that
-            # row index serves both the logits and the scatter.
-            row, pos = X.locate(chunk)
-            idx = slot[pos]
-            vals = X.data[pos]
-            yb = y[chunk]
+            nb = min(config.batch_size, n - start)
+            # The batch's rows are order[start:start + nb]; the loops read
+            # them in place.
+            rows_at = order_at + start * order.itemsize
+            loops.logits(*fixed, rows_at, nb, logits_at)
+            yb = y[order[start : start + nb]]
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # divergence is reported below
-                probs = _softmax(scale * _keyed_sums(row, vals, V, idx, nb) + bias)
+                probs = _softmax(scale * logits[:nb] + bias)
                 batch_ce = -float(np.log(probs[np.arange(nb), yb]).sum())
             if not math.isfinite(batch_ce):
                 raise TextModelError("divergence: reduce learning_rate")
@@ -464,11 +458,7 @@ def fine_tune(
             dz = probs
             dz[np.arange(nb), yb] -= 1.0
             dz /= nb
-            # Scatter per non-zero, one class column at a time: three 1-D
-            # add.at calls are several times faster than one 2-D call.
-            scaled = (-lr / scale) * vals
-            for k in range(3):
-                np.add.at(V[:, k], idx, dz[:, k][row] * scaled)
+            loops.scatter(*fixed, rows_at, nb, dz.ctypes.data, -lr / scale)
             scale /= shrink
             if scale < _SCALE_FLOOR:
                 V *= scale
@@ -496,15 +486,20 @@ def predict_texts(model: Model, texts: Sequence[str]) -> list[tuple[str, tuple[f
     The batch is featurized over its own columns, as ``fine_tune``
     featurizes its examples, and ``W`` holds, for each column, the
     model's weights of its bucket, or zeros where the model has none.
-    One ``X @ W`` then gives the floats of the product with the full
-    weights: each term of a bucket without weights is ±0.0, and a sum
-    that starts at +0.0 is never −0.0, so adding ±0.0 to it changes
-    nothing."""
+    ``X @ W``, from the ``kernel`` logits loop over every row in order,
+    then gives the floats of the product with the full weights: each
+    term of a bucket without weights is ±0.0, and a sum that starts at
+    +0.0 is never −0.0, so adding ±0.0 to it changes nothing."""
+    loops = kernel.load()
     X = design_matrix(texts, model.stats, model.config)
     at, found = _search(model.buckets, X.columns)
     W = np.zeros((len(X.columns), 3))
     W[found] = model.weights.T[at[found]]
-    probs = _softmax(X @ W + model.bias)
+    n = X.shape[0]
+    rows = np.arange(n, dtype=np.int64)
+    logits = np.empty((n, 3))
+    loops.logits(*_kernel_args(X, W), rows.ctypes.data, n, logits.ctypes.data)
+    probs = _softmax(logits + model.bias)
     # argmax returns the first maximum, which honors the fixed class
     # order (negative < neutral < positive) on exact ties.
     return [(LABELS[i], tuple(row)) for i, row in zip(probs.argmax(axis=1).tolist(), probs.tolist())]

@@ -117,11 +117,6 @@ def dense(X, width):
     return out
 
 
-def reference_rows(X, rows):
-    """The (indices, values) lists of the given rows of X, in order."""
-    return [csr_row(X, i) for i in rows]
-
-
 def reference_matmul(X, W):
     """X @ W for CSR rows X and a dense W, each output element summed
     over its row's non-zeros in order, starting from 0.0."""

@@ -19,6 +19,7 @@ import yaml
 
 from langselect.cli import main
 from langselect.corpus import LOADER_VERSION
+from langselect.errors import TextModelError
 from langselect.harness.config import load_config
 from langselect.synth import (
     IDENTITY,
@@ -70,6 +71,22 @@ class TestExitCodes:
         missing = tmp_path / "missing.tsv"
         assert main(["ensemble", "--inputs", str(missing), "--out", str(tmp_path / "o.tsv")]) == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_missing_compiler_is_experiment_error(self, tmp_path, capsys, monkeypatch, config_path):
+        # Training builds the C kernel on first use. With no cc on PATH
+        # the build fails naming the compiler, and train exits 3.
+        from langselect import kernel
+
+        (tmp_path / "bin").mkdir()
+        monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        monkeypatch.setattr(kernel, "_LIB", None)
+        with pytest.raises(TextModelError, match="C compiler 'cc'"):
+            kernel.load()
+        model = tmp_path / "model.npz"
+        assert main(["train", "--config", config_path, "--target", "aa", "--sources", "aa", "--out", str(model)]) == 3
+        assert "experiment error: training needs the C compiler 'cc'" in capsys.readouterr().err
+        assert not model.exists()
 
     @pytest.mark.parametrize("case", ["cache-dir-is-file", "journal-is-dir", "matrix-out-dir-missing",
                                       "select-out-dir-missing", "select-matrix-out-dir-missing",
@@ -1139,10 +1156,12 @@ class TestReportRows:
             assert {row.split("\t")[0]: row.split("\t")[column] for row in picks[1:]} == picked
 
 
-# Runs one CLI verb; its last stdout line is [exit code, numpy imported].
+# Runs one CLI verb; its last stdout line is [exit code, which of numpy,
+# ctypes and the kernel module it imported].
 _VERB_PROBE = (
     "import json, sys; from langselect.cli import main; "
-    "rc = main(sys.argv[1:]); print(json.dumps([rc, 'numpy' in sys.modules]))"
+    "rc = main(sys.argv[1:]); "
+    "print(json.dumps([rc, [m for m in ('numpy', 'ctypes', 'langselect.kernel') if m in sys.modules]]))"
 )
 
 # Imports langselect; prints the numpy and langselect modules it loaded.
@@ -1155,30 +1174,37 @@ _PACKAGE_PROBE = (
 class TestNumpyFreeVerbs:
     def test_only_training_verbs_import_numpy(self, tmp_path, four_config):
         # A verb that trains nothing, or finds every score in the cache,
-        # must not pay for importing numpy in its fresh interpreter.
+        # must not pay for importing numpy in its fresh interpreter, nor
+        # load, let alone build, the C kernel.
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(
             os.environ,
             PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
             LANGSELECT_CACHE_DIR=str(tmp_path / "cache"),
+            XDG_CACHE_HOME=str(tmp_path / "xdg"),
         )
 
-        def run(*argv):
+        def run(*argv, **extra_env):
             done = subprocess.run(
-                [sys.executable, "-c", _VERB_PROBE, *argv], env=env, capture_output=True, encoding="utf-8", timeout=300
+                [sys.executable, "-c", _VERB_PROBE, *argv], env=dict(env, **extra_env), capture_output=True,
+                encoding="utf-8", timeout=300,
             )
             assert done.returncode == 0, done.stderr
-            rc, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+            rc, loaded = json.loads(done.stdout.splitlines()[-1])
             assert rc == 0, done.stderr
-            return numpy_loaded
+            return loaded
 
         config = ["--config", str(four_config)]
         select = ["select", *config, "--strategy", "fwd", "--out", str(tmp_path / "sel.jsonl"),
                   "--matrix-out", str(tmp_path / "cells.jsonl")]
         data = four_config.parent / "data"
         assert not run("ingest", *config, "--out-dir", str(tmp_path / "ingested"))
-        assert run(*select)  # cold: trains
-        assert not run(*select)
+        assert run(*select) == ["numpy", "ctypes", "langselect.kernel"]  # cold: trains
+        assert list((tmp_path / "xdg" / "langselect").iterdir())
+        fresh = tmp_path / "fresh-xdg"
+        fresh.mkdir()
+        assert not run(*select, XDG_CACHE_HOME=str(fresh))
+        assert list(fresh.iterdir()) == []
         assert not run("matrix", *config, "--strategy", "fwd", "--out", str(tmp_path / "matrix.jsonl"))
         assert not run("score", *config, "--target", "aa", "--sources", "aa,bb")
         assert not run("report", *config, "--matrix", str(tmp_path / "matrix.jsonl"),

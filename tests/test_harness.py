@@ -815,7 +815,8 @@ class TestRunMatrix:
          "unknown adaptation", "sample_cap a string", "sample_cap 0", "sample_cap a bool",
          "eval_split not a split", "support negative", "support a bool", "support a float", "mean NaN",
          "std Infinity", "std NaN", "std a string", "std negative", "score a bool", "target not a code",
-         "sources a string", "sources repeated and unsorted"],
+         "sources a string", "sources repeated and unsorted", "per_seed key padded",
+         "per_seed key zero-padded", "per_seed keys naming one seed"],
     )
     def test_jsonl_line_not_an_entry_object(self, store, line):
         cells = [PlanCell("aa", ("aa",), None)]
@@ -850,6 +851,11 @@ class TestRunMatrix:
             "target not a code": dict(doc, target=5, mode="zeroshot"),
             "sources a string": dict(doc, sources="aa", mode="zeroshot"),
             "sources repeated and unsorted": dict(doc, sources=["bb", "aa", "aa"]),
+            # A per_seed key is a seed as str() writes it, so no two keys
+            # name one seed.
+            "per_seed key padded": dict(doc, per_seed={" +1_0": doc["per_seed"]["1"]}),
+            "per_seed key zero-padded": dict(doc, per_seed={"01": doc["per_seed"]["1"]}),
+            "per_seed keys naming one seed": dict(doc, per_seed={"1": doc["per_seed"]["1"], "01": doc["per_seed"]["1"]}),
         }
         if line in edited:
             line = json.dumps(edited[line])

@@ -3,15 +3,20 @@ phases, gradients, prediction and serialization."""
 import json
 import logging
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from langselect import textmodel
+from langselect import kernel, textmodel
 from langselect.corpus import Dataset, Example
 from langselect.errors import TextModelError
 from langselect.learner_config import LearnerConfig
@@ -36,7 +41,6 @@ from reference import (
     reference_document_frequencies,
     reference_matmul,
     reference_objective,
-    reference_rows,
     reference_sparse_fine_tune,
     reference_term_counts,
     reference_tfidf,
@@ -699,20 +703,38 @@ def wide_range(rng, shape, order="C"):
     return np.asarray(values, order=order)
 
 
+def kernel_logits(X, W, rows):
+    """The kernel's logits of X's given rows, in that order, against W."""
+    W = np.ascontiguousarray(W)
+    rows = np.array(rows, dtype=np.int64)
+    out = np.empty((len(rows), 3))
+    kernel.load().logits(*textmodel._kernel_args(X, W), rows.ctypes.data, len(rows), out.ctypes.data)
+    return out
+
+
+def kernel_scatter(X, V, rows, dz, c):
+    """V after the kernel scatters dz over X's given rows with factor c."""
+    V, dz = V.copy(), np.ascontiguousarray(dz)
+    rows = np.array(rows, dtype=np.int64)
+    kernel.load().scatter(*textmodel._kernel_args(X, V), rows.ctypes.data, len(rows), dz.ctypes.data, c)
+    return V
+
+
 class TestCsrRows:
-    """The numpy CSR kernels equal sequential pure-Python references bit
-    for bit (np.array_equal, not allclose)."""
+    """The C kernel's loops over CSR rows equal sequential pure-Python
+    references bit for bit (np.array_equal, not allclose)."""
 
     @pytest.mark.parametrize("buckets", sorted(CSR_CONFIGS))
     @pytest.mark.parametrize("layout", CSR_LAYOUTS)
     def test_locate_matches_reference(self, lang, layout, buckets):
+        # The logits loop reads the rows it is given, in their order and
+        # with repeats, as the reference reads them.
         X = csr_case(lang, layout, CSR_CONFIGS[buckets])
         n = X.shape[0]
+        W = wide_range(np.random.default_rng(2), (X.shape[1], 3))
+        full = reference_matmul(X, W)
         for rows in [list(range(n)), list(reversed(range(n))), [n - 1, 0, n - 1], [0], []]:
-            which, pos = X.locate(np.array(rows, dtype=np.intp))
-            assert (np.diff(which) >= 0).all()
-            got = [(X.indices[pos[which == r]].tolist(), X.data[pos[which == r]].tolist()) for r in range(len(rows))]
-            assert got == reference_rows(X, rows)
+            assert np.array_equal(kernel_logits(X, W, rows), full[rows])
 
     @pytest.mark.parametrize("buckets", sorted(CSR_CONFIGS))
     @pytest.mark.parametrize("layout", CSR_LAYOUTS)
@@ -721,7 +743,42 @@ class TestCsrRows:
         rng = np.random.default_rng(1)
         for order in "CF":
             W = wide_range(rng, (X.shape[1], 3), order)
-            assert np.array_equal(X @ W, reference_matmul(X, W))
+            assert np.array_equal(kernel_logits(X, W, range(X.shape[0])), reference_matmul(X, W))
+
+    def test_kernel_args_refuse_other_layouts(self, lang):
+        # The loops read raw memory, so an array of another dtype, shape
+        # or order is refused before they run.
+        X = csr_case(lang, "012", CSR_CONFIGS["256"])
+        W = np.zeros((X.shape[1], 3))
+        assert textmodel._kernel_args(X, W)[3] == W.ctypes.data
+        for bad_X, bad_W in [(X, np.asfortranarray(W)), (X, W[:, :2]), (X, W[1:]), (X, W.astype(np.float32)),
+                             (replace(X, indices=X.indices.astype(np.int32)), W),
+                             (replace(X, indptr=X.indptr[:-1]), W), (replace(X, data=X.data[::-1]), W)]:
+            with pytest.raises(TextModelError, match="kernel argument"):
+                textmodel._kernel_args(bad_X, bad_W)
+
+    @pytest.mark.parametrize("buckets", sorted(CSR_CONFIGS))
+    def test_scatter_matches_sequential_loop(self, lang, buckets):
+        # Row 0 repeats in the batch, rows 0 and 3 hold the same text, and
+        # the other rows share n-grams with them, so several terms land in
+        # one slot of V and their order shows in the last bits.
+        X = csr_case(lang, "0120", CSR_CONFIGS[buckets])
+        rows = [3, 0, 1, 0, 2]
+        slots = [set(csr_row(X, r)[0]) for r in rows]
+        assert slots[0] == slots[1] and slots[1] & slots[2] and slots[2] & slots[4]
+        rng = np.random.default_rng(4)
+        V = wide_range(rng, (X.shape[1], 3))
+        dz = wide_range(rng, (len(rows), 3))
+        c = -0.37 / 3.0e-5
+        want = V.copy()
+        for i, r in enumerate(rows):
+            for j, v in zip(*csr_row(X, r)):
+                t = c * v
+                for k in range(3):
+                    want[j, k] += float(dz[i, k]) * t
+        assert np.array_equal(kernel_scatter(X, V, rows, dz, c), want)
+        # Another order of the same terms gives other bits.
+        assert not np.array_equal(kernel_scatter(X, V, rows[::-1], dz[::-1], c), want)
 
     def test_order_sensitive_inputs(self, lang):
         # The kernel tests above can tell summation orders apart: a
@@ -740,13 +797,64 @@ class TestCsrRows:
         S = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
         rng = np.random.default_rng(3)
         W = wide_range(rng, (X.shape[1], 3), "F")
-        assert np.array_equal(X @ W, S @ W)
+        assert np.array_equal(kernel_logits(X, W, range(X.shape[0])), S @ W)
         rows = [X.shape[0] - 1, 0, X.shape[0] - 1]
-        which, pos = X.locate(np.array(rows, dtype=np.intp))
-        Sr = S[rows]
-        assert np.array_equal(which, np.repeat(np.arange(len(rows)), np.diff(Sr.indptr)))
-        assert np.array_equal(X.indices[pos], Sr.indices)
-        assert np.array_equal(X.data[pos], Sr.data)
+        assert np.array_equal(kernel_logits(X, W, rows), S[rows] @ W)
+
+
+# Waits until argv[2] processes have started, loads the kernel, and
+# prints the library's path and the modules the load imported.
+_KERNEL_PROBE = """
+import json, os, sys, time
+from langselect import kernel
+open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+while len(os.listdir(sys.argv[1])) < int(sys.argv[2]):
+    time.sleep(0.001)
+before = set(sys.modules)
+lib = kernel.load()
+print(json.dumps([lib._name, sorted(set(sys.modules) - before)]))
+"""
+
+
+class TestKernelBuild:
+    @staticmethod
+    def load_in(tmp_path, xdg, processes=1):
+        """Load the kernel in ``processes`` interpreters at once, with
+        XDG_CACHE_HOME set to ``xdg``; returns each one's probe output."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(xdg))
+        started = tempfile.mkdtemp(dir=tmp_path)
+        argv = [sys.executable, "-c", _KERNEL_PROBE, started, str(processes)]
+        procs = [subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8")
+                 for _ in range(processes)]
+        try:
+            outs = [p.communicate(timeout=120) for p in procs]
+        finally:
+            for p in procs:
+                p.kill()
+        assert [p.returncode for p in procs] == [0] * processes, [err for _, err in outs]
+        return [(json.loads(out), err) for out, err in outs]
+
+    def test_concurrent_builds_leave_one_library(self, tmp_path):
+        xdg = tmp_path / "xdg"
+        loaded = self.load_in(tmp_path, xdg, processes=2)
+        left = sorted((xdg / "langselect").iterdir())
+        assert len(left) == 1 and re.fullmatch(r"kernel-[0-9a-f]{16}\.so", left[0].name)
+        assert [path for (path, _), _ in loaded] == [str(left[0])] * 2
+        assert (xdg / "langselect").stat().st_mode & 0o777 == 0o700
+        # A warm load runs no compiler.
+        [((path, imported), _)] = self.load_in(tmp_path, xdg)
+        assert path == str(left[0])
+        assert not {"subprocess", "tempfile"} & set(imported)
+
+    def test_cache_other_users_can_write_is_not_used(self, tmp_path):
+        xdg = tmp_path / "xdg"
+        (xdg / "langselect").mkdir(parents=True)
+        (xdg / "langselect").chmod(0o777)
+        [((path, _), err)] = self.load_in(tmp_path, xdg)
+        assert "not private" in err
+        assert not path.startswith(str(xdg)) and not os.path.exists(path)
+        assert list((xdg / "langselect").iterdir()) == []
 
 
 class TestAgainstReferences:
